@@ -43,6 +43,18 @@ class DspConfig:
     preemphasis_max_boost_db: float = 12.0
     ccdm_block_symbols: int = 65536
 
+    def __post_init__(self):
+        if self.samples_per_symbol != 2:
+            raise ParameterError(
+                "samples_per_symbol must be 2: the receiver equalizer is T/2-spaced"
+            )
+        if not 0.0 < self.ffe_train_fraction < 1.0:
+            raise ParameterError("ffe_train_fraction must lie in (0, 1)")
+        if not self.ffe_step_size > 0.0:
+            raise ParameterError("ffe_step_size must be positive")
+        if self.ccdm_block_symbols < 1:
+            raise ParameterError("ccdm_block_symbols must be >= 1")
+
 
 @dataclass(frozen=True)
 class TxConfig:

@@ -113,7 +113,7 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
         p_mag = magnitude_distribution(dist, alphabet)
         classes = []
         remaining = n
-        block = max(1, min(config.dsp.ccdm_block_symbols, n))
+        block = min(config.dsp.ccdm_block_symbols, n)
         while remaining > 0:
             size = min(block, remaining)
             comp = composition_from_distribution(p_mag, size)
@@ -329,18 +329,18 @@ def run_link(config: LinkConfig) -> MetricsReport:
 
     h_bits = entropy_bits(frame.distribution)
     m = frame.alphabet.label_bits
-    gmi, ngmi = gmi_ngmi(llr, eval_frame.bits(), h_bits, m)
+    gmi, ngmi = _stage("metrology", gmi_ngmi, llr, eval_frame.bits(), h_bits, m)
     ngmi = min(ngmi, 1.0)
     rate = _stage("metrology", required_code_rate, ngmi, config.rate_table(),
                   config.rate_interpolation)
 
     b_gbd = config.symbol_rate_gbd
     if config.modulation == "ps_pam12":
-        achievable = net_bitrate_ps(h_bits, ngmi, b_gbd, m)
-        net = net_bitrate_ps(h_bits, rate, b_gbd, m)
+        achievable = _stage("metrology", net_bitrate_ps, h_bits, ngmi, b_gbd, m)
+        net = _stage("metrology", net_bitrate_ps, h_bits, rate, b_gbd, m)
     else:
-        achievable = net_bitrate_uniform(ngmi, b_gbd, m)
-        net = net_bitrate_uniform(rate, b_gbd, m)
+        achievable = _stage("metrology", net_bitrate_uniform, ngmi, b_gbd, m)
+        net = _stage("metrology", net_bitrate_uniform, rate, b_gbd, m)
     if config.hd_fec_overhead_deduction:
         net /= 1.0079
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import fast_link_config
+from imddsim import harness
 from imddsim.config import (
     PRESETS,
+    DspConfig,
     c_band_216g,
     config_to_dict,
     load_config,
@@ -72,6 +74,30 @@ class TestPresets:
             load_config("no-such-preset")
 
 
+class TestDspConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("samples_per_symbol", 1),
+        ("samples_per_symbol", 4),
+        ("ffe_train_fraction", 0.0),
+        ("ffe_train_fraction", 1.0),
+        ("ffe_train_fraction", 1.5),
+        ("ffe_step_size", 0.0),
+        ("ffe_step_size", -1e-3),
+        ("ccdm_block_symbols", 0),
+    ])
+    def test_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            DspConfig(**{field: value})
+
+    def test_rejected_when_loaded_from_json(self, tmp_path):
+        data = config_to_dict(c_band_216g())
+        data["dsp"]["ffe_train_fraction"] = 1.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParameterError, match="ffe_train_fraction"):
+            load_config(path)
+
+
 class TestFeasibleLength:
     def test_216_gbd_snaps_to_27(self):
         n = feasible_sequence_length(4096, 216e9, (256e9, 512e9))
@@ -123,6 +149,21 @@ class TestRunLink:
         with pytest.raises(StageError) as err:
             run_link(bad)
         assert err.value.stage == "shaping"
+
+    @pytest.mark.parametrize("name, modulation", [
+        ("gmi_ngmi", "ps_pam12"),
+        ("net_bitrate_ps", "ps_pam12"),
+        ("net_bitrate_uniform", "uniform_pam8"),
+    ])
+    def test_metrology_failure_tagged(self, monkeypatch, name, modulation):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(harness, name, fail)
+        with pytest.raises(StageError) as err:
+            run_link(fast_link_config(modulation=modulation))
+        assert err.value.stage == "metrology"
+        assert isinstance(err.value.cause, FloatingPointError)
 
     def test_hd_fec_deduction(self, fast_config):
         plain = run_link(fast_config)

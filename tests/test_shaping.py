@@ -1,9 +1,18 @@
+import hashlib
 import itertools
+import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imddsim import shaping
+from imddsim.config import c_band_216g
 from imddsim.errors import DecodeError, ParameterError
+from imddsim.harness import _build_frame, _spawn_rngs, resolve_sequence_length
 from imddsim.shaping import (
     Composition,
     PamAlphabet,
@@ -28,6 +37,50 @@ def lex_permutations(composition):
     for cls, count in enumerate(composition.counts):
         symbols.extend([cls] * count)
     return sorted(set(itertools.permutations(symbols)))
+
+
+def reference_encode(data_bits, composition):
+    """Oracle: the matcher's definition, one full-width interval split per
+    class and symbol."""
+    index = 0
+    for b in data_bits:
+        index = (index << 1) | int(b)
+    counts = list(composition.counts)
+    total = composition.permutation_count()
+    n_rem = composition.n
+    out = np.empty(n_rem, dtype=np.int64)
+    for pos in range(out.size):
+        for cls, c in enumerate(counts):
+            if c == 0:
+                continue
+            block = total * c // n_rem
+            if index < block:
+                out[pos] = cls
+                total = block
+                counts[cls] -= 1
+                n_rem -= 1
+                break
+            index -= block
+    return out
+
+
+@st.composite
+def compositions_and_bits(draw):
+    """1-6 classes (zero counts allowed), n up to about 3000, and the input
+    bits of rank 0, rank 2**k - 1 or a random rank."""
+    counts = draw(st.lists(st.integers(0, 500), min_size=1, max_size=6)
+                  .filter(lambda c: sum(c) >= 1))
+    comp = Composition(tuple(counts))
+    k = ccdm_input_bits(comp)
+    kind = draw(st.sampled_from(["zero", "max", "random"]))
+    if kind == "zero":
+        bits = np.zeros(k, dtype=np.int64)
+    elif kind == "max":
+        bits = np.ones(k, dtype=np.int64)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        bits = np.random.default_rng(seed).integers(0, 2, size=k)
+    return comp, bits
 
 
 class TestAlphabet:
@@ -161,6 +214,45 @@ class TestCcdm:
             sym = ccdm_encode(bits, comp)
             assert np.bincount(sym, minlength=4).tolist() == list(comp.counts)
             assert np.array_equal(ccdm_decode(sym, comp), bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=compositions_and_bits(),
+           precision=st.sampled_from([8, 64, shaping._SPECULATION_BITS]))
+    def test_batched_encode_equals_definition(self, case, precision):
+        comp, bits = case
+        with mock.patch.object(shaping, "_SPECULATION_BITS", precision):
+            word = ccdm_encode(bits, comp)
+        assert np.array_equal(word, reference_encode(bits, comp))
+        assert np.array_equal(ccdm_decode(word, comp), bits)
+
+    def test_pam12_full_block_round_trip(self):
+        a = PamAlphabet.pam12()
+        dist = maxwell_boltzmann(nu_for_entropy(3.2, a), a)
+        comp = composition_from_distribution(magnitude_distribution(dist, a), 65529)
+        bits = np.random.default_rng(7).integers(0, 2, size=ccdm_input_bits(comp))
+        word = ccdm_encode(bits, comp)
+        assert np.bincount(word, minlength=6).tolist() == list(comp.counts)
+        assert np.array_equal(ccdm_decode(word, comp), bits)
+
+    def test_c_band_frame_golden(self):
+        # SHA-256 of the seed-7 C-band preset's symbol indices (65 529
+        # symbols), as produced by the per-symbol matcher
+        cfg = c_band_216g(7)
+        cfg = replace(cfg, sequence_length_symbols=resolve_sequence_length(cfg))
+        rngs = _spawn_rngs(cfg)
+        frame = _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
+        digest = hashlib.sha256(frame.indices.astype("<i8").tobytes()).hexdigest()
+        assert frame.n == 65529
+        assert digest == "8f4fac3b5678a4ec9d5b521403bb8850f72f0b551be0bc4ff9f49c2e3478d0dd"
+
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=6)
+           .filter(lambda c: sum(c) >= 1))
+    def test_permutation_count_is_multinomial(self, counts):
+        expected, rem = 1, sum(counts)
+        for c in counts:
+            expected *= math.comb(rem, c)
+            rem -= c
+        assert Composition(tuple(counts)).permutation_count() == expected
 
     def test_wrong_input_length(self):
         with pytest.raises(ParameterError):
