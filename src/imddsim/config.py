@@ -222,19 +222,25 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return value
 
 
 def config_to_dict(config: LinkConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(config):
-        out[f.name] = _jsonable(getattr(config, f.name))
+    out = _jsonable(config)
     out["schema_version"] = 1
     return out
 
 
-def _build(cls, data: dict):
+def _build(cls, data: dict, path: str):
+    if not isinstance(data, dict):
+        raise ParameterError(f"config key {path!r} must be an object")
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names:
+            dotted = f"{path}.{key}" if path else key
+            raise ParameterError(f"unknown config key {dotted!r}")
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in data or data[f.name] is None:
@@ -242,11 +248,13 @@ def _build(cls, data: dict):
                 kwargs[f.name] = None
             continue
         value = data[f.name]
-        if f.name in _MODEL_TYPES and isinstance(value, dict):
-            value = _build(_MODEL_TYPES[f.name], value)
+        key = f"{path}.{f.name}" if path else f.name
+        if f.name in _MODEL_TYPES:
+            value = _build(_MODEL_TYPES[f.name], value, key)
         elif f.name == "amplifier_chain":
-            value = tuple(_build(AmplifierModel, v) for v in value)
-        elif f.name in ("gain_table_hz", "gain_table_db") and value is not None:
+            value = tuple(_build(AmplifierModel, v, f"{key}[{i}]")
+                          for i, v in enumerate(value))
+        elif f.name in ("gain_table_hz", "gain_table_db"):
             value = np.asarray(value, dtype=float)
         elif isinstance(value, list):
             value = tuple(value)
@@ -255,8 +263,13 @@ def _build(cls, data: dict):
 
 
 def config_from_dict(data: dict) -> LinkConfig:
-    data = {k: v for k, v in data.items() if k != "schema_version"}
-    return _build(LinkConfig, data)
+    """Build a config from its ``config_to_dict`` form. Unknown keys, at any
+    nesting level, and any ``schema_version`` other than 1 are rejected."""
+    data = dict(data)
+    version = data.pop("schema_version", None)
+    if version != 1:
+        raise ParameterError(f"unsupported config schema_version {version!r}; expected 1")
+    return _build(LinkConfig, data, "")
 
 
 def save_config(config: LinkConfig, path: str | Path) -> None:

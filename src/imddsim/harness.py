@@ -4,7 +4,8 @@ parameter sweeps, and result persistence (CSV, SVG, run manifest).
 A run walks shaping -> Tx DSP -> analog front end -> fiber -> receiver ->
 metrology. Record lengths are snapped so every rate conversion in the chain
 (AWG, analog, scope, 2-samples/symbol) lands on an integer sample count,
-keeping the whole pipeline exact-rational and circular.
+keeping the whole pipeline exact-rational and circular, and so every record
+length is 5-smooth apart from primes the rate ratios force.
 """
 
 from __future__ import annotations
@@ -287,11 +288,41 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def _smooth_numbers(limit: int) -> list[int]:
+    """All integers in [1, limit] with no prime factor above 5."""
+    out = []
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                out.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return out
+
+
 def resolve_sequence_length(config: LinkConfig) -> int:
-    return feasible_sequence_length(
-        config.sequence_length_symbols, config.symbol_rate_hz,
+    """Symbol count a run uses: the feasible count nearest the request whose
+    record lengths are FFT-friendly.
+
+    With ``step`` the smallest feasible count, the result is ``step * k`` for
+    the 5-smooth ``k`` nearest ``requested / step`` (the larger on a tie).
+    Every stage record is then ``k`` times a constant that carries only the
+    prime factors the rate ratios force, so no FFT in the chain falls back to
+    a prime-length algorithm.
+    """
+    step = feasible_sequence_length(
+        1, config.symbol_rate_hz,
         (config.plan.awg_rate_hz, config.tx.analog_rate_hz, config.rx.dso_rate_hz),
     )
+    requested = config.sequence_length_symbols
+    # a power of two lies in [q, 2q), so the nearest 5-smooth k is below 2q + 2
+    k = min(_smooth_numbers(2 * (requested // step) + 2),
+            key=lambda c: (abs(c * step - requested), -c))
+    return step * k
 
 
 def run_link(config: LinkConfig) -> MetricsReport:

@@ -125,7 +125,6 @@ class EqualizerState:
     taps: np.ndarray
     step_size: float
     training_symbols: int
-    converged: bool
     final_mse: float
 
     @property
@@ -174,7 +173,6 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
             if step_size != 0.0:
                 w = w + 2.0 * step_size * e * v
 
-    converged = True
     window = max(1, n_train // 10)
     final_mse = float(np.mean(errs[-window:])) if n_train else 0.0
     if n_train >= 20:
@@ -191,7 +189,7 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     for a in range(0, idx.size, chunk):
         out[a: a + chunk] = windows[idx[a: a + chunk]] @ w
 
-    state = EqualizerState(w, step_size, n_train, converged, final_mse)
+    state = EqualizerState(w, step_size, n_train, final_mse)
     return out, state
 
 
@@ -397,7 +395,6 @@ class MetricsReport:
     entropy_bits: float
     label_bits: int
     seed: int
-    manifest_ref: str = ""
 
     def __post_init__(self):
         if not -1e-9 <= self.ngmi <= 1.0 + 1e-9:
@@ -427,5 +424,4 @@ class MetricsReport:
             "entropy_bits": self.entropy_bits,
             "label_bits": self.label_bits,
             "seed": self.seed,
-            "manifest_ref": self.manifest_ref,
         }

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import fast_link_config
+from conftest import TRANSPARENT_SEEDS, fast_link_config, transparency_failures
 from imddsim.channel import FiberSpec, dispersion_coefficient, propagate
 from imddsim.config import c_band_216g
 from imddsim.rxdsp import (
@@ -289,14 +289,10 @@ def test_criterion_09_entropy_sweep_shape():
 
 def test_criterion_10_determinism_and_transparency():
     cfg = fast_link_config()
+    failures = [msg for seed in TRANSPARENT_SEEDS
+                for msg in transparency_failures(run_link(cfg.with_seed(seed)))]
     first = run_link(cfg)
     second = run_link(cfg)
-    transparent = (
-        first.ber == 0.0
-        and first.ngmi == 1.0
-        and first.net_bitrate_gbps == first.achievable_bitrate_gbps
-        and first.net_bitrate_gbps == pytest.approx(first.entropy_bits * 216.0)
-    )
     deterministic = first == second
 
     # same runs executed through the batch path must be bit-identical too
@@ -305,5 +301,6 @@ def test_criterion_10_determinism_and_transparency():
     batch = multicore_batch([cfg, cfg.with_seed(cfg.seed + 1)])
     replay = [run_link(cfg), run_link(cfg.with_seed(cfg.seed + 1))]
     batch_stable = batch == replay
-    _report("10 determinism-and-transparency",
-            transparent and deterministic and batch_stable)
+    detail = "; ".join(failures) or f"{len(TRANSPARENT_SEEDS)} seeds transparent"
+    _report(f"10 determinism-and-transparency ({detail})",
+            not failures and deterministic and batch_stable)

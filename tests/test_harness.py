@@ -1,17 +1,22 @@
+import itertools
 import json
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import fast_link_config
+from conftest import TRANSPARENT_SEEDS, fast_link_config, transparency_failures
 from imddsim import harness
 from imddsim.config import (
     PRESETS,
     DspConfig,
     c_band_216g,
+    config_from_dict,
     config_to_dict,
     load_config,
     o_band_216g,
@@ -26,6 +31,7 @@ from imddsim.harness import (
     emit_outputs,
     feasible_sequence_length,
     load_waveform,
+    resolve_sequence_length,
     run_link,
     sweep_cores,
     sweep_entropy,
@@ -65,6 +71,17 @@ class TestPresets:
         loaded = load_config(path)
         assert config_to_dict(loaded) == config_to_dict(cfg)
 
+    def test_json_round_trip_with_mixer_gain_table(self, tmp_path):
+        cfg = c_band_216g()
+        mixer = replace(cfg.tx.mixer, gain_table_hz=np.array([0.0, 100e9, 200e9]),
+                        gain_table_db=np.array([0.0, -1.5, -6.0]))
+        cfg = replace(cfg, tx=replace(cfg.tx, mixer=mixer))
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        loaded = load_config(path)
+        assert np.array_equal(loaded.tx.mixer.gain_table_db, mixer.gain_table_db)
+        assert config_to_dict(loaded) == config_to_dict(cfg)
+
     def test_load_by_preset_name(self):
         for name in PRESETS:
             assert load_config(name).symbol_rate_gbd == 216.0
@@ -98,6 +115,93 @@ class TestDspConfigValidation:
             load_config(path)
 
 
+def _dict_nodes(node, path=""):
+    """Every object in a config_to_dict tree, with its dotted key path."""
+    yield path, node
+    for key, value in node.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _dict_nodes(value, sub)
+        elif isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield from _dict_nodes(item, f"{sub}[{i}]")
+
+
+# (object path, field) -> values; every combination builds a valid config
+_OVERRIDES = {
+    ((), "seed"): st.integers(0, 2**31 - 1),
+    ((), "symbol_rate_gbd"): st.floats(150.0, 260.0),
+    ((), "sequence_length_symbols"): st.integers(1, 10**6),
+    ((), "rng_algorithm"): st.sampled_from(["pcg64", "mt19937"]),
+    ((), "hd_fec_overhead_deduction"): st.booleans(),
+    (("dsp",), "ffe_taps"): st.integers(0, 99).map(lambda t: 2 * t + 1),
+    (("dsp",), "ffe_step_size"): st.floats(1e-6, 0.1),
+    (("dsp",), "volterra_spread_2"): st.none() | st.integers(0, 5),
+    (("tx",), "drive_peak_fraction_vpi"): st.floats(0.01, 1.0),
+    (("tx",), "awg_resolution_bits"): st.none() | st.integers(4, 12),
+    (("tx", "mzm"), "v_pi_volts"): st.floats(1.0, 5.0),
+    (("tx", "amplifier_chain", 0), "gain_db"): st.floats(-10.0, 30.0),
+    (("rx",), "dso_resolution_bits"): st.none() | st.integers(4, 12),
+    (("channel",), "obpf_bandwidth_hz"): st.none() | st.floats(50e9, 500e9),
+    (("channel", "fiber"), "length_km"): st.floats(0.0, 100.0),
+}
+
+
+class TestConfigSchema:
+    @given(make=st.sampled_from([c_band_216g, o_band_216g]),
+           fields=st.sets(st.sampled_from(list(_OVERRIDES))), data=st.data())
+    @settings(deadline=None)
+    def test_round_trip(self, make, fields, data):
+        raw = config_to_dict(make())
+        for path, field in fields:
+            node = raw
+            for key in path:
+                node = node[key]
+            node[field] = data.draw(_OVERRIDES[(path, field)])
+        cfg = config_from_dict(raw)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @given(make=st.sampled_from([c_band_216g, o_band_216g]), data=st.data())
+    @settings(deadline=None)
+    def test_unknown_key_rejected_at_every_level(self, make, data):
+        raw = config_to_dict(make())
+        path, node = data.draw(st.sampled_from(list(_dict_nodes(raw))))
+        key = data.draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+                        .filter(lambda k: k not in node))
+        node[key] = 1
+        dotted = f"{path}.{key}" if path else key
+        with pytest.raises(ParameterError, match=re.escape(repr(dotted))):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("path, key, dotted", [
+        ((), "symbol_rate_gdb", "symbol_rate_gdb"),
+        (("dsp",), "ffe_tapz", "dsp.ffe_tapz"),
+        (("tx", "amplifier_chain", 1), "gain", "tx.amplifier_chain[1].gain"),
+    ])
+    def test_misspelled_key_from_json(self, tmp_path, path, key, dotted):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = 300
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ParameterError, match=re.escape(repr(dotted))):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("version", [None, 0, 2, 99, "1"])
+    def test_schema_version_must_be_1(self, version):
+        raw = config_to_dict(c_band_216g())
+        if version is None:
+            del raw["schema_version"]
+        else:
+            raw["schema_version"] = version
+        with pytest.raises(ParameterError, match="schema_version"):
+            config_from_dict(raw)
+
+
 class TestFeasibleLength:
     def test_216_gbd_snaps_to_27(self):
         n = feasible_sequence_length(4096, 216e9, (256e9, 512e9))
@@ -111,15 +215,50 @@ class TestFeasibleLength:
         assert feasible_sequence_length(4096, 256e9, (256e9, 512e9)) == 4096
 
 
+def _is_5_smooth(k: int) -> bool:
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+class TestResolveLength:
+    @pytest.mark.parametrize("make", [c_band_216g, o_band_216g])
+    def test_presets(self, make):
+        # 27 * 2430; records 77 760 / 131 220 / 155 520, all 5-smooth
+        assert resolve_sequence_length(make()) == 65610
+
+    def test_entropy_sweep_length(self):
+        cfg = replace(c_band_216g(), sequence_length_symbols=16384)
+        assert resolve_sequence_length(cfg) == 16200
+
+    @given(requested=st.integers(1, 300_000),
+           gbd=st.sampled_from([208.0, 216.0, 224.0]))
+    @example(requested=26 * 27, gbd=216.0)  # 25 and 27 tie; 27 wins
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_smooth_feasible_count(self, requested, gbd):
+        cfg = replace(c_band_216g(), symbol_rate_gbd=gbd,
+                      sequence_length_symbols=requested)
+        rates = (cfg.plan.awg_rate_hz, cfg.tx.analog_rate_hz, cfg.rx.dso_rate_hz)
+        step = feasible_sequence_length(1, cfg.symbol_rate_hz, rates)
+        n = resolve_sequence_length(cfg)
+        baud = int(cfg.symbol_rate_hz)
+        assert all(n * int(r) % baud == 0 for r in rates)
+        assert n % step == 0 and _is_5_smooth(n // step)
+        # the 5-smooth neighbours of k are no closer; a tie goes to the larger
+        k, err = n // step, abs(n - requested)
+        above = next(j for j in itertools.count(k + 1) if _is_5_smooth(j))
+        assert abs(above * step - requested) > err
+        below = next((j for j in range(k - 1, 0, -1) if _is_5_smooth(j)), None)
+        if below is not None:
+            assert abs(below * step - requested) >= err
+
+
 class TestRunLink:
     def test_ideal_link_is_transparent(self, fast_config):
-        rep = run_link(fast_config)
-        assert rep.ber == 0.0
-        assert rep.ngmi == 1.0
-        # net = gross = H * B with the rate-1 table row
-        assert rep.required_code_rate == 1.0
-        assert rep.net_bitrate_gbps == pytest.approx(rep.entropy_bits * 216.0)
-        assert rep.net_bitrate_gbps == rep.achievable_bitrate_gbps
+        failures = [msg for seed in TRANSPARENT_SEEDS
+                    for msg in transparency_failures(run_link(fast_config.with_seed(seed)))]
+        assert failures == []
 
     def test_determinism(self, fast_config):
         assert run_link(fast_config) == run_link(fast_config)
@@ -250,16 +389,20 @@ class TestSweeps:
             )
 
     def test_ngmi_non_increasing_in_symbol_rate(self):
-        # band-limited front end: higher baud, lower NGMI (one inversion allowed)
-        cfg = fast_link_config(modulation="uniform_pam8", noise_density=5e-18)
-        cfg = replace(cfg, rx=replace(cfg.rx, pd_bandwidth_hz=100e9,
-                                      dso_bandwidth_hz=113e9))
+        # band-limited receiver (60 GHz PD and scope): higher baud, more ISI,
+        # lower NGMI. Each seed runs at every rate and the trend is taken on
+        # the per-rate mean: an 8-GBd step moves the mean NGMI by 0.03-0.08
+        # here, while one seed's NGMI scatters by 0.01-0.05
+        cfg = fast_link_config(modulation="uniform_pam8", noise_density=2e-18)
+        cfg = replace(cfg, rx=replace(cfg.rx, pd_bandwidth_hz=60e9,
+                                      dso_bandwidth_hz=60e9))
+        seeds = range(1, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = sweep_symbol_rate(cfg, [208.0, 216.0, 224.0])
-        ngmis = [r.report.ngmi for r in result.rows]
-        inversions = sum(b > a + 1e-12 for a, b in zip(ngmis, ngmis[1:]))
-        assert inversions <= 1
+            means = [np.mean([run_link(replace(cfg, symbol_rate_gbd=rate, seed=s)).ngmi
+                              for s in seeds])
+                     for rate in (208.0, 216.0, 224.0)]
+        assert means[0] > means[1] > means[2]
 
     def test_infeasible_rate_recorded_not_raised(self):
         cfg = fast_link_config(modulation="uniform_pam8", noise_density=1e-17)
@@ -270,11 +413,15 @@ class TestSweeps:
         assert "reconstructible" in by_param[420.0].error
 
     def test_multicore_spread(self):
+        # the cores are identical and uncoupled, so their NGMIs differ by seed
+        # noise alone. Over seeds 1-100 this link's NGMI has std 0.022 and a
+        # low tail (min 0.81 against median 0.90); the range of three NGMIs
+        # resampled from those 100 values exceeds 0.115 once in 1000
         cfg = fast_link_config(noise_density=2e-17, n_symbols=8192)
         result = sweep_cores(cfg, 3)
         ngmis = [r.report.ngmi for r in result.rows]
         assert len(ngmis) == 3
-        assert max(ngmis) - min(ngmis) < 0.03
+        assert max(ngmis) - min(ngmis) < 0.12
         labels = {r.report.seed for r in result.rows}
         assert len(labels) == 3
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from imddsim import shaping
 from imddsim.config import c_band_216g
 from imddsim.errors import DecodeError, ParameterError
-from imddsim.harness import _build_frame, _spawn_rngs, resolve_sequence_length
+from imddsim.harness import _build_frame, _spawn_rngs
 from imddsim.shaping import (
     Composition,
     PamAlphabet,
@@ -235,10 +235,9 @@ class TestCcdm:
         assert np.array_equal(ccdm_decode(word, comp), bits)
 
     def test_c_band_frame_golden(self):
-        # SHA-256 of the seed-7 C-band preset's symbol indices (65 529
-        # symbols), as produced by the per-symbol matcher
-        cfg = c_band_216g(7)
-        cfg = replace(cfg, sequence_length_symbols=resolve_sequence_length(cfg))
+        # SHA-256 of the seed-7 C-band preset's symbol indices at 65 529
+        # symbols, as produced by the per-symbol matcher
+        cfg = replace(c_band_216g(7), sequence_length_symbols=65529)
         rngs = _spawn_rngs(cfg)
         frame = _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
         digest = hashlib.sha256(frame.indices.astype("<i8").tobytes()).hexdigest()
