@@ -60,33 +60,39 @@ def dispersion_coefficient(lambda_nm: float, spec: FiberSpec) -> float:
     return (s0 / 4.0) * (lambda_nm - lam0**4 / lambda_nm**3)
 
 
+def dispersion_phase(freq_hz: np.ndarray, spec: FiberSpec, lambda_nm: float,
+                     length_km: float) -> np.ndarray:
+    """Phase pi lambda^2 D L f^2 / c (radians) that ``length_km`` of the
+    fiber ``spec`` imposes at baseband frequency ``freq_hz``; propagation
+    multiplies the spectrum by exp(+j phase), a CD trim by exp(-j phase)."""
+    d_si = dispersion_coefficient(lambda_nm, spec) * 1e-6  # s/m^2
+    lam_m = lambda_nm * 1e-9
+    length_m = length_km * 1e3
+    return np.pi * lam_m**2 * d_si * length_m * freq_hz**2 / _C_M_S
+
+
 def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> SampledWaveform:
     """Chromatic dispersion (all-pass) plus scalar attenuation."""
     if field.domain_tag != "optical_field":
         raise ParameterError("propagate expects an optical field envelope")
     if spec.length_km == 0:
         return field
-    d_si = dispersion_coefficient(lambda_nm, spec) * 1e-6  # s/m^2
-    lam_m = lambda_nm * 1e-9
-    length_m = spec.length_km * 1e3
-    freqs = np.fft.fftfreq(field.n, d=1.0 / field.sample_rate_hz)
-    phase = np.pi * lam_m**2 * d_si * length_m * freqs**2 / _C_M_S
+    phase = dispersion_phase(field.freqs(), spec, lambda_nm, spec.length_km)
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
-    out = loss * np.fft.ifft(np.fft.fft(field.samples) * np.exp(1j * phase))
-    return field.with_samples(out)
+    return field.with_spectrum(loss * field.spectrum * np.exp(1j * phase))
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
                     seed: int | None = None) -> SampledWaveform:
     """Amplitude gain plus seeded ASE noise over the simulation bandwidth."""
     gain = 10 ** (spec.gain_db / 20.0)
-    out = gain * field.samples
-    if spec.noise_spectral_density > 0:
-        rng = np.random.default_rng(seed)
-        var = spec.noise_spectral_density * field.sample_rate_hz
-        sigma = np.sqrt(var / 2.0)
-        out = out + rng.normal(0, sigma, field.n) + 1j * rng.normal(0, sigma, field.n)
-    return SampledWaveform(field.sample_rate_hz, out, "optical_field")
+    if spec.noise_spectral_density == 0:
+        return field.scaled(gain)
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(spec.noise_spectral_density * field.sample_rate_hz / 2.0)
+    noise = rng.normal(0, sigma, field.n) + 1j * rng.normal(0, sigma, field.n)
+    return SampledWaveform(field.sample_rate_hz, gain * field.samples + noise,
+                           "optical_field")
 
 
 def obpf(field: SampledWaveform, freq_hz: np.ndarray,
@@ -104,12 +110,11 @@ def obpf(field: SampledWaveform, freq_hz: np.ndarray,
     h = np.asarray(response, dtype=np.complex128)
     if f.size != h.size or f.size < 2 or np.any(np.diff(f) <= 0):
         raise ParameterError("response table must be ascending in frequency")
-    grid = np.fft.fftfreq(field.n, d=1.0 / field.sample_rate_hz)
+    grid = field.freqs()
     lookup = np.abs(grid) if f.min() >= 0 else grid
     hr = np.interp(lookup, f, h.real)
     hi = np.interp(lookup, f, h.imag)
-    out = np.fft.ifft(np.fft.fft(field.samples) * (hr + 1j * hi))
-    return field.with_samples(out)
+    return field.with_spectrum(field.spectrum * (hr + 1j * hi))
 
 
 def multicore_batch(configs, run_fn=None):

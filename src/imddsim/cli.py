@@ -74,28 +74,17 @@ def _rerender(directory: str) -> int:
         print(f"error [report]: {csv_path} not found", file=sys.stderr)
         return 1
     lines = csv_path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    param_name = header[0]
-    cols = {name: i for i, name in enumerate(header)}
+    param_name = lines[0].split(",")[0]
     rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if parts[cols["ngmi"]] == "":
-            rows.append(SweepRow(float(parts[0]), None, parts[-1]))
-            continue
-        rep = MetricsReport(
-            ber=float(parts[cols["ber"]]),
-            gmi_bits=float(parts[cols["gmi_bits"]]),
-            ngmi=float(parts[cols["ngmi"]]),
-            required_code_rate=float(parts[cols["required_code_rate"]]),
-            achievable_bitrate_gbps=float(parts[cols["achievable_bitrate_gbps"]]),
-            net_bitrate_gbps=float(parts[cols["net_bitrate_gbps"]]),
-            symbol_rate_gbd=float(parts[cols["symbol_rate_gbd"]]),
-            entropy_bits=float(parts[cols["entropy_bits"]]),
-            label_bits=int(parts[cols["label_bits"]]),
-            seed=int(parts[cols["seed"]]),
-        )
-        rows.append(SweepRow(float(parts[0]), rep))
+    try:
+        for line in lines[1:]:
+            param, rest = line.split(",", 1)
+            metrics, error = rest.rsplit(",", 1)
+            report = MetricsReport.from_csv_row(metrics) if metrics.strip(",") else None
+            rows.append(SweepRow(float(param), report, error))
+    except ValueError as exc:
+        print(f"error [report]: {csv_path} is not a sweep table: {exc}", file=sys.stderr)
+        return 1
     result = SweepResult(param_name, tuple(rows))
     if not result.reports():
         print("error [report]: no successful rows to plot", file=sys.stderr)

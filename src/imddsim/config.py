@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -199,21 +201,6 @@ PRESETS = {
 # JSON persistence
 # ---------------------------------------------------------------------------
 
-_MODEL_TYPES = {
-    "plan": BandPlan,
-    "mixer": MixerModel,
-    "mzm": MzmModel,
-    "laser": LaserModel,
-    "upper_path_amplifier": AmplifierModel,
-    "fiber": FiberSpec,
-    "amplifier": OpticalAmpSpec,
-    "tx": TxConfig,
-    "rx": RxConfig,
-    "channel": ChannelConfig,
-    "dsp": DspConfig,
-}
-
-
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -233,33 +220,39 @@ def config_to_dict(config: LinkConfig) -> dict:
     return out
 
 
+def _from_json(value, hint, key: str):
+    """``value`` as the field type ``hint``, or a ``ParameterError`` naming
+    ``key``. Objects and lists are built item by item; an int field takes no
+    float or bool, a float field an int but no bool, a bool field only a
+    bool, and ``T | None`` also null."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        hint = next(h for h in typing.get_args(hint) if h is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, key)
+    if hint is np.ndarray or typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ParameterError(f"config key {key!r} must be a list")
+        item = float if hint is np.ndarray else typing.get_args(hint)[0]
+        items = tuple(_from_json(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+        return np.asarray(items, dtype=float) if hint is np.ndarray else items
+    accepted = {float: (int, float)}.get(hint, hint)
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ParameterError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
+    return value
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ParameterError(f"config key {path!r} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     for key in data:
-        if key not in names:
+        if key not in hints:
             dotted = f"{path}.{key}" if path else key
             raise ParameterError(f"unknown config key {dotted!r}")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data or data[f.name] is None:
-            if f.name in data:
-                kwargs[f.name] = None
-            continue
-        value = data[f.name]
-        key = f"{path}.{f.name}" if path else f.name
-        if f.name in _MODEL_TYPES:
-            value = _build(_MODEL_TYPES[f.name], value, key)
-        elif f.name == "amplifier_chain":
-            value = tuple(_build(AmplifierModel, v, f"{key}[{i}]")
-                          for i, v in enumerate(value))
-        elif f.name in ("gain_table_hz", "gain_table_db"):
-            value = np.asarray(value, dtype=float)
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+    return cls(**{name: _from_json(value, hints[name], f"{path}.{name}" if path else name)
+                  for name, value in data.items()})
 
 
 def config_from_dict(data: dict) -> LinkConfig:

@@ -5,13 +5,14 @@ modulator.
 The optical carrier is a baseband complex envelope; absolute optical
 frequency only enters through the fiber dispersion parameters. LO tones are
 snapped to the record's frequency grid (the lab locks the LO clocks to the
-same AWG), which keeps mixing exactly circular.
+same AWG), which keeps mixing exactly circular: the LO multiply is a shift
+of the spectrum by whole bins.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,11 +20,12 @@ from scipy.optimize import brentq
 from .errors import ParameterError
 from .sigcore import (
     SampledWaveform,
+    _bessel_response,
     apply_filter,
     band_energy_fraction,
-    bin_centered_frequency,
     highpass,
     lowpass,
+    require_real,
     resample,
 )
 from .txdsp import BandPlan
@@ -161,25 +163,23 @@ def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9
     """
     if analog_rate_hz < wave.sample_rate_hz:
         raise ParameterError("analog rate must be at least the DAC rate")
-    x = wave.real
     if resolution_bits is not None:
-        x = quantize_uniform(x, resolution_bits)
-    up = resample(SampledWaveform(wave.sample_rate_hz, x, wave.domain_tag),
-                  analog_rate_hz)
-    freqs = np.fft.fftfreq(up.n, d=1.0 / analog_rate_hz)
-    droop = np.sinc(freqs / wave.sample_rate_hz)
-    out = SampledWaveform(analog_rate_hz,
-                          np.fft.ifft(np.fft.fft(up.samples) * droop).real,
-                          wave.domain_tag)
-    return apply_filter(out, lowpass(bandwidth_hz, analog=True, order=bandwidth_order))
+        wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
+    up = resample(wave, analog_rate_hz)
+    droop = np.sinc(up.freqs() / wave.sample_rate_hz)
+    return apply_filter(up.with_spectrum(up.spectrum * droop),
+                        lowpass(bandwidth_hz, analog=True, order=bandwidth_order))
 
 
 def mixer_upconvert(if_wave: SampledWaveform, model: MixerModel) -> SampledWaveform:
     """Multiply by the LO cosine; images at f_LO +- f_IF carry the
     per-sideband gain evaluated at the RF output frequency. Optional LO and
-    IF leakage terms are added ahead of the output roll-off."""
-    if np.max(np.abs(if_wave.samples.imag)) > 0:
-        raise ParameterError("mixer IF input must be real")
+    IF leakage terms are added ahead of the output roll-off.
+
+    The LO sits on the record grid (bin k), so 2 x(t) cos(2 pi f_LO t + phi)
+    has the spectrum exp(j phi) X[f - f_LO] + exp(-j phi) X[f + f_LO].
+    """
+    require_real(if_wave, "mixer IF input")
     n, rate = if_wave.n, if_wave.sample_rate_hz
     above_lo = band_energy_fraction(if_wave, model.lo_frequency_hz, rate / 2)
     if above_lo > 1e-6:
@@ -189,19 +189,21 @@ def mixer_upconvert(if_wave: SampledWaveform, model: MixerModel) -> SampledWavef
             stacklevel=2,
         )
 
-    f_lo = bin_centered_frequency(model.lo_frequency_hz, n, rate)
-    t = np.arange(n) / rate
-    lo_tone = np.cos(2 * np.pi * f_lo * t + model.lo_phase_rad)
-    product = 2.0 * if_wave.real * lo_tone
+    k = int(round(model.lo_frequency_hz * n / rate))
+    phasor = np.exp(1j * model.lo_phase_rad)
+    x = if_wave.spectrum
+    product = phasor * np.roll(x, k) + np.conj(phasor) * np.roll(x, -k)
 
     if model.lo_leakage_db is not None:
-        product = product + 10 ** (model.lo_leakage_db / 20.0) * lo_tone
+        lo_tone = np.zeros(n, dtype=np.complex128)
+        lo_tone[k % n] += n / 2 * phasor
+        lo_tone[-k % n] += n / 2 * np.conj(phasor)
+        product += 10 ** (model.lo_leakage_db / 20.0) * lo_tone
     if model.if_leakage_db is not None:
-        product = product + 10 ** (model.if_leakage_db / 20.0) * if_wave.real
+        product += 10 ** (model.if_leakage_db / 20.0) * x
 
-    freqs = np.fft.fftfreq(n, d=1.0 / rate)
-    out = np.fft.ifft(np.fft.fft(product) * model.gain_linear(freqs)).real
-    return SampledWaveform(rate, out)
+    out = product * model.gain_linear(if_wave.freqs())
+    return SampledWaveform.from_spectrum(rate, out)
 
 
 def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
@@ -209,13 +211,10 @@ def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
     """Active combiner: lower + imbalance * delay(upper, skew)."""
     if lower.sample_rate_hz != upper_rf.sample_rate_hz or lower.n != upper_rf.n:
         raise ParameterError("combiner inputs must share rate and length")
-    upper = upper_rf.samples
     if skew_s != 0.0:
-        freqs = np.fft.fftfreq(upper_rf.n, d=1.0 / upper_rf.sample_rate_hz)
-        upper = np.fft.ifft(np.fft.fft(upper) * np.exp(-2j * np.pi * freqs * skew_s))
-    scale = 10 ** (gain_imbalance_db / 20.0)
-    out = lower.samples + scale * upper
-    return SampledWaveform(lower.sample_rate_hz, out.real)
+        delay = np.exp(-2j * np.pi * upper_rf.freqs() * skew_s)
+        upper_rf = upper_rf.with_spectrum(upper_rf.spectrum * delay)
+    return lower.plus(upper_rf, 10 ** (gain_imbalance_db / 20.0))
 
 
 _TANH_1DB = None
@@ -237,11 +236,10 @@ def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
         wave, lowpass(model.bandwidth_hz, analog=True, order=model.bandwidth_order)
     )
     g = 10 ** (model.gain_db / 20.0)
-    y = g * out.real
-    if model.compression_in_1db is not None:
-        sat = g * model.compression_in_1db / _tanh_compression_point()
-        y = sat * np.tanh(y / sat)
-    return SampledWaveform(wave.sample_rate_hz, y, wave.domain_tag)
+    if model.compression_in_1db is None:
+        return out.scaled(g)
+    sat = g * model.compression_in_1db / _tanh_compression_point()
+    return out.with_samples(sat * np.tanh(g * out.real / sat))
 
 
 def bessel_group_delay_dc(cutoff_hz: float, order: int = 4) -> float:
@@ -251,36 +249,26 @@ def bessel_group_delay_dc(cutoff_hz: float, order: int = 4) -> float:
     the passband; the band-stitching alignment uses it to set the LO phase
     the way a lab path-matches the two arms.
     """
-    from scipy import signal as _sig
-
-    b, a = _sig.bessel(order, 2 * np.pi * cutoff_hz, btype="low", analog=True,
-                       norm="mag")
-    dw = 2 * np.pi * cutoff_hz * 1e-4
-    _, h = _sig.freqs(b, a, worN=[dw, 2 * dw])
-    return float((np.angle(h[0]) - np.angle(h[1])) / dw)
+    f = cutoff_hz * 1e-4
+    h = _bessel_response(np.array([f, 2 * f]), cutoff_hz, "lowpass", order)
+    return float((np.angle(h[0]) - np.angle(h[1])) / (2 * np.pi * f))
 
 
 def _mzm_bandwidth_cutoff(model: MzmModel) -> float:
     """Bessel-2 cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``."""
     target = 10 ** (-model.bandwidth_atten_db / 20.0)
-    from scipy import signal as _sig
-
-    b, a = _sig.bessel(2, 1.0, btype="low", analog=True, norm="mag")
 
     def mag_at(x):
-        _, h = _sig.freqs(b, a, worN=[x])
-        return abs(h[0]) - target
+        return abs(_bessel_response(np.array([x]), 1.0, "lowpass", 2)[0]) - target
 
-    x = brentq(mag_at, 0.1, 50.0)
-    return model.bandwidth_hz / x
+    return model.bandwidth_hz / brentq(mag_at, 0.1, 50.0)
 
 
 def mzm_modulate(drive: SampledWaveform, laser: LaserModel,
                  model: MzmModel) -> SampledWaveform:
     """Field transfer E = sqrt(P_in) cos(pi (v - bias) / (2 Vpi)) after the
     modulator bandwidth filter on the drive."""
-    if np.max(np.abs(drive.samples.imag)) > 0:
-        raise ParameterError("MZM drive must be real")
+    require_real(drive, "MZM drive")
     v = apply_filter(
         drive, lowpass(_mzm_bandwidth_cutoff(model), analog=True, order=2)
     ).real
@@ -301,13 +289,19 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  dac_bandwidth_hz: float | None = None,
                  dac_resolution_bits: int | None = None,
                  gain_imbalance_db: float = 0.0,
-                 skew_s: float = 0.0) -> SampledWaveform:
+                 skew_s: float = 0.0,
+                 upper_amplifier: AmplifierModel | None = None) -> SampledWaveform:
     """Reconstruct the wideband signal from the two AWG records.
 
     With the defaults every element is ideal: exact resampling instead of a
     ZOH DAC, a unity-SSB-gain leak-free mixer, a sharp linear-phase HPF at
-    the plan's analog cutoff, and a perfectly balanced combiner. Real device
-    models slot into the same path.
+    the plan's analog cutoff, no upper-path amplifier, and a perfectly
+    balanced combiner. The transmitter runs the same path with its device
+    models.
+
+    With a DAC bandwidth, the converter's Bessel response delays the IF arm,
+    which up-converts into a constant phase offset between the bands; the LO
+    phase absorbs it (the lab equivalent is tuning the LO path length).
     """
     if dac_bandwidth_hz is None:
         lower = resample(lower_awg, analog_rate_hz)
@@ -319,8 +313,14 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     mixer = mixer or MixerModel(plan.lo_frequency_hz, bandwidth_hz=1e15)
     if mixer.lo_frequency_hz != plan.lo_frequency_hz:
         raise ParameterError("mixer LO must match the band plan")
+    if dac_bandwidth_hz is not None:
+        tau_if = bessel_group_delay_dc(dac_bandwidth_hz, 4)
+        mixer = replace(mixer, lo_phase_rad=mixer.lo_phase_rad
+                        - 2 * np.pi * plan.lo_frequency_hz * tau_if)
     upper_rf = mixer_upconvert(upper_if, mixer)
 
     hpf = analog_hpf if analog_hpf is not None else highpass(plan.analog_hpf_cutoff_hz)
     upper_rf = apply_filter(upper_rf, hpf)
+    if upper_amplifier is not None:
+        upper_rf = amplify(upper_rf, upper_amplifier)
     return combine(lower, upper_rf, gain_imbalance_db, skew_s)

@@ -19,18 +19,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sig
 
 from . import __version__
 from .config import LinkConfig, config_to_dict
-from .channel import obpf, optical_amplify, propagate
+from .channel import dispersion_phase, obpf, optical_amplify, propagate
 from .errors import ParameterError, StageError
 from .frontend import (
+    _mzm_bandwidth_cutoff,
     amplify,
-    combine,
-    dac,
-    mixer_upconvert,
     mzm_modulate,
+    stitch_bands,
 )
 from .rxdsp import (
     CSV_HEADER,
@@ -59,7 +57,7 @@ from .shaping import (
     pas_assemble,
     uniform_frame,
 )
-from .sigcore import SampledWaveform, apply_filter, highpass, resample
+from .sigcore import SampledWaveform, _bessel_response, highpass, resample
 from .txdsp import (
     VolterraStructure,
     apply_volterra,
@@ -127,30 +125,22 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
     return uniform_frame(PamAlphabet.uniform(order), n, rng_data)
 
 
-def _bessel_magnitude(freq_hz: np.ndarray, cutoff_hz: float, order: int) -> np.ndarray:
-    b, a = _sig.bessel(order, 2 * np.pi * cutoff_hz, btype="low", analog=True,
-                       norm="mag")
-    _, h = _sig.freqs(b, a, worN=2 * np.pi * np.abs(freq_hz))
-    return np.abs(h)
-
-
 def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
                         upper_path: bool) -> np.ndarray:
     """Magnitude of the device chain from one AWG port to the MZM, used by
     the pre-emphasis stage. Upper-path frequencies are RF (post-mixer)."""
-    from .frontend import _mzm_bandwidth_cutoff
-
     tx = config.tx
     mag = np.ones_like(rf_freq_hz, dtype=float)
+    amps = list(tx.amplifier_chain)
     if upper_path:
         mag *= tx.mixer.gain_linear(rf_freq_hz)
         mag /= max(tx.mixer.gain_linear(np.array([0.0]))[0], 1e-12)
         if tx.upper_path_amplifier is not None:
-            amp = tx.upper_path_amplifier
-            mag *= _bessel_magnitude(rf_freq_hz, amp.bandwidth_hz, amp.bandwidth_order)
-    for amp in tx.amplifier_chain:
-        mag *= _bessel_magnitude(rf_freq_hz, amp.bandwidth_hz, amp.bandwidth_order)
-    mag *= _bessel_magnitude(rf_freq_hz, _mzm_bandwidth_cutoff(tx.mzm), 2)
+            amps.insert(0, tx.upper_path_amplifier)
+    rolloffs = [(amp.bandwidth_hz, amp.bandwidth_order) for amp in amps]
+    rolloffs.append((_mzm_bandwidth_cutoff(tx.mzm), 2))
+    for cutoff_hz, order in rolloffs:
+        mag *= np.abs(_bessel_response(rf_freq_hz, cutoff_hz, "lowpass", order))
     return mag
 
 
@@ -159,8 +149,8 @@ def _preemphasize(config: LinkConfig, lower: SampledWaveform,
     plan = config.plan
     nyq = plan.awg_rate_hz / 2
     f = np.linspace(0.0, nyq, 2049)
-    zoh_awg = np.abs(np.sinc(f / plan.awg_rate_hz)) * _bessel_magnitude(
-        f, plan.awg_bandwidth_hz, 4
+    zoh_awg = np.abs(np.sinc(f / plan.awg_rate_hz)) * np.abs(
+        _bessel_response(f, plan.awg_bandwidth_hz, "lowpass", 4)
     )
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
     resp_upper = zoh_awg * _tx_chain_magnitude(
@@ -181,33 +171,19 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     if dsp.preemphasis_enabled:
         lower, upper = _preemphasize(config, lower, upper)
 
-    analog = tx.analog_rate_hz
-    lower_a = dac(lower, analog, plan.awg_bandwidth_hz, tx.awg_resolution_bits)
-    upper_a = dac(upper, analog, plan.awg_bandwidth_hz, tx.awg_resolution_bits)
-    # path alignment: the AWG response delays the IF arm, which up-converts
-    # into a constant phase offset between the bands; the LO phase absorbs it
-    # (the lab equivalent is tuning the LO path length)
-    from .frontend import bessel_group_delay_dc
-
-    tau_if = bessel_group_delay_dc(plan.awg_bandwidth_hz, 4)
-    mixer = replace(tx.mixer,
-                    lo_phase_rad=tx.mixer.lo_phase_rad
-                    - 2 * np.pi * plan.lo_frequency_hz * tau_if)
-    upper_rf = mixer_upconvert(upper_a, mixer)
-    upper_rf = apply_filter(
-        upper_rf,
-        highpass(plan.analog_hpf_cutoff_hz, tx.analog_hpf_transition_hz),
+    wideband = stitch_bands(
+        lower, upper, plan, tx.analog_rate_hz, mixer=tx.mixer,
+        analog_hpf=highpass(plan.analog_hpf_cutoff_hz, tx.analog_hpf_transition_hz),
+        dac_bandwidth_hz=plan.awg_bandwidth_hz,
+        dac_resolution_bits=tx.awg_resolution_bits,
+        gain_imbalance_db=tx.combiner_imbalance_db, skew_s=tx.combiner_skew_s,
+        upper_amplifier=tx.upper_path_amplifier,
     )
-    if tx.upper_path_amplifier is not None:
-        upper_rf = amplify(upper_rf, tx.upper_path_amplifier)
-    wideband = combine(lower_a, upper_rf, tx.combiner_imbalance_db, tx.combiner_skew_s)
     for amp in tx.amplifier_chain:
         wideband = amplify(wideband, amp)
 
     peak = np.max(np.abs(wideband.real))
-    drive = wideband.with_samples(
-        wideband.real * (tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak)
-    )
+    drive = wideband.scaled(tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak)
     return mzm_modulate(drive, tx.laser, tx.mzm)
 
 
@@ -217,21 +193,12 @@ def _through_channel(config: LinkConfig, field: SampledWaveform,
     field = propagate(field, chan.fiber, chan.wavelength_nm)
     field = optical_amplify(field, chan.amplifier, seed_ase)
     if chan.obpf_bandwidth_hz is not None or chan.obpf_cd_trim_km > 0:
-        nyq = field.sample_rate_hz / 2
-        f = np.linspace(0.0, nyq, 8193)
-        resp = np.ones_like(f, dtype=complex)
+        # the record's own non-negative bins, so the table is exact per bin
+        f = np.abs(field.freqs()[: field.n // 2 + 1])
+        resp = np.exp(-1j * dispersion_phase(f, chan.fiber, chan.wavelength_nm,
+                                             chan.obpf_cd_trim_km))
         if chan.obpf_bandwidth_hz is not None:
             resp[f > chan.obpf_bandwidth_hz / 2] = 0.0
-        if chan.obpf_cd_trim_km > 0:
-            from scipy.constants import c as c_m_s
-
-            from .channel import dispersion_coefficient
-
-            d_si = dispersion_coefficient(chan.wavelength_nm, chan.fiber) * 1e-6
-            lam = chan.wavelength_nm * 1e-9
-            phase = (np.pi * lam**2 * d_si * chan.obpf_cd_trim_km * 1e3
-                     * f**2 / c_m_s)
-            resp = resp * np.exp(-1j * phase)
         field = obpf(field, f, resp)
     return field
 
@@ -244,7 +211,9 @@ def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
                           rx.pd_thermal_noise_density, seed_thermal)
     digital = digitize(current, rx.dso_rate_hz, rx.dso_bandwidth_hz,
                        rx.dso_resolution_bits)
-    centered = digital.with_samples(digital.real - np.mean(digital.real))
+    spectrum = digital.spectrum.copy()
+    spectrum[0] = 0.0  # AC coupling: the mean removed
+    centered = digital.with_spectrum(spectrum)
     two_sps = resample(centered, dsp.samples_per_symbol * config.symbol_rate_hz)
     aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols],
                              dsp.samples_per_symbol)

@@ -55,11 +55,10 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
 
 
 def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
-             bandwidth_hz: float = 113e9, resolution_bits: int | None = None,
-             seed: int | None = None) -> SampledWaveform:
+             bandwidth_hz: float = 113e9,
+             resolution_bits: int | None = None) -> SampledWaveform:
     """Scope front end: bandwidth filter, resample to the ADC rate, optional
-    uniform quantization. ``seed`` is accepted for interface parity; the
-    quantizer is deterministic."""
+    uniform quantization."""
     out = apply_filter(wave, lowpass(bandwidth_hz, analog=True, order=4))
     out = resample(out, rate_hz)
     if resolution_bits is not None:
@@ -83,14 +82,17 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
     received rate). Polarity is left to the equalizer; the correlation uses
     magnitudes, so an inverted photocurrent still locks.
     """
-    x = received.real - np.mean(received.real)
     template = np.zeros(received.n)
     pre = np.asarray(preamble_symbols, dtype=float)
     if pre.size * samples_per_symbol > received.n:
         raise ParameterError("preamble longer than the record")
     template[: pre.size * samples_per_symbol: samples_per_symbol] = pre
 
-    corr = np.fft.ifft(np.fft.fft(x) * np.conj(np.fft.fft(template))).real
+    # mean removed by zeroing the DC bin; the real template makes the real
+    # part of the correlation that of the received samples' real part
+    x = received.spectrum.copy()
+    x[0] = 0.0
+    corr = np.fft.ifft(x * np.conj(np.fft.fft(template))).real
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     floor = rms(mag)
@@ -109,11 +111,8 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
         delay -= received.n  # wrapped negative delay
 
     freqs = np.fft.fftfreq(received.n)
-    aligned = np.fft.ifft(np.fft.fft(received.samples) * np.exp(2j * np.pi * freqs * delay))
-    out = received.with_samples(
-        aligned.real if received.domain_tag != "optical_field" else aligned
-    )
-    return out, delay
+    aligned = received.spectrum * np.exp(2j * np.pi * freqs * delay)
+    return received.with_spectrum(aligned), delay
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +411,11 @@ class MetricsReport:
             f"{self.net_bitrate_gbps:.9g},{self.seed}"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "ber": self.ber,
-            "gmi_bits": self.gmi_bits,
-            "ngmi": self.ngmi,
-            "required_code_rate": self.required_code_rate,
-            "achievable_bitrate_gbps": self.achievable_bitrate_gbps,
-            "net_bitrate_gbps": self.net_bitrate_gbps,
-            "symbol_rate_gbd": self.symbol_rate_gbd,
-            "entropy_bits": self.entropy_bits,
-            "label_bits": self.label_bits,
-            "seed": self.seed,
-        }
+    @classmethod
+    def from_csv_row(cls, row: str) -> "MetricsReport":
+        """Inverse of :meth:`to_csv_row` (columns in ``CSV_HEADER`` order)."""
+        names, fields = CSV_HEADER.split(","), row.split(",")
+        if len(fields) != len(names):
+            raise ParameterError(f"CSV row needs the {CSV_HEADER!r} columns: {row!r}")
+        return cls(**{name: (int if name in ("label_bits", "seed") else float)(text)
+                      for name, text in zip(names, fields)})

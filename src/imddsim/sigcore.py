@@ -2,19 +2,37 @@
 
 Conventions used throughout the simulator:
 
-- Records are treated as circular: filtering is frequency-domain
-  multiplication over the full record, so linear-phase designs are applied
-  with exactly zero net delay and length is always preserved.
-- "Digital" filter kinds (lowpass/highpass/bandpass/fir_taps) are
+- Records are treated as circular: a linear stage is a response H(f) on the
+  record's n-point FFT grid, so linear-phase designs apply with exactly zero
+  net delay and length is always preserved.
+- A :class:`SampledWaveform` keeps the form it was built from (samples or
+  spectrum) and computes the other once, on first use. Linear stages
+  (filters, resampling by spectral truncation or zero padding, DAC droop,
+  mixer gain, combiner skew, uncompressed amplifiers, dispersion, the
+  optical filter, DC removal as a zeroed DC bin) multiply or reshape the
+  spectrum, so a chain of them costs no transform. Apart from one FFT per
+  FIR design, a transform runs only where a pointwise stage meets a linear
+  one: quantizers, tanh amplifier, drive peak and MZM cosine, ASE and
+  thermal noise, square-law detection, sync correlation, and the
+  equalizer. The LO multiply and the band split's down-conversion are
+  whole-bin spectrum shifts, since their tones sit on the record grid.
+- A spectrum built for an electrical or photocurrent waveform is made
+  conjugate-symmetric: the spectrum of the real part of its inverse FFT.
+- "Digital" filter kinds (lowpass/highpass/fir_taps) are
   linear-phase FIR prototypes (Kaiser windowed sinc) evaluated as zero-phase
   real responses. Highpass is built complementary to the lowpass at the same
   cutoff, so LPF + HPF sums to unity across the crossover.
 - "Analog" filters (``analog=True``) are Bessel responses of configurable
   order evaluated with their phase, approximating lab hardware roll-offs.
+- Response tables given for f >= 0 are mirrored onto negative frequencies:
+  conjugately (H(-f) = H*(f)) by ``programmable_response``, which filters
+  real signals, and evenly (H(-f) = H(f)) by the optical filter
+  ``channel.obpf``, which acts on a complex field envelope.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +48,6 @@ _DOMAIN_TAGS = ("electrical", "optical_field", "photocurrent")
 _REAL_TAGS = ("electrical", "photocurrent")
 
 
-@dataclass(frozen=True)
 class SampledWaveform:
     """Uniformly sampled signal; the carrier between all pipeline stages.
 
@@ -43,51 +60,119 @@ class SampledWaveform:
         waveforms must be real (imaginary RMS below 1e-12 of total RMS).
     domain_tag : str
         One of ``electrical``, ``optical_field``, ``photocurrent``.
+
+    :meth:`from_spectrum` builds a waveform from its n-point FFT instead;
+    the other form is computed on first access. Stages never modify a
+    waveform; they build a new one.
     """
 
-    sample_rate_hz: float
-    samples: np.ndarray
-    domain_tag: str = "electrical"
+    __slots__ = ("sample_rate_hz", "domain_tag", "_samples", "_spectrum")
 
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ParameterError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("samples must be finite")
-        if self.domain_tag not in _DOMAIN_TAGS:
-            raise ParameterError(f"unknown domain_tag {self.domain_tag!r}")
-        if self.domain_tag in _REAL_TAGS:
+    def __init__(self, sample_rate_hz: float, samples, domain_tag: str = "electrical"):
+        arr = _checked(sample_rate_hz, samples, domain_tag, "samples")
+        if domain_tag in _REAL_TAGS:
             total = np.sqrt(np.mean(np.abs(arr) ** 2))
             imag = np.sqrt(np.mean(arr.imag**2))
             if total > 0 and imag > 1e-12 * total:
                 raise ParameterError(
-                    f"{self.domain_tag} waveform has non-negligible imaginary part"
+                    f"{domain_tag} waveform has non-negligible imaginary part"
                 )
             arr = arr.real.astype(np.complex128)
-        object.__setattr__(self, "samples", arr)
+        self.sample_rate_hz = sample_rate_hz
+        self.domain_tag = domain_tag
+        self._samples = arr
+        self._spectrum = None
+
+    @classmethod
+    def from_spectrum(cls, sample_rate_hz: float, spectrum,
+                      domain_tag: str = "electrical") -> "SampledWaveform":
+        """Waveform whose samples are the inverse FFT of ``spectrum`` (their
+        real part for electrical and photocurrent waveforms)."""
+        spec = _checked(sample_rate_hz, spectrum, domain_tag, "spectrum")
+        if domain_tag in _REAL_TAGS:
+            # X[k] -> (X[k] + X*[-k]) / 2, the spectrum of Re(ifft(X))
+            mirrored = np.conj(spec[::-1])
+            spec = 0.5 * (spec + np.roll(mirrored, 1))
+        wave = cls.__new__(cls)
+        wave.sample_rate_hz = sample_rate_hz
+        wave.domain_tag = domain_tag
+        wave._samples = None
+        wave._spectrum = spec
+        return wave
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            x = np.fft.ifft(self._spectrum)
+            if self.domain_tag in _REAL_TAGS:
+                x.imag = 0.0
+            self._samples = x
+        return self._samples
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """n-point FFT of the samples (unnormalized, ``numpy.fft`` order)."""
+        if self._spectrum is None:
+            self._spectrum = np.fft.fft(self._samples)
+        return self._spectrum
 
     @property
     def n(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.n / self.sample_rate_hz
+        held = self._samples if self._samples is not None else self._spectrum
+        return held.size
 
     @property
     def real(self) -> np.ndarray:
         return self.samples.real
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n) / self.sample_rate_hz
+    def freqs(self) -> np.ndarray:
+        """Frequency of each spectrum bin (Hz)."""
+        return np.fft.fftfreq(self.n, d=1.0 / self.sample_rate_hz)
 
     def with_samples(self, samples: np.ndarray, domain_tag: str | None = None) -> "SampledWaveform":
         return SampledWaveform(
             self.sample_rate_hz, samples, domain_tag or self.domain_tag
         )
+
+    def with_spectrum(self, spectrum: np.ndarray,
+                      domain_tag: str | None = None) -> "SampledWaveform":
+        return SampledWaveform.from_spectrum(
+            self.sample_rate_hz, spectrum, domain_tag or self.domain_tag
+        )
+
+    def scaled(self, factor: float) -> "SampledWaveform":
+        """The waveform times a constant, formed from the spectrum when one
+        is held (so a following linear stage needs no transform)."""
+        if self._spectrum is not None:
+            return self.with_spectrum(factor * self._spectrum)
+        return self.with_samples(factor * self._samples)
+
+    def plus(self, other: "SampledWaveform", scale: float = 1.0) -> "SampledWaveform":
+        """``self + scale * other``, added as samples when both hold them
+        and as spectra otherwise."""
+        if self._samples is not None and other._samples is not None:
+            return self.with_samples(self._samples + scale * other._samples)
+        return self.with_spectrum(self.spectrum + scale * other.spectrum)
+
+
+def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
+    if sample_rate_hz <= 0:
+        raise ParameterError("sample_rate_hz must be positive")
+    arr = np.asarray(values, dtype=np.complex128)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ParameterError(f"{what} must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{what} must be finite")
+    if domain_tag not in _DOMAIN_TAGS:
+        raise ParameterError(f"unknown domain_tag {domain_tag!r}")
+    return arr
+
+
+def require_real(wave: SampledWaveform, what: str) -> None:
+    """Raise unless ``wave`` is real: a real domain, or an optical field
+    whose samples have no imaginary part."""
+    if wave.domain_tag not in _REAL_TAGS and np.any(wave.samples.imag != 0):
+        raise ParameterError(f"{what} must be real")
 
 
 @dataclass(frozen=True)
@@ -96,10 +181,9 @@ class FilterSpec:
 
     ``kind`` selects the response family:
 
-    - ``lowpass`` / ``highpass`` / ``bandpass``: sharp linear-phase FIR with
+    - ``lowpass`` / ``highpass``: sharp linear-phase FIR with
       ``transition_width_hz`` transition (zero-phase application), or a
       Bessel response of ``order`` poles when ``analog=True``.
-    - ``gaussian_like``: zero-phase Gaussian magnitude, -3 dB at ``cutoff_hz``.
     - ``fir_taps``: explicit taps, applied with the center-tap group delay
       removed.
     - ``programmable_response``: complex response table (``freq_hz``,
@@ -109,7 +193,6 @@ class FilterSpec:
 
     kind: str
     cutoff_hz: float | None = None
-    band_hz: tuple[float, float] | None = None
     transition_width_hz: float = 2e9
     taps: np.ndarray | None = None
     freq_hz: np.ndarray | None = None
@@ -118,22 +201,11 @@ class FilterSpec:
     order: int = 4
 
     def __post_init__(self):
-        kinds = (
-            "fir_taps",
-            "lowpass",
-            "highpass",
-            "bandpass",
-            "gaussian_like",
-            "programmable_response",
-        )
-        if self.kind not in kinds:
+        if self.kind not in ("fir_taps", "lowpass", "highpass", "programmable_response"):
             raise ParameterError(f"unknown filter kind {self.kind!r}")
-        if self.kind in ("lowpass", "highpass", "gaussian_like"):
+        if self.kind in ("lowpass", "highpass"):
             if self.cutoff_hz is None or self.cutoff_hz <= 0:
                 raise ParameterError(f"{self.kind} requires a positive cutoff_hz")
-        if self.kind == "bandpass":
-            if self.band_hz is None or not 0 < self.band_hz[0] < self.band_hz[1]:
-                raise ParameterError("bandpass requires 0 < f_lo < f_hi")
         if self.kind == "fir_taps" and (self.taps is None or len(self.taps) == 0):
             raise ParameterError("fir_taps requires a non-empty tap vector")
         if self.kind == "programmable_response":
@@ -154,12 +226,6 @@ def lowpass(cutoff_hz: float, transition_width_hz: float = 2e9, analog: bool = F
 def highpass(cutoff_hz: float, transition_width_hz: float = 2e9, analog: bool = False,
              order: int = 4) -> FilterSpec:
     return FilterSpec("highpass", cutoff_hz=cutoff_hz,
-                      transition_width_hz=transition_width_hz, analog=analog, order=order)
-
-
-def bandpass(f_lo_hz: float, f_hi_hz: float, transition_width_hz: float = 2e9,
-             analog: bool = False, order: int = 4) -> FilterSpec:
-    return FilterSpec("bandpass", band_hz=(f_lo_hz, f_hi_hz),
                       transition_width_hz=transition_width_hz, analog=analog, order=order)
 
 
@@ -205,10 +271,16 @@ def _zero_phase_fir_response(taps: np.ndarray, n: int) -> np.ndarray:
     return resp
 
 
+@functools.lru_cache(maxsize=128)
+def _bessel_design(cutoff_hz: float, btype: str, order: int):
+    # designing costs a root search; a run evaluates the same few designs often
+    return _sig.bessel(order, 2 * np.pi * cutoff_hz, btype=btype, analog=True,
+                       norm="mag")
+
+
 def _bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, btype: str,
                      order: int) -> np.ndarray:
-    b, a = _sig.bessel(order, 2 * np.pi * cutoff_hz, btype=btype, analog=True,
-                       norm="mag")
+    b, a = _bessel_design(cutoff_hz, btype, order)
     _, h = _sig.freqs(b, a, worN=2 * np.pi * np.abs(freqs_hz))
     h = np.asarray(h, dtype=np.complex128)
     # real filter: enforce conjugate symmetry for the negative-frequency bins
@@ -219,25 +291,8 @@ def _bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, btype: str,
 def filter_response(spec: FilterSpec, n: int, sample_rate_hz: float) -> np.ndarray:
     """Complex response of ``spec`` on the n-point FFT grid at the given rate."""
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
-    nyq = sample_rate_hz / 2.0
-
-    # FIR designs need cutoffs inside the Nyquist band; analog (Bessel) and
-    # gaussian responses are closed-form and may roll off beyond it.
-    fir_design = not spec.analog and spec.kind in ("lowpass", "highpass", "bandpass")
-    if fir_design and spec.kind != "bandpass" and spec.cutoff_hz >= nyq:
-        raise ParameterError(
-            f"cutoff {spec.cutoff_hz:.3g} Hz >= Nyquist {nyq:.3g} Hz"
-        )
-    if fir_design and spec.kind == "bandpass" and spec.band_hz[1] >= nyq:
-        raise ParameterError("bandpass upper edge >= Nyquist")
-
     if spec.kind == "fir_taps":
         return _zero_phase_fir_response(np.asarray(spec.taps), n)
-
-    if spec.kind == "gaussian_like":
-        return np.exp(-np.log(2.0) / 2.0 * (freqs / spec.cutoff_hz) ** 2).astype(
-            np.complex128
-        )
 
     if spec.kind == "programmable_response":
         table_f = np.asarray(spec.freq_hz, dtype=float)
@@ -249,39 +304,25 @@ def filter_response(spec: FilterSpec, n: int, sample_rate_hz: float) -> np.ndarr
         h[freqs < 0] = np.conj(h[freqs < 0])
         return h
 
+    # analog (Bessel) responses are closed-form and may roll off beyond
+    # Nyquist; FIR designs need their cutoff inside the band
     if spec.analog:
-        if spec.kind == "bandpass":
-            lo = _bessel_response(freqs, spec.band_hz[0], "highpass", spec.order)
-            hi = _bessel_response(freqs, spec.band_hz[1], "lowpass", spec.order)
-            return lo * hi
-        return _bessel_response(
-            freqs, spec.cutoff_hz, "lowpass" if spec.kind == "lowpass" else "highpass",
-            spec.order
+        return _bessel_response(freqs, spec.cutoff_hz, spec.kind, spec.order)
+    nyq = sample_rate_hz / 2.0
+    if spec.cutoff_hz >= nyq:
+        raise ParameterError(
+            f"cutoff {spec.cutoff_hz:.3g} Hz >= Nyquist {nyq:.3g} Hz"
         )
-
-    if spec.kind == "lowpass":
-        taps = _windowed_sinc_taps(spec.cutoff_hz, spec.transition_width_hz,
-                                   sample_rate_hz, n)
-        return _zero_phase_fir_response(taps, n)
-    if spec.kind == "highpass":
-        taps = _windowed_sinc_taps(spec.cutoff_hz, spec.transition_width_hz,
-                                   sample_rate_hz, n)
-        return 1.0 - _zero_phase_fir_response(taps, n)
-    # bandpass = LP(f_hi) - LP(f_lo)
-    lo_taps = _windowed_sinc_taps(spec.band_hz[0], spec.transition_width_hz,
-                                  sample_rate_hz, n)
-    hi_taps = _windowed_sinc_taps(spec.band_hz[1], spec.transition_width_hz,
-                                  sample_rate_hz, n)
-    return _zero_phase_fir_response(hi_taps, n) - _zero_phase_fir_response(lo_taps, n)
+    taps = _windowed_sinc_taps(spec.cutoff_hz, spec.transition_width_hz,
+                               sample_rate_hz, n)
+    lp = _zero_phase_fir_response(taps, n)
+    return lp if spec.kind == "lowpass" else 1.0 - lp
 
 
 def apply_filter(wave: SampledWaveform, spec: FilterSpec) -> SampledWaveform:
-    """Filter a waveform by frequency-domain multiplication (length preserved)."""
+    """Filter a waveform: its spectrum times the response (length preserved)."""
     h = filter_response(spec, wave.n, wave.sample_rate_hz)
-    out = np.fft.ifft(np.fft.fft(wave.samples) * h)
-    if wave.domain_tag in _REAL_TAGS:
-        out = out.real
-    return wave.with_samples(out)
+    return wave.with_spectrum(wave.spectrum * h)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +373,9 @@ def design_rrc(rolloff: float, span_symbols: int, samples_per_symbol: int) -> np
 def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
     """FFT-method rate conversion; exact for band-limited circular records.
 
-    The record duration must map to an integer number of output samples
+    The spectrum is truncated or zero-padded and rescaled, with the unpaired
+    bin at half the smaller rate split or joined as ``scipy.signal.resample``
+    does. The record duration must map to an integer number of output samples
     (rational ratio precondition).
     """
     if target_rate_hz <= 0:
@@ -346,10 +389,21 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
             f"rate ratio {target_rate_hz}/{wave.sample_rate_hz} does not yield an "
             f"integer record length from {wave.n} samples"
         )
-    out = _sig.resample(wave.samples, n_out)
-    if wave.domain_tag in _REAL_TAGS:
-        out = out.real
-    return SampledWaveform(target_rate_hz, out, wave.domain_tag)
+    n_in, x = wave.n, wave.spectrum
+    m = min(n_in, n_out)
+    half = m // 2 + 1
+    y = np.zeros(n_out, dtype=np.complex128)
+    y[:half] = x[:half]
+    if half < m:
+        y[half - m:] = x[half - m:]
+    if m % 2 == 0 and n_out != n_in:
+        if n_out < n_in:
+            y[-(m // 2)] += x[-(m // 2)]
+        else:
+            y[m // 2] /= 2
+            y[n_out - m // 2] = y[m // 2]
+    return SampledWaveform.from_spectrum(target_rate_hz, y / (n_in / n_out),
+                                         wave.domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +434,9 @@ def spectral_nmse_db(reference: SampledWaveform, test: SampledWaveform,
     """NMSE evaluated on the FFT grid with |f| inside exclude_bands masked out."""
     if reference.sample_rate_hz != test.sample_rate_hz or reference.n != test.n:
         raise ParameterError("waveforms must share grid")
-    freqs = np.abs(np.fft.fftfreq(reference.n, d=1.0 / reference.sample_rate_hz))
-    r = np.fft.fft(reference.samples)
-    t = np.fft.fft(test.samples)
+    freqs = np.abs(reference.freqs())
+    r = reference.spectrum
+    t = test.spectrum
     keep = np.ones(reference.n, dtype=bool)
     for f_lo, f_hi in exclude_bands:
         keep &= ~((freqs >= f_lo) & (freqs <= f_hi))
@@ -399,22 +453,20 @@ def tone_amplitude(wave: SampledWaveform, freq_hz: float) -> float:
     """Amplitude of the tone nearest freq_hz via single-bin DFT (real signals)."""
     n = wave.n
     k = int(round(freq_hz * n / wave.sample_rate_hz))
-    bin_val = np.sum(wave.samples * np.exp(-2j * np.pi * k * np.arange(n) / n)) / n
     scale = 1.0 if k in (0, n // 2) else 2.0
-    return scale * np.abs(bin_val)
+    return scale * np.abs(wave.spectrum[k % n]) / n
 
 
 def tone_phase(wave: SampledWaveform, freq_hz: float) -> float:
     """Phase (radians) of the bin nearest freq_hz."""
-    n = wave.n
-    k = int(round(freq_hz * n / wave.sample_rate_hz))
-    return float(np.angle(np.sum(wave.samples * np.exp(-2j * np.pi * k * np.arange(n) / n))))
+    k = int(round(freq_hz * wave.n / wave.sample_rate_hz))
+    return float(np.angle(wave.spectrum[k % wave.n]))
 
 
 def band_energy_fraction(wave: SampledWaveform, f_lo_hz: float, f_hi_hz: float) -> float:
     """Fraction of total energy with |f| in [f_lo, f_hi]."""
-    spec = np.abs(np.fft.fft(wave.samples)) ** 2
-    freqs = np.abs(np.fft.fftfreq(wave.n, d=1.0 / wave.sample_rate_hz))
+    spec = np.abs(wave.spectrum) ** 2
+    freqs = np.abs(wave.freqs())
     total = np.sum(spec)
     if total == 0:
         return 0.0
@@ -424,8 +476,8 @@ def band_energy_fraction(wave: SampledWaveform, f_lo_hz: float, f_hi_hz: float) 
 
 def occupied_bandwidth(wave: SampledWaveform, fraction: float = 0.999) -> float:
     """Smallest f such that |f'| <= f holds `fraction` of the energy."""
-    spec = np.abs(np.fft.fft(wave.samples)) ** 2
-    freqs = np.abs(np.fft.fftfreq(wave.n, d=1.0 / wave.sample_rate_hz))
+    spec = np.abs(wave.spectrum) ** 2
+    freqs = np.abs(wave.freqs())
     order = np.argsort(freqs)
     cum = np.cumsum(spec[order])
     total = cum[-1]

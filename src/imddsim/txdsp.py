@@ -20,10 +20,10 @@ from .sigcore import (
     FilterSpec,
     SampledWaveform,
     apply_filter,
-    bin_centered_frequency,
     design_rrc,
     filter_response,
     lowpass,
+    require_real,
     resample,
 )
 
@@ -253,8 +253,7 @@ def linear_preemphasis(wave: SampledWaveform, freq_hz: np.ndarray,
     if freq_hz.min() > 0 or freq_hz.max() < nyq - 1e-6:
         raise ParameterError("response table must cover [0, Nyquist]")
 
-    grid = np.abs(np.fft.fftfreq(wave.n, d=1.0 / wave.sample_rate_hz))
-    h_mag = np.interp(grid, freq_hz, mag)
+    h_mag = np.interp(np.abs(wave.freqs()), freq_hz, mag)
     if max_boost_db is None:
         if np.any(h_mag <= 0):
             raise ParameterError("response has zeros and boost clipping is disabled")
@@ -263,10 +262,7 @@ def linear_preemphasis(wave: SampledWaveform, freq_hz: np.ndarray,
         cap = 10 ** (max_boost_db / 20.0)
         with np.errstate(divide="ignore"):
             boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
-    out = np.fft.ifft(np.fft.fft(wave.samples) * boost)
-    if wave.domain_tag in ("electrical", "photocurrent"):
-        out = out.real
-    return wave.with_samples(out)
+    return wave.with_spectrum(wave.spectrum * boost)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +307,11 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
 
     Both outputs land at the AWG rate. The upper branch uses the analytic
     signal of the HPF output shifted down by the LO (snapped to the record's
-    frequency grid so the later mixer up-shift cancels it exactly), then the
-    real part, an AWG-bandwidth lowpass, and resampling.
+    frequency grid so the later mixer up-shift cancels it exactly, and so the
+    shift moves the spectrum by whole bins), then the real part, an
+    AWG-bandwidth lowpass, and resampling.
     """
-    if np.max(np.abs(wave.samples.imag)) > 0:
-        raise ParameterError("band_split expects a real wideband signal")
+    require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
 
     lp = filter_response(
@@ -325,9 +321,9 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
         lowpass(plan.digital_hpf_cutoff_hz, plan.crossover_transition_hz), n, rate
     )
 
-    spectrum = np.fft.fft(wave.samples)
-    lower = np.fft.ifft(spectrum * lp).real
-    lower_wave = resample(SampledWaveform(rate, lower), plan.awg_rate_hz)
+    spectrum = wave.spectrum
+    lower = SampledWaveform.from_spectrum(rate, spectrum * lp)
+    lower_wave = resample(lower, plan.awg_rate_hz)
 
     # analytic signal of the upper band: positive frequencies only
     upper_spec = spectrum * hp
@@ -338,13 +334,11 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
         analytic[1: n // 2] = 2.0 * upper_spec[1: n // 2]
     else:
         analytic[1: (n + 1) // 2] = 2.0 * upper_spec[1: (n + 1) // 2]
-    a = np.fft.ifft(analytic)
-
-    f_shift = bin_centered_frequency(plan.lo_frequency_hz, n, rate)
-    t = np.arange(n) / rate
-    if_signal = (a * np.exp(-2j * np.pi * f_shift * t)).real
+    # down-shift by the LO bin; the real waveform keeps the real part
+    k = int(round(plan.lo_frequency_hz * n / rate))
+    if_wave = SampledWaveform.from_spectrum(rate, np.roll(analytic, -k))
 
     aa_cutoff = min(plan.awg_bandwidth_hz, 0.49 * plan.awg_rate_hz)
-    if_wave = apply_filter(SampledWaveform(rate, if_signal), lowpass(aa_cutoff))
+    if_wave = apply_filter(if_wave, lowpass(aa_cutoff))
     upper_wave = resample(if_wave, plan.awg_rate_hz)
     return lower_wave, upper_wave

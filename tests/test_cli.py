@@ -6,6 +6,8 @@ import pytest
 from conftest import fast_link_config
 from imddsim.cli import main
 from imddsim.config import save_config
+from imddsim.harness import SweepResult, SweepRow, sweep_to_csv
+from imddsim.rxdsp import MetricsReport
 
 
 @pytest.fixture
@@ -91,6 +93,23 @@ class TestReportCommand:
         assert rc == 0
         tree = ET.parse(out / "plot.svg")
         assert tree.getroot().tag.endswith("svg")
+
+    def test_failed_row_round_trip(self, tmp_path):
+        ok = MetricsReport(ber=1e-3, gmi_bits=3.0, ngmi=0.95, required_code_rate=0.9,
+                           achievable_bitrate_gbps=640.0, net_bitrate_gbps=620.0,
+                           symbol_rate_gbd=216.0, entropy_bits=3.2, label_bits=4,
+                           seed=1)
+        rows = (SweepRow(3.0, ok), SweepRow(3.4, None, "stage 'rxdsp' failed: boom"))
+        text = sweep_to_csv(SweepResult("entropy_bits", rows))
+        (tmp_path / "sweep.csv").write_text(text)
+        assert main(["report", str(tmp_path)]) == 0
+        # one plotted row: an achievable and a net marker
+        assert (tmp_path / "plot.svg").read_text().count("<circle") == 2
+
+    def test_malformed_csv(self, tmp_path, capsys):
+        (tmp_path / "sweep.csv").write_text("entropy_bits,ber\n3.0,abc\n")
+        assert main(["report", str(tmp_path)]) == 1
+        assert "not a sweep table" in capsys.readouterr().err
 
     def test_missing_csv(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path)])

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,22 @@ class TestConfigSchema:
         with pytest.raises(ParameterError, match=re.escape(repr(dotted))):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("path, key, value", [
+        ((), "symbol_rate_gbd", "216"),
+        (("dsp",), "ffe_taps", 63.5),
+        (("dsp",), "preemphasis_enabled", "no"),
+        (("rx",), "dso_rate_hz", "256e9"),
+    ])
+    def test_value_type_checked(self, path, key, value):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        dotted = ".".join(path + (key,))
+        with pytest.raises(ParameterError, match=re.escape(repr(dotted))):
+            config_from_dict(raw)
+
     @pytest.mark.parametrize("version", [None, 0, 2, 99, "1"])
     def test_schema_version_must_be_1(self, version):
         raw = config_to_dict(c_band_216g())
@@ -262,6 +279,51 @@ class TestRunLink:
 
     def test_determinism(self, fast_config):
         assert run_link(fast_config) == run_link(fast_config)
+
+    # (modulation, seed, pre-emphasis, BER, GMI, NGMI, achievable, net) of the
+    # fast link with noise density 2e-17: the fixed-seed physics of the chain
+    @pytest.mark.parametrize("modulation, seed, preemphasis, golden", [
+        ("ps_pam12", 3, False, (0.02707231040564374, 2.7606052828326657,
+                                0.8901510867561377, 596.2907410918558,
+                                579.0107410918558)),
+        ("ps_pam12", 4, False, (0.0208994708994709, 2.8832061319523348,
+                                0.920801299036055, 622.7725245017043,
+                                605.4925245017043)),
+        ("uniform_pam8", 5, False, (0.02962962962962963, 2.660275560542447,
+                                    0.8867585201808157, 574.6195210771685,
+                                    561.6595210771685)),
+        ("uniform_pam8", 6, True, (0.019400352733686066, 2.785957203282115,
+                                   0.9286524010940383, 601.7667559089368,
+                                   588.8067559089368)),
+    ])
+    def test_fast_link_golden(self, modulation, seed, preemphasis, golden):
+        cfg = fast_link_config(seed=seed, modulation=modulation, noise_density=2e-17)
+        cfg = replace(cfg, dsp=replace(cfg.dsp, preemphasis_enabled=preemphasis))
+        rep = run_link(cfg)
+        assert rep.ber == golden[0]
+        got = (rep.gmi_bits, rep.ngmi, rep.achievable_bitrate_gbps, rep.net_bitrate_gbps)
+        assert got == pytest.approx(golden[1:], rel=1e-9)
+
+    def test_fft_budget(self, monkeypatch, fast_config):
+        # Linear stages multiply the record spectrum, so a run transforms only
+        # to design 5 filters (RRC, band-split LPF and HPF, IF anti-alias,
+        # analog HPF) and where a pointwise stage meets a linear one (RRC
+        # input, drive peak, MZM drive, photocurrent, sync template,
+        # correlation, equalizer input). A round trip between two linear
+        # stages would add two.
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (np.fft, scipy.fft):
+            for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        run_link(fast_config)
+        assert len(calls) == 12, calls
 
     def test_seed_changes_report(self, fast_config):
         a = run_link(fast_config)

@@ -397,7 +397,9 @@ class TestMetricsReport:
         rep = self.make()
         row = rep.to_csv_row()
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
-        assert row == rep.to_csv_row()  # stable formatting
+        back = MetricsReport.from_csv_row(row)
+        assert back.to_csv_row() == row
+        assert back.label_bits == 4 and back.seed == 7
 
     def test_net_above_achievable_rejected(self):
         with pytest.raises(ParameterError):
