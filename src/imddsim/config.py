@@ -1,10 +1,16 @@
 """Experiment configuration: the full link description, JSON persistence,
 and the two built-in presets.
 
-Presets encode the two experiment frequency plans: C-band runs digital cutoffs at
-76 GHz, analog HPF at 75 GHz, LO at 72 GHz; O-band runs 82/82/76 GHz with an
-extra 130-GHz amplifier in the upper path. Symbol rate defaults to 216 GBd
-with RRC roll-off 0.01 on both.
+Each field is one decision a run can vary, checked where it is built: a
+bad value raises a ``ParameterError`` naming its dotted key (``dsp.ffe_taps``)
+before any stage runs. What the chain fixes is no field: PCG64 streams, two
+receiver samples per symbol (``rxdsp.SAMPLES_PER_SYMBOL``), the derived RRC
+span, and interpolated code-rate lookup.
+
+Presets encode the two experiment frequency plans: C-band crosses over at
+76 GHz with the analog HPF at 75 GHz and the LO at 72 GHz; O-band runs
+82/82/76 GHz with an extra 130-GHz amplifier in the upper path. Symbol rate
+defaults to 216 GBd with RRC roll-off 0.01 on both.
 """
 
 from __future__ import annotations
@@ -22,40 +28,53 @@ from .channel import FiberSpec, OpticalAmpSpec
 from .errors import ParameterError
 from .frontend import AmplifierModel, LaserModel, MixerModel, MzmModel
 from .rxdsp import RateTable
-from .txdsp import BandPlan
+from .txdsp import BandPlan, VolterraStructure
+
+#: Version of the ``config_to_dict`` layout; files of any other version are
+#: rejected rather than read with a guessed meaning.
+SCHEMA_VERSION = 2
+MODULATIONS = ("ps_pam12", "uniform_pamN")
+
+
+def _check(ok: bool, key: str, message: str) -> None:
+    if not ok:
+        raise ParameterError(message, key)
+
+
+def _check_positive(obj, *keys: str) -> None:
+    for key in keys:
+        _check(getattr(obj, key) > 0, key, "must be positive")
+
+
+def _check_bits(obj, key: str) -> None:
+    bits = getattr(obj, key)
+    _check(bits is None or bits >= 1, key, "must be >= 1 (or None for no quantizer)")
 
 
 @dataclass(frozen=True)
 class DspConfig:
     rrc_rolloff: float = 0.01
-    samples_per_symbol: int = 2
-    rrc_span_symbols: int | None = None
     ffe_taps: int = 101
     ffe_step_size: float = 1e-3
     ffe_train_fraction: float = 0.2
     ffe_train_passes: int = 4
     preamble_symbols: int = 512
     volterra_enabled: bool = False
-    volterra_memory_1: int = 31
-    volterra_memory_2: int = 7
-    volterra_memory_3: int = 7
-    volterra_spread_2: int | None = 1
-    volterra_spread_3: int | None = 1
+    volterra: VolterraStructure = VolterraStructure()
     preemphasis_enabled: bool = True
     preemphasis_max_boost_db: float = 12.0
     ccdm_block_symbols: int = 65536
 
     def __post_init__(self):
-        if self.samples_per_symbol != 2:
-            raise ParameterError(
-                "samples_per_symbol must be 2: the receiver equalizer is T/2-spaced"
-            )
-        if not 0.0 < self.ffe_train_fraction < 1.0:
-            raise ParameterError("ffe_train_fraction must lie in (0, 1)")
-        if not self.ffe_step_size > 0.0:
-            raise ParameterError("ffe_step_size must be positive")
-        if self.ccdm_block_symbols < 1:
-            raise ParameterError("ccdm_block_symbols must be >= 1")
+        _check(0.0 <= self.rrc_rolloff <= 1.0, "rrc_rolloff", "must lie in [0, 1]")
+        _check(self.ffe_taps >= 1 and self.ffe_taps % 2 == 1, "ffe_taps",
+               "must be odd (centered equalizer)")
+        _check(0.0 < self.ffe_train_fraction < 1.0, "ffe_train_fraction",
+               "must lie in (0, 1)")
+        _check(self.ffe_train_passes >= 1, "ffe_train_passes", "must be >= 1")
+        _check_positive(self, "ffe_step_size", "preamble_symbols", "ccdm_block_symbols")
+        _check(self.preemphasis_max_boost_db >= 0, "preemphasis_max_boost_db",
+               "must be >= 0 dB")
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,11 @@ class TxConfig:
     combiner_skew_s: float = 0.0
     drive_peak_fraction_vpi: float = 0.25
 
+    def __post_init__(self):
+        _check_positive(self, "analog_rate_hz", "analog_hpf_transition_hz",
+                        "drive_peak_fraction_vpi")
+        _check_bits(self, "awg_resolution_bits")
+
 
 @dataclass(frozen=True)
 class RxConfig:
@@ -81,6 +105,13 @@ class RxConfig:
     dso_rate_hz: float = 256e9
     dso_bandwidth_hz: float = 113e9
     dso_resolution_bits: int | None = None
+
+    def __post_init__(self):
+        _check_positive(self, "pd_bandwidth_hz", "pd_responsivity", "dso_rate_hz",
+                        "dso_bandwidth_hz")
+        _check(self.pd_thermal_noise_density >= 0, "pd_thermal_noise_density",
+               "must be >= 0")
+        _check_bits(self, "dso_resolution_bits")
 
 
 @dataclass(frozen=True)
@@ -100,31 +131,29 @@ class LinkConfig:
     tx: TxConfig
     rx: RxConfig
     channel: ChannelConfig
-    band: str = "C"
     symbol_rate_gbd: float = 216.0
-    modulation: str = "ps_pam12"  # ps_pam12 | uniform_pam8 | uniform_pamN
+    modulation: str = "ps_pam12"  # one of MODULATIONS
     pam_order: int = 12
     target_entropy_bits: float = 3.2
     sequence_length_symbols: int = 65536
     seed: int = 1
-    rng_algorithm: str = "pcg64"  # pcg64 | mt19937
     dsp: DspConfig = DspConfig()
     rate_table_rates: tuple[float, ...] | None = None
     rate_table_thresholds: tuple[float, ...] | None = None
-    rate_interpolation: bool = True
-    hd_fec_overhead_deduction: bool = False
 
     def __post_init__(self):
-        if self.band not in ("C", "O"):
-            raise ParameterError("band must be 'C' or 'O'")
-        if self.modulation not in ("ps_pam12", "uniform_pam8", "uniform_pamN"):
-            raise ParameterError(f"unknown modulation {self.modulation!r}")
-        if self.symbol_rate_gbd <= 0 or self.sequence_length_symbols < 1:
-            raise ParameterError("symbol rate and sequence length must be positive")
-        if self.rng_algorithm not in ("pcg64", "mt19937"):
-            raise ParameterError("rng_algorithm must be pcg64 or mt19937")
-        if (self.rate_table_rates is None) != (self.rate_table_thresholds is None):
-            raise ParameterError("rate table needs both rates and thresholds")
+        _check(self.modulation in MODULATIONS, "modulation",
+               f"must be one of {MODULATIONS}, got {self.modulation!r}")
+        if self.modulation == "ps_pam12":
+            _check(self.pam_order == 12, "pam_order", "must be 12 for ps_pam12")
+        _check(self.pam_order >= 2, "pam_order", "must be >= 2")
+        _check_positive(self, "symbol_rate_gbd", "sequence_length_symbols")
+        _check((self.rate_table_rates is None) == (self.rate_table_thresholds is None),
+               "rate_table_thresholds", "and rate_table_rates must be set together")
+        _check(self.tx.mixer.lo_frequency_hz == self.plan.lo_frequency_hz,
+               "tx.mixer.lo_frequency_hz", "must equal plan.lo_frequency_hz")
+        _check(self.tx.analog_rate_hz >= self.plan.awg_rate_hz, "tx.analog_rate_hz",
+               "must be >= plan.awg_rate_hz (the AWG output is upsampled)")
 
     @property
     def symbol_rate_hz(self) -> float:
@@ -145,8 +174,9 @@ class LinkConfig:
 # ---------------------------------------------------------------------------
 
 def c_band_216g(seed: int = 1) -> LinkConfig:
-    """C-band PS-PAM12 over 11-km DSF: cutoffs 76/75 GHz, LO 72 GHz."""
-    plan = BandPlan(76e9, 76e9, 75e9, 72e9)
+    """C-band PS-PAM12 over 11-km DSF: crossover 76 GHz, analog HPF 75 GHz,
+    LO 72 GHz."""
+    plan = BandPlan(76e9, 75e9, 72e9)
     tx = TxConfig(
         mixer=MixerModel(72e9, bandwidth_hz=150e9),
         mzm=MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=4.5),
@@ -164,13 +194,14 @@ def c_band_216g(seed: int = 1) -> LinkConfig:
         obpf_bandwidth_hz=300e9,
         obpf_cd_trim_km=11.0,
     )
-    return LinkConfig(plan=plan, tx=tx, rx=RxConfig(), channel=chan, band="C",
+    return LinkConfig(plan=plan, tx=tx, rx=RxConfig(), channel=chan,
                       modulation="ps_pam12", target_entropy_bits=3.2, seed=seed)
 
 
 def o_band_216g(seed: int = 1) -> LinkConfig:
-    """O-band uniform PAM8 over 2-km four-core fibre: 82/82 GHz, LO 76 GHz."""
-    plan = BandPlan(82e9, 82e9, 82e9, 76e9)
+    """O-band uniform PAM8 over 2-km four-core fibre: crossover and analog
+    HPF 82 GHz, LO 76 GHz."""
+    plan = BandPlan(82e9, 82e9, 76e9)
     tx = TxConfig(
         mixer=MixerModel(76e9, bandwidth_hz=150e9),
         mzm=MzmModel(2.5, bandwidth_hz=110e9, bandwidth_atten_db=4.5),
@@ -187,8 +218,8 @@ def o_band_216g(seed: int = 1) -> LinkConfig:
                                  label="PDFA"),
         obpf_bandwidth_hz=300e9,
     )
-    return LinkConfig(plan=plan, tx=tx, rx=RxConfig(), channel=chan, band="O",
-                      modulation="uniform_pam8", pam_order=8, seed=seed)
+    return LinkConfig(plan=plan, tx=tx, rx=RxConfig(), channel=chan,
+                      modulation="uniform_pamN", pam_order=8, seed=seed)
 
 
 PRESETS = {
@@ -216,7 +247,7 @@ def _jsonable(value):
 
 def config_to_dict(config: LinkConfig) -> dict:
     out = _jsonable(config)
-    out["schema_version"] = 1
+    out["schema_version"] = SCHEMA_VERSION
     return out
 
 
@@ -251,17 +282,27 @@ def _build(cls, data: dict, path: str):
         if key not in hints:
             dotted = f"{path}.{key}" if path else key
             raise ParameterError(f"unknown config key {dotted!r}")
-    return cls(**{name: _from_json(value, hints[name], f"{path}.{name}" if path else name)
-                  for name, value in data.items()})
+    values = {name: _from_json(value, hints[name], f"{path}.{name}" if path else name)
+              for name, value in data.items()}
+    try:
+        return cls(**values)
+    except ParameterError as exc:
+        if not path:
+            raise
+        # the object's own check: name the field by its path in the config
+        dotted = f"{path}.{exc.key}" if exc.key else path
+        raise ParameterError(exc.reason, dotted) from exc
 
 
 def config_from_dict(data: dict) -> LinkConfig:
     """Build a config from its ``config_to_dict`` form. Unknown keys, at any
-    nesting level, and any ``schema_version`` other than 1 are rejected."""
+    nesting level, and any ``schema_version`` other than ``SCHEMA_VERSION``
+    are rejected (README lists the keys version 2 removed or merged)."""
     data = dict(data)
     version = data.pop("schema_version", None)
-    if version != 1:
-        raise ParameterError(f"unsupported config schema_version {version!r}; expected 1")
+    if version != SCHEMA_VERSION:
+        raise ParameterError(f"unsupported config schema_version {version!r}; "
+                             f"expected {SCHEMA_VERSION}")
     return _build(LinkConfig, data, "")
 
 

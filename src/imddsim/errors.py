@@ -2,7 +2,17 @@
 
 
 class ParameterError(ValueError):
-    """An argument violates an operation's stated preconditions."""
+    """An argument violates an operation's stated preconditions.
+
+    ``key`` names the offending config field, when there is one; the message
+    then starts with it. ``config_from_dict`` extends the key to the field's
+    dotted path in the config (``ffe_taps`` to ``dsp.ffe_taps``).
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(f"{key} {message}" if key else message)
+        self.key = key
+        self.reason = message
 
 
 class NumericalError(RuntimeError):

@@ -3,7 +3,7 @@ parameter sweeps, and result persistence (CSV, SVG, run manifest).
 
 A run walks shaping -> Tx DSP -> analog front end -> fiber -> receiver ->
 metrology. Record lengths are snapped so every rate conversion in the chain
-(AWG, analog, scope, 2-samples/symbol) lands on an integer sample count,
+(AWG, analog, scope, 2 samples/symbol) lands on an integer sample count,
 keeping the whole pipeline exact-rational and circular, and so every record
 length is 5-smooth apart from primes the rate ratios force.
 """
@@ -32,6 +32,7 @@ from .frontend import (
 )
 from .rxdsp import (
     CSV_HEADER,
+    SAMPLES_PER_SYMBOL,
     MetricsReport,
     decide_and_ber,
     digitize,
@@ -59,7 +60,6 @@ from .shaping import (
 )
 from .sigcore import SampledWaveform, _bessel_response, highpass, resample
 from .txdsp import (
-    VolterraStructure,
     apply_volterra,
     band_split,
     fit_volterra,
@@ -77,14 +77,8 @@ _RNG_ROLES = ("data_bits", "sign_bits", "ase", "thermal", "dpd")
 
 def _spawn_rngs(config: LinkConfig) -> dict:
     children = np.random.SeedSequence(config.seed).spawn(len(_RNG_ROLES))
-    bitgen = np.random.PCG64 if config.rng_algorithm == "pcg64" else np.random.MT19937
-    return {role: np.random.Generator(bitgen(child))
+    return {role: np.random.Generator(np.random.PCG64(child))
             for role, child in zip(_RNG_ROLES, children)}
-
-
-def rng_description(config: LinkConfig) -> str:
-    name = "PCG64" if config.rng_algorithm == "pcg64" else "MT19937"
-    return f"numpy.{name} (numpy {np.__version__})"
 
 
 def feasible_sequence_length(requested: int, symbol_rate_hz: float,
@@ -121,8 +115,7 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
             remaining -= size
         signs = rng_signs.integers(0, 2, size=n)
         return pas_assemble(np.concatenate(classes), signs, alphabet, dist)
-    order = 8 if config.modulation == "uniform_pam8" else config.pam_order
-    return uniform_frame(PamAlphabet.uniform(order), n, rng_data)
+    return uniform_frame(PamAlphabet.uniform(config.pam_order), n, rng_data)
 
 
 def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
@@ -165,8 +158,8 @@ def _preemphasize(config: LinkConfig, lower: SampledWaveform,
 def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     """Symbols to modulated optical field."""
     dsp, tx, plan = config.dsp, config.tx, config.plan
-    wide = rrc_upsample(tx_symbols, dsp.samples_per_symbol, dsp.rrc_rolloff,
-                        config.symbol_rate_hz, dsp.rrc_span_symbols)
+    wide = rrc_upsample(tx_symbols, SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
+                        config.symbol_rate_hz)
     lower, upper = band_split(wide, plan)
     if dsp.preemphasis_enabled:
         lower, upper = _preemphasize(config, lower, upper)
@@ -214,19 +207,13 @@ def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
     spectrum = digital.spectrum.copy()
     spectrum[0] = 0.0  # AC coupling: the mean removed
     centered = digital.with_spectrum(spectrum)
-    two_sps = resample(centered, dsp.samples_per_symbol * config.symbol_rate_hz)
+    two_sps = resample(centered, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
     aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols],
-                             dsp.samples_per_symbol)
+                             SAMPLES_PER_SYMBOL)
     eq, state = ffe_train_apply(aligned.real, reference, dsp.ffe_taps,
                                 dsp.ffe_step_size, dsp.ffe_train_fraction,
                                 dsp.ffe_train_passes)
     return eq, state.training_symbols
-
-
-def _volterra_structure(dsp) -> VolterraStructure:
-    return VolterraStructure(dsp.volterra_memory_1, dsp.volterra_memory_2,
-                             dsp.volterra_memory_3, dsp.volterra_spread_2,
-                             dsp.volterra_spread_3)
 
 
 def _train_dpd(config: LinkConfig, rngs: dict):
@@ -240,7 +227,7 @@ def _train_dpd(config: LinkConfig, rngs: dict):
     field = _transmit(train_cfg, symbols)
     field = _through_channel(train_cfg, field, sub["ase"])
     eq, n_train = _receive(train_cfg, field, symbols, sub["thermal"])
-    fit = fit_volterra(symbols[n_train:], eq, _volterra_structure(config.dsp))
+    fit = fit_volterra(symbols[n_train:], eq, config.dsp.volterra)
     return fit.kernel
 
 
@@ -282,12 +269,19 @@ def resolve_sequence_length(config: LinkConfig) -> int:
     Every stage record is then ``k`` times a constant that carries only the
     prime factors the rate ratios force, so no FFT in the chain falls back to
     a prime-length algorithm.
+
+    Rates off a common grid with the symbol rate can force a minimum record
+    of billions of symbols; a ``step`` above both the request and 2**16 is
+    rejected with a ``ParameterError`` instead of building that record.
     """
-    step = feasible_sequence_length(
-        1, config.symbol_rate_hz,
-        (config.plan.awg_rate_hz, config.tx.analog_rate_hz, config.rx.dso_rate_hz),
-    )
+    rates = (config.plan.awg_rate_hz, config.tx.analog_rate_hz, config.rx.dso_rate_hz)
+    step = feasible_sequence_length(1, config.symbol_rate_hz, rates)
     requested = config.sequence_length_symbols
+    if step > max(requested, 2**16):
+        names = ("plan.awg_rate_hz", "tx.analog_rate_hz", "rx.dso_rate_hz")
+        listed = ", ".join(f"{n}={r:.12g}" for n, r in zip(names, rates))
+        raise ParameterError(f"stage rates {listed} force records of at least {step} "
+                             f"symbols at {config.symbol_rate_gbd:.12g} GBd")
     # a power of two lies in [q, 2q), so the nearest 5-smooth k is below 2q + 2
     k = min(_smooth_numbers(2 * (requested // step) + 2),
             key=lambda c: (abs(c * step - requested), -c))
@@ -331,8 +325,7 @@ def run_link(config: LinkConfig) -> MetricsReport:
     m = frame.alphabet.label_bits
     gmi, ngmi = _stage("metrology", gmi_ngmi, llr, eval_frame.bits(), h_bits, m)
     ngmi = min(ngmi, 1.0)
-    rate = _stage("metrology", required_code_rate, ngmi, config.rate_table(),
-                  config.rate_interpolation)
+    rate = _stage("metrology", required_code_rate, ngmi, config.rate_table())
 
     b_gbd = config.symbol_rate_gbd
     if config.modulation == "ps_pam12":
@@ -341,8 +334,6 @@ def run_link(config: LinkConfig) -> MetricsReport:
     else:
         achievable = _stage("metrology", net_bitrate_uniform, ngmi, b_gbd, m)
         net = _stage("metrology", net_bitrate_uniform, rate, b_gbd, m)
-    if config.hd_fec_overhead_deduction:
-        net /= 1.0079
 
     return MetricsReport(
         ber=ber, gmi_bits=gmi, ngmi=ngmi, required_code_rate=rate,
@@ -525,7 +516,7 @@ def build_manifest(config: LinkConfig, outputs: tuple[str, ...]) -> RunManifest:
         config=cfg_dict,
         seed=config.seed,
         artifact_version=__version__,
-        rng=rng_description(config),
+        rng=f"numpy.PCG64 (numpy {np.__version__})",
         created_utc=datetime.now(timezone.utc).isoformat(),
         input_digest=digest,
         outputs=outputs,
@@ -555,20 +546,3 @@ def emit_outputs(result: SweepResult, out_dir: str | Path,
         man_path.write_text(manifest.to_json())
         written.append(man_path)
     return written
-
-
-def dump_waveform(wave: SampledWaveform, path: str | Path) -> None:
-    """CSV waveform dump: one header line, then re,im rows at the stated rate."""
-    lines = [f"# sample_rate_hz={wave.sample_rate_hz:.17g} domain={wave.domain_tag}"]
-    lines.extend(f"{s.real:.17g},{s.imag:.17g}" for s in wave.samples)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_waveform(path: str | Path) -> SampledWaveform:
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].lstrip("# ").split()
-    rate = float(header[0].split("=")[1])
-    domain = header[1].split("=")[1]
-    vals = np.array([[float(a), float(b)] for a, b in
-                     (line.split(",") for line in text[1:])])
-    return SampledWaveform(rate, vals[:, 0] + 1j * vals[:, 1], domain)

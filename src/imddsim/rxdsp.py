@@ -14,7 +14,7 @@ net bitrate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -119,6 +119,10 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
 # adaptive equalization
 # ---------------------------------------------------------------------------
 
+#: Receiver samples per symbol: the FFE is T/2-spaced.
+SAMPLES_PER_SYMBOL = 2
+
+
 @dataclass(frozen=True)
 class EqualizerState:
     taps: np.ndarray
@@ -149,7 +153,7 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
         raise ParameterError("train_passes must be >= 1")
     x = np.asarray(received, dtype=float)
     ref = np.asarray(reference_symbols, dtype=float)
-    n_sym = min(x.size // 2, ref.size)
+    n_sym = min(x.size // SAMPLES_PER_SYMBOL, ref.size)
     if n_sym < 4 * tap_count:
         raise ParameterError("record too short for the requested equalizer")
 
@@ -166,7 +170,7 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     errs = np.empty(n_train)
     for _ in range(train_passes):
         for k in range(n_train):
-            v = windows[2 * k]
+            v = windows[SAMPLES_PER_SYMBOL * k]
             e = ref[k] - float(v @ w)
             errs[k] = e * e
             if step_size != 0.0:
@@ -182,7 +186,7 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
                 "reduce the step size"
             )
 
-    idx = 2 * np.arange(n_train, n_sym)
+    idx = SAMPLES_PER_SYMBOL * np.arange(n_train, n_sym)
     out = np.empty(idx.size)
     chunk = 1 << 16
     for a in range(0, idx.size, chunk):
@@ -324,14 +328,9 @@ class RateTable:
         return cls(rates, rates + 0.02)
 
 
-def required_code_rate(ngmi: float, table: RateTable,
-                       interpolate: bool = True) -> float:
-    """Code rate predicted to decode error-free at the measured NGMI.
-
-    Interpolation between rows is on by default (puncturing gives fine rate
-    granularity); without it the lookup returns the largest tabulated rate
-    whose threshold is met.
-    """
+def required_code_rate(ngmi: float, table: RateTable) -> float:
+    """Code rate predicted to decode error-free at the measured NGMI,
+    interpolated between rows (puncturing gives fine rate granularity)."""
     t = table.ngmi_thresholds
     r = table.rates
     if ngmi < t[0]:
@@ -340,8 +339,6 @@ def required_code_rate(ngmi: float, table: RateTable,
         )
     if ngmi >= t[-1]:
         return float(r[-1])
-    if not interpolate:
-        return float(r[np.searchsorted(t, ngmi, side="right") - 1])
     return float(np.interp(ngmi, t, r))
 
 

@@ -24,17 +24,16 @@ Conventions used throughout the simulator:
   cutoff, so LPF + HPF sums to unity across the crossover.
 - "Analog" filters (``analog=True``) are Bessel responses of configurable
   order evaluated with their phase, approximating lab hardware roll-offs.
-- Response tables given for f >= 0 are mirrored onto negative frequencies:
-  conjugately (H(-f) = H*(f)) by ``programmable_response``, which filters
-  real signals, and evenly (H(-f) = H(f)) by the optical filter
-  ``channel.obpf``, which acts on a complex field envelope.
+- The optical filter ``channel.obpf`` mirrors its response table (given
+  for f >= 0) evenly onto negative frequencies (H(-f) = H(f)), since it acts
+  on a complex field envelope.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import signal as _sig
@@ -186,35 +185,23 @@ class FilterSpec:
       Bessel response of ``order`` poles when ``analog=True``.
     - ``fir_taps``: explicit taps, applied with the center-tap group delay
       removed.
-    - ``programmable_response``: complex response table (``freq_hz``,
-      ``response``) interpolated onto the record grid; conjugate symmetry is
-      enforced so real inputs stay real.
     """
 
     kind: str
     cutoff_hz: float | None = None
     transition_width_hz: float = 2e9
     taps: np.ndarray | None = None
-    freq_hz: np.ndarray | None = None
-    response: np.ndarray | None = None
     analog: bool = False
     order: int = 4
 
     def __post_init__(self):
-        if self.kind not in ("fir_taps", "lowpass", "highpass", "programmable_response"):
+        if self.kind not in ("fir_taps", "lowpass", "highpass"):
             raise ParameterError(f"unknown filter kind {self.kind!r}")
         if self.kind in ("lowpass", "highpass"):
             if self.cutoff_hz is None or self.cutoff_hz <= 0:
                 raise ParameterError(f"{self.kind} requires a positive cutoff_hz")
         if self.kind == "fir_taps" and (self.taps is None or len(self.taps) == 0):
             raise ParameterError("fir_taps requires a non-empty tap vector")
-        if self.kind == "programmable_response":
-            if self.freq_hz is None or self.response is None:
-                raise ParameterError(
-                    "programmable_response requires freq_hz and response tables"
-                )
-            if len(self.freq_hz) != len(self.response) or len(self.freq_hz) < 2:
-                raise ParameterError("response table must pair >= 2 frequencies")
 
 
 def lowpass(cutoff_hz: float, transition_width_hz: float = 2e9, analog: bool = False,
@@ -227,14 +214,6 @@ def highpass(cutoff_hz: float, transition_width_hz: float = 2e9, analog: bool = 
              order: int = 4) -> FilterSpec:
     return FilterSpec("highpass", cutoff_hz=cutoff_hz,
                       transition_width_hz=transition_width_hz, analog=analog, order=order)
-
-
-def programmable(freq_hz: Sequence[float], response: Sequence[complex]) -> FilterSpec:
-    return FilterSpec(
-        "programmable_response",
-        freq_hz=np.asarray(freq_hz, dtype=float),
-        response=np.asarray(response, dtype=np.complex128),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +272,6 @@ def filter_response(spec: FilterSpec, n: int, sample_rate_hz: float) -> np.ndarr
     freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
     if spec.kind == "fir_taps":
         return _zero_phase_fir_response(np.asarray(spec.taps), n)
-
-    if spec.kind == "programmable_response":
-        table_f = np.asarray(spec.freq_hz, dtype=float)
-        table_h = np.asarray(spec.response, dtype=np.complex128)
-        mag = np.abs(freqs)
-        h = np.interp(mag, table_f, table_h.real) + 1j * np.interp(
-            mag, table_f, table_h.imag
-        )
-        h[freqs < 0] = np.conj(h[freqs < 0])
-        return h
 
     # analog (Bessel) responses are closed-form and may roll off beyond
     # Nyquist; FIR designs need their cutoff inside the band

@@ -35,8 +35,6 @@ from .sigcore import (
 def _centered_offsets(memory: int) -> list[int]:
     if memory <= 0:
         return []
-    if memory % 2 == 0:
-        raise ParameterError("Volterra memory must be odd (centered window)")
     half = (memory - 1) // 2
     return list(range(-half, half + 1))
 
@@ -56,6 +54,17 @@ class VolterraStructure:
     memory_3: int = 7
     max_spread_2: int | None = 1
     max_spread_3: int | None = 1
+
+    def __post_init__(self):
+        if self.memory_1 < 1 or self.memory_1 % 2 == 0:
+            raise ParameterError("must be odd (centered window)", "memory_1")
+        for key in ("memory_2", "memory_3"):
+            memory = getattr(self, key)
+            if memory < 0 or (memory % 2 == 0 and memory != 0):
+                raise ParameterError("must be odd (centered window) or 0", key)
+        for key in ("max_spread_2", "max_spread_3"):
+            if (getattr(self, key) or 0) < 0:
+                raise ParameterError("must be >= 0 or None", key)
 
     def pair_terms(self) -> list[tuple[int, int]]:
         offs = _centered_offsets(self.memory_2)
@@ -273,12 +282,13 @@ def linear_preemphasis(wave: SampledWaveform, freq_hz: np.ndarray,
 class BandPlan:
     """Frequency plan of the two-band transmitter.
 
-    The C-band experiment plan is (76, 76, 75, 72) GHz and the O-band plan
-    (82, 82, 82, 76) GHz for (digital LPF, digital HPF, analog HPF, LO).
+    The C-band experiment plan is (76, 75, 72) GHz and the O-band plan
+    (82, 82, 76) GHz for (digital crossover, analog HPF, LO). One crossover
+    serves both digital filters: the HPF is the complement of the LPF, so
+    the two bands sum back to the input.
     """
 
-    digital_lpf_cutoff_hz: float
-    digital_hpf_cutoff_hz: float
+    crossover_hz: float
     analog_hpf_cutoff_hz: float
     lo_frequency_hz: float
     awg_rate_hz: float = 256e9
@@ -286,20 +296,16 @@ class BandPlan:
     crossover_transition_hz: float = 2e9
 
     def __post_init__(self):
-        if min(self.digital_lpf_cutoff_hz, self.digital_hpf_cutoff_hz,
-               self.analog_hpf_cutoff_hz, self.lo_frequency_hz,
-               self.awg_rate_hz, self.awg_bandwidth_hz) <= 0:
-            raise ParameterError("band plan frequencies must be positive")
-        if self.lo_frequency_hz >= self.digital_hpf_cutoff_hz:
-            raise ParameterError(
-                "LO must sit below the digital HPF cutoff (positive IF)"
-            )
-        if self.digital_hpf_cutoff_hz - self.lo_frequency_hz >= self.awg_bandwidth_hz:
-            raise ParameterError("down-converted band edge exceeds AWG bandwidth")
-
-    @property
-    def crossover_hz(self) -> float:
-        return self.digital_lpf_cutoff_hz
+        for key in ("crossover_hz", "analog_hpf_cutoff_hz", "lo_frequency_hz",
+                    "awg_rate_hz", "awg_bandwidth_hz", "crossover_transition_hz"):
+            if not getattr(self, key) > 0:
+                raise ParameterError("must be positive", key)
+        if self.lo_frequency_hz >= self.crossover_hz:
+            raise ParameterError("must sit below the crossover (positive IF)",
+                                 "lo_frequency_hz")
+        if self.crossover_hz - self.lo_frequency_hz >= self.awg_bandwidth_hz:
+            raise ParameterError("is below the down-converted band edge",
+                                 "awg_bandwidth_hz")
 
 
 def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, SampledWaveform]:
@@ -314,12 +320,9 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
 
-    lp = filter_response(
-        lowpass(plan.digital_lpf_cutoff_hz, plan.crossover_transition_hz), n, rate
-    )
-    hp = 1.0 - filter_response(
-        lowpass(plan.digital_hpf_cutoff_hz, plan.crossover_transition_hz), n, rate
-    )
+    lp = filter_response(lowpass(plan.crossover_hz, plan.crossover_transition_hz),
+                         n, rate)
+    hp = 1.0 - lp
 
     spectrum = wave.spectrum
     lower = SampledWaveform.from_spectrum(rate, spectrum * lp)

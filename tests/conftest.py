@@ -19,8 +19,13 @@ IDEAL_THRESHOLDS = tuple(np.round(np.arange(0.62, 0.971, 0.05), 2)) + (1.0,)
 
 def fast_link_config(seed=1, modulation="ps_pam12", noise_density=0.0,
                      n_symbols=4096, **overrides) -> LinkConfig:
-    """Small, quick-to-run link: wide-open devices, zero-length fiber."""
-    plan = BandPlan(76e9, 76e9, 75e9, 72e9, awg_bandwidth_hz=120e9)
+    """Small, quick-to-run link: wide-open devices, zero-length fiber.
+
+    ``modulation="uniform_pam8"`` is shorthand for uniform_pamN of order 8."""
+    pam_order = 12 if modulation == "ps_pam12" else 8
+    if modulation == "uniform_pam8":
+        modulation = "uniform_pamN"
+    plan = BandPlan(76e9, 75e9, 72e9, awg_bandwidth_hz=120e9)
     tx = TxConfig(
         mixer=MixerModel(72e9, bandwidth_hz=1e15),
         mzm=MzmModel(2.8, bandwidth_hz=1e15),
@@ -38,8 +43,8 @@ def fast_link_config(seed=1, modulation="ps_pam12", noise_density=0.0,
                     ffe_train_passes=4, preemphasis_enabled=False,
                     ccdm_block_symbols=n_symbols)
     kwargs = dict(
-        plan=plan, tx=tx, rx=rx, channel=chan, band="C",
-        modulation=modulation, pam_order=12 if modulation == "ps_pam12" else 8,
+        plan=plan, tx=tx, rx=rx, channel=chan,
+        modulation=modulation, pam_order=pam_order,
         target_entropy_bits=3.2, sequence_length_symbols=n_symbols, seed=seed,
         dsp=dsp, rate_table_rates=IDEAL_RATES,
         rate_table_thresholds=IDEAL_THRESHOLDS,

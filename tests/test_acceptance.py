@@ -64,8 +64,8 @@ def test_criterion_01_formula_reproduction():
 @pytest.mark.parametrize(
     "plan",
     [
-        BandPlan(76e9, 76e9, 75e9, 72e9, awg_bandwidth_hz=126e9),
-        BandPlan(82e9, 82e9, 82e9, 76e9, awg_bandwidth_hz=126e9),
+        BandPlan(76e9, 75e9, 72e9, awg_bandwidth_hz=126e9),
+        BandPlan(82e9, 82e9, 76e9, awg_bandwidth_hz=126e9),
     ],
     ids=["C-band", "O-band"],
 )

@@ -223,8 +223,8 @@ class TestStitchReconstruction:
     @pytest.mark.parametrize(
         "plan",
         [
-            BandPlan(76e9, 76e9, 75e9, 72e9, awg_bandwidth_hz=126e9),
-            BandPlan(82e9, 82e9, 82e9, 76e9, awg_bandwidth_hz=126e9),
+            BandPlan(76e9, 75e9, 72e9, awg_bandwidth_hz=126e9),
+            BandPlan(82e9, 82e9, 76e9, awg_bandwidth_hz=126e9),
         ],
         ids=["C-band", "O-band"],
     )
@@ -246,7 +246,7 @@ class TestStitchReconstruction:
         assert nmse <= -30.0
 
     def test_mismatched_mixer_lo_rejected(self):
-        plan = BandPlan(76e9, 76e9, 75e9, 72e9)
+        plan = BandPlan(76e9, 75e9, 72e9)
         w = SampledWaveform(AWG_RATE, np.ones(1024))
         with pytest.raises(ParameterError):
             stitch_bands(w, w, plan, ANALOG_RATE, mixer=MixerModel(60e9))

@@ -28,10 +28,8 @@ from imddsim.harness import (
     SweepResult,
     SweepRow,
     build_manifest,
-    dump_waveform,
     emit_outputs,
     feasible_sequence_length,
-    load_waveform,
     resolve_sequence_length,
     run_link,
     sweep_cores,
@@ -39,14 +37,13 @@ from imddsim.harness import (
     sweep_symbol_rate,
     sweep_to_csv,
 )
-from imddsim.sigcore import SampledWaveform
+from imddsim.txdsp import VolterraStructure
 
 
 class TestPresets:
     def test_c_band_frequency_plan(self):
         cfg = c_band_216g()
-        assert cfg.plan.digital_lpf_cutoff_hz == 76e9
-        assert cfg.plan.digital_hpf_cutoff_hz == 76e9
+        assert cfg.plan.crossover_hz == 76e9
         assert cfg.plan.analog_hpf_cutoff_hz == 75e9
         assert cfg.plan.lo_frequency_hz == 72e9
         assert cfg.plan.awg_rate_hz == 256e9
@@ -56,12 +53,11 @@ class TestPresets:
 
     def test_o_band_frequency_plan(self):
         cfg = o_band_216g()
-        assert cfg.plan.digital_lpf_cutoff_hz == 82e9
-        assert cfg.plan.digital_hpf_cutoff_hz == 82e9
+        assert cfg.plan.crossover_hz == 82e9
         assert cfg.plan.analog_hpf_cutoff_hz == 82e9
         assert cfg.plan.lo_frequency_hz == 76e9
         assert cfg.tx.mzm.v_pi_volts == 2.5
-        assert cfg.modulation == "uniform_pam8"
+        assert (cfg.modulation, cfg.pam_order) == ("uniform_pamN", 8)
         assert cfg.tx.upper_path_amplifier is not None
 
     @pytest.mark.parametrize("make", [c_band_216g, o_band_216g])
@@ -94,8 +90,6 @@ class TestPresets:
 
 class TestDspConfigValidation:
     @pytest.mark.parametrize("field, value", [
-        ("samples_per_symbol", 1),
-        ("samples_per_symbol", 4),
         ("ffe_train_fraction", 0.0),
         ("ffe_train_fraction", 1.0),
         ("ffe_train_fraction", 1.5),
@@ -129,16 +123,21 @@ def _dict_nodes(node, path=""):
                     yield from _dict_nodes(item, f"{sub}[{i}]")
 
 
-# (object path, field) -> values; every combination builds a valid config
+# (object path, field or fields) -> values; every combination builds a valid
+# config. The pam_order of ps_pam12 is fixed, so an order comes with its
+# uniform modulation.
 _OVERRIDES = {
     ((), "seed"): st.integers(0, 2**31 - 1),
     ((), "symbol_rate_gbd"): st.floats(150.0, 260.0),
     ((), "sequence_length_symbols"): st.integers(1, 10**6),
-    ((), "rng_algorithm"): st.sampled_from(["pcg64", "mt19937"]),
-    ((), "hd_fec_overhead_deduction"): st.booleans(),
+    ((), ("modulation", "pam_order")): st.tuples(st.just("uniform_pamN"),
+                                                 st.integers(2, 16)),
+    (("plan",), "crossover_hz"): st.floats(77e9, 150e9),
     (("dsp",), "ffe_taps"): st.integers(0, 99).map(lambda t: 2 * t + 1),
     (("dsp",), "ffe_step_size"): st.floats(1e-6, 0.1),
-    (("dsp",), "volterra_spread_2"): st.none() | st.integers(0, 5),
+    (("dsp",), "preemphasis_max_boost_db"): st.floats(0.0, 30.0),
+    (("dsp", "volterra"), "memory_1"): st.integers(0, 20).map(lambda t: 2 * t + 1),
+    (("dsp", "volterra"), "max_spread_2"): st.none() | st.integers(0, 5),
     (("tx",), "drive_peak_fraction_vpi"): st.floats(0.01, 1.0),
     (("tx",), "awg_resolution_bits"): st.none() | st.integers(4, 12),
     (("tx", "mzm"), "v_pi_volts"): st.floats(1.0, 5.0),
@@ -159,7 +158,11 @@ class TestConfigSchema:
             node = raw
             for key in path:
                 node = node[key]
-            node[field] = data.draw(_OVERRIDES[(path, field)])
+            value = data.draw(_OVERRIDES[(path, field)])
+            if isinstance(field, tuple):
+                node.update(zip(field, value))
+            else:
+                node[field] = value
         cfg = config_from_dict(raw)
         assert config_from_dict(config_to_dict(cfg)) == cfg
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
@@ -208,14 +211,70 @@ class TestConfigSchema:
         with pytest.raises(ParameterError, match=re.escape(repr(dotted))):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("version", [None, 0, 2, 99, "1"])
-    def test_schema_version_must_be_1(self, version):
+    # a version-1 file, and version-1 keys that version 2 removed or merged
+    @pytest.mark.parametrize("path, key, value, named", [
+        ((), "schema_version", 1, "schema_version 1"),
+        ((), "band", "C", "'band'"),
+        (("plan",), "digital_hpf_cutoff_hz", 76e9, "'plan.digital_hpf_cutoff_hz'"),
+        (("dsp",), "samples_per_symbol", 2, "'dsp.samples_per_symbol'"),
+    ])
+    def test_version_1_file_rejected(self, tmp_path, path, key, value, named):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("version", [None, 0, 1, 99, "2"])
+    def test_schema_version_must_be_2(self, version):
         raw = config_to_dict(c_band_216g())
         if version is None:
             del raw["schema_version"]
         else:
             raw["schema_version"] = version
         with pytest.raises(ParameterError, match="schema_version"):
+            config_from_dict(raw)
+
+
+# (dotted key -> value) edits of the fast link, and the key each must name
+_BAD_VALUES = [
+    ({"dsp.rrc_rolloff": -0.1}, "dsp.rrc_rolloff"),
+    ({"dsp.ffe_taps": 100}, "dsp.ffe_taps"),
+    ({"dsp.ffe_train_passes": 0}, "dsp.ffe_train_passes"),
+    ({"dsp.preamble_symbols": 0}, "dsp.preamble_symbols"),
+    ({"dsp.preemphasis_max_boost_db": -5.0}, "dsp.preemphasis_max_boost_db"),
+    ({"dsp.volterra.memory_2": 6}, "dsp.volterra.memory_2"),
+    ({"rx.pd_bandwidth_hz": 0.0}, "rx.pd_bandwidth_hz"),
+    ({"rx.dso_resolution_bits": 0}, "rx.dso_resolution_bits"),
+    ({"rx.dso_rate_hz": -1.0}, "rx.dso_rate_hz"),
+    ({"tx.drive_peak_fraction_vpi": 0.0}, "tx.drive_peak_fraction_vpi"),
+    ({"tx.awg_resolution_bits": 0}, "tx.awg_resolution_bits"),
+    ({"tx.analog_rate_hz": 128e9}, "tx.analog_rate_hz"),
+    ({"tx.mixer.lo_frequency_hz": 70e9}, "tx.mixer.lo_frequency_hz"),
+    ({"plan.awg_rate_hz": 0.0}, "plan.awg_rate_hz"),
+    ({"modulation": "uniform_pamN", "pam_order": 1}, "pam_order"),
+    ({"modulation": "ps_pam12", "pam_order": 8}, "pam_order"),
+]
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "updates, dotted", _BAD_VALUES,
+        ids=[",".join(f"{k}={v}" for k, v in u.items()) for u, _ in _BAD_VALUES],
+    )
+    def test_bad_value_names_key(self, updates, dotted):
+        raw = config_to_dict(fast_link_config())
+        for key, value in updates.items():
+            *path, name = key.split(".")
+            node = raw
+            for part in path:
+                node = node[part]
+            node[name] = value
+        with pytest.raises(ParameterError, match=re.escape(dotted)):
             config_from_dict(raw)
 
 
@@ -248,6 +307,17 @@ class TestResolveLength:
     def test_entropy_sweep_length(self):
         cfg = replace(c_band_216g(), sequence_length_symbols=16384)
         assert resolve_sequence_length(cfg) == 16200
+
+    @pytest.mark.parametrize("part, key, rate", [
+        ("rx", "dso_rate_hz", 256e9 + 1),
+        ("tx", "analog_rate_hz", 512e9 + 1e3),
+    ])
+    def test_off_grid_rate_rejected(self, part, key, rate):
+        # these rates alone would force records of 216e9 and 216e6 symbols
+        base = c_band_216g()
+        cfg = replace(base, **{part: replace(getattr(base, part), **{key: rate})})
+        with pytest.raises(ParameterError, match=re.escape(f"{part}.{key}={rate:.12g}")):
+            resolve_sequence_length(cfg)
 
     @given(requested=st.integers(1, 300_000),
            gbd=st.sampled_from([208.0, 216.0, 224.0]))
@@ -306,7 +376,7 @@ class TestRunLink:
 
     def test_fft_budget(self, monkeypatch, fast_config):
         # Linear stages multiply the record spectrum, so a run transforms only
-        # to design 5 filters (RRC, band-split LPF and HPF, IF anti-alias,
+        # to design 4 filters (RRC, band-split crossover, IF anti-alias,
         # analog HPF) and where a pointwise stage meets a linear one (RRC
         # input, drive peak, MZM drive, photocurrent, sync template,
         # correlation, equalizer input). A round trip between two linear
@@ -323,7 +393,7 @@ class TestRunLink:
             for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
         run_link(fast_config)
-        assert len(calls) == 12, calls
+        assert len(calls) == 11, calls
 
     def test_seed_changes_report(self, fast_config):
         a = run_link(fast_config)
@@ -366,21 +436,6 @@ class TestRunLink:
         assert err.value.stage == "metrology"
         assert isinstance(err.value.cause, FloatingPointError)
 
-    def test_hd_fec_deduction(self, fast_config):
-        plain = run_link(fast_config)
-        deducted = run_link(replace(fast_config, hd_fec_overhead_deduction=True))
-        assert deducted.net_bitrate_gbps == pytest.approx(
-            plain.net_bitrate_gbps / 1.0079
-        )
-
-    def test_mt19937_generator_selectable(self):
-        noisy = fast_link_config(noise_density=2e-17)
-        cfg = replace(noisy, rng_algorithm="mt19937")
-        a = run_link(cfg)
-        b = run_link(cfg)
-        assert a == b
-        assert a != run_link(noisy)  # different generator, different noise draw
-
     def test_uniform_pamn_path(self):
         cfg = fast_link_config(modulation="uniform_pamN", pam_order=4,
                                noise_density=1e-17)
@@ -395,8 +450,7 @@ class TestRunLink:
         cfg = fast_link_config(
             noise_density=1e-18, n_symbols=4096,
             dsp=replace(fast_link_config().dsp, volterra_enabled=True,
-                        volterra_memory_1=7, volterra_memory_2=0,
-                        volterra_memory_3=5, volterra_spread_3=0),
+                        volterra=VolterraStructure(7, 0, 5, max_spread_3=0)),
             tx=replace(fast_link_config().tx, drive_peak_fraction_vpi=0.5),
         )
         rep = run_link(cfg)
@@ -567,15 +621,3 @@ class TestManifest:
         assert data["seed"] == fast_config.seed
         assert data["config"]["symbol_rate_gbd"] == 216.0
 
-
-class TestWaveformDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        w = SampledWaveform(256e9, rng.normal(size=64) + 1j * rng.normal(size=64),
-                            "optical_field")
-        path = tmp_path / "wave.csv"
-        dump_waveform(w, path)
-        back = load_waveform(path)
-        assert back.sample_rate_hz == w.sample_rate_hz
-        assert back.domain_tag == w.domain_tag
-        assert np.allclose(back.samples, w.samples, atol=0, rtol=0)

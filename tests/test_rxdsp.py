@@ -359,7 +359,6 @@ class TestRateTable:
     def test_interpolation_case(self):
         t = RateTable(np.array([0.8, 0.9]), np.array([0.85, 0.93]))
         assert required_code_rate(0.89, t) == pytest.approx(0.85)
-        assert required_code_rate(0.89, t, interpolate=False) == pytest.approx(0.8)
 
     def test_threshold_below_rate_rejected(self):
         with pytest.raises(ParameterError):
