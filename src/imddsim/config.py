@@ -28,6 +28,7 @@ from .channel import FiberSpec, OpticalAmpSpec
 from .errors import ParameterError
 from .frontend import AmplifierModel, LaserModel, MixerModel, MzmModel
 from .rxdsp import RateTable
+from .shaping import PamAlphabet, check_entropy_target
 from .txdsp import BandPlan, VolterraStructure
 
 #: Version of the ``config_to_dict`` layout; files of any other version are
@@ -122,6 +123,12 @@ class ChannelConfig:
     obpf_bandwidth_hz: float | None = None
     obpf_cd_trim_km: float = 0.0
 
+    def __post_init__(self):
+        _check_positive(self, "wavelength_nm")
+        _check(self.obpf_bandwidth_hz is None or self.obpf_bandwidth_hz > 0,
+               "obpf_bandwidth_hz", "must be positive (or None for no OBPF)")
+        _check(self.obpf_cd_trim_km >= 0, "obpf_cd_trim_km", "must be >= 0 km")
+
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -146,6 +153,8 @@ class LinkConfig:
                f"must be one of {MODULATIONS}, got {self.modulation!r}")
         if self.modulation == "ps_pam12":
             _check(self.pam_order == 12, "pam_order", "must be 12 for ps_pam12")
+            check_entropy_target(self.target_entropy_bits, PamAlphabet.pam12(),
+                                 key="target_entropy_bits")
         _check(self.pam_order >= 2, "pam_order", "must be >= 2")
         _check_positive(self, "symbol_rate_gbd", "sequence_length_symbols")
         _check((self.rate_table_rates is None) == (self.rate_table_thresholds is None),

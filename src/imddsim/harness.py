@@ -366,8 +366,8 @@ class SweepResult:
 def _run_rows(base: LinkConfig, name: str, values, make_config) -> SweepResult:
     rows = []
     for i, value in enumerate(values):
-        cfg = make_config(value).with_seed(base.seed + i)
         try:
+            cfg = make_config(value).with_seed(base.seed + i)
             rows.append(SweepRow(float(value), run_link(cfg)))
         except Exception as exc:  # per-row failures recorded, sweep continues
             rows.append(SweepRow(float(value), None, error=str(exc)))

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.linalg import solve_triangular
 
 from .errors import (
     EqualizerDivergenceError,
@@ -135,6 +135,11 @@ class EqualizerState:
         return int(self.taps.size)
 
 
+#: Training symbols per exact block-LMS step (measured on a 2-core x86-64
+#: VM with two BLAS threads: 48-128 all run at about the same speed).
+LMS_BLOCK = 64
+
+
 def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
                     tap_count: int = 101, step_size: float = 1e-3,
                     train_fraction: float = 0.2,
@@ -146,6 +151,16 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     with large eigenvalue spread), freezes the taps, and returns the
     equalized T-spaced symbols for the remainder of the record (normalized
     to the reference scale by construction).
+
+    The per-symbol recursion ``e_k = r_k - v_k.w``, ``w += 2 mu e_k v_k`` is
+    run in its exact block form (Benesty & Duhamel, "A fast exact least mean
+    square adaptive algorithm", IEEE Trans. SP 40(12), 1992): for a block
+    with window matrix V and taps w at its start, the a-priori errors solve
+    the unit lower-triangular system ``(I + 2 mu tril(V V^T, -1)) e = r - V w``,
+    and the block ends with ``w += 2 mu V^T e``. The errors are those of the
+    per-symbol recursion up to rounding. Each block's matrix is the same on
+    every pass, so it is built once. A training error that grows tenfold or
+    overflows raises :class:`EqualizerDivergenceError`.
     """
     if tap_count % 2 == 0:
         raise ParameterError("tap count must be odd (centered equalizer)")
@@ -167,17 +182,31 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     w = np.zeros(tap_count)
     w[half] = 1.0
     n_train = int(n_sym * train_fraction)
+    train = windows[: SAMPLES_PER_SYMBOL * n_train: SAMPLES_PER_SYMBOL]
+    starts = range(0, n_train, LMS_BLOCK)
+    gain = 2.0 * step_size
     errs = np.empty(n_train)
-    for _ in range(train_passes):
-        for k in range(n_train):
-            v = windows[SAMPLES_PER_SYMBOL * k]
-            e = ref[k] - float(v @ w)
-            errs[k] = e * e
-            if step_size != 0.0:
-                w = w + 2.0 * step_size * e * v
+    # overflow is reported below as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the unit-diagonal solve reads only the strict lower triangle
+        coupling = []
+        for a in starts:
+            v = np.ascontiguousarray(train[a: a + LMS_BLOCK])
+            coupling.append(gain * (v @ v.T))
+        for _ in range(train_passes):
+            for a, couple in zip(starts, coupling):
+                v = train[a: a + LMS_BLOCK]
+                e = solve_triangular(couple, ref[a: a + v.shape[0]] - v @ w,
+                                     lower=True, unit_diagonal=True,
+                                     check_finite=False)
+                w = w + gain * (v.T @ e)
+                errs[a: a + e.size] = e * e
 
     window = max(1, n_train // 10)
     final_mse = float(np.mean(errs[-window:])) if n_train else 0.0
+    if not np.isfinite(final_mse):
+        raise EqualizerDivergenceError(
+            "training error overflowed; reduce the step size")
     if n_train >= 20:
         head = float(np.mean(errs[:window]))
         if final_mse > 10.0 * head:
@@ -186,12 +215,8 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
                 "reduce the step size"
             )
 
-    idx = SAMPLES_PER_SYMBOL * np.arange(n_train, n_sym)
-    out = np.empty(idx.size)
-    chunk = 1 << 16
-    for a in range(0, idx.size, chunk):
-        out[a: a + chunk] = windows[idx[a: a + chunk]] @ w
-
+    out = windows[SAMPLES_PER_SYMBOL * n_train: SAMPLES_PER_SYMBOL * n_sym:
+                  SAMPLES_PER_SYMBOL] @ w
     state = EqualizerState(w, step_size, n_train, final_mse)
     return out, state
 
@@ -200,12 +225,20 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
 # decisions, LLRs, and mutual information
 # ---------------------------------------------------------------------------
 
-def decision_directed_variance(soft_symbols: np.ndarray,
-                               levels: np.ndarray) -> float:
-    """Noise-variance estimate from min-distance decision residuals."""
-    y = np.asarray(soft_symbols, dtype=float)
-    nearest = levels[np.argmin(np.abs(y[:, None] - levels[None, :]), axis=1)]
-    return max(float(np.mean((y - nearest) ** 2)), 1e-30)
+def _squared_distances(y: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(n, M) matrix of squared distances from each sample to each level."""
+    return (y[:, None] - levels[None, :]) ** 2
+
+
+def _variance_from_distances(sq_dist: np.ndarray) -> float:
+    """Decision-directed noise variance: the mean squared distance to the
+    nearest level."""
+    return max(float(np.mean(sq_dist.min(axis=1))), 1e-30)
+
+
+def _log_priors(frame: SymbolFrame) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(frame.distribution.probabilities)
 
 
 def decide_and_ber(soft_symbols: np.ndarray, frame: SymbolFrame,
@@ -220,17 +253,11 @@ def decide_and_ber(soft_symbols: np.ndarray, frame: SymbolFrame,
     y = np.asarray(soft_symbols, dtype=float)
     if y.size != frame.n:
         raise ParameterError("soft symbols and frame must have equal length")
-    levels = frame.alphabet.levels
-    priors = frame.distribution.probabilities
-
+    sq_dist = _squared_distances(y, frame.alphabet.levels)
     if noise_variance is None:
-        noise_variance = decision_directed_variance(y, levels)
+        noise_variance = _variance_from_distances(sq_dist)
 
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(priors)
-    score = log_priors[None, :] - (y[:, None] - levels[None, :]) ** 2 / (
-        2.0 * noise_variance
-    )
+    score = _log_priors(frame)[None, :] - sq_dist / (2.0 * noise_variance)
     hard = np.argmax(score, axis=1)
     tx_bits = frame.bits()
     rx_bits = frame.alphabet.labels[hard]
@@ -240,36 +267,29 @@ def decide_and_ber(soft_symbols: np.ndarray, frame: SymbolFrame,
 
 def llr_compute(soft_symbols: np.ndarray, frame: SymbolFrame,
                 noise_variance: float | None = None) -> np.ndarray:
-    """Per-bit LLR log[P(b=0|y)/P(b=1|y)] with shaping priors, stabilized
-    through log-sum-exp. Returns an (n, label_bits) array.
+    """Per-bit LLR log[P(b=0|y)/P(b=1|y)] with shaping priors, clipped to
+    +-``LLR_CAP``. Returns an (n, label_bits) array.
 
+    With the metric ``log prior - (y - level)^2 / 2 sigma^2`` and P its
+    exponential after subtracting each row's maximum, the LLRs are
+    ``log(P Z0) - log(P Z1)`` for the 0/1 label masks Z0 and Z1. A mask sum
+    underflows only where the true |LLR| exceeds 700, far beyond the cap.
     The noise variance is estimated from decision-directed residuals when
     not supplied."""
     y = np.asarray(soft_symbols, dtype=float)
-    levels = frame.alphabet.levels
+    sq_dist = _squared_distances(y, frame.alphabet.levels)
     if noise_variance is None:
-        noise_variance = decision_directed_variance(y, levels)
+        noise_variance = _variance_from_distances(sq_dist)
     if noise_variance <= 0:
         raise ParameterError("noise variance must be positive")
-    labels = frame.alphabet.labels
-    priors = frame.distribution.probabilities
+    metric = _log_priors(frame)[None, :] - sq_dist / (2.0 * noise_variance)
+    metric -= metric.max(axis=1, keepdims=True)
+    prob = np.exp(metric, out=metric)
+    zero = (frame.alphabet.labels == 0).astype(float)
+    # np.dot reaches BLAS for this tall, narrow product; matmul is ~30x slower
     with np.errstate(divide="ignore"):
-        log_priors = np.log(priors)
-
-    m = frame.alphabet.label_bits
-    out = np.empty((y.size, m))
-    chunk = 1 << 17
-    for a in range(0, y.size, chunk):
-        seg = y[a: a + chunk]
-        metric = log_priors[None, :] - (seg[:, None] - levels[None, :]) ** 2 / (
-            2.0 * noise_variance
-        )
-        for i in range(m):
-            zero_set = labels[:, i] == 0
-            num = logsumexp(metric[:, zero_set], axis=1)
-            den = logsumexp(metric[:, ~zero_set], axis=1)
-            out[a: a + chunk, i] = num - den
-    return out
+        llr = np.log(np.dot(prob, zero)) - np.log(np.dot(prob, 1.0 - zero))
+    return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
 
 
 def gmi_ngmi(llrs: np.ndarray, transmitted_bits: np.ndarray,

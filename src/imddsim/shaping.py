@@ -243,28 +243,40 @@ def entropy_bits(dist: SymbolDistribution) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def nu_for_entropy(target_bits: float, alphabet: PamAlphabet,
-                   tol_bits: float = 1e-6) -> float:
-    """Invert H(nu) by bisection; H is strictly decreasing in nu.
+def check_entropy_target(target_bits: float, alphabet: PamAlphabet,
+                         tol_bits: float = 1e-6, key: str | None = None) -> None:
+    """Raise a ``ParameterError`` (naming ``key``) unless ``target_bits`` is
+    a Maxwell-Boltzmann entropy of ``alphabet``.
 
     The attainable range is (H_min, log2 M], where H_min is the entropy of
     the limiting distribution on the minimum-|a| levels (1 bit for a
-    symmetric alphabet). Targets within 1e-3 bit above log2 M clamp to the
-    uniform limit, accepting conventional roundings such as 3.585 for PAM12.
+    symmetric alphabet). Targets within 1e-3 bit above log2 M are accepted
+    as the uniform limit (conventional roundings such as 3.585 for PAM12),
+    and targets within ``tol_bits`` of H_min as the floor.
     """
     h_max = np.log2(alphabet.size)
     if not 0 < target_bits <= h_max + 1e-3:
-        raise ParameterError(f"target entropy must lie in (0, {h_max:.6f}]")
-    if target_bits >= h_max - tol_bits:
-        return 0.0
-
+        raise ParameterError(f"target entropy must lie in (0, {h_max:.6f}]", key)
     min_sq = np.min(alphabet.levels**2)
     h_min = np.log2(np.sum(np.isclose(alphabet.levels**2, min_sq)))
     if target_bits < h_min - tol_bits:
         raise ParameterError(
             f"entropy {target_bits} unattainable; Maxwell-Boltzmann floor is "
-            f"{h_min:.6f} bits for this alphabet"
+            f"{h_min:.6f} bits for this alphabet", key
         )
+
+
+def nu_for_entropy(target_bits: float, alphabet: PamAlphabet,
+                   tol_bits: float = 1e-6) -> float:
+    """Invert H(nu) by bisection; H is strictly decreasing in nu.
+
+    The target must pass :func:`check_entropy_target`; targets within
+    ``tol_bits`` of log2 M clamp to the uniform limit, nu = 0.
+    """
+    check_entropy_target(target_bits, alphabet, tol_bits)
+    h_max = np.log2(alphabet.size)
+    if target_bits >= h_max - tol_bits:
+        return 0.0
 
     def h(nu: float) -> float:
         return entropy_bits(maxwell_boltzmann(nu, alphabet))

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import fast_link_config
+from imddsim import harness
 from imddsim.cli import main
 from imddsim.config import save_config
 from imddsim.harness import SweepResult, SweepRow, sweep_to_csv
@@ -40,11 +41,12 @@ class TestRunCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    def test_stage_tagged_diagnostics(self, tmp_path, capsys):
-        bad = fast_link_config(target_entropy_bits=0.4)
-        path = tmp_path / "bad.json"
-        save_config(bad, path)
-        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    def test_stage_tagged_diagnostics(self, monkeypatch, config_path, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(harness, "ccdm_encode", fail)
+        rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "[shaping]" in capsys.readouterr().err
 

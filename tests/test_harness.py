@@ -258,6 +258,12 @@ _BAD_VALUES = [
     ({"plan.awg_rate_hz": 0.0}, "plan.awg_rate_hz"),
     ({"modulation": "uniform_pamN", "pam_order": 1}, "pam_order"),
     ({"modulation": "ps_pam12", "pam_order": 8}, "pam_order"),
+    ({"target_entropy_bits": 5.0}, "target_entropy_bits"),
+    ({"target_entropy_bits": 0.9}, "target_entropy_bits"),
+    ({"channel.obpf_bandwidth_hz": -5.0}, "channel.obpf_bandwidth_hz"),
+    ({"channel.obpf_bandwidth_hz": 0.0}, "channel.obpf_bandwidth_hz"),
+    ({"channel.wavelength_nm": 0.0}, "channel.wavelength_nm"),
+    ({"channel.obpf_cd_trim_km": -3.0}, "channel.obpf_cd_trim_km"),
 ]
 
 
@@ -415,11 +421,15 @@ class TestRunLink:
             3.0 * rep.required_code_rate * 216.0
         )
 
-    def test_stage_error_tagging(self, fast_config):
-        bad = replace(fast_config, target_entropy_bits=0.5)
+    def test_stage_error_tagging(self, monkeypatch, fast_config):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(harness, "ccdm_encode", fail)
         with pytest.raises(StageError) as err:
-            run_link(bad)
+            run_link(fast_config)
         assert err.value.stage == "shaping"
+        assert isinstance(err.value.cause, FloatingPointError)
 
     @pytest.mark.parametrize("name, modulation", [
         ("gmi_ngmi", "ps_pam12"),
@@ -484,6 +494,12 @@ class TestSweeps:
         result = sweep_entropy(fast_config, [3.2, 3.2])
         seeds = [r.report.seed for r in result.rows]
         assert seeds[0] != seeds[1]
+
+    def test_unattainable_entropy_is_a_row_error(self, fast_config):
+        result = sweep_entropy(fast_config, [3.2, 5.0])
+        bad = {r.parameter: r for r in result.rows}[5.0]
+        assert bad.report is None
+        assert "target_entropy_bits" in bad.error
 
     def test_entropy_sweep_requires_ps(self):
         cfg = fast_link_config(modulation="uniform_pam8")

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
+from scipy.special import logsumexp
 from scipy.stats import norm
 
-from imddsim.errors import NoRateError, ParameterError, SyncError
+from imddsim.errors import EqualizerDivergenceError, NoRateError, ParameterError, SyncError
 from imddsim.rxdsp import (
     CSV_HEADER,
+    LLR_CAP,
+    LMS_BLOCK,
     MetricsReport,
     RateTable,
     decide_and_ber,
@@ -19,7 +24,13 @@ from imddsim.rxdsp import (
     required_code_rate,
     synchronize,
 )
-from imddsim.shaping import PamAlphabet, SymbolDistribution, SymbolFrame, uniform_frame
+from imddsim.shaping import (
+    PamAlphabet,
+    SymbolDistribution,
+    SymbolFrame,
+    maxwell_boltzmann,
+    uniform_frame,
+)
 from imddsim.sigcore import SampledWaveform, bin_centered_frequency, nmse_db, tone_amplitude
 from imddsim.txdsp import rrc_upsample
 
@@ -134,6 +145,40 @@ class TestSynchronize:
             synchronize(wave, rng.normal(size=256))
 
 
+def reference_lms(received, reference, tap_count, step_size, train_fraction,
+                  train_passes):
+    """Oracle: the per-symbol LMS recursion, one tap update per training
+    symbol, and the tenfold-growth divergence rule. Returns (equalized
+    symbols, taps, final training MSE)."""
+    x = np.asarray(received, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    n_sym = min(x.size // 2, ref.size)
+    x = x * (np.sqrt(np.mean(ref**2)) / np.sqrt(np.mean(x**2)))
+    half = (tap_count - 1) // 2
+    xp = np.concatenate([x[-half:], x, x[:tap_count]])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, tap_count)
+    w = np.zeros(tap_count)
+    w[half] = 1.0
+    n_train = int(n_sym * train_fraction)
+    errs = np.empty(n_train)
+    for _ in range(train_passes):
+        for k in range(n_train):
+            v = windows[2 * k]
+            e = ref[k] - float(v @ w)
+            errs[k] = e * e
+            w = w + 2.0 * step_size * e * v
+    window = max(1, n_train // 10)
+    final_mse = float(np.mean(errs[-window:])) if n_train else 0.0
+    if n_train >= 20 and final_mse > 10.0 * np.mean(errs[:window]):
+        raise EqualizerDivergenceError("training MSE grew tenfold")
+    out = np.array([windows[2 * k] @ w for k in range(n_train, n_sym)])
+    return out, w, final_mse
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
 class TestFfe:
     def make_2sps(self, symbols, channel=None, snr_db=None, seed=0, rolloff=0.1):
         s = symbols if channel is None else np.convolve(symbols, channel, "full")[: symbols.size]
@@ -184,6 +229,50 @@ class TestFfe:
     def test_even_taps_rejected(self):
         with pytest.raises(ParameterError):
             ffe_train_apply(np.zeros(4096), np.zeros(2048), tap_count=30)
+
+    @pytest.mark.parametrize("step_size", [0.05, 0.2, 1.0, 10.0])
+    def test_divergence_raises(self, step_size):
+        # 0.05 grows the training error by ~1e100; from 0.2 up it overflows
+        rng = np.random.default_rng(4)
+        levels = np.arange(-3, 4, 2) / np.sqrt(5)
+        sym = levels[rng.integers(0, 4, 1 << 12)]
+        x = self.make_2sps(sym)
+        with pytest.raises(EqualizerDivergenceError):
+            ffe_train_apply(x, sym, tap_count=31, step_size=step_size,
+                            train_fraction=0.3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(taps=st.integers(0, 31).map(lambda k: 2 * k + 1),
+           step=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+           passes=st.integers(1, 4),
+           n_sym=st.integers(260, 1200),
+           fraction=st.floats(0.05, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(taps=63, step=0.1, passes=4, n_sym=1000, fraction=0.3, seed=1)
+    @example(taps=1, step=0.3, passes=2, n_sym=300, fraction=0.5, seed=2)
+    def test_block_form_matches_per_symbol_lms(self, taps, step, passes, n_sym,
+                                               fraction, seed):
+        n_train = int(n_sym * fraction)
+        if n_sym < 4 * taps or n_train % LMS_BLOCK == 0:
+            return
+        rng = np.random.default_rng(seed)
+        sym = rng.normal(size=n_sym)
+        channel = np.concatenate([[1.0], rng.uniform(-0.5, 0.5, 4)])
+        x = np.convolve(np.repeat(sym, 2), channel)[: 2 * n_sym]
+        x = x + 0.05 * rng.normal(size=x.size)
+        # step sizes are fractions of 1/taps, the stability limit for unit power
+        mu = step / taps
+        try:
+            ref_eq, ref_taps, ref_mse = reference_lms(x, sym, taps, mu, fraction, passes)
+        except EqualizerDivergenceError:
+            with pytest.raises(EqualizerDivergenceError):
+                ffe_train_apply(x, sym, taps, mu, fraction, passes)
+            return
+        eq, state = ffe_train_apply(x, sym, taps, mu, fraction, passes)
+        assert state.training_symbols == n_train
+        assert _max_rel(state.taps, ref_taps) <= 1e-12
+        assert _max_rel(eq, ref_eq) <= 1e-12
+        assert state.final_mse == pytest.approx(ref_mse, rel=1e-12, abs=0)
 
     def test_final_mse_finite(self):
         rng = np.random.default_rng(18)
@@ -284,6 +373,57 @@ class TestLlr:
         explicit = llr_compute(y, frame, noise_variance=sigma2)
         # decision-directed estimate lands near truth, so LLRs track closely
         assert np.allclose(auto, explicit, rtol=0.1, atol=0.5)
+
+
+def reference_llr(y, frame, noise_variance):
+    """Oracle: per-bit log-sum-exp over each label set, clipped to the cap."""
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(frame.distribution.probabilities)
+    metric = log_priors[None, :] - (y[:, None] - frame.alphabet.levels[None, :]) ** 2 / (
+        2.0 * noise_variance)
+    labels = frame.alphabet.labels
+    out = np.empty((y.size, frame.alphabet.label_bits))
+    for i in range(out.shape[1]):
+        zero_set = labels[:, i] == 0
+        out[:, i] = (logsumexp(metric[:, zero_set], axis=1)
+                     - logsumexp(metric[:, ~zero_set], axis=1))
+    return out, metric
+
+
+class TestLlrMatrixForm:
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([2, 4, 8, 12]),
+           nu=st.floats(0.0, 3.0),
+           log10_var=st.floats(-7.0, 1.0),
+           spread=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=12, nu=1.0, log10_var=-6.0, spread=30.0, seed=3)  # far tails
+    def test_matches_log_sum_exp(self, size, nu, log10_var, spread, seed):
+        alpha = PamAlphabet.pam12() if size == 12 else PamAlphabet.uniform(size)
+        dist = maxwell_boltzmann(nu, alpha)
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(-1.0 - spread, 1.0 + spread, 256)
+        frame = SymbolFrame(np.zeros(y.size, dtype=int), alpha, dist)
+        var = 10.0**log10_var
+        llr = llr_compute(y, frame, var)
+        raw, metric = reference_llr(y, frame, var)
+        expect = np.clip(raw, -LLR_CAP, LLR_CAP)
+        # both sides inherit the rounding of metrics of size max|metric|
+        tol = 1e-13 * max(1.0, float(np.max(np.abs(metric))))
+        assert np.all(np.abs(llr - expect) <= tol)
+        # beyond the cap the result is the cap itself, underflow or not
+        capped = np.abs(raw) >= LLR_CAP
+        assert np.array_equal(llr[capped], expect[capped])
+
+    def test_underflow_gives_exact_cap(self):
+        alpha = PamAlphabet.pam12()
+        frame = SymbolFrame(np.zeros(3, dtype=int), alpha, SymbolDistribution.uniform(12))
+        y = np.array([alpha.levels[0] - 20.0, alpha.levels[-1] + 20.0, 0.0])
+        raw, _ = reference_llr(y, frame, 1e-4)
+        assert np.min(np.abs(raw[:2])) > 745  # exp() of the gap underflows to 0
+        llr = llr_compute(y, frame, 1e-4)
+        assert np.array_equal(llr[:2], np.clip(raw[:2], -LLR_CAP, LLR_CAP))
+        assert set(np.abs(llr[:2]).ravel()) == {LLR_CAP}
 
 
 class TestGmiNgmi:
