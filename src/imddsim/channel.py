@@ -9,7 +9,6 @@ short single-span links.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,40 +94,20 @@ def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
                            "optical_field")
 
 
-def obpf(field: SampledWaveform, freq_hz: np.ndarray,
-         response: np.ndarray) -> SampledWaveform:
-    """Programmable optical filter on the complex envelope.
-
-    The table is interpolated on signed baseband frequencies. A table given
-    only for f >= 0 is mirrored evenly (H(-f) = H(f)), which covers plain
-    bandpass shapes, inverse-photodiode magnitude trims, and quadratic-phase
-    dispersion trims alike.
+def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
+         wavelength_nm: float, trim_km: float = 0.0) -> SampledWaveform:
+    """Programmable optical filter on the complex envelope: a brick-wall
+    passband ``bandwidth_hz`` wide centred on the carrier (None passes every
+    bin) times the all-pass that undoes the dispersion of ``trim_km`` of
+    ``fiber``. Both depend on |f| only, so the response is even in f. With
+    neither, the field passes unchanged.
     """
     if field.domain_tag != "optical_field":
         raise ParameterError("obpf expects an optical field envelope")
-    f = np.asarray(freq_hz, dtype=float)
-    h = np.asarray(response, dtype=np.complex128)
-    if f.size != h.size or f.size < 2 or np.any(np.diff(f) <= 0):
-        raise ParameterError("response table must be ascending in frequency")
-    grid = field.freqs()
-    lookup = np.abs(grid) if f.min() >= 0 else grid
-    hr = np.interp(lookup, f, h.real)
-    hi = np.interp(lookup, f, h.imag)
-    return field.with_spectrum(field.spectrum * (hr + 1j * hi))
-
-
-def multicore_batch(configs, run_fn=None):
-    """Run independent per-core simulations (uncoupled cores, no crosstalk).
-
-    ``configs`` share device models but must carry distinct seeds; the
-    delay-line decorrelation of the experiment maps to seed decorrelation
-    here. Returns one metrics report per core, in input order.
-    """
-    configs = list(configs)
-    seeds = [cfg.seed for cfg in configs]
-    if len(set(seeds)) != len(seeds):
-        warnings.warn("duplicate seeds across cores defeat decorrelation",
-                      stacklevel=2)
-    if run_fn is None:
-        from .harness import run_link as run_fn
-    return [run_fn(cfg) for cfg in configs]
+    if bandwidth_hz is None and trim_km == 0:
+        return field
+    f = np.abs(field.freqs())
+    resp = np.exp(-1j * dispersion_phase(f, fiber, wavelength_nm, trim_km))
+    if bandwidth_hz is not None:
+        resp[f > bandwidth_hz / 2] = 0.0
+    return field.with_spectrum(field.spectrum * resp)

@@ -20,11 +20,10 @@ from scipy.optimize import brentq
 from .errors import ParameterError
 from .sigcore import (
     SampledWaveform,
-    _bessel_response,
     apply_filter,
     band_energy_fraction,
-    highpass,
-    lowpass,
+    bessel_response,
+    filter_response,
     require_real,
     resample,
 )
@@ -166,9 +165,10 @@ def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
     up = resample(wave, analog_rate_hz)
-    droop = np.sinc(up.freqs() / wave.sample_rate_hz)
+    freqs = up.freqs()
+    droop = np.sinc(freqs / wave.sample_rate_hz)
     return apply_filter(up.with_spectrum(up.spectrum * droop),
-                        lowpass(bandwidth_hz, analog=True, order=bandwidth_order))
+                        bessel_response(freqs, bandwidth_hz, bandwidth_order))
 
 
 def mixer_upconvert(if_wave: SampledWaveform, model: MixerModel) -> SampledWaveform:
@@ -233,7 +233,7 @@ def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     """Bandwidth filter, then linear gain, then optional tanh saturation
     referenced to the input 1-dB compression level."""
     out = apply_filter(
-        wave, lowpass(model.bandwidth_hz, analog=True, order=model.bandwidth_order)
+        wave, bessel_response(wave.freqs(), model.bandwidth_hz, model.bandwidth_order)
     )
     g = 10 ** (model.gain_db / 20.0)
     if model.compression_in_1db is None:
@@ -250,7 +250,7 @@ def bessel_group_delay_dc(cutoff_hz: float, order: int = 4) -> float:
     the way a lab path-matches the two arms.
     """
     f = cutoff_hz * 1e-4
-    h = _bessel_response(np.array([f, 2 * f]), cutoff_hz, "lowpass", order)
+    h = bessel_response(np.array([f, 2 * f]), cutoff_hz, order)
     return float((np.angle(h[0]) - np.angle(h[1])) / (2 * np.pi * f))
 
 
@@ -259,7 +259,7 @@ def _mzm_bandwidth_cutoff(model: MzmModel) -> float:
     target = 10 ** (-model.bandwidth_atten_db / 20.0)
 
     def mag_at(x):
-        return abs(_bessel_response(np.array([x]), 1.0, "lowpass", 2)[0]) - target
+        return abs(bessel_response(np.array([x]), 1.0, 2)[0]) - target
 
     return model.bandwidth_hz / brentq(mag_at, 0.1, 50.0)
 
@@ -270,7 +270,7 @@ def mzm_modulate(drive: SampledWaveform, laser: LaserModel,
     modulator bandwidth filter on the drive."""
     require_real(drive, "MZM drive")
     v = apply_filter(
-        drive, lowpass(_mzm_bandwidth_cutoff(model), analog=True, order=2)
+        drive, bessel_response(drive.freqs(), _mzm_bandwidth_cutoff(model), 2)
     ).real
     amp = np.sqrt(laser.power_w) * 10 ** (-model.insertion_loss_db / 20.0)
     field = amp * np.cos(np.pi * (v - model.bias) / (2.0 * model.v_pi_volts))
@@ -285,7 +285,7 @@ def mzm_modulate(drive: SampledWaveform, laser: LaserModel,
 def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  plan: BandPlan, analog_rate_hz: float,
                  mixer: MixerModel | None = None,
-                 analog_hpf=None,
+                 hpf_transition_hz: float = 2e9,
                  dac_bandwidth_hz: float | None = None,
                  dac_resolution_bits: int | None = None,
                  gain_imbalance_db: float = 0.0,
@@ -294,8 +294,9 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     """Reconstruct the wideband signal from the two AWG records.
 
     With the defaults every element is ideal: exact resampling instead of a
-    ZOH DAC, a unity-SSB-gain leak-free mixer, a sharp linear-phase HPF at
-    the plan's analog cutoff, no upper-path amplifier, and a perfectly
+    ZOH DAC, a unity-SSB-gain leak-free mixer, a linear-phase HPF at the
+    plan's analog cutoff with a ``hpf_transition_hz`` transition (the
+    complement of the FIR lowpass), no upper-path amplifier, and a perfectly
     balanced combiner. The transmitter runs the same path with its device
     models.
 
@@ -319,8 +320,9 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                         - 2 * np.pi * plan.lo_frequency_hz * tau_if)
     upper_rf = mixer_upconvert(upper_if, mixer)
 
-    hpf = analog_hpf if analog_hpf is not None else highpass(plan.analog_hpf_cutoff_hz)
-    upper_rf = apply_filter(upper_rf, hpf)
+    lpf = filter_response(plan.analog_hpf_cutoff_hz, hpf_transition_hz,
+                          upper_rf.n, upper_rf.sample_rate_hz)
+    upper_rf = apply_filter(upper_rf, 1.0 - lpf)
     if upper_amplifier is not None:
         upper_rf = amplify(upper_rf, upper_amplifier)
     return combine(lower, upper_rf, gain_imbalance_db, skew_s)

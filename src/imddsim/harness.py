@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import LinkConfig, config_to_dict
-from .channel import dispersion_phase, obpf, optical_amplify, propagate
+from .channel import obpf, optical_amplify, propagate
 from .errors import ParameterError, StageError
 from .frontend import (
     _mzm_bandwidth_cutoff,
@@ -40,7 +40,6 @@ from .rxdsp import (
     gmi_ngmi,
     llr_compute,
     net_bitrate_ps,
-    net_bitrate_uniform,
     photodetect,
     required_code_rate,
     synchronize,
@@ -58,7 +57,7 @@ from .shaping import (
     pas_assemble,
     uniform_frame,
 )
-from .sigcore import SampledWaveform, _bessel_response, highpass, resample
+from .sigcore import SampledWaveform, bessel_response, resample
 from .txdsp import (
     apply_volterra,
     band_split,
@@ -133,7 +132,7 @@ def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
     rolloffs = [(amp.bandwidth_hz, amp.bandwidth_order) for amp in amps]
     rolloffs.append((_mzm_bandwidth_cutoff(tx.mzm), 2))
     for cutoff_hz, order in rolloffs:
-        mag *= np.abs(_bessel_response(rf_freq_hz, cutoff_hz, "lowpass", order))
+        mag *= np.abs(bessel_response(rf_freq_hz, cutoff_hz, order))
     return mag
 
 
@@ -143,16 +142,19 @@ def _preemphasize(config: LinkConfig, lower: SampledWaveform,
     nyq = plan.awg_rate_hz / 2
     f = np.linspace(0.0, nyq, 2049)
     zoh_awg = np.abs(np.sinc(f / plan.awg_rate_hz)) * np.abs(
-        _bessel_response(f, plan.awg_bandwidth_hz, "lowpass", 4)
+        bessel_response(f, plan.awg_bandwidth_hz, 4)
     )
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
     resp_upper = zoh_awg * _tx_chain_magnitude(
         config, f + plan.lo_frequency_hz, upper_path=True
     )
+    # the design table, interpolated onto the AWG grid both bands share
+    grid = np.abs(lower.freqs())
+    lower_h = np.interp(grid, f, resp_lower / resp_lower.max())
+    upper_h = np.interp(grid, f, resp_upper / resp_upper.max())
     boost = config.dsp.preemphasis_max_boost_db
-    lower = linear_preemphasis(lower, f, resp_lower / resp_lower.max(), boost)
-    upper = linear_preemphasis(upper, f, resp_upper / resp_upper.max(), boost)
-    return lower, upper
+    return (linear_preemphasis(lower, lower_h, boost),
+            linear_preemphasis(upper, upper_h, boost))
 
 
 def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
@@ -166,7 +168,7 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
 
     wideband = stitch_bands(
         lower, upper, plan, tx.analog_rate_hz, mixer=tx.mixer,
-        analog_hpf=highpass(plan.analog_hpf_cutoff_hz, tx.analog_hpf_transition_hz),
+        hpf_transition_hz=tx.analog_hpf_transition_hz,
         dac_bandwidth_hz=plan.awg_bandwidth_hz,
         dac_resolution_bits=tx.awg_resolution_bits,
         gain_imbalance_db=tx.combiner_imbalance_db, skew_s=tx.combiner_skew_s,
@@ -185,15 +187,8 @@ def _through_channel(config: LinkConfig, field: SampledWaveform,
     chan = config.channel
     field = propagate(field, chan.fiber, chan.wavelength_nm)
     field = optical_amplify(field, chan.amplifier, seed_ase)
-    if chan.obpf_bandwidth_hz is not None or chan.obpf_cd_trim_km > 0:
-        # the record's own non-negative bins, so the table is exact per bin
-        f = np.abs(field.freqs()[: field.n // 2 + 1])
-        resp = np.exp(-1j * dispersion_phase(f, chan.fiber, chan.wavelength_nm,
-                                             chan.obpf_cd_trim_km))
-        if chan.obpf_bandwidth_hz is not None:
-            resp[f > chan.obpf_bandwidth_hz / 2] = 0.0
-        field = obpf(field, f, resp)
-    return field
+    return obpf(field, chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm,
+                chan.obpf_cd_trim_km)
 
 
 def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
@@ -204,10 +199,7 @@ def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
                           rx.pd_thermal_noise_density, seed_thermal)
     digital = digitize(current, rx.dso_rate_hz, rx.dso_bandwidth_hz,
                        rx.dso_resolution_bits)
-    spectrum = digital.spectrum.copy()
-    spectrum[0] = 0.0  # AC coupling: the mean removed
-    centered = digital.with_spectrum(spectrum)
-    two_sps = resample(centered, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
+    two_sps = resample(digital, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
     aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols],
                              SAMPLES_PER_SYMBOL)
     eq, state = ffe_train_apply(aligned.real, reference, dsp.ffe_taps,
@@ -328,12 +320,8 @@ def run_link(config: LinkConfig) -> MetricsReport:
     rate = _stage("metrology", required_code_rate, ngmi, config.rate_table())
 
     b_gbd = config.symbol_rate_gbd
-    if config.modulation == "ps_pam12":
-        achievable = _stage("metrology", net_bitrate_ps, h_bits, ngmi, b_gbd, m)
-        net = _stage("metrology", net_bitrate_ps, h_bits, rate, b_gbd, m)
-    else:
-        achievable = _stage("metrology", net_bitrate_uniform, ngmi, b_gbd, m)
-        net = _stage("metrology", net_bitrate_uniform, rate, b_gbd, m)
+    achievable = _stage("metrology", net_bitrate_ps, h_bits, ngmi, b_gbd, m)
+    net = _stage("metrology", net_bitrate_ps, h_bits, rate, b_gbd, m)
 
     return MetricsReport(
         ber=ber, gmi_bits=gmi, ngmi=ngmi, required_code_rate=rate,
@@ -405,17 +393,16 @@ def sweep_symbol_rate(base: LinkConfig, rates_gbd) -> SweepResult:
 
 
 def sweep_cores(base: LinkConfig, n_cores: int) -> SweepResult:
-    """Per-core batch over the uncoupled multicore fibre (distinct seeds)."""
-    from .channel import multicore_batch
+    """One run per core of the uncoupled multicore fibre (no crosstalk).
 
-    configs = []
-    for k in range(n_cores):
-        fiber = replace(base.channel.fiber, label=f"4CF-core-{k + 1}")
-        configs.append(replace(base, seed=base.seed + k,
-                               channel=replace(base.channel, fiber=fiber)))
-    reports = multicore_batch(configs)
-    rows = tuple(SweepRow(float(k + 1), rep) for k, rep in enumerate(reports))
-    return SweepResult("core", rows)
+    The cores share device models; the experiment's delay-line
+    decorrelation maps to seed decorrelation, so core k + 1 runs with seed
+    base.seed + k."""
+    def core(k):
+        fiber = replace(base.channel.fiber, label=f"4CF-core-{k}")
+        return replace(base, channel=replace(base.channel, fiber=fiber))
+
+    return _run_rows(base, "core", range(1, n_cores + 1), core)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@
 synchronization, T/2-spaced LMS equalizer, MAP decisions, bit LLRs,
 GMI/NGMI estimation, code-rate lookup, and the net-bitrate formulas.
 
-Bitrate conventions (symbol rate B in GBd, result in Gb/s):
-
-- shaped PAM:   C = (H - (1 - R) * m) * B   with m label bits (4 for PAM12)
-- uniform PAM8: C = 3 * R * B
-
-R is the NGMI for the achievable bitrate and the required code rate for the
-net bitrate.
+Bitrate convention (symbol rate B in GBd, result in Gb/s): every run uses
+C = (H - (1 - R) * m) * B with entropy H and m label bits (4 for PAM12).
+For uniform PAM8, H = m = 3 and this is the paper's 3 * R * B; for a
+uniform PAM-N with N not a power of two, H = log2 N < m. R is the NGMI for
+the achievable bitrate and the required code rate for the net bitrate, so
+the achievable bitrate never exceeds H * B.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import (
     SyncError,
 )
 from .shaping import SymbolFrame
-from .sigcore import SampledWaveform, apply_filter, lowpass, resample, rms
+from .sigcore import SampledWaveform, apply_filter, bessel_response, resample, rms
 
 LLR_CAP = 50.0
 
@@ -51,7 +50,7 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
         sigma = np.sqrt(thermal_noise_density * fld.sample_rate_hz)
         current = current + rng.normal(0, sigma, fld.n)
     wave = SampledWaveform(fld.sample_rate_hz, current, "photocurrent")
-    return apply_filter(wave, lowpass(bandwidth_hz, analog=True, order=4))
+    return apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz, 4))
 
 
 def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
@@ -59,7 +58,7 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
              resolution_bits: int | None = None) -> SampledWaveform:
     """Scope front end: bandwidth filter, resample to the ADC rate, optional
     uniform quantization."""
-    out = apply_filter(wave, lowpass(bandwidth_hz, analog=True, order=4))
+    out = apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz, 4))
     out = resample(out, rate_hz)
     if resolution_bits is not None:
         from .frontend import quantize_uniform
@@ -78,9 +77,10 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
     """Locate the frame by circular cross-correlation against the known
     preamble and re-time the record onto the symbol grid.
 
-    Returns the aligned waveform and the delay estimate in samples (at the
-    received rate). Polarity is left to the equalizer; the correlation uses
-    magnitudes, so an inverted photocurrent still locks.
+    Returns the aligned, mean-free waveform (the receiver is AC coupled)
+    and the delay estimate in samples (at the received rate). Polarity is
+    left to the equalizer; the correlation uses magnitudes, so an inverted
+    photocurrent still locks.
     """
     template = np.zeros(received.n)
     pre = np.asarray(preamble_symbols, dtype=float)
@@ -111,7 +111,7 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
         delay -= received.n  # wrapped negative delay
 
     freqs = np.fft.fftfreq(received.n)
-    aligned = received.spectrum * np.exp(2j * np.pi * freqs * delay)
+    aligned = x * np.exp(2j * np.pi * freqs * delay)
     return received.with_spectrum(aligned), delay
 
 
@@ -381,7 +381,10 @@ def net_bitrate_ps(h_bits: float, code_rate: float, symbol_rate_gbd: float,
 
 def net_bitrate_uniform(code_rate: float, symbol_rate_gbd: float,
                         bits_per_symbol: int = 3) -> float:
-    """Uniform-PAM bitrate m * R * B in Gb/s (3RB for PAM8)."""
+    """The paper's uniform-PAM bitrate m * R * B in Gb/s (3RB for PAM8).
+
+    It equals :func:`net_bitrate_ps` only when H = m, so runs price every
+    modulation with :func:`net_bitrate_ps`."""
     if not 0 < code_rate <= 1:
         raise ParameterError("code rate must lie in (0, 1]")
     return bits_per_symbol * code_rate * symbol_rate_gbd
@@ -417,6 +420,11 @@ class MetricsReport:
             raise ParameterError(f"NGMI {self.ngmi} outside [0, 1]")
         if self.net_bitrate_gbps > self.achievable_bitrate_gbps + 1e-9:
             raise ParameterError("net bitrate exceeds achievable bitrate")
+        # relative slack for rows read back from CSV, whose symbol rate
+        # carries 6 significant digits
+        if self.achievable_bitrate_gbps > (
+                self.entropy_bits * self.symbol_rate_gbd * (1 + 1e-5) + 1e-9):
+            raise ParameterError("achievable bitrate exceeds entropy x symbol rate")
         if min(self.net_bitrate_gbps, self.achievable_bitrate_gbps) < 0:
             raise ParameterError("bitrates must be non-negative")
 

@@ -18,21 +18,19 @@ Conventions used throughout the simulator:
   whole-bin spectrum shifts, since their tones sit on the record grid.
 - A spectrum built for an electrical or photocurrent waveform is made
   conjugate-symmetric: the spectrum of the real part of its inverse FFT.
-- "Digital" filter kinds (lowpass/highpass/fir_taps) are
-  linear-phase FIR prototypes (Kaiser windowed sinc) evaluated as zero-phase
-  real responses. Highpass is built complementary to the lowpass at the same
-  cutoff, so LPF + HPF sums to unity across the crossover.
-- "Analog" filters (``analog=True``) are Bessel responses of configurable
-  order evaluated with their phase, approximating lab hardware roll-offs.
-- The optical filter ``channel.obpf`` mirrors its response table (given
-  for f >= 0) evenly onto negative frequencies (H(-f) = H(f)), since it acts
-  on a complex field envelope.
+- A filter is a response array on the waveform's own FFT grid, and
+  :func:`apply_filter` multiplies it onto the spectrum. Three functions
+  cover the chain: :func:`bessel_response` (analog Bessel lowpass of any
+  order, with its phase, for the converter, amplifier, modulator,
+  photodiode and scope roll-offs), :func:`filter_response` (zero-phase
+  Kaiser windowed-sinc FIR lowpass; the highpass is ``1 - response``, so
+  the pair sums to unity across the crossover) and :func:`fir_response`
+  (explicit linear-phase taps with the center delay removed).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -174,50 +172,8 @@ def require_real(wave: SampledWaveform, what: str) -> None:
         raise ParameterError(f"{what} must be real")
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Declarative filter description consumed by :func:`apply_filter`.
-
-    ``kind`` selects the response family:
-
-    - ``lowpass`` / ``highpass``: sharp linear-phase FIR with
-      ``transition_width_hz`` transition (zero-phase application), or a
-      Bessel response of ``order`` poles when ``analog=True``.
-    - ``fir_taps``: explicit taps, applied with the center-tap group delay
-      removed.
-    """
-
-    kind: str
-    cutoff_hz: float | None = None
-    transition_width_hz: float = 2e9
-    taps: np.ndarray | None = None
-    analog: bool = False
-    order: int = 4
-
-    def __post_init__(self):
-        if self.kind not in ("fir_taps", "lowpass", "highpass"):
-            raise ParameterError(f"unknown filter kind {self.kind!r}")
-        if self.kind in ("lowpass", "highpass"):
-            if self.cutoff_hz is None or self.cutoff_hz <= 0:
-                raise ParameterError(f"{self.kind} requires a positive cutoff_hz")
-        if self.kind == "fir_taps" and (self.taps is None or len(self.taps) == 0):
-            raise ParameterError("fir_taps requires a non-empty tap vector")
-
-
-def lowpass(cutoff_hz: float, transition_width_hz: float = 2e9, analog: bool = False,
-            order: int = 4) -> FilterSpec:
-    return FilterSpec("lowpass", cutoff_hz=cutoff_hz,
-                      transition_width_hz=transition_width_hz, analog=analog, order=order)
-
-
-def highpass(cutoff_hz: float, transition_width_hz: float = 2e9, analog: bool = False,
-             order: int = 4) -> FilterSpec:
-    return FilterSpec("highpass", cutoff_hz=cutoff_hz,
-                      transition_width_hz=transition_width_hz, analog=analog, order=order)
-
-
 # ---------------------------------------------------------------------------
-# filter response construction
+# filter responses
 # ---------------------------------------------------------------------------
 
 def _windowed_sinc_taps(cutoff_hz: float, transition_width_hz: float,
@@ -233,12 +189,13 @@ def _windowed_sinc_taps(cutoff_hz: float, transition_width_hz: float,
     return _sig.firwin(numtaps, cutoff_hz, window=("kaiser", beta), fs=sample_rate_hz)
 
 
-def _zero_phase_fir_response(taps: np.ndarray, n: int) -> np.ndarray:
+def fir_response(taps: np.ndarray, n: int) -> np.ndarray:
     """Response of a linear-phase FIR on an n-point grid, center delay removed."""
     taps = np.asarray(taps, dtype=np.complex128)
-    if len(taps) > n:
+    if not 0 < len(taps) <= n:
         raise ParameterError(
-            f"filter prototype ({len(taps)} taps) exceeds record length {n}"
+            f"filter prototype ({len(taps)} taps) must be non-empty and fit "
+            f"the record length {n}"
         )
     padded = np.zeros(n, dtype=np.complex128)
     padded[: len(taps)] = taps
@@ -250,16 +207,34 @@ def _zero_phase_fir_response(taps: np.ndarray, n: int) -> np.ndarray:
     return resp
 
 
+def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
+                    sample_rate_hz: float) -> np.ndarray:
+    """Zero-phase Kaiser windowed-sinc lowpass on the n-point FFT grid at the
+    given rate. ``1 - response`` is the complementary highpass: the two sum
+    to unity across the crossover."""
+    nyq = sample_rate_hz / 2.0
+    if not 0 < cutoff_hz < nyq:
+        raise ParameterError(
+            f"cutoff {cutoff_hz:.3g} Hz outside (0, Nyquist {nyq:.3g} Hz)"
+        )
+    taps = _windowed_sinc_taps(cutoff_hz, transition_width_hz, sample_rate_hz, n)
+    return fir_response(taps, n)
+
+
 @functools.lru_cache(maxsize=128)
-def _bessel_design(cutoff_hz: float, btype: str, order: int):
+def _bessel_design(cutoff_hz: float, order: int):
     # designing costs a root search; a run evaluates the same few designs often
-    return _sig.bessel(order, 2 * np.pi * cutoff_hz, btype=btype, analog=True,
+    return _sig.bessel(order, 2 * np.pi * cutoff_hz, btype="lowpass", analog=True,
                        norm="mag")
 
 
-def _bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, btype: str,
-                     order: int) -> np.ndarray:
-    b, a = _bessel_design(cutoff_hz, btype, order)
+def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.ndarray:
+    """Analog Bessel lowpass of ``order`` poles (3-dB point at ``cutoff_hz``)
+    evaluated with its phase at ``freqs_hz``; closed form, so it may roll off
+    beyond Nyquist."""
+    if cutoff_hz <= 0:
+        raise ParameterError("Bessel cutoff must be positive")
+    b, a = _bessel_design(cutoff_hz, order)
     _, h = _sig.freqs(b, a, worN=2 * np.pi * np.abs(freqs_hz))
     h = np.asarray(h, dtype=np.complex128)
     # real filter: enforce conjugate symmetry for the negative-frequency bins
@@ -267,31 +242,14 @@ def _bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, btype: str,
     return h
 
 
-def filter_response(spec: FilterSpec, n: int, sample_rate_hz: float) -> np.ndarray:
-    """Complex response of ``spec`` on the n-point FFT grid at the given rate."""
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
-    if spec.kind == "fir_taps":
-        return _zero_phase_fir_response(np.asarray(spec.taps), n)
-
-    # analog (Bessel) responses are closed-form and may roll off beyond
-    # Nyquist; FIR designs need their cutoff inside the band
-    if spec.analog:
-        return _bessel_response(freqs, spec.cutoff_hz, spec.kind, spec.order)
-    nyq = sample_rate_hz / 2.0
-    if spec.cutoff_hz >= nyq:
+def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform:
+    """Filter a waveform: its spectrum times ``response``, given on the
+    waveform's own FFT grid (``wave.freqs()``), so length is preserved."""
+    if np.shape(response) != (wave.n,):
         raise ParameterError(
-            f"cutoff {spec.cutoff_hz:.3g} Hz >= Nyquist {nyq:.3g} Hz"
+            f"response of shape {np.shape(response)} is not on the {wave.n}-bin grid"
         )
-    taps = _windowed_sinc_taps(spec.cutoff_hz, spec.transition_width_hz,
-                               sample_rate_hz, n)
-    lp = _zero_phase_fir_response(taps, n)
-    return lp if spec.kind == "lowpass" else 1.0 - lp
-
-
-def apply_filter(wave: SampledWaveform, spec: FilterSpec) -> SampledWaveform:
-    """Filter a waveform: its spectrum times the response (length preserved)."""
-    h = filter_response(spec, wave.n, wave.sample_rate_hz)
-    return wave.with_spectrum(wave.spectrum * h)
+    return wave.with_spectrum(wave.spectrum * response)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .sigcore import (
-    FilterSpec,
     SampledWaveform,
     apply_filter,
     design_rrc,
     filter_response,
-    lowpass,
+    fir_response,
     require_real,
     resample,
 )
@@ -244,33 +243,24 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
     up = np.zeros(s.size * samples_per_symbol)
     up[::samples_per_symbol] = s
     wave = SampledWaveform(symbol_rate_hz * samples_per_symbol, up)
-    return apply_filter(wave, FilterSpec("fir_taps", taps=taps))
+    return apply_filter(wave, fir_response(taps, wave.n))
 
 
-def linear_preemphasis(wave: SampledWaveform, freq_hz: np.ndarray,
-                       response: np.ndarray,
-                       max_boost_db: float | None = 20.0) -> SampledWaveform:
-    """Magnitude-inverse pre-equalization of a device chain response.
+def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
+                       max_boost_db: float = 20.0) -> SampledWaveform:
+    """Magnitude-inverse pre-equalization of a device chain ``response``
+    given on the waveform's own FFT grid.
 
-    Boost is clipped at ``max_boost_db`` (None disables clipping, in which
-    case zeros in the response are an error). Phase is left untouched; the
-    receiver equalizer owns residual phase.
+    Boost is clipped at ``max_boost_db``, which also covers zeros in the
+    response. Phase is left untouched; the receiver equalizer owns residual
+    phase.
     """
-    freq_hz = np.asarray(freq_hz, dtype=float)
-    mag = np.abs(np.asarray(response, dtype=np.complex128))
-    nyq = wave.sample_rate_hz / 2
-    if freq_hz.min() > 0 or freq_hz.max() < nyq - 1e-6:
-        raise ParameterError("response table must cover [0, Nyquist]")
-
-    h_mag = np.interp(np.abs(wave.freqs()), freq_hz, mag)
-    if max_boost_db is None:
-        if np.any(h_mag <= 0):
-            raise ParameterError("response has zeros and boost clipping is disabled")
-        boost = 1.0 / h_mag
-    else:
-        cap = 10 ** (max_boost_db / 20.0)
-        with np.errstate(divide="ignore"):
-            boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
+    h_mag = np.abs(response)
+    if h_mag.shape != (wave.n,):
+        raise ParameterError(f"response is not on the {wave.n}-bin grid")
+    cap = 10 ** (max_boost_db / 20.0)
+    with np.errstate(divide="ignore"):
+        boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
     return wave.with_spectrum(wave.spectrum * boost)
 
 
@@ -320,8 +310,7 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
 
-    lp = filter_response(lowpass(plan.crossover_hz, plan.crossover_transition_hz),
-                         n, rate)
+    lp = filter_response(plan.crossover_hz, plan.crossover_transition_hz, n, rate)
     hp = 1.0 - lp
 
     spectrum = wave.spectrum
@@ -342,6 +331,6 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     if_wave = SampledWaveform.from_spectrum(rate, np.roll(analytic, -k))
 
     aa_cutoff = min(plan.awg_bandwidth_hz, 0.49 * plan.awg_rate_hz)
-    if_wave = apply_filter(if_wave, lowpass(aa_cutoff))
+    if_wave = apply_filter(if_wave, filter_response(aa_cutoff, 2e9, n, rate))
     upper_wave = resample(if_wave, plan.awg_rate_hz)
     return lower_wave, upper_wave

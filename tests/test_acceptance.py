@@ -40,7 +40,7 @@ from imddsim.txdsp import (
     fit_volterra,
     rrc_upsample,
 )
-from imddsim.harness import run_link, sweep_entropy
+from imddsim.harness import run_link, sweep_cores, sweep_entropy
 
 
 def _report(criterion: str, ok: bool):
@@ -295,10 +295,8 @@ def test_criterion_10_determinism_and_transparency():
     second = run_link(cfg)
     deterministic = first == second
 
-    # same runs executed through the batch path must be bit-identical too
-    from imddsim.channel import multicore_batch
-
-    batch = multicore_batch([cfg, cfg.with_seed(cfg.seed + 1)])
+    # same runs executed through the per-core batch must be bit-identical too
+    batch = sweep_cores(cfg, 2).reports()
     replay = [run_link(cfg), run_link(cfg.with_seed(cfg.seed + 1))]
     batch_stable = batch == replay
     detail = "; ".join(failures) or f"{len(TRANSPARENT_SEEDS)} seeds transparent"

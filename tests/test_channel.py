@@ -6,7 +6,6 @@ from imddsim.channel import (
     FiberSpec,
     OpticalAmpSpec,
     dispersion_coefficient,
-    multicore_batch,
     obpf,
     optical_amplify,
     propagate,
@@ -116,7 +115,8 @@ class TestOpticalAmplify:
 class TestObpf:
     def test_unit_response_identity(self):
         w = gaussian_pulse(5e-12)
-        out = obpf(w, np.array([0.0, RATE / 2]), np.array([1.0, 1.0]))
+        assert obpf(w, None, O_FIBER, 1310.0) is w
+        out = obpf(w, RATE, O_FIBER, 1310.0)  # passband wider than the grid
         assert nmse_db(w, out) < -150
 
     def test_cd_trim_inverts_propagation(self):
@@ -124,10 +124,7 @@ class TestObpf:
         lam = 1330.0
         spec = FiberSpec(8.0, attenuation_db_km=0.0)
         dispersed = propagate(w, spec, lam)
-        d_si = dispersion_coefficient(lam, spec) * 1e-6
-        f = np.linspace(0, RATE / 2, 4097)
-        phase = np.pi * (lam * 1e-9) ** 2 * d_si * spec.length_km * 1e3 * f**2 / C_M_S
-        out = obpf(dispersed, f, np.exp(-1j * phase))
+        out = obpf(dispersed, None, spec, lam, trim_km=spec.length_km)
         assert nmse_db(w, out) < -60
 
     def test_brickwall_bandpass_on_noise(self):
@@ -136,31 +133,9 @@ class TestObpf:
         w = SampledWaveform(RATE, rng.normal(size=n) + 1j * rng.normal(size=n),
                             "optical_field")
         bw = 100e9
-        f = np.array([0.0, bw / 2, bw / 2 + RATE / n, RATE / 2])
-        h = np.array([1.0, 1.0, 0.0, 0.0])
-        out = obpf(w, f, h)
+        out = obpf(w, bw, O_FIBER, 1310.0)
         spec = np.abs(np.fft.fft(out.samples)) ** 2
         freqs = np.abs(np.fft.fftfreq(n, 1 / RATE))
         inside = spec[freqs <= bw / 2].mean()
         outside = spec[freqs > bw / 2 + 2 * RATE / n].mean()
         assert 10 * np.log10(outside / inside) < -60
-
-
-class TestMulticoreBatch:
-    class StubConfig:
-        def __init__(self, seed):
-            self.seed = seed
-
-    def test_runs_per_core_in_order(self):
-        configs = [self.StubConfig(s) for s in (1, 2, 3, 4)]
-        out = multicore_batch(configs, run_fn=lambda c: ("report", c.seed))
-        assert out == [("report", 1), ("report", 2), ("report", 3), ("report", 4)]
-
-    def test_duplicate_seeds_warn(self):
-        configs = [self.StubConfig(7), self.StubConfig(7)]
-        with pytest.warns(UserWarning, match="duplicate seeds"):
-            multicore_batch(configs, run_fn=lambda c: c.seed)
-
-    def test_single_core_is_plain_run(self):
-        out = multicore_batch([self.StubConfig(5)], run_fn=lambda c: c.seed * 10)
-        assert out == [50]

@@ -434,7 +434,7 @@ class TestRunLink:
     @pytest.mark.parametrize("name, modulation", [
         ("gmi_ngmi", "ps_pam12"),
         ("net_bitrate_ps", "ps_pam12"),
-        ("net_bitrate_uniform", "uniform_pam8"),
+        ("net_bitrate_ps", "uniform_pam8"),
     ])
     def test_metrology_failure_tagged(self, monkeypatch, name, modulation):
         def fail(*args, **kwargs):
@@ -455,6 +455,15 @@ class TestRunLink:
         assert rep.net_bitrate_gbps == pytest.approx(
             2.0 * rep.required_code_rate * 216.0
         )
+
+    def test_uniform_pam6_priced_at_its_entropy(self):
+        # PAM6 carries log2 6 = 2.585 bits on 3-bit labels: a transparent link
+        # reaches H * B, not the 3 * B of the PAM8 formula
+        rep = run_link(fast_link_config(seed=3, modulation="uniform_pamN", pam_order=6))
+        assert rep.label_bits == 3
+        assert rep.ngmi == pytest.approx(1.0, abs=1e-9)
+        assert rep.achievable_bitrate_gbps == pytest.approx(np.log2(6) * 216.0)
+        assert rep.net_bitrate_gbps <= rep.achievable_bitrate_gbps
 
     def test_volterra_dpd_path_runs(self):
         cfg = fast_link_config(
@@ -562,10 +571,25 @@ class TestSweeps:
         lossy_amp = replace(cfg.channel.amplifier, gain_db=-3.0)
         lossy = replace(cfg, seed=cfg.seed + 10,
                         channel=replace(cfg.channel, amplifier=lossy_amp))
-        from imddsim.channel import multicore_batch
-
-        reports = multicore_batch([cfg, cfg.with_seed(cfg.seed + 1), lossy])
+        reports = [run_link(c) for c in (cfg, cfg.with_seed(cfg.seed + 1), lossy)]
         assert min(r.ngmi for r in reports) == reports[2].ngmi
+
+    def test_failing_core_is_a_row_error(self, monkeypatch):
+        cfg = fast_link_config(noise_density=2e-17)
+        real_run = harness.run_link
+
+        def run(config):
+            if config.seed == cfg.seed + 1:
+                raise StageError("rxdsp", RuntimeError("core 2 lost sync"))
+            return real_run(config)
+
+        monkeypatch.setattr(harness, "run_link", run)
+        result = sweep_cores(cfg, 3)
+        assert [r.parameter for r in result.rows] == [1.0, 2.0, 3.0]
+        assert [r.report is None for r in result.rows] == [False, True, False]
+        assert "core 2 lost sync" in result.rows[1].error
+        seeds = [r.report.seed for r in result.rows if r.report]
+        assert seeds == [cfg.seed, cfg.seed + 2]
 
 
 class TestEmitOutputs:

@@ -138,6 +138,14 @@ class TestSynchronize:
         ref, _ = self.make_link_wave()
         assert nmse_db(ref, aligned) < -35
 
+    def test_aligned_record_is_mean_free(self):
+        wave, sym = self.make_link_wave(delay_samples=40.0)
+        biased, delay = synchronize(wave.with_samples(wave.real + 0.7), sym[:256])
+        plain, _ = synchronize(wave, sym[:256])
+        assert biased.spectrum[0] == 0
+        assert abs(delay - 40.0) < 0.2
+        assert np.allclose(plain.real, biased.real, atol=1e-12)
+
     def test_pure_noise_fails(self):
         rng = np.random.default_rng(3)
         wave = SampledWaveform(100e9, rng.normal(size=4096))
@@ -539,6 +547,28 @@ class TestMetricsReport:
         back = MetricsReport.from_csv_row(row)
         assert back.to_csv_row() == row
         assert back.label_bits == 4 and back.seed == 7
+
+    def test_achievable_above_entropy_rate_rejected(self):
+        # PAM6 priced by the PAM8 formula: 3 * 216 against H * B = 558.35
+        with pytest.raises(ParameterError):
+            MetricsReport(
+                ber=0.0, gmi_bits=np.log2(6), ngmi=1.0, required_code_rate=1.0,
+                achievable_bitrate_gbps=648.0, net_bitrate_gbps=648.0,
+                symbol_rate_gbd=216.0, entropy_bits=np.log2(6), label_bits=3, seed=3,
+            )
+
+    @pytest.mark.parametrize("h_bits, baud", [(2.0261963023127185, 216.0),
+                                              (3.446717589985189, 215.123456)])
+    def test_transparent_row_survives_csv(self, h_bits, baud):
+        # H and the bitrate keep 9 significant digits and B keeps 6, so H * B
+        # recomputed from the row can fall below the rounded bitrate
+        rep = MetricsReport(
+            ber=0.0, gmi_bits=h_bits, ngmi=1.0, required_code_rate=1.0,
+            achievable_bitrate_gbps=h_bits * baud, net_bitrate_gbps=h_bits * baud,
+            symbol_rate_gbd=baud, entropy_bits=h_bits, label_bits=4, seed=1,
+        )
+        row = MetricsReport.from_csv_row(rep.to_csv_row())
+        assert row.achievable_bitrate_gbps > row.entropy_bits * row.symbol_rate_gbd
 
     def test_net_above_achievable_rejected(self):
         with pytest.raises(ParameterError):

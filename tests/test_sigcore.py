@@ -4,17 +4,22 @@ import pytest
 from imddsim import sigcore
 from imddsim.errors import ParameterError
 from imddsim.sigcore import (
-    FilterSpec,
     SampledWaveform,
     apply_filter,
+    bessel_response,
     design_rrc,
-    lowpass,
+    filter_response,
+    fir_response,
     nmse_db,
     resample,
     tone_amplitude,
 )
 
 RATE = 512e9
+
+
+def lowpass(wave, cutoff_hz, transition_hz=2e9):
+    return filter_response(cutoff_hz, transition_hz, wave.n, wave.sample_rate_hz)
 
 
 def tone(freq_hz, n=8192, rate=RATE, amp=1.0):
@@ -99,34 +104,36 @@ class TestDesignRrc:
 class TestApplyFilter:
     def test_allpass_identity(self):
         w = bandlimited_noise(4096, RATE, 200e9, seed=1)
-        out = apply_filter(w, sigcore.FilterSpec("fir_taps", taps=np.array([1.0])))
+        out = apply_filter(w, fir_response(np.array([1.0]), w.n))
         assert nmse_db(w, out) < -90
 
     def test_inband_tone_preserved(self):
         w, f = tone(10e9)
-        out = apply_filter(w, lowpass(80e9))
+        out = apply_filter(w, lowpass(w, 80e9))
         ratio_db = 20 * np.log10(tone_amplitude(out, f) / tone_amplitude(w, f))
         assert abs(ratio_db) < 0.1
 
     def test_stopband_tone_rejected(self):
         w, f = tone(100e9)
-        out = apply_filter(w, lowpass(80e9))
+        out = apply_filter(w, lowpass(w, 80e9))
         ratio_db = 20 * np.log10(tone_amplitude(out, f) / tone_amplitude(w, f) + 1e-30)
         assert ratio_db < -40
 
     def test_cutoff_at_nyquist_rejected(self):
         w, _ = tone(10e9)
         with pytest.raises(ParameterError):
-            apply_filter(w, lowpass(300e9))
+            lowpass(w, 300e9)
+        with pytest.raises(ParameterError):
+            lowpass(w, 0.0)
 
     def test_linearity(self):
         x = bandlimited_noise(2048, RATE, 150e9, seed=2)
         y = bandlimited_noise(2048, RATE, 150e9, seed=3)
-        spec = lowpass(90e9)
+        h = lowpass(x, 90e9)
         lhs = apply_filter(
-            SampledWaveform(RATE, 2.5 * x.samples.real + 0.7 * y.samples.real), spec
+            SampledWaveform(RATE, 2.5 * x.samples.real + 0.7 * y.samples.real), h
         )
-        rhs = 2.5 * apply_filter(x, spec).samples + 0.7 * apply_filter(y, spec).samples
+        rhs = 2.5 * apply_filter(x, h).samples + 0.7 * apply_filter(y, h).samples
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs.samples - rhs)) / scale < 1e-10
 
@@ -142,19 +149,39 @@ class TestApplyFilter:
     def test_complementary_highpass(self):
         # lowpass + highpass at the same cutoff reconstructs exactly
         w = bandlimited_noise(4096, RATE, 220e9, seed=5)
-        lo = apply_filter(w, lowpass(76e9))
-        hi = apply_filter(w, sigcore.highpass(76e9))
+        lo = apply_filter(w, lowpass(w, 76e9))
+        hi = apply_filter(w, 1.0 - lowpass(w, 76e9))
         assert nmse_db(w, SampledWaveform(RATE, lo.real + hi.real)) < -120
 
     def test_fir_taps_zero_delay(self):
         w = bandlimited_noise(4096, RATE, 100e9, seed=6)
         taps = design_rrc(0.1, 16, 2)
-        out = apply_filter(w, FilterSpec("fir_taps", taps=taps))
+        out = apply_filter(w, fir_response(taps, w.n))
         # symmetric taps, compensated: peak correlation at zero lag
         corr = np.fft.ifft(
             np.fft.fft(out.samples) * np.conj(np.fft.fft(w.samples))
         ).real
         assert np.argmax(corr) == 0
+
+    def test_response_off_grid_rejected(self):
+        w = bandlimited_noise(4096, RATE, 100e9, seed=8)
+        with pytest.raises(ParameterError):
+            apply_filter(w, np.ones(w.n // 2))
+        with pytest.raises(ParameterError):
+            fir_response(np.array([]), w.n)
+        with pytest.raises(ParameterError):
+            fir_response(np.ones(w.n + 1), w.n)
+
+    def test_bessel_is_a_real_lowpass(self):
+        n = 4096
+        h = bessel_response(np.fft.fftfreq(n, 1 / RATE), 60e9, 4)
+        # conjugate symmetric about DC, so a real input stays real
+        assert np.array_equal(h[1: n // 2], np.conj(h[n // 2 + 1:][::-1]))
+        assert h[0] == pytest.approx(1.0)
+        edge = bessel_response(np.array([60e9]), 60e9, 4)[0]
+        assert 20 * np.log10(abs(edge)) == pytest.approx(-3.0, abs=0.02)
+        with pytest.raises(ParameterError):
+            bessel_response(h, 0.0, 4)
 
 
 class TestResample:
