@@ -29,8 +29,9 @@ class FiberSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.length_km < 0 or self.dispersion_slope_ps_nm2_km < 0:
-            raise ParameterError("length and dispersion slope must be non-negative")
+        for key in ("length_km", "dispersion_slope_ps_nm2_km"):
+            if getattr(self, key) < 0:
+                raise ParameterError("must be non-negative", key)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class OpticalAmpSpec:
 
     def __post_init__(self):
         if self.noise_spectral_density < 0:
-            raise ParameterError("noise density must be non-negative")
+            raise ParameterError("must be non-negative", "noise_spectral_density")
 
 
 def dispersion_coefficient(lambda_nm: float, spec: FiberSpec) -> float:

@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             (out / "run.csv").write_text(
                 CSV_HEADER + "\n" + report.to_csv_row() + "\n"
             )
-            manifest = build_manifest(config, (str(out / "run.csv"),))
+            manifest = build_manifest(config, ("run.csv",))
             (out / "manifest.json").write_text(manifest.to_json())
             print(
                 f"NGMI={report.ngmi:.4f} BER={report.ber:.3e} "

@@ -5,7 +5,10 @@ Each field is one decision a run can vary, checked where it is built: a
 bad value raises a ``ParameterError`` naming its dotted key (``dsp.ffe_taps``)
 before any stage runs. What the chain fixes is no field: PCG64 streams, two
 receiver samples per symbol (``rxdsp.SAMPLES_PER_SYMBOL``), the derived RRC
-span, and interpolated code-rate lookup.
+span, interpolated code-rate lookup, the mixer LO (the band plan's), the
+quadrature MZM bias, a lossless modulator (``tx.laser_power_dbm`` sets the
+optical level), and the device roll-off orders (``frontend``'s Bessel orders
+and the mixer's second-order roll-off).
 
 Presets encode the two experiment frequency plans: C-band crosses over at
 76 GHz with the analog HPF at 75 GHz and the LO at 72 GHz; O-band runs
@@ -26,14 +29,14 @@ import numpy as np
 
 from .channel import FiberSpec, OpticalAmpSpec
 from .errors import ParameterError
-from .frontend import AmplifierModel, LaserModel, MixerModel, MzmModel
+from .frontend import AmplifierModel, MzmModel
 from .rxdsp import RateTable
 from .shaping import PamAlphabet, check_entropy_target
 from .txdsp import BandPlan, VolterraStructure
 
 #: Version of the ``config_to_dict`` layout; files of any other version are
 #: rejected rather than read with a guessed meaning.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MODULATIONS = ("ps_pam12", "uniform_pamN")
 
 
@@ -80,9 +83,9 @@ class DspConfig:
 
 @dataclass(frozen=True)
 class TxConfig:
-    mixer: MixerModel
     mzm: MzmModel
-    laser: LaserModel
+    laser_power_dbm: float = 20.0
+    mixer_bandwidth_hz: float = 150e9
     analog_rate_hz: float = 512e9
     awg_resolution_bits: int | None = None
     analog_hpf_transition_hz: float = 2e9
@@ -93,8 +96,9 @@ class TxConfig:
     drive_peak_fraction_vpi: float = 0.25
 
     def __post_init__(self):
-        _check_positive(self, "analog_rate_hz", "analog_hpf_transition_hz",
-                        "drive_peak_fraction_vpi")
+        _check_positive(self, "mixer_bandwidth_hz", "analog_rate_hz",
+                        "analog_hpf_transition_hz", "drive_peak_fraction_vpi")
+        _check(np.isfinite(self.laser_power_dbm), "laser_power_dbm", "must be finite")
         _check_bits(self, "awg_resolution_bits")
 
 
@@ -159,8 +163,6 @@ class LinkConfig:
         _check_positive(self, "symbol_rate_gbd", "sequence_length_symbols")
         _check((self.rate_table_rates is None) == (self.rate_table_thresholds is None),
                "rate_table_thresholds", "and rate_table_rates must be set together")
-        _check(self.tx.mixer.lo_frequency_hz == self.plan.lo_frequency_hz,
-               "tx.mixer.lo_frequency_hz", "must equal plan.lo_frequency_hz")
         _check(self.tx.analog_rate_hz >= self.plan.awg_rate_hz, "tx.analog_rate_hz",
                "must be >= plan.awg_rate_hz (the AWG output is upsampled)")
 
@@ -187,9 +189,7 @@ def c_band_216g(seed: int = 1) -> LinkConfig:
     LO 72 GHz."""
     plan = BandPlan(76e9, 75e9, 72e9)
     tx = TxConfig(
-        mixer=MixerModel(72e9, bandwidth_hz=150e9),
         mzm=MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=4.5),
-        laser=LaserModel(1550.0, 20.0),
         amplifier_chain=(AmplifierModel(7.0, 130e9), AmplifierModel(16.0, 100e9)),
     )
     # DSF: zero dispersion near the carrier, ~+0.5 ps/nm/km residual at 1550
@@ -212,9 +212,7 @@ def o_band_216g(seed: int = 1) -> LinkConfig:
     HPF 82 GHz, LO 76 GHz."""
     plan = BandPlan(82e9, 82e9, 76e9)
     tx = TxConfig(
-        mixer=MixerModel(76e9, bandwidth_hz=150e9),
         mzm=MzmModel(2.5, bandwidth_hz=110e9, bandwidth_atten_db=4.5),
-        laser=LaserModel(1310.0, 20.0),
         upper_path_amplifier=AmplifierModel(7.0, 130e9),
         amplifier_chain=(AmplifierModel(7.0, 130e9), AmplifierModel(16.0, 100e9)),
     )
@@ -242,8 +240,6 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, tuple):
@@ -271,12 +267,11 @@ def _from_json(value, hint, key: str):
         hint = next(h for h in typing.get_args(hint) if h is not type(None))
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, key)
-    if hint is np.ndarray or typing.get_origin(hint) is tuple:
+    if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ParameterError(f"config key {key!r} must be a list")
-        item = float if hint is np.ndarray else typing.get_args(hint)[0]
-        items = tuple(_from_json(v, item, f"{key}[{i}]") for i, v in enumerate(value))
-        return np.asarray(items, dtype=float) if hint is np.ndarray else items
+        item = typing.get_args(hint)[0]
+        return tuple(_from_json(v, item, f"{key}[{i}]") for i, v in enumerate(value))
     accepted = {float: (int, float)}.get(hint, hint)
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ParameterError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
@@ -306,7 +301,7 @@ def _build(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> LinkConfig:
     """Build a config from its ``config_to_dict`` form. Unknown keys, at any
     nesting level, and any ``schema_version`` other than ``SCHEMA_VERSION``
-    are rejected (README lists the keys version 2 removed or merged)."""
+    are rejected (README lists the keys versions 2 and 3 removed or merged)."""
     data = dict(data)
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:

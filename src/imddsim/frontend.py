@@ -12,7 +12,7 @@ of the spectrum by whole bins.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,103 +34,56 @@ from .txdsp import BandPlan
 # device models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixerModel:
-    """Up-conversion mixer with per-sideband (SSB) conversion gain.
-
-    With 0 dB gain, an IF tone of amplitude a yields two images of amplitude
-    a each, so an ideal HPF + combiner chain reconstructs at unit gain. The
-    gain characteristic is flat with a second-order magnitude roll-off at
-    ``bandwidth_hz`` (the RF-side 3-dB point), or an explicit
-    ``gain_table_hz/gain_table_db`` pair digitized from measurements.
-    """
-
-    lo_frequency_hz: float
-    bandwidth_hz: float = 150e9
-    conversion_gain_db: float = 0.0
-    rolloff_order: int = 2
-    gain_table_hz: np.ndarray | None = None
-    gain_table_db: np.ndarray | None = None
-    lo_leakage_db: float | None = None
-    if_leakage_db: float | None = None
-    lo_phase_rad: float = 0.0
-
-    def __post_init__(self):
-        if self.lo_frequency_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ParameterError("mixer frequencies must be positive")
-        if (self.gain_table_hz is None) != (self.gain_table_db is None):
-            raise ParameterError("gain table needs both frequency and dB columns")
-        if self.gain_table_hz is not None:
-            f = np.asarray(self.gain_table_hz, dtype=float)
-            g = np.asarray(self.gain_table_db, dtype=float)
-            if f.size != g.size or f.size < 2 or np.any(np.diff(f) <= 0):
-                raise ParameterError("gain table must be ascending in frequency")
-            knee = g.max() - 3.0
-            past_knee = np.where(g <= knee)[0]
-            if past_knee.size and np.any(np.diff(g[past_knee[0]:]) > 1e-9):
-                raise ParameterError(
-                    "gain table must be non-increasing beyond its 3-dB point"
-                )
-            object.__setattr__(self, "gain_table_hz", f)
-            object.__setattr__(self, "gain_table_db", g)
-
-    def gain_linear(self, freq_hz: np.ndarray) -> np.ndarray:
-        f = np.abs(np.asarray(freq_hz, dtype=float))
-        if self.gain_table_hz is not None:
-            return 10 ** (np.interp(f, self.gain_table_hz, self.gain_table_db) / 20.0)
-        flat = 10 ** (self.conversion_gain_db / 20.0)
-        return flat / np.sqrt(1.0 + (f / self.bandwidth_hz) ** (2 * self.rolloff_order))
+#: Poles of the Bessel bandwidth of the converters (AWG, DAC) and amplifiers.
+ANALOG_BESSEL_ORDER = 4
+#: Poles of the Bessel electro-optic bandwidth of the MZM.
+MZM_BESSEL_ORDER = 2
+#: Normalized frequencies (cutoff 1) that bracket the MZM cutoff solve.
+_MZM_CUTOFF_BRACKET = (0.1, 50.0)
 
 
 @dataclass(frozen=True)
 class AmplifierModel:
+    """RF amplifier: a fourth-order Bessel bandwidth, linear gain, and an
+    optional tanh saturation referenced to its input 1-dB compression level."""
+
     gain_db: float
     bandwidth_hz: float
     compression_in_1db: float | None = None
-    bandwidth_order: int = 4
 
     def __post_init__(self):
-        if not np.isfinite(self.gain_db) or self.bandwidth_hz <= 0:
-            raise ParameterError("amplifier gain must be finite, bandwidth positive")
+        if not np.isfinite(self.gain_db):
+            raise ParameterError("must be finite", "gain_db")
+        if self.bandwidth_hz <= 0:
+            raise ParameterError("must be positive", "bandwidth_hz")
+        if self.compression_in_1db is not None and self.compression_in_1db <= 0:
+            raise ParameterError("must be positive (or None for a linear amplifier)",
+                                 "compression_in_1db")
 
 
 @dataclass(frozen=True)
 class MzmModel:
-    """Mach-Zehnder: E = sqrt(P) cos(pi (v - v_bias) / (2 Vpi)).
+    """Mach-Zehnder at quadrature: E = sqrt(P) cos(pi (v + Vpi/2) / (2 Vpi)).
 
-    Default bias is quadrature (-Vpi/2): zero drive sits at half intensity
-    and +Vpi/2 reaches the null. The electro-optic bandwidth is a
-    second-order Bessel whose magnitude hits ``bandwidth_atten_db`` at
-    ``bandwidth_hz``.
+    Zero drive sits at half intensity and +Vpi/2 reaches the null. The
+    modulator is lossless; the laser power sets the optical level. The
+    electro-optic bandwidth is a second-order Bessel whose magnitude hits
+    ``bandwidth_atten_db`` at ``bandwidth_hz``.
     """
 
     v_pi_volts: float
     bandwidth_hz: float = 110e9
     bandwidth_atten_db: float = 4.5
-    bias_voltage: float | None = None
-    insertion_loss_db: float = 0.0
 
     def __post_init__(self):
         if self.v_pi_volts <= 0:
-            raise ParameterError("V_pi must be positive")
-
-    @property
-    def bias(self) -> float:
-        return -self.v_pi_volts / 2 if self.bias_voltage is None else self.bias_voltage
-
-
-@dataclass(frozen=True)
-class LaserModel:
-    wavelength_nm: float
-    power_dbm: float = 20.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.power_dbm) or self.wavelength_nm <= 0:
-            raise ParameterError("laser power must be finite, wavelength positive")
-
-    @property
-    def power_w(self) -> float:
-        return 10 ** ((self.power_dbm - 30.0) / 10.0)
+            raise ParameterError("must be positive", "v_pi_volts")
+        if self.bandwidth_hz <= 0:
+            raise ParameterError("must be positive", "bandwidth_hz")
+        low, high = (-20 * np.log10(_unit_mzm_gain(x)) for x in _MZM_CUTOFF_BRACKET)
+        if not low < self.bandwidth_atten_db < high:
+            raise ParameterError(f"must lie in ({low:.3g}, {high:.3g}) dB",
+                                 "bandwidth_atten_db")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +103,7 @@ def quantize_uniform(x: np.ndarray, bits: int, full_scale: float | None = None) 
 
 
 def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9,
-        resolution_bits: int | None = None, bandwidth_order: int = 4) -> SampledWaveform:
+        resolution_bits: int | None = None) -> SampledWaveform:
     """Zero-order-hold reconstruction to the analog rate, then the converter's
     analog bandwidth filter.
 
@@ -168,20 +121,31 @@ def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9
     freqs = up.freqs()
     droop = np.sinc(freqs / wave.sample_rate_hz)
     return apply_filter(up.with_spectrum(up.spectrum * droop),
-                        bessel_response(freqs, bandwidth_hz, bandwidth_order))
+                        bessel_response(freqs, bandwidth_hz, ANALOG_BESSEL_ORDER))
 
 
-def mixer_upconvert(if_wave: SampledWaveform, model: MixerModel) -> SampledWaveform:
-    """Multiply by the LO cosine; images at f_LO +- f_IF carry the
-    per-sideband gain evaluated at the RF output frequency. Optional LO and
-    IF leakage terms are added ahead of the output roll-off.
+def mixer_gain(freq_hz: np.ndarray, bandwidth_hz: float) -> np.ndarray:
+    """Per-sideband (SSB) conversion gain of the mixer: unity, with a
+    second-order magnitude roll-off at the RF-side 3-dB point
+    ``bandwidth_hz``. An IF tone of amplitude a yields two images of
+    amplitude a each, so an ideal HPF + combiner chain reconstructs at unit
+    gain."""
+    return 1.0 / np.sqrt(1.0 + (np.abs(freq_hz) / bandwidth_hz) ** 4)
+
+
+def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
+                    bandwidth_hz: float | None = None,
+                    lo_phase_rad: float = 0.0) -> SampledWaveform:
+    """Multiply by the LO cosine; images at f_LO +- f_IF carry
+    ``mixer_gain`` at the RF output frequency (no roll-off when
+    ``bandwidth_hz`` is None).
 
     The LO sits on the record grid (bin k), so 2 x(t) cos(2 pi f_LO t + phi)
     has the spectrum exp(j phi) X[f - f_LO] + exp(-j phi) X[f + f_LO].
     """
     require_real(if_wave, "mixer IF input")
     n, rate = if_wave.n, if_wave.sample_rate_hz
-    above_lo = band_energy_fraction(if_wave, model.lo_frequency_hz, rate / 2)
+    above_lo = band_energy_fraction(if_wave, lo_frequency_hz, rate / 2)
     if above_lo > 1e-6:
         warnings.warn(
             f"{above_lo:.1%} of IF energy lies above the LO; the folded image "
@@ -189,21 +153,13 @@ def mixer_upconvert(if_wave: SampledWaveform, model: MixerModel) -> SampledWavef
             stacklevel=2,
         )
 
-    k = int(round(model.lo_frequency_hz * n / rate))
-    phasor = np.exp(1j * model.lo_phase_rad)
+    k = int(round(lo_frequency_hz * n / rate))
+    phasor = np.exp(1j * lo_phase_rad)
     x = if_wave.spectrum
     product = phasor * np.roll(x, k) + np.conj(phasor) * np.roll(x, -k)
-
-    if model.lo_leakage_db is not None:
-        lo_tone = np.zeros(n, dtype=np.complex128)
-        lo_tone[k % n] += n / 2 * phasor
-        lo_tone[-k % n] += n / 2 * np.conj(phasor)
-        product += 10 ** (model.lo_leakage_db / 20.0) * lo_tone
-    if model.if_leakage_db is not None:
-        product += 10 ** (model.if_leakage_db / 20.0) * x
-
-    out = product * model.gain_linear(if_wave.freqs())
-    return SampledWaveform.from_spectrum(rate, out)
+    if bandwidth_hz is not None:
+        product = product * mixer_gain(if_wave.freqs(), bandwidth_hz)
+    return SampledWaveform.from_spectrum(rate, product)
 
 
 def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
@@ -233,7 +189,7 @@ def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     """Bandwidth filter, then linear gain, then optional tanh saturation
     referenced to the input 1-dB compression level."""
     out = apply_filter(
-        wave, bessel_response(wave.freqs(), model.bandwidth_hz, model.bandwidth_order)
+        wave, bessel_response(wave.freqs(), model.bandwidth_hz, ANALOG_BESSEL_ORDER)
     )
     g = 10 ** (model.gain_db / 20.0)
     if model.compression_in_1db is None:
@@ -242,7 +198,7 @@ def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     return out.with_samples(sat * np.tanh(g * out.real / sat))
 
 
-def bessel_group_delay_dc(cutoff_hz: float, order: int = 4) -> float:
+def bessel_group_delay_dc(cutoff_hz: float, order: int = ANALOG_BESSEL_ORDER) -> float:
     """Low-frequency group delay of the analog Bessel response (seconds).
 
     Bessel delay is maximally flat, so the DC value is representative across
@@ -254,26 +210,29 @@ def bessel_group_delay_dc(cutoff_hz: float, order: int = 4) -> float:
     return float((np.angle(h[0]) - np.angle(h[1])) / (2 * np.pi * f))
 
 
+def _unit_mzm_gain(x: float) -> float:
+    """|H| of the MZM's Bessel response with unit cutoff at frequency ``x``."""
+    return abs(bessel_response(np.array([x]), 1.0, MZM_BESSEL_ORDER)[0])
+
+
 def _mzm_bandwidth_cutoff(model: MzmModel) -> float:
-    """Bessel-2 cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``."""
+    """Bessel cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``."""
     target = 10 ** (-model.bandwidth_atten_db / 20.0)
-
-    def mag_at(x):
-        return abs(bessel_response(np.array([x]), 1.0, 2)[0]) - target
-
-    return model.bandwidth_hz / brentq(mag_at, 0.1, 50.0)
+    return model.bandwidth_hz / brentq(lambda x: _unit_mzm_gain(x) - target,
+                                       *_MZM_CUTOFF_BRACKET)
 
 
-def mzm_modulate(drive: SampledWaveform, laser: LaserModel,
+def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
                  model: MzmModel) -> SampledWaveform:
-    """Field transfer E = sqrt(P_in) cos(pi (v - bias) / (2 Vpi)) after the
-    modulator bandwidth filter on the drive."""
+    """Field transfer E = sqrt(P_laser) cos(pi (v + Vpi/2) / (2 Vpi)) after
+    the modulator bandwidth filter on the drive."""
     require_real(drive, "MZM drive")
     v = apply_filter(
-        drive, bessel_response(drive.freqs(), _mzm_bandwidth_cutoff(model), 2)
+        drive, bessel_response(drive.freqs(), _mzm_bandwidth_cutoff(model),
+                               MZM_BESSEL_ORDER)
     ).real
-    amp = np.sqrt(laser.power_w) * 10 ** (-model.insertion_loss_db / 20.0)
-    field = amp * np.cos(np.pi * (v - model.bias) / (2.0 * model.v_pi_volts))
+    amp = np.sqrt(10 ** ((laser_power_dbm - 30.0) / 10.0))
+    field = amp * np.cos(np.pi * (v + model.v_pi_volts / 2) / (2.0 * model.v_pi_volts))
     return SampledWaveform(drive.sample_rate_hz, field.astype(np.complex128),
                            "optical_field")
 
@@ -284,7 +243,7 @@ def mzm_modulate(drive: SampledWaveform, laser: LaserModel,
 
 def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  plan: BandPlan, analog_rate_hz: float,
-                 mixer: MixerModel | None = None,
+                 mixer_bandwidth_hz: float | None = None,
                  hpf_transition_hz: float = 2e9,
                  dac_bandwidth_hz: float | None = None,
                  dac_resolution_bits: int | None = None,
@@ -293,32 +252,29 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  upper_amplifier: AmplifierModel | None = None) -> SampledWaveform:
     """Reconstruct the wideband signal from the two AWG records.
 
-    With the defaults every element is ideal: exact resampling instead of a
-    ZOH DAC, a unity-SSB-gain leak-free mixer, a linear-phase HPF at the
-    plan's analog cutoff with a ``hpf_transition_hz`` transition (the
-    complement of the FIR lowpass), no upper-path amplifier, and a perfectly
-    balanced combiner. The transmitter runs the same path with its device
-    models.
+    The mixer runs at the plan's LO. With the defaults every element is
+    ideal: exact resampling instead of a ZOH DAC, a unity-SSB-gain mixer
+    without roll-off, a linear-phase HPF at the plan's analog cutoff with a
+    ``hpf_transition_hz`` transition (the complement of the FIR lowpass), no
+    upper-path amplifier, and a perfectly balanced combiner. The transmitter
+    runs the same path with its device models.
 
     With a DAC bandwidth, the converter's Bessel response delays the IF arm,
     which up-converts into a constant phase offset between the bands; the LO
     phase absorbs it (the lab equivalent is tuning the LO path length).
     """
+    lo_phase_rad = 0.0
     if dac_bandwidth_hz is None:
         lower = resample(lower_awg, analog_rate_hz)
         upper_if = resample(upper_awg, analog_rate_hz)
     else:
         lower = dac(lower_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)
         upper_if = dac(upper_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)
+        tau_if = bessel_group_delay_dc(dac_bandwidth_hz)
+        lo_phase_rad = -2 * np.pi * plan.lo_frequency_hz * tau_if
 
-    mixer = mixer or MixerModel(plan.lo_frequency_hz, bandwidth_hz=1e15)
-    if mixer.lo_frequency_hz != plan.lo_frequency_hz:
-        raise ParameterError("mixer LO must match the band plan")
-    if dac_bandwidth_hz is not None:
-        tau_if = bessel_group_delay_dc(dac_bandwidth_hz, 4)
-        mixer = replace(mixer, lo_phase_rad=mixer.lo_phase_rad
-                        - 2 * np.pi * plan.lo_frequency_hz * tau_if)
-    upper_rf = mixer_upconvert(upper_if, mixer)
+    upper_rf = mixer_upconvert(upper_if, plan.lo_frequency_hz, mixer_bandwidth_hz,
+                               lo_phase_rad)
 
     lpf = filter_response(plan.analog_hpf_cutoff_hz, hpf_transition_hz,
                           upper_rf.n, upper_rf.sample_rate_hz)

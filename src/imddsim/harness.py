@@ -25,8 +25,11 @@ from .config import LinkConfig, config_to_dict
 from .channel import obpf, optical_amplify, propagate
 from .errors import ParameterError, StageError
 from .frontend import (
+    ANALOG_BESSEL_ORDER,
+    MZM_BESSEL_ORDER,
     _mzm_bandwidth_cutoff,
     amplify,
+    mixer_gain,
     mzm_modulate,
     stitch_bands,
 )
@@ -125,12 +128,11 @@ def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
     mag = np.ones_like(rf_freq_hz, dtype=float)
     amps = list(tx.amplifier_chain)
     if upper_path:
-        mag *= tx.mixer.gain_linear(rf_freq_hz)
-        mag /= max(tx.mixer.gain_linear(np.array([0.0]))[0], 1e-12)
+        mag *= mixer_gain(rf_freq_hz, tx.mixer_bandwidth_hz)
         if tx.upper_path_amplifier is not None:
             amps.insert(0, tx.upper_path_amplifier)
-    rolloffs = [(amp.bandwidth_hz, amp.bandwidth_order) for amp in amps]
-    rolloffs.append((_mzm_bandwidth_cutoff(tx.mzm), 2))
+    rolloffs = [(amp.bandwidth_hz, ANALOG_BESSEL_ORDER) for amp in amps]
+    rolloffs.append((_mzm_bandwidth_cutoff(tx.mzm), MZM_BESSEL_ORDER))
     for cutoff_hz, order in rolloffs:
         mag *= np.abs(bessel_response(rf_freq_hz, cutoff_hz, order))
     return mag
@@ -142,7 +144,7 @@ def _preemphasize(config: LinkConfig, lower: SampledWaveform,
     nyq = plan.awg_rate_hz / 2
     f = np.linspace(0.0, nyq, 2049)
     zoh_awg = np.abs(np.sinc(f / plan.awg_rate_hz)) * np.abs(
-        bessel_response(f, plan.awg_bandwidth_hz, 4)
+        bessel_response(f, plan.awg_bandwidth_hz, ANALOG_BESSEL_ORDER)
     )
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
     resp_upper = zoh_awg * _tx_chain_magnitude(
@@ -167,7 +169,8 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
         lower, upper = _preemphasize(config, lower, upper)
 
     wideband = stitch_bands(
-        lower, upper, plan, tx.analog_rate_hz, mixer=tx.mixer,
+        lower, upper, plan, tx.analog_rate_hz,
+        mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
         hpf_transition_hz=tx.analog_hpf_transition_hz,
         dac_bandwidth_hz=plan.awg_bandwidth_hz,
         dac_resolution_bits=tx.awg_resolution_bits,
@@ -179,7 +182,7 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
 
     peak = np.max(np.abs(wideband.real))
     drive = wideband.scaled(tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak)
-    return mzm_modulate(drive, tx.laser, tx.mzm)
+    return mzm_modulate(drive, tx.laser_power_dbm, tx.mzm)
 
 
 def _through_channel(config: LinkConfig, field: SampledWaveform,
@@ -513,7 +516,9 @@ def build_manifest(config: LinkConfig, outputs: tuple[str, ...]) -> RunManifest:
 def emit_outputs(result: SweepResult, out_dir: str | Path,
                  config: LinkConfig | None = None) -> list[Path]:
     """Write sweep.csv (stable formatting), plot.svg (when there is data),
-    and manifest.json; returns the written paths."""
+    and manifest.json; returns the written paths. The manifest names its
+    outputs relative to ``out_dir``, so it reads the same wherever the
+    directory lives."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -528,7 +533,7 @@ def emit_outputs(result: SweepResult, out_dir: str | Path,
         written.append(svg_path)
 
     if config is not None:
-        manifest = build_manifest(config, tuple(str(p) for p in written))
+        manifest = build_manifest(config, tuple(p.name for p in written))
         man_path = out / "manifest.json"
         man_path.write_text(manifest.to_json())
         written.append(man_path)

@@ -9,7 +9,7 @@ from imddsim.config import (
     RxConfig,
     TxConfig,
 )
-from imddsim.frontend import LaserModel, MixerModel, MzmModel
+from imddsim.frontend import MzmModel
 from imddsim.txdsp import BandPlan
 
 # rate table extended to 1.0 so a transparent link reports net = gross
@@ -27,9 +27,8 @@ def fast_link_config(seed=1, modulation="ps_pam12", noise_density=0.0,
         modulation = "uniform_pamN"
     plan = BandPlan(76e9, 75e9, 72e9, awg_bandwidth_hz=120e9)
     tx = TxConfig(
-        mixer=MixerModel(72e9, bandwidth_hz=1e15),
         mzm=MzmModel(2.8, bandwidth_hz=1e15),
-        laser=LaserModel(1550.0, 20.0),
+        mixer_bandwidth_hz=1e15,
         amplifier_chain=(),
         drive_peak_fraction_vpi=0.12,
     )

@@ -26,6 +26,7 @@ class TestRunCommand:
         assert (out / "run.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
+        assert manifest["outputs"] == ["run.csv"]
         assert "NGMI=" in capsys.readouterr().out
 
     def test_seed_override(self, config_path, tmp_path):

@@ -7,9 +7,8 @@ from scipy.optimize import brentq
 from imddsim.errors import ParameterError
 from imddsim.frontend import (
     AmplifierModel,
-    LaserModel,
-    MixerModel,
     MzmModel,
+    _mzm_bandwidth_cutoff,
     amplify,
     combine,
     dac,
@@ -20,6 +19,7 @@ from imddsim.frontend import (
 )
 from imddsim.sigcore import (
     SampledWaveform,
+    bessel_response,
     bin_centered_frequency,
     nmse_db,
     spectral_nmse_db,
@@ -75,51 +75,38 @@ class TestDac:
 class TestMixer:
     def test_product_to_sum_images(self):
         w, f = analog_tone(28e9)
-        model = MixerModel(72e9, bandwidth_hz=1e15)
-        out = mixer_upconvert(w, model)
+        out = mixer_upconvert(w, 72e9)
         lo = bin_centered_frequency(72e9, w.n, ANALOG_RATE)
         a_low = tone_amplitude(out, lo - f)
         a_high = tone_amplitude(out, lo + f)
         assert abs(a_low - 1.0) < 1e-9
         assert abs(a_high - 1.0) < 1e-9
 
-    def test_lo_leakage_tone(self):
-        w = SampledWaveform(ANALOG_RATE, np.zeros(16384) + 1e-30)
-        model = MixerModel(72e9, bandwidth_hz=1e15, lo_leakage_db=-30.0)
-        out = mixer_upconvert(w, model)
-        lo = bin_centered_frequency(72e9, w.n, ANALOG_RATE)
-        assert abs(20 * np.log10(tone_amplitude(out, lo)) - (-30.0)) < 0.01
-
-    def test_gain_table_lookup(self):
+    def test_rolloff_at_rf_frequency(self):
         w, f = analog_tone(70e9)
-        table_f = np.array([0.0, 100e9, 150e9, 256e9])
-        table_g = np.array([0.0, 0.0, -3.0, -12.0])
-        model = MixerModel(72e9, gain_table_hz=table_f, gain_table_db=table_g)
-        out = mixer_upconvert(w, model)
-        lo = bin_centered_frequency(72e9, w.n, ANALOG_RATE)
-        upper = lo + f  # ~142 GHz
-        expect_db = np.interp(upper, table_f, table_g)
-        got_db = 20 * np.log10(tone_amplitude(out, upper))
-        assert abs(got_db - expect_db) < 0.5
+        out = mixer_upconvert(w, 72e9, bandwidth_hz=150e9)
+        upper = bin_centered_frequency(72e9, w.n, ANALOG_RATE) + f  # ~142 GHz
+        expect = 1.0 / np.sqrt(1.0 + (upper / 150e9) ** 4)
+        assert tone_amplitude(out, upper) == pytest.approx(expect, rel=1e-9)
 
     def test_linearity_without_leakage(self):
         rng = np.random.default_rng(1)
         n = 8192
         a = SampledWaveform(ANALOG_RATE, rng.normal(size=n))
         b = SampledWaveform(ANALOG_RATE, rng.normal(size=n))
-        model = MixerModel(150e9, bandwidth_hz=200e9)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             lhs = mixer_upconvert(
-                SampledWaveform(ANALOG_RATE, a.real + b.real), model
+                SampledWaveform(ANALOG_RATE, a.real + b.real), 150e9, 200e9
             ).real
-            rhs = mixer_upconvert(a, model).real + mixer_upconvert(b, model).real
+            rhs = (mixer_upconvert(a, 150e9, 200e9).real
+                   + mixer_upconvert(b, 150e9, 200e9).real)
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-10
 
     def test_if_above_lo_warns(self):
         w, _ = analog_tone(100e9)
         with pytest.warns(UserWarning, match="above the LO"):
-            mixer_upconvert(w, MixerModel(72e9))
+            mixer_upconvert(w, 72e9)
 
 
 class TestCombine:
@@ -181,19 +168,20 @@ class TestAmplify:
 
 
 class TestMzm:
-    LASER = LaserModel(1550.0, power_dbm=20.0)
+    LASER_DBM = 20.0
+    LASER_W = 0.1  # 20 dBm
     MODEL = MzmModel(v_pi_volts=2.8, bandwidth_hz=1e15)
 
     def test_quadrature_half_power(self):
         drive = SampledWaveform(ANALOG_RATE, np.zeros(256))
-        field = mzm_modulate(drive, self.LASER, self.MODEL)
+        field = mzm_modulate(drive, self.LASER_DBM, self.MODEL)
         intensity = np.abs(field.samples) ** 2
-        assert np.allclose(intensity, self.LASER.power_w / 2, rtol=1e-9)
+        assert np.allclose(intensity, self.LASER_W / 2, rtol=1e-9)
 
     def test_null_at_half_vpi(self):
         drive = SampledWaveform(ANALOG_RATE, np.full(256, 2.8 / 2))
-        field = mzm_modulate(drive, self.LASER, self.MODEL)
-        assert np.max(np.abs(field.samples) ** 2) < 1e-12 * self.LASER.power_w
+        field = mzm_modulate(drive, self.LASER_DBM, self.MODEL)
+        assert np.max(np.abs(field.samples) ** 2) < 1e-12 * self.LASER_W
 
     def test_small_signal_against_transfer(self):
         n = 8192
@@ -201,10 +189,10 @@ class TestMzm:
         t = np.arange(n) / ANALOG_RATE
         v = 0.05 * 2.8 * np.sin(2 * np.pi * f * t)
         drive = SampledWaveform(ANALOG_RATE, v)
-        field = mzm_modulate(drive, self.LASER, self.MODEL)
+        field = mzm_modulate(drive, self.LASER_DBM, self.MODEL)
         intensity = np.abs(field.samples) ** 2
         # direct evaluation of the cosine transfer at quadrature
-        expect = self.LASER.power_w * np.cos(
+        expect = self.LASER_W * np.cos(
             np.pi * (v + 2.8 / 2) / (2 * 2.8)
         ) ** 2
         err = np.max(np.abs(intensity - expect)) / np.max(expect)
@@ -213,10 +201,22 @@ class TestMzm:
     def test_intensity_bounded(self):
         rng = np.random.default_rng(4)
         drive = SampledWaveform(ANALOG_RATE, rng.normal(0, 3.0, 4096))
-        field = mzm_modulate(drive, self.LASER, MzmModel(2.8, bandwidth_hz=110e9))
+        field = mzm_modulate(drive, self.LASER_DBM, MzmModel(2.8, bandwidth_hz=110e9))
         intensity = np.abs(field.samples) ** 2
         assert np.all(intensity >= 0)
-        assert np.all(intensity <= self.LASER.power_w * (1 + 1e-12))
+        assert np.all(intensity <= self.LASER_W * (1 + 1e-12))
+
+    @pytest.mark.parametrize("atten_db", [0.0, 0.02, 64.0, 100.0])
+    def test_attenuation_outside_cutoff_solve_rejected(self, atten_db):
+        # the cutoff solve brackets 0.1-50x the cutoff: (0.027, 63.8) dB
+        with pytest.raises(ParameterError, match="bandwidth_atten_db"):
+            MzmModel(2.8, bandwidth_atten_db=atten_db)
+
+    @pytest.mark.parametrize("atten_db", [0.03, 3.0, 63.0])
+    def test_attenuation_placed_at_bandwidth(self, atten_db):
+        model = MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
+        h = bessel_response(np.array([110e9]), _mzm_bandwidth_cutoff(model), 2)
+        assert -20 * np.log10(abs(h[0])) == pytest.approx(atten_db, rel=1e-6)
 
 
 class TestStitchReconstruction:
@@ -244,9 +244,3 @@ class TestStitchReconstruction:
         xo = plan.crossover_hz
         nmse = spectral_nmse_db(w, rec, exclude_bands=[(xo - 2e9, xo + 2e9)])
         assert nmse <= -30.0
-
-    def test_mismatched_mixer_lo_rejected(self):
-        plan = BandPlan(76e9, 75e9, 72e9)
-        w = SampledWaveform(AWG_RATE, np.ones(1024))
-        with pytest.raises(ParameterError):
-            stitch_bands(w, w, plan, ANALOG_RATE, mixer=MixerModel(60e9))

@@ -68,17 +68,6 @@ class TestPresets:
         loaded = load_config(path)
         assert config_to_dict(loaded) == config_to_dict(cfg)
 
-    def test_json_round_trip_with_mixer_gain_table(self, tmp_path):
-        cfg = c_band_216g()
-        mixer = replace(cfg.tx.mixer, gain_table_hz=np.array([0.0, 100e9, 200e9]),
-                        gain_table_db=np.array([0.0, -1.5, -6.0]))
-        cfg = replace(cfg, tx=replace(cfg.tx, mixer=mixer))
-        path = tmp_path / "cfg.json"
-        save_config(cfg, path)
-        loaded = load_config(path)
-        assert np.array_equal(loaded.tx.mixer.gain_table_db, mixer.gain_table_db)
-        assert config_to_dict(loaded) == config_to_dict(cfg)
-
     def test_load_by_preset_name(self):
         for name in PRESETS:
             assert load_config(name).symbol_rate_gbd == 216.0
@@ -140,8 +129,12 @@ _OVERRIDES = {
     (("dsp", "volterra"), "max_spread_2"): st.none() | st.integers(0, 5),
     (("tx",), "drive_peak_fraction_vpi"): st.floats(0.01, 1.0),
     (("tx",), "awg_resolution_bits"): st.none() | st.integers(4, 12),
+    (("tx",), "mixer_bandwidth_hz"): st.floats(50e9, 1e15),
+    (("tx",), "laser_power_dbm"): st.floats(-10.0, 30.0),
     (("tx", "mzm"), "v_pi_volts"): st.floats(1.0, 5.0),
+    (("tx", "mzm"), "bandwidth_atten_db"): st.floats(0.1, 60.0),
     (("tx", "amplifier_chain", 0), "gain_db"): st.floats(-10.0, 30.0),
+    (("tx", "amplifier_chain", 1), "compression_in_1db"): st.none() | st.floats(0.01, 2.0),
     (("rx",), "dso_resolution_bits"): st.none() | st.integers(4, 12),
     (("channel",), "obpf_bandwidth_hz"): st.none() | st.floats(50e9, 500e9),
     (("channel", "fiber"), "length_km"): st.floats(0.0, 100.0),
@@ -229,8 +222,30 @@ class TestConfigSchema:
         with pytest.raises(ParameterError, match=re.escape(named)):
             load_config(cfg_path)
 
-    @pytest.mark.parametrize("version", [None, 0, 1, 99, "2"])
-    def test_schema_version_must_be_2(self, version):
+    # a version-2 file, and version-2 keys that version 3 removed or merged
+    @pytest.mark.parametrize("path, key, value, named", [
+        ((), "schema_version", 2, "schema_version 2"),
+        (("tx",), "mixer", {"lo_frequency_hz": 72e9, "bandwidth_hz": 150e9},
+         "'tx.mixer'"),
+        (("tx",), "laser", {"wavelength_nm": 1550.0, "power_dbm": 20.0}, "'tx.laser'"),
+        (("tx", "mzm"), "bias_voltage", None, "'tx.mzm.bias_voltage'"),
+        (("tx", "mzm"), "insertion_loss_db", 0.0, "'tx.mzm.insertion_loss_db'"),
+        (("tx", "amplifier_chain", 0), "bandwidth_order", 4,
+         "'tx.amplifier_chain[0].bandwidth_order'"),
+    ])
+    def test_version_2_file_rejected(self, tmp_path, path, key, value, named):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("version", [None, 0, 1, 2, 99, "3"])
+    def test_schema_version_must_be_current(self, version):
         raw = config_to_dict(c_band_216g())
         if version is None:
             del raw["schema_version"]
@@ -254,7 +269,16 @@ _BAD_VALUES = [
     ({"tx.drive_peak_fraction_vpi": 0.0}, "tx.drive_peak_fraction_vpi"),
     ({"tx.awg_resolution_bits": 0}, "tx.awg_resolution_bits"),
     ({"tx.analog_rate_hz": 128e9}, "tx.analog_rate_hz"),
-    ({"tx.mixer.lo_frequency_hz": 70e9}, "tx.mixer.lo_frequency_hz"),
+    ({"tx.mixer_bandwidth_hz": 0.0}, "tx.mixer_bandwidth_hz"),
+    ({"tx.mzm.v_pi_volts": 0.0}, "tx.mzm.v_pi_volts"),
+    ({"tx.mzm.bandwidth_hz": -1.0}, "tx.mzm.bandwidth_hz"),
+    ({"tx.mzm.bandwidth_atten_db": 0.0}, "tx.mzm.bandwidth_atten_db"),
+    ({"tx.mzm.bandwidth_atten_db": 70.0}, "tx.mzm.bandwidth_atten_db"),
+    ({"tx.upper_path_amplifier": {"gain_db": 7.0, "bandwidth_hz": 0.0}},
+     "tx.upper_path_amplifier.bandwidth_hz"),
+    ({"tx.upper_path_amplifier": {"gain_db": 7.0, "bandwidth_hz": 130e9,
+                                  "compression_in_1db": 0.0}},
+     "tx.upper_path_amplifier.compression_in_1db"),
     ({"plan.awg_rate_hz": 0.0}, "plan.awg_rate_hz"),
     ({"modulation": "uniform_pamN", "pam_order": 1}, "pam_order"),
     ({"modulation": "ps_pam12", "pam_order": 8}, "pam_order"),
@@ -264,6 +288,11 @@ _BAD_VALUES = [
     ({"channel.obpf_bandwidth_hz": 0.0}, "channel.obpf_bandwidth_hz"),
     ({"channel.wavelength_nm": 0.0}, "channel.wavelength_nm"),
     ({"channel.obpf_cd_trim_km": -3.0}, "channel.obpf_cd_trim_km"),
+    ({"channel.fiber.length_km": -1.0}, "channel.fiber.length_km"),
+    ({"channel.fiber.dispersion_slope_ps_nm2_km": -0.1},
+     "channel.fiber.dispersion_slope_ps_nm2_km"),
+    ({"channel.amplifier.noise_spectral_density": -1e-17},
+     "channel.amplifier.noise_spectral_density"),
 ]
 
 
@@ -623,6 +652,14 @@ class TestEmitOutputs:
         assert (tmp_path / "a/sweep.csv").read_bytes() == (
             tmp_path / "b/sweep.csv"
         ).read_bytes()
+
+    def test_manifest_outputs_relative_to_directory(self, tmp_path):
+        result, cfg = self.make_result(3)
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "a-much-longer-directory" / "b"):
+            emit_outputs(result, out, cfg)
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1] == ["sweep.csv", "plot.svg"]
 
     def test_error_rows_serialized(self):
         row = SweepRow(3.0, None, error="boom")
