@@ -67,7 +67,6 @@ class DspConfig:
     volterra: VolterraStructure = VolterraStructure()
     preemphasis_enabled: bool = True
     preemphasis_max_boost_db: float = 12.0
-    ccdm_block_symbols: int = 65536
 
     def __post_init__(self):
         _check(0.0 <= self.rrc_rolloff <= 1.0, "rrc_rolloff", "must lie in [0, 1]")
@@ -76,7 +75,7 @@ class DspConfig:
         _check(0.0 < self.ffe_train_fraction < 1.0, "ffe_train_fraction",
                "must lie in (0, 1)")
         _check(self.ffe_train_passes >= 1, "ffe_train_passes", "must be >= 1")
-        _check_positive(self, "ffe_step_size", "preamble_symbols", "ccdm_block_symbols")
+        _check_positive(self, "ffe_step_size", "preamble_symbols")
         _check(self.preemphasis_max_boost_db >= 0, "preemphasis_max_boost_db",
                "must be >= 0 dB")
 

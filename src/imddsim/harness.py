@@ -105,18 +105,10 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
         alphabet = PamAlphabet.pam12()
         nu = nu_for_entropy(config.target_entropy_bits, alphabet)
         dist = maxwell_boltzmann(nu, alphabet)
-        p_mag = magnitude_distribution(dist, alphabet)
-        classes = []
-        remaining = n
-        block = min(config.dsp.ccdm_block_symbols, n)
-        while remaining > 0:
-            size = min(block, remaining)
-            comp = composition_from_distribution(p_mag, size)
-            bits = rng_data.integers(0, 2, size=ccdm_input_bits(comp))
-            classes.append(ccdm_encode(bits, comp))
-            remaining -= size
+        comp = composition_from_distribution(magnitude_distribution(dist, alphabet), n)
+        bits = rng_data.integers(0, 2, size=ccdm_input_bits(comp))
         signs = rng_signs.integers(0, 2, size=n)
-        return pas_assemble(np.concatenate(classes), signs, alphabet, dist)
+        return pas_assemble(ccdm_encode(bits, comp), signs, alphabet, dist)
     return uniform_frame(PamAlphabet.uniform(config.pam_order), n, rng_data)
 
 

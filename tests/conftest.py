@@ -39,8 +39,7 @@ def fast_link_config(seed=1, modulation="ps_pam12", noise_density=0.0,
         amplifier=OpticalAmpSpec(0.0, noise_density),
     )
     dsp = DspConfig(ffe_taps=63, ffe_step_size=3e-3, ffe_train_fraction=0.3,
-                    ffe_train_passes=4, preemphasis_enabled=False,
-                    ccdm_block_symbols=n_symbols)
+                    ffe_train_passes=4, preemphasis_enabled=False)
     kwargs = dict(
         plan=plan, tx=tx, rx=rx, channel=chan,
         modulation=modulation, pam_order=pam_order,

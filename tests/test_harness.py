@@ -84,7 +84,6 @@ class TestDspConfigValidation:
         ("ffe_train_fraction", 1.5),
         ("ffe_step_size", 0.0),
         ("ffe_step_size", -1e-3),
-        ("ccdm_block_symbols", 0),
     ])
     def test_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
@@ -232,6 +231,7 @@ class TestConfigSchema:
         (("tx", "mzm"), "insertion_loss_db", 0.0, "'tx.mzm.insertion_loss_db'"),
         (("tx", "amplifier_chain", 0), "bandwidth_order", 4,
          "'tx.amplifier_chain[0].bandwidth_order'"),
+        (("dsp",), "ccdm_block_symbols", 65536, "'dsp.ccdm_block_symbols'"),
     ])
     def test_version_2_file_rejected(self, tmp_path, path, key, value, named):
         raw = config_to_dict(c_band_216g())
