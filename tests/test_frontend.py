@@ -206,12 +206,6 @@ class TestMzm:
         assert np.all(intensity >= 0)
         assert np.all(intensity <= self.LASER_W * (1 + 1e-12))
 
-    @pytest.mark.parametrize("atten_db", [0.0, 0.02, 64.0, 100.0])
-    def test_attenuation_outside_cutoff_solve_rejected(self, atten_db):
-        # the cutoff solve brackets 0.1-50x the cutoff: (0.027, 63.8) dB
-        with pytest.raises(ParameterError, match="bandwidth_atten_db"):
-            MzmModel(2.8, bandwidth_atten_db=atten_db)
-
     @pytest.mark.parametrize("atten_db", [0.03, 3.0, 63.0])
     def test_attenuation_placed_at_bandwidth(self, atten_db):
         model = MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
