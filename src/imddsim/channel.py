@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C_M_S
 
 from .errors import ParameterError
 from .sigcore import SampledWaveform
+
+#: Speed of light in vacuum (m/s), exact by the SI definition of the metre.
+_C_M_S = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -26,12 +28,12 @@ class FiberSpec:
     zero_dispersion_wavelength_nm: float = 1280.0
     dispersion_slope_ps_nm2_km: float = 0.092
     attenuation_db_km: float = 0.4
-    label: str = ""
 
     def __post_init__(self):
-        for key in ("length_km", "dispersion_slope_ps_nm2_km"):
-            if getattr(self, key) < 0:
-                raise ParameterError("must be non-negative", key)
+        for key in ("length_km", "dispersion_slope_ps_nm2_km", "attenuation_db_km"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0):
+                raise ParameterError("must be finite and non-negative", key)
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class OpticalAmpSpec:
 
     gain_db: float = 0.0
     noise_spectral_density: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.noise_spectral_density < 0:

@@ -36,7 +36,7 @@ from .txdsp import BandPlan, VolterraStructure
 
 #: Version of the ``config_to_dict`` layout; files of any other version are
 #: rejected rather than read with a guessed meaning.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MODULATIONS = ("ps_pam12", "uniform_pamN")
 
 
@@ -195,10 +195,9 @@ def c_band_216g(seed: int = 1) -> LinkConfig:
     chan = ChannelConfig(
         fiber=FiberSpec(11.0, zero_dispersion_wavelength_nm=1541.7,
                         dispersion_slope_ps_nm2_km=0.06,
-                        attenuation_db_km=0.25, label="DSF-11km"),
+                        attenuation_db_km=0.25),
         wavelength_nm=1550.0,
-        amplifier=OpticalAmpSpec(gain_db=3.0, noise_spectral_density=3e-17,
-                                 label="EDFA"),
+        amplifier=OpticalAmpSpec(gain_db=3.0, noise_spectral_density=3e-17),
         obpf_bandwidth_hz=300e9,
         obpf_cd_trim_km=11.0,
     )
@@ -218,10 +217,9 @@ def o_band_216g(seed: int = 1) -> LinkConfig:
     chan = ChannelConfig(
         fiber=FiberSpec(2.0, zero_dispersion_wavelength_nm=1280.0,
                         dispersion_slope_ps_nm2_km=0.092,
-                        attenuation_db_km=0.4, label="4CF-core-1"),
+                        attenuation_db_km=0.4),
         wavelength_nm=1310.0,
-        amplifier=OpticalAmpSpec(gain_db=3.0, noise_spectral_density=2e-17,
-                                 label="PDFA"),
+        amplifier=OpticalAmpSpec(gain_db=3.0, noise_spectral_density=2e-17),
         obpf_bandwidth_hz=300e9,
     )
     return LinkConfig(plan=plan, tx=tx, rx=RxConfig(), channel=chan,
@@ -300,7 +298,7 @@ def _build(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> LinkConfig:
     """Build a config from its ``config_to_dict`` form. Unknown keys, at any
     nesting level, and any ``schema_version`` other than ``SCHEMA_VERSION``
-    are rejected (README lists the keys versions 2 and 3 removed or merged)."""
+    are rejected (README lists the keys versions 2 to 4 removed or merged)."""
     data = dict(data)
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ParameterError
 from .sigcore import (
@@ -173,6 +172,52 @@ def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
     return lower.plus(upper_rf, 10 ** (gain_imbalance_db / 20.0))
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` bracketed by [xa, xb], by Brent's method (Brent 1973,
+    ch. 4): inverse quadratic or secant steps, falling back to bisection.
+    The step and stopping rules and the tolerances are those of
+    ``scipy.optimize.brentq``'s defaults, so the iterates, and the root,
+    are the same."""
+    xtol, rtol, maxiter = 2e-12, 4 * 2.0**-52, 100
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant (interpolate)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic (extrapolate)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"root search did not converge in {maxiter} iterations")
+
+
 _TANH_1DB = None
 
 
@@ -181,7 +226,7 @@ def _tanh_compression_point() -> float:
     global _TANH_1DB
     if _TANH_1DB is None:
         target = 10 ** (-1.0 / 20.0)
-        _TANH_1DB = brentq(lambda u: np.tanh(u) / u - target, 1e-3, 3.0)
+        _TANH_1DB = _brentq(lambda u: np.tanh(u) / u - target, 1e-3, 3.0)
     return _TANH_1DB
 
 
@@ -218,8 +263,8 @@ def _unit_mzm_gain(x: float) -> float:
 def _mzm_bandwidth_cutoff(model: MzmModel) -> float:
     """Bessel cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``."""
     target = 10 ** (-model.bandwidth_atten_db / 20.0)
-    return model.bandwidth_hz / brentq(lambda x: _unit_mzm_gain(x) - target,
-                                       *_MZM_CUTOFF_BRACKET)
+    return model.bandwidth_hz / _brentq(lambda x: _unit_mzm_gain(x) - target,
+                                        *_MZM_CUTOFF_BRACKET)
 
 
 def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,

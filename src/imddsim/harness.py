@@ -393,11 +393,7 @@ def sweep_cores(base: LinkConfig, n_cores: int) -> SweepResult:
     The cores share device models; the experiment's delay-line
     decorrelation maps to seed decorrelation, so core k + 1 runs with seed
     base.seed + k."""
-    def core(k):
-        fiber = replace(base.channel.fiber, label=f"4CF-core-{k}")
-        return replace(base, channel=replace(base.channel, fiber=fiber))
-
-    return _run_rows(base, "core", range(1, n_cores + 1), core)
+    return _run_rows(base, "core", range(1, n_cores + 1), lambda k: base)
 
 
 # ---------------------------------------------------------------------------

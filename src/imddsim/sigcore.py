@@ -20,21 +20,25 @@ Conventions used throughout the simulator:
   conjugate-symmetric: the spectrum of the real part of its inverse FFT.
 - A filter is a response array on the waveform's own FFT grid, and
   :func:`apply_filter` multiplies it onto the spectrum. Three functions
-  cover the chain: :func:`bessel_response` (analog Bessel lowpass of any
-  order, with its phase, for the converter, amplifier, modulator,
+  cover the chain: :func:`bessel_response` (analog Bessel lowpass of order
+  2 or 4, with its phase, for the converter, amplifier, modulator,
   photodiode and scope roll-offs), :func:`filter_response` (zero-phase
   Kaiser windowed-sinc FIR lowpass; the highpass is ``1 - response``, so
   the pair sums to unity across the crossover) and :func:`fir_response`
   (explicit linear-phase taps with the center delay removed).
+- The Bessel and Kaiser designs are short numpy ports of the
+  ``scipy.signal`` designs the chain used (``bessel(..., analog=True,
+  norm="mag")`` with ``freqs``, and ``firwin`` with ``kaiserord``), and
+  match them bit for bit, so importing the package loads no
+  ``scipy.signal``.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from typing import Iterable
 
 import numpy as np
-from scipy import signal as _sig
 
 from .errors import ParameterError
 
@@ -176,17 +180,62 @@ def require_real(wave: SampledWaveform, what: str) -> None:
 # filter responses
 # ---------------------------------------------------------------------------
 
+#: Chebyshev coefficients of exp(-x) I0(x) on [0, 8] (Cephes ``i0``).
+_I0_CHEBYSHEV = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
+    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
+    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
+    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
+    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
+    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
+    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
+    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
+    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
+    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
+    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+
+#: Kaiser design for 80 dB stopband attenuation (Kaiser's empirical formulas).
+_KAISER_ATTEN_DB = 80.0
+_KAISER_BETA = 0.1102 * (_KAISER_ATTEN_DB - 8.7)
+
+
+def _i0(x: np.ndarray) -> np.ndarray:
+    """Modified Bessel function I0 for 0 <= x <= 8, computed as Cephes
+    ``i0`` does: a Clenshaw sum of the Chebyshev series times ``math.exp``
+    (``np.exp`` can differ in the last bit, and so can ``np.i0``)."""
+    y = x / 2.0 - 2.0
+    b0, b1 = np.full_like(y, _I0_CHEBYSHEV[0]), np.zeros_like(y)
+    for coef in _I0_CHEBYSHEV[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + coef
+    return np.array([math.exp(v) for v in x.tolist()]) * (0.5 * (b0 - b2))
+
+
 def _windowed_sinc_taps(cutoff_hz: float, transition_width_hz: float,
                         sample_rate_hz: float, n_record: int) -> np.ndarray:
-    """Kaiser windowed-sinc lowpass prototype (odd length, 80 dB design)."""
+    """Kaiser windowed-sinc lowpass prototype (odd length, 80 dB design),
+    normalized to unit DC gain."""
     nyq = sample_rate_hz / 2.0
     width = min(transition_width_hz, 2 * cutoff_hz, 2 * (nyq - cutoff_hz)) / nyq
-    numtaps, beta = _sig.kaiserord(80.0, width)
+    numtaps = math.ceil((_KAISER_ATTEN_DB - 7.95) / 2.285 / (np.pi * width) + 1)
     numtaps |= 1
     # keep the prototype shorter than the record so it can be zero-padded
     if numtaps > n_record:
         numtaps = n_record if n_record % 2 else n_record - 1
-    return _sig.firwin(numtaps, cutoff_hz, window=("kaiser", beta), fs=sample_rate_hz)
+    if numtaps == 1:
+        return np.ones(1)
+    half = (numtaps - 1) / 2.0
+    m = np.arange(numtaps, dtype=np.float64) - half
+    right = cutoff_hz / nyq
+    window = (_i0(_KAISER_BETA * np.sqrt(1 - (m / half) ** 2.0))
+              / _i0(np.array([_KAISER_BETA]))[0])
+    h = right * np.sinc(right * m) * window
+    return h / np.sum(h)
 
 
 def fir_response(taps: np.ndarray, n: int) -> np.ndarray:
@@ -221,22 +270,46 @@ def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
     return fir_response(taps, n)
 
 
-@functools.lru_cache(maxsize=128)
-def _bessel_design(cutoff_hz: float, order: int):
-    # designing costs a root search; a run evaluates the same few designs often
-    return _sig.bessel(order, 2 * np.pi * cutoff_hz, btype="lowpass", analog=True,
-                       norm="mag")
+#: Poles and gain of the analog Bessel lowpass prototypes with their 3-dB
+#: point at 1 rad/s (``scipy.signal.besselap(order, norm="mag")``), for the
+#: orders the chain uses.
+_BESSEL_PROTOTYPES = {
+    2: ((complex(-1.1016013305921608, 0.636009824757034),
+         complex(-1.1016013305921608, -0.636009824757034)), 1.6180339887498931),
+    4: ((complex(-0.995208764350272, 1.257105739454664),
+         complex(-1.3700678305514422, 0.41024971749375155),
+         complex(-1.3700678305514422, -0.41024971749375155),
+         complex(-0.995208764350272, -1.257105739454664)), 5.258199010244144),
+}
+
+
+def _bessel_design(cutoff_hz: float, order: int) -> tuple[float, np.ndarray]:
+    """Gain and real denominator polynomial of the Bessel lowpass with its
+    3-dB point at ``cutoff_hz``: the prototype's poles scaled by the cutoff
+    in rad/s, multiplied out highest power first."""
+    if order not in _BESSEL_PROTOTYPES:
+        raise ParameterError(f"Bessel order {order} is not one of "
+                             f"{sorted(_BESSEL_PROTOTYPES)}")
+    poles, gain = _BESSEL_PROTOTYPES[order]
+    wo = float(2 * np.pi * cutoff_hz)
+    den = np.ones(1, dtype=np.complex128)
+    for pole in wo * np.array(poles):
+        den = np.convolve(den, np.array([1.0 + 0j, -pole]))
+    return gain * wo**order, den.real
 
 
 def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.ndarray:
-    """Analog Bessel lowpass of ``order`` poles (3-dB point at ``cutoff_hz``)
-    evaluated with its phase at ``freqs_hz``; closed form, so it may roll off
-    beyond Nyquist."""
+    """Analog Bessel lowpass of ``order`` poles (3-dB point at ``cutoff_hz``;
+    orders 2 and 4) evaluated with its phase at ``freqs_hz``; closed form, so
+    it may roll off beyond Nyquist."""
     if cutoff_hz <= 0:
         raise ParameterError("Bessel cutoff must be positive")
-    b, a = _bessel_design(cutoff_hz, order)
-    _, h = _sig.freqs(b, a, worN=2 * np.pi * np.abs(freqs_hz))
-    h = np.asarray(h, dtype=np.complex128)
+    gain, den = _bessel_design(cutoff_hz, order)
+    s = 1j * (2 * np.pi * np.abs(freqs_hz))
+    y = np.zeros_like(s)
+    for coef in den:  # Horner, as scipy.signal.freqs evaluates it
+        y = y * s + coef
+    h = gain / y
     # real filter: enforce conjugate symmetry for the negative-frequency bins
     h[freqs_hz < 0] = np.conj(h[freqs_hz < 0])
     return h

@@ -8,7 +8,9 @@ from imddsim.errors import ParameterError
 from imddsim.frontend import (
     AmplifierModel,
     MzmModel,
+    _brentq,
     _mzm_bandwidth_cutoff,
+    _tanh_compression_point,
     amplify,
     combine,
     dac,
@@ -211,6 +213,44 @@ class TestMzm:
         model = MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
         h = bessel_response(np.array([110e9]), _mzm_bandwidth_cutoff(model), 2)
         assert -20 * np.log10(abs(h[0])) == pytest.approx(atten_db, rel=1e-6)
+
+
+class TestBrentq:
+    """The Brent port takes scipy.optimize.brentq's iterates, so its roots
+    are the same floats."""
+
+    def test_tanh_compression_point(self):
+        target = 10 ** (-1.0 / 20.0)
+        ref = brentq(lambda u: np.tanh(u) / u - target, 1e-3, 3.0)
+        assert _tanh_compression_point() == ref
+
+    def test_mzm_bandwidth_cutoff(self):
+        rng = np.random.default_rng(5)
+        attens = np.concatenate([np.geomspace(0.03, 63.0, 200),
+                                 rng.uniform(0.03, 63.0, 200)])
+        for atten_db in attens:
+            model = MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
+            target = 10 ** (-atten_db / 20.0)
+            ref = brentq(lambda x: abs(bessel_response(np.array([x]), 1.0, 2)[0]) - target,
+                         0.1, 50.0)
+            assert _mzm_bandwidth_cutoff(model) == 110e9 / ref
+
+    @pytest.mark.parametrize("coefs, lo, hi", [
+        ([1.0, 0.0, -2.0], 0.0, 1.7),
+        ([1.0, 0.0, -2.0], 1.2, 1.8),
+        ([1.0, -6.0, 11.0, -6.0], 0.0, 1.7),
+        ([1.0, -6.0, 11.0, -6.0], -5.0, 5.0),
+        ([1.0, -6.0, 11.0, -6.0], 2.5, 10.0),
+        ([0.5, 0.0, 0.0, -3.0], -5.0, 5.0),
+    ])
+    def test_polynomial_roots(self, coefs, lo, hi):
+        def f(x):
+            return float(np.polyval(coefs, x))
+        assert _brentq(f, lo, hi) == brentq(f, lo, hi)
+
+    def test_no_sign_change_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestStitchReconstruction:

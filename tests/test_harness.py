@@ -244,7 +244,24 @@ class TestConfigSchema:
         with pytest.raises(ParameterError, match=re.escape(named)):
             load_config(cfg_path)
 
-    @pytest.mark.parametrize("version", [None, 0, 1, 2, 99, "3"])
+    # a version-3 file, and version-3 keys that version 4 removed
+    @pytest.mark.parametrize("path, key, value, named", [
+        ((), "schema_version", 3, "schema_version 3"),
+        (("channel", "fiber"), "label", "DSF-11km", "'channel.fiber.label'"),
+        (("channel", "amplifier"), "label", "EDFA", "'channel.amplifier.label'"),
+    ])
+    def test_version_3_file_rejected(self, tmp_path, path, key, value, named):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("version", [None, 0, 1, 2, 3, 99, "4"])
     def test_schema_version_must_be_current(self, version):
         raw = config_to_dict(c_band_216g())
         if version is None:
@@ -290,6 +307,14 @@ _BAD_VALUES = [
     ({"channel.obpf_cd_trim_km": -3.0}, "channel.obpf_cd_trim_km"),
     ({"channel.fiber.length_km": -1.0}, "channel.fiber.length_km"),
     ({"channel.fiber.dispersion_slope_ps_nm2_km": -0.1},
+     "channel.fiber.dispersion_slope_ps_nm2_km"),
+    # a negative loss would be applied as gain
+    ({"channel.fiber.length_km": 2.0, "channel.fiber.attenuation_db_km": -10.0},
+     "channel.fiber.attenuation_db_km"),
+    ({"channel.fiber.attenuation_db_km": float("inf")},
+     "channel.fiber.attenuation_db_km"),
+    ({"channel.fiber.length_km": float("nan")}, "channel.fiber.length_km"),
+    ({"channel.fiber.dispersion_slope_ps_nm2_km": float("inf")},
      "channel.fiber.dispersion_slope_ps_nm2_km"),
     ({"channel.amplifier.noise_spectral_density": -1e-17},
      "channel.amplifier.noise_spectral_density"),

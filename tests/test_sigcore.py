@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
+from scipy import special
 
 from imddsim import sigcore
 from imddsim.errors import ParameterError
@@ -182,6 +184,47 @@ class TestApplyFilter:
         assert 20 * np.log10(abs(edge)) == pytest.approx(-3.0, abs=0.02)
         with pytest.raises(ParameterError):
             bessel_response(h, 0.0, 4)
+
+
+class TestMatchesScipyDesigns:
+    """The numpy filter designs reproduce the scipy.signal designs they
+    replace bit for bit, so run outputs do not depend on which is used."""
+
+    @pytest.mark.parametrize("n", [77760, 131220, 155520])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bessel_response(self, n, order):
+        for rate, cutoff in [(512e9, 100e9), (512e9, 130e9), (256e9, 113e9),
+                             (432e9, 63.7e9), (1.0, 0.37)]:
+            f = np.fft.fftfreq(n, 1 / rate)
+            b, a = sps.bessel(order, 2 * np.pi * cutoff, analog=True, norm="mag")
+            _, ref = sps.freqs(b, a, worN=2 * np.pi * np.abs(f))
+            ref[f < 0] = np.conj(ref[f < 0])
+            assert np.array_equal(bessel_response(f, cutoff, order), ref)
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    def test_unsupported_bessel_order_rejected(self, order):
+        with pytest.raises(ParameterError, match="Bessel order"):
+            bessel_response(np.array([1e9]), 10e9, order)
+
+    def test_windowed_sinc_taps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            rate = rng.uniform(50e9, 600e9)
+            nyq = rate / 2
+            cutoff = rng.uniform(0.02, 0.98) * nyq
+            width = rng.uniform(1e8, 2e10)
+            numtaps, beta = sps.kaiserord(
+                80.0, min(width, 2 * cutoff, 2 * (nyq - cutoff)) / nyq)
+            # a 500-sample record truncates the prototype to 499 taps
+            for n_record, length in ((10**7, numtaps | 1), (500, min(numtaps | 1, 499))):
+                ref = sps.firwin(length, cutoff, window=("kaiser", beta), fs=rate)
+                got = sigcore._windowed_sinc_taps(cutoff, width, rate, n_record)
+                assert np.array_equal(got, ref)
+
+    def test_i0(self):
+        x = np.concatenate([np.linspace(0.0, 8.0, 100001),
+                            np.random.default_rng(2).uniform(0.0, 8.0, 10000)])
+        assert np.array_equal(sigcore._i0(x), special.i0(x))
 
 
 class TestResample:
