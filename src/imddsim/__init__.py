@@ -8,6 +8,11 @@ net-bitrate metrology.
 
 __version__ = "0.1.0"
 
+# numpy 2 loads these submodules on first use; importing them with the
+# package keeps their cost in set-up rather than in the first run.
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .config import LinkConfig, PRESETS, c_band_216g, load_config, o_band_216g, save_config
 from .harness import (
     emit_outputs,

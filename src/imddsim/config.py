@@ -36,7 +36,7 @@ from .txdsp import BandPlan, VolterraStructure
 
 #: Version of the ``config_to_dict`` layout; files of any other version are
 #: rejected rather than read with a guessed meaning.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 MODULATIONS = ("ps_pam12", "uniform_pamN")
 
 
@@ -59,9 +59,7 @@ def _check_bits(obj, key: str) -> None:
 class DspConfig:
     rrc_rolloff: float = 0.01
     ffe_taps: int = 101
-    ffe_step_size: float = 1e-3
     ffe_train_fraction: float = 0.2
-    ffe_train_passes: int = 4
     preamble_symbols: int = 512
     volterra_enabled: bool = False
     volterra: VolterraStructure = VolterraStructure()
@@ -74,8 +72,7 @@ class DspConfig:
                "must be odd (centered equalizer)")
         _check(0.0 < self.ffe_train_fraction < 1.0, "ffe_train_fraction",
                "must lie in (0, 1)")
-        _check(self.ffe_train_passes >= 1, "ffe_train_passes", "must be >= 1")
-        _check_positive(self, "ffe_step_size", "preamble_symbols")
+        _check_positive(self, "preamble_symbols")
         _check(self.preemphasis_max_boost_db >= 0, "preemphasis_max_boost_db",
                "must be >= 0 dB")
 
@@ -298,7 +295,7 @@ def _build(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> LinkConfig:
     """Build a config from its ``config_to_dict`` form. Unknown keys, at any
     nesting level, and any ``schema_version`` other than ``SCHEMA_VERSION``
-    are rejected (README lists the keys versions 2 to 4 removed or merged)."""
+    are rejected (README lists the keys versions 2 to 5 removed or merged)."""
     data = dict(data)
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:

@@ -23,10 +23,6 @@ class SyncError(RuntimeError):
     """Frame synchronization could not locate the preamble."""
 
 
-class EqualizerDivergenceError(RuntimeError):
-    """Adaptive equalizer MSE grew instead of converging."""
-
-
 class DecodeError(ValueError):
     """Distribution-matcher input is not a valid codeword."""
 

@@ -198,8 +198,7 @@ def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
     aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols],
                              SAMPLES_PER_SYMBOL)
     eq, state = ffe_train_apply(aligned.real, reference, dsp.ffe_taps,
-                                dsp.ffe_step_size, dsp.ffe_train_fraction,
-                                dsp.ffe_train_passes)
+                                dsp.ffe_train_fraction)
     return eq, state.training_symbols
 
 

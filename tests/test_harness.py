@@ -82,8 +82,6 @@ class TestDspConfigValidation:
         ("ffe_train_fraction", 0.0),
         ("ffe_train_fraction", 1.0),
         ("ffe_train_fraction", 1.5),
-        ("ffe_step_size", 0.0),
-        ("ffe_step_size", -1e-3),
     ])
     def test_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
@@ -122,7 +120,6 @@ _OVERRIDES = {
                                                  st.integers(2, 16)),
     (("plan",), "crossover_hz"): st.floats(77e9, 150e9),
     (("dsp",), "ffe_taps"): st.integers(0, 99).map(lambda t: 2 * t + 1),
-    (("dsp",), "ffe_step_size"): st.floats(1e-6, 0.1),
     (("dsp",), "preemphasis_max_boost_db"): st.floats(0.0, 30.0),
     (("dsp", "volterra"), "memory_1"): st.integers(0, 20).map(lambda t: 2 * t + 1),
     (("dsp", "volterra"), "max_spread_2"): st.none() | st.integers(0, 5),
@@ -261,6 +258,23 @@ class TestConfigSchema:
         with pytest.raises(ParameterError, match=re.escape(named)):
             load_config(cfg_path)
 
+    # a version-4 file, and the version-4 keys that version 5 removed
+    @pytest.mark.parametrize("path, key, value, named", [
+        ((), "schema_version", 4, "schema_version 4"),
+        (("dsp",), "ffe_step_size", 1e-3, "'dsp.ffe_step_size'"),
+        (("dsp",), "ffe_train_passes", 4, "'dsp.ffe_train_passes'"),
+    ])
+    def test_version_4_file_rejected(self, tmp_path, path, key, value, named):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            load_config(cfg_path)
+
     @pytest.mark.parametrize("version", [None, 0, 1, 2, 3, 99, "4"])
     def test_schema_version_must_be_current(self, version):
         raw = config_to_dict(c_band_216g())
@@ -276,7 +290,6 @@ class TestConfigSchema:
 _BAD_VALUES = [
     ({"dsp.rrc_rolloff": -0.1}, "dsp.rrc_rolloff"),
     ({"dsp.ffe_taps": 100}, "dsp.ffe_taps"),
-    ({"dsp.ffe_train_passes": 0}, "dsp.ffe_train_passes"),
     ({"dsp.preamble_symbols": 0}, "dsp.preamble_symbols"),
     ({"dsp.preemphasis_max_boost_db": -5.0}, "dsp.preemphasis_max_boost_db"),
     ({"dsp.volterra.memory_2": 6}, "dsp.volterra.memory_2"),
@@ -413,18 +426,18 @@ class TestRunLink:
     # (modulation, seed, pre-emphasis, BER, GMI, NGMI, achievable, net) of the
     # fast link with noise density 2e-17: the fixed-seed physics of the chain
     @pytest.mark.parametrize("modulation, seed, preemphasis, golden", [
-        ("ps_pam12", 3, False, (0.02707231040564374, 2.7606052828326657,
-                                0.8901510867561377, 596.2907410918558,
-                                579.0107410918558)),
-        ("ps_pam12", 4, False, (0.0208994708994709, 2.8832061319523348,
-                                0.920801299036055, 622.7725245017043,
-                                605.4925245017043)),
-        ("uniform_pam8", 5, False, (0.02962962962962963, 2.660275560542447,
-                                    0.8867585201808157, 574.6195210771685,
-                                    561.6595210771685)),
-        ("uniform_pam8", 6, True, (0.019400352733686066, 2.785957203282115,
-                                   0.9286524010940383, 601.7667559089368,
-                                   588.8067559089368)),
+        ("ps_pam12", 3, False, (0.02292768959435626, 2.8355430438477565,
+                                0.9088855270099104, 612.4772974711154,
+                                595.1972974711153)),
+        ("ps_pam12", 4, False, (0.016490299823633158, 2.946514026684808,
+                                0.9366282727191734, 636.4470297639185,
+                                619.1670297639185)),
+        ("uniform_pam8", 5, False, (0.02175191064079953, 2.7622297626387957,
+                                    0.9207432542129319, 596.6416287299799,
+                                    583.6816287299798)),
+        ("uniform_pam8", 6, True, (0.011405055849500294, 2.86802339153453,
+                                   0.9560077971781767, 619.4930525714585,
+                                   606.5330525714585)),
     ])
     def test_fast_link_golden(self, modulation, seed, preemphasis, golden):
         cfg = fast_link_config(seed=seed, modulation=modulation, noise_density=2e-17)
@@ -433,6 +446,13 @@ class TestRunLink:
         assert rep.ber == golden[0]
         got = (rep.gmi_bits, rep.ngmi, rep.achievable_bitrate_gbps, rep.net_bitrate_gbps)
         assert got == pytest.approx(golden[1:], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_short_c_band_record_matches_preset(self, seed):
+        # least-squares taps do not wait on convergence, so 4 096 symbols
+        # (819 training) give the NGMI of the 65 536-symbol preset
+        short = run_link(replace(c_band_216g(seed), sequence_length_symbols=4096))
+        assert abs(short.ngmi - run_link(c_band_216g(seed)).ngmi) <= 0.02
 
     def test_fft_budget(self, monkeypatch, fast_config):
         # Linear stages multiply the record spectrum, so a run transforms only
@@ -584,13 +604,14 @@ class TestSweeps:
             )
 
     def test_ngmi_non_increasing_in_symbol_rate(self):
-        # band-limited receiver (60 GHz PD and scope): higher baud, more ISI,
+        # band-limited receiver (30 GHz PD and scope): higher baud, more ISI,
         # lower NGMI. Each seed runs at every rate and the trend is taken on
-        # the per-rate mean: an 8-GBd step moves the mean NGMI by 0.03-0.08
-        # here, while one seed's NGMI scatters by 0.01-0.05
-        cfg = fast_link_config(modulation="uniform_pam8", noise_density=2e-18)
-        cfg = replace(cfg, rx=replace(cfg.rx, pd_bandwidth_hz=60e9,
-                                      dso_bandwidth_hz=60e9))
+        # the per-rate mean: an 8-GBd step moves the mean NGMI by 0.007-0.016
+        # here, while one seed's NGMI scatters by 0.01-0.03. At 60 GHz and
+        # 2e-18 the FFE leaves no error at any rate (NGMI 1.0 throughout)
+        cfg = fast_link_config(modulation="uniform_pam8", noise_density=1e-17)
+        cfg = replace(cfg, rx=replace(cfg.rx, pd_bandwidth_hz=30e9,
+                                      dso_bandwidth_hz=30e9))
         seeds = range(1, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
