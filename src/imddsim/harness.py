@@ -302,10 +302,10 @@ def run_link(config: LinkConfig) -> MetricsReport:
 
     eval_frame = SymbolFrame(frame.indices[n_train:], frame.alphabet,
                              frame.distribution)
-    ber, hard = _stage("metrology", decide_and_ber, eq, eval_frame)
-    residual = eq - eval_frame.alphabet.levels[hard]
-    sigma2 = max(float(np.mean(residual**2)), 1e-30)
-    llr = _stage("metrology", llr_compute, eq, eval_frame, sigma2)
+    # decisions and LLRs take rxdsp's one noise-variance estimate, the
+    # nearest-level (uniform-prior decision-directed) variance
+    ber, _ = _stage("metrology", decide_and_ber, eq, eval_frame)
+    llr = _stage("metrology", llr_compute, eq, eval_frame)
 
     h_bits = entropy_bits(frame.distribution)
     m = frame.alphabet.label_bits

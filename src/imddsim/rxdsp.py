@@ -194,8 +194,10 @@ def _squared_distances(y: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 def _variance_from_distances(sq_dist: np.ndarray) -> float:
-    """Decision-directed noise variance: the mean squared distance to the
-    nearest level."""
+    """The receiver's noise-variance estimator, decision-directed with
+    uniform priors: the mean squared distance from each sample to its
+    nearest level. Decisions and LLRs both use it when no variance is
+    given, so a run decides and weighs its bits with one variance."""
     return max(float(np.mean(sq_dist.min(axis=1))), 1e-30)
 
 
@@ -210,8 +212,8 @@ def decide_and_ber(soft_symbols: np.ndarray, frame: SymbolFrame,
     ratio over the label bits.
 
     With uniform priors the decision thresholds reduce to the midpoints. If
-    the noise variance is not given it is estimated from decision-directed
-    residuals of a uniform-prior pass.
+    the noise variance is not given, it is the nearest-level variance of
+    ``_variance_from_distances``.
     """
     y = np.asarray(soft_symbols, dtype=float)
     if y.size != frame.n:
@@ -237,8 +239,8 @@ def llr_compute(soft_symbols: np.ndarray, frame: SymbolFrame,
     exponential after subtracting each row's maximum, the LLRs are
     ``log(P Z0) - log(P Z1)`` for the 0/1 label masks Z0 and Z1. A mask sum
     underflows only where the true |LLR| exceeds 700, far beyond the cap.
-    The noise variance is estimated from decision-directed residuals when
-    not supplied."""
+    If the noise variance is not given, it is the nearest-level variance of
+    ``_variance_from_distances``, as in :func:`decide_and_ber`."""
     y = np.asarray(soft_symbols, dtype=float)
     sq_dist = _squared_distances(y, frame.alphabet.levels)
     if noise_variance is None:
