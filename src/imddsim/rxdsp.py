@@ -150,7 +150,8 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     per training symbol) and r the reference, the taps solve the regularised
     normal equations ``(G + FFE_RIDGE * tr(G) / taps * I) w = V^T r`` with
     ``G = V^T V``: the Wiener taps to which an LMS equalizer converges in the
-    mean. ``train_passes`` is accepted for callers that bind it and must be 1.
+    mean (Haykin, *Adaptive Filter Theory*, 5th ed., 2014).
+    ``train_passes`` is accepted for callers that bind it and must be 1.
     """
     if tap_count % 2 == 0:
         raise ParameterError("tap count must be odd (centered equalizer)")
