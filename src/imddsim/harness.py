@@ -37,14 +37,10 @@ from .rxdsp import (
     CSV_HEADER,
     SAMPLES_PER_SYMBOL,
     MetricsReport,
-    decide_and_ber,
     digitize,
     ffe_train_apply,
-    gmi_ngmi,
-    llr_compute,
-    net_bitrate_ps,
     photodetect,
-    required_code_rate,
+    score_symbols,
     synchronize,
 )
 from .shaping import (
@@ -53,7 +49,6 @@ from .shaping import (
     ccdm_encode,
     ccdm_input_bits,
     composition_from_distribution,
-    entropy_bits,
     magnitude_distribution,
     maxwell_boltzmann,
     nu_for_entropy,
@@ -83,16 +78,11 @@ def _spawn_rngs(config: LinkConfig) -> dict:
             for role, child in zip(_RNG_ROLES, children)}
 
 
-def feasible_sequence_length(requested: int, symbol_rate_hz: float,
-                             rates_hz: tuple[float, ...]) -> int:
-    """Nearest symbol count for which every stage rate yields an integer
-    record length."""
+def smallest_feasible_length(symbol_rate_hz: float, rates_hz: tuple[float, ...]) -> int:
+    """Smallest symbol count for which every stage rate yields an integer
+    record length; the feasible counts are exactly its multiples."""
     b = int(round(symbol_rate_hz))
-    den = 1
-    for r in rates_hz:
-        ri = int(round(r))
-        den = den * (b // math.gcd(b, ri)) // math.gcd(den, b // math.gcd(b, ri))
-    return max(den, round(requested / den) * den)
+    return math.lcm(*(b // math.gcd(b, int(round(r))) for r in rates_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +251,7 @@ def resolve_sequence_length(config: LinkConfig) -> int:
     rejected with a ``ParameterError`` instead of building that record.
     """
     rates = (config.plan.awg_rate_hz, config.tx.analog_rate_hz, config.rx.dso_rate_hz)
-    step = feasible_sequence_length(1, config.symbol_rate_hz, rates)
+    step = smallest_feasible_length(config.symbol_rate_hz, rates)
     requested = config.sequence_length_symbols
     if step > max(requested, 2**16):
         names = ("plan.awg_rate_hz", "tx.analog_rate_hz", "rx.dso_rate_hz")
@@ -302,27 +292,8 @@ def run_link(config: LinkConfig) -> MetricsReport:
 
     eval_frame = SymbolFrame(frame.indices[n_train:], frame.alphabet,
                              frame.distribution)
-    # decisions and LLRs take rxdsp's one noise-variance estimate, the
-    # nearest-level (uniform-prior decision-directed) variance
-    ber, _ = _stage("metrology", decide_and_ber, eq, eval_frame)
-    llr = _stage("metrology", llr_compute, eq, eval_frame)
-
-    h_bits = entropy_bits(frame.distribution)
-    m = frame.alphabet.label_bits
-    gmi, ngmi = _stage("metrology", gmi_ngmi, llr, eval_frame.bits(), h_bits, m)
-    ngmi = min(ngmi, 1.0)
-    rate = _stage("metrology", required_code_rate, ngmi, config.rate_table())
-
-    b_gbd = config.symbol_rate_gbd
-    achievable = _stage("metrology", net_bitrate_ps, h_bits, ngmi, b_gbd, m)
-    net = _stage("metrology", net_bitrate_ps, h_bits, rate, b_gbd, m)
-
-    return MetricsReport(
-        ber=ber, gmi_bits=gmi, ngmi=ngmi, required_code_rate=rate,
-        achievable_bitrate_gbps=achievable, net_bitrate_gbps=net,
-        symbol_rate_gbd=b_gbd, entropy_bits=h_bits, label_bits=m,
-        seed=config.seed,
-    )
+    return _stage("metrology", score_symbols, eq, eval_frame, config.rate_table(),
+                  config.symbol_rate_gbd, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +317,9 @@ class SweepResult:
 
 
 def _run_rows(base: LinkConfig, name: str, values, make_config) -> SweepResult:
+    values = list(values)
+    if not values:
+        raise ParameterError(f"the {name} sweep needs at least one value")
     rows = []
     for i, value in enumerate(values):
         try:

@@ -2,6 +2,10 @@
 synchronization, T/2-spaced least-squares FFE, MAP decisions, bit LLRs,
 GMI/NGMI estimation, code-rate lookup, and the net-bitrate formulas.
 
+``symbol_metric`` is the one home of the noise-variance estimator and of the
+prior-weighted symbol metric; ``decide_and_ber`` and ``llr_compute`` reduce
+that metric, and ``score_symbols`` turns it into a run's ``MetricsReport``.
+
 Bitrate convention (symbol rate B in GBd, result in Gb/s): every run uses
 C = (H - (1 - R) * m) * B with entropy H and m label bits (4 for PAM12).
 For uniform PAM8, H = m = 3 and this is the paper's 3 * R * B; for a
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRateError, ParameterError, SyncError
-from .shaping import SymbolFrame
+from .shaping import SymbolFrame, entropy_bits
 from .sigcore import SampledWaveform, apply_filter, bessel_response, resample, rms
 
 LLR_CAP = 50.0
@@ -189,68 +193,51 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
 # decisions, LLRs, and mutual information
 # ---------------------------------------------------------------------------
 
-def _squared_distances(y: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(n, M) matrix of squared distances from each sample to each level."""
-    return (y[:, None] - levels[None, :]) ** 2
+def symbol_metric(soft_symbols: np.ndarray, frame: SymbolFrame,
+                  noise_variance: float | None = None) -> np.ndarray:
+    """Prior-weighted symbol metric ``log p(a) - (y - a)^2 / 2 sigma^2`` as
+    an (n, M) array, each row shifted so that its maximum is 0.
 
-
-def _variance_from_distances(sq_dist: np.ndarray) -> float:
-    """The receiver's noise-variance estimator, decision-directed with
-    uniform priors: the mean squared distance from each sample to its
-    nearest level. Decisions and LLRs both use it when no variance is
-    given, so a run decides and weighs its bits with one variance."""
-    return max(float(np.mean(sq_dist.min(axis=1))), 1e-30)
-
-
-def _log_priors(frame: SymbolFrame) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(frame.distribution.probabilities)
-
-
-def decide_and_ber(soft_symbols: np.ndarray, frame: SymbolFrame,
-                   noise_variance: float | None = None) -> tuple[float, np.ndarray]:
-    """Prior-weighted (MAP) symbol decisions and the resulting bit error
-    ratio over the label bits.
-
-    With uniform priors the decision thresholds reduce to the midpoints. If
-    the noise variance is not given, it is the nearest-level variance of
-    ``_variance_from_distances``.
+    This is the receiver's one noise-variance estimator: if the variance is
+    not given, it is decision-directed with uniform priors, the mean squared
+    distance from each sample to its nearest level. Decisions and LLRs both
+    reduce this metric, so a run decides and weighs its bits with one
+    variance.
     """
     y = np.asarray(soft_symbols, dtype=float)
     if y.size != frame.n:
         raise ParameterError("soft symbols and frame must have equal length")
-    sq_dist = _squared_distances(y, frame.alphabet.levels)
+    metric = (y[:, None] - frame.alphabet.levels[None, :]) ** 2
     if noise_variance is None:
-        noise_variance = _variance_from_distances(sq_dist)
+        noise_variance = max(float(np.mean(metric.min(axis=1))), 1e-30)
+    if noise_variance <= 0:
+        raise ParameterError("noise variance must be positive")
+    metric /= -2.0 * noise_variance
+    with np.errstate(divide="ignore"):
+        metric += np.log(frame.distribution.probabilities)
+    metric -= metric.max(axis=1, keepdims=True)
+    return metric
 
-    score = _log_priors(frame)[None, :] - sq_dist / (2.0 * noise_variance)
-    hard = np.argmax(score, axis=1)
-    tx_bits = frame.bits()
-    rx_bits = frame.alphabet.labels[hard]
-    ber = float(np.mean(tx_bits != rx_bits))
+
+def decide_and_ber(metric: np.ndarray, frame: SymbolFrame) -> tuple[float, np.ndarray]:
+    """MAP symbol decisions from a :func:`symbol_metric` and the resulting
+    bit error ratio over the label bits.
+
+    With uniform priors the decision thresholds reduce to the midpoints.
+    """
+    hard = np.argmax(metric, axis=1)
+    ber = float(np.mean(frame.bits() != frame.alphabet.labels[hard]))
     return ber, hard
 
 
-def llr_compute(soft_symbols: np.ndarray, frame: SymbolFrame,
-                noise_variance: float | None = None) -> np.ndarray:
-    """Per-bit LLR log[P(b=0|y)/P(b=1|y)] with shaping priors, clipped to
-    +-``LLR_CAP``. Returns an (n, label_bits) array.
+def llr_compute(metric: np.ndarray, frame: SymbolFrame) -> np.ndarray:
+    """Per-bit LLR log[P(b=0|y)/P(b=1|y)] from a :func:`symbol_metric`,
+    clipped to +-``LLR_CAP``. Returns an (n, label_bits) array.
 
-    With the metric ``log prior - (y - level)^2 / 2 sigma^2`` and P its
-    exponential after subtracting each row's maximum, the LLRs are
+    With P the exponential of the metric, the LLRs are
     ``log(P Z0) - log(P Z1)`` for the 0/1 label masks Z0 and Z1. A mask sum
-    underflows only where the true |LLR| exceeds 700, far beyond the cap.
-    If the noise variance is not given, it is the nearest-level variance of
-    ``_variance_from_distances``, as in :func:`decide_and_ber`."""
-    y = np.asarray(soft_symbols, dtype=float)
-    sq_dist = _squared_distances(y, frame.alphabet.levels)
-    if noise_variance is None:
-        noise_variance = _variance_from_distances(sq_dist)
-    if noise_variance <= 0:
-        raise ParameterError("noise variance must be positive")
-    metric = _log_priors(frame)[None, :] - sq_dist / (2.0 * noise_variance)
-    metric -= metric.max(axis=1, keepdims=True)
-    prob = np.exp(metric, out=metric)
+    underflows only where the true |LLR| exceeds 700, far beyond the cap."""
+    prob = np.exp(metric)
     zero = (frame.alphabet.labels == 0).astype(float)
     # np.dot reaches BLAS for this tall, narrow product; matmul is ~30x slower
     with np.errstate(divide="ignore"):
@@ -410,3 +397,24 @@ class MetricsReport:
             raise ParameterError(f"CSV row needs the {CSV_HEADER!r} columns: {row!r}")
         return cls(**{name: (int if name in ("label_bits", "seed") else float)(text)
                       for name, text in zip(names, fields)})
+
+
+def score_symbols(soft_symbols: np.ndarray, frame: SymbolFrame, rate_table: RateTable,
+                  symbol_rate_gbd: float, seed: int) -> MetricsReport:
+    """Score equalized symbols against the frame they carry: MAP decisions
+    and BER, bit LLRs, GMI/NGMI, the required code rate and both bitrates,
+    all from one :func:`symbol_metric`."""
+    metric = symbol_metric(soft_symbols, frame)
+    ber, _ = decide_and_ber(metric, frame)
+    llr = llr_compute(metric, frame)
+    h_bits = entropy_bits(frame.distribution)
+    m = frame.alphabet.label_bits
+    gmi, ngmi = gmi_ngmi(llr, frame.bits(), h_bits, m)
+    rate = required_code_rate(ngmi, rate_table)
+    return MetricsReport(
+        ber=ber, gmi_bits=gmi, ngmi=ngmi, required_code_rate=rate,
+        achievable_bitrate_gbps=net_bitrate_ps(h_bits, ngmi, symbol_rate_gbd, m),
+        net_bitrate_gbps=net_bitrate_ps(h_bits, rate, symbol_rate_gbd, m),
+        symbol_rate_gbd=symbol_rate_gbd, entropy_bits=h_bits, label_bits=m,
+        seed=seed,
+    )

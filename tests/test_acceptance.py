@@ -18,6 +18,7 @@ from imddsim.rxdsp import (
     llr_compute,
     net_bitrate_ps,
     net_bitrate_uniform,
+    symbol_metric,
 )
 from imddsim.shaping import (
     Composition,
@@ -165,7 +166,7 @@ def test_criterion_05_metrology_oracle():
         for snr_db in (0.0, 3.0, 6.0, 10.0):
             sigma2 = es / 10 ** (snr_db / 10)
             rx = frame.levels() + rng.normal(0, np.sqrt(sigma2), n)
-            llr = llr_compute(rx, frame, sigma2)
+            llr = llr_compute(symbol_metric(rx, frame, sigma2), frame)
             m = alphabet.label_bits
             gmi, _ = gmi_ngmi(llr, frame.bits(), float(m), m)
             oracle = _gmi_oracle(alphabet.levels, alphabet.labels, sigma2)
@@ -232,7 +233,7 @@ def test_criterion_07_equalizer_efficacy():
 
     eval_frame = SymbolFrame(frame.indices[state.training_symbols:], alphabet,
                              frame.distribution)
-    ber, _ = decide_and_ber(eq, eval_frame)
+    ber, _ = decide_and_ber(symbol_metric(eq, eval_frame), eval_frame)
     ok = improvement >= 10.0 and ber < 1e-4
     _report(f"07 equalizer-efficacy ({improvement:.1f} dB, BER {ber:.1e})", ok)
 

@@ -85,6 +85,20 @@ class TestSweepCommands:
         assert lines[0].startswith("core,")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("args", [
+        ["cores", "--n", "0"],
+        ["cores", "--n", "-2"],
+        ["sweep-entropy", "--entropies", ","],
+    ])
+    def test_empty_sweep_fails_without_output(self, config_path, tmp_path, capsys, args):
+        out = tmp_path / "empty"
+        rc = main([args[0], "--config", str(config_path), *args[1:], "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "at least one value" in captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_rerender_from_csv(self, config_path, tmp_path):

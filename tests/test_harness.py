@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRANSPARENT_SEEDS, fast_link_config, transparency_failures
-from imddsim import harness
+from imddsim import harness, rxdsp
 from imddsim.config import (
     PRESETS,
     DspConfig,
@@ -29,9 +29,9 @@ from imddsim.harness import (
     SweepRow,
     build_manifest,
     emit_outputs,
-    feasible_sequence_length,
     resolve_sequence_length,
     run_link,
+    smallest_feasible_length,
     sweep_cores,
     sweep_entropy,
     sweep_symbol_rate,
@@ -352,16 +352,11 @@ class TestConfigBoundary:
 
 
 class TestFeasibleLength:
-    def test_216_gbd_snaps_to_27(self):
-        n = feasible_sequence_length(4096, 216e9, (256e9, 512e9))
-        assert n % 27 == 0
-        assert abs(n - 4096) <= 27
-
-    def test_feasible_input_unchanged(self):
-        assert feasible_sequence_length(4104, 216e9, (256e9, 512e9)) == 4104
+    def test_216_gbd_step_is_27(self):
+        assert smallest_feasible_length(216e9, (256e9, 512e9)) == 27
 
     def test_power_of_two_rate(self):
-        assert feasible_sequence_length(4096, 256e9, (256e9, 512e9)) == 4096
+        assert smallest_feasible_length(256e9, (256e9, 512e9)) == 1
 
 
 def _is_5_smooth(k: int) -> bool:
@@ -400,7 +395,7 @@ class TestResolveLength:
         cfg = replace(c_band_216g(), symbol_rate_gbd=gbd,
                       sequence_length_symbols=requested)
         rates = (cfg.plan.awg_rate_hz, cfg.tx.analog_rate_hz, cfg.rx.dso_rate_hz)
-        step = feasible_sequence_length(1, cfg.symbol_rate_hz, rates)
+        step = smallest_feasible_length(cfg.symbol_rate_hz, rates)
         n = resolve_sequence_length(cfg)
         baud = int(cfg.symbol_rate_hz)
         assert all(n * int(r) % baud == 0 for r in rates)
@@ -514,7 +509,7 @@ class TestRunLink:
         def fail(*args, **kwargs):
             raise FloatingPointError("forced")
 
-        monkeypatch.setattr(harness, name, fail)
+        monkeypatch.setattr(rxdsp, name, fail)
         with pytest.raises(StageError) as err:
             run_link(fast_link_config(modulation=modulation))
         assert err.value.stage == "metrology"
@@ -588,6 +583,13 @@ class TestSweeps:
         cfg = fast_link_config(modulation="uniform_pam8")
         with pytest.raises(ParameterError):
             sweep_entropy(cfg, [3.0])
+
+    def test_empty_sweep_rejected(self):
+        cfg = fast_link_config()
+        for sweep in (lambda: sweep_cores(cfg, 0), lambda: sweep_cores(cfg, -2),
+                      lambda: sweep_entropy(cfg, []), lambda: sweep_symbol_rate(cfg, [])):
+            with pytest.raises(ParameterError, match="at least one value"):
+                sweep()
 
     def test_baud_single_point_matches_run_link(self):
         cfg = fast_link_config(modulation="uniform_pam8", noise_density=1e-17)

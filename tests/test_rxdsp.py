@@ -22,6 +22,7 @@ from imddsim.rxdsp import (
     net_bitrate_uniform,
     photodetect,
     required_code_rate,
+    symbol_metric,
     synchronize,
 )
 from imddsim.shaping import (
@@ -259,11 +260,27 @@ class TestFfe:
         assert state.tap_count == 31
 
 
+class TestSymbolMetric:
+    def test_rejects_length_mismatch(self):
+        rng = np.random.default_rng(18)
+        frame = uniform_frame(PamAlphabet.pam12(), 64, rng)
+        with pytest.raises(ParameterError, match="equal length"):
+            symbol_metric(frame.levels()[:10], frame)
+
+    def test_rows_peak_at_zero(self):
+        rng = np.random.default_rng(19)
+        alpha = PamAlphabet.pam12()
+        frame = SymbolFrame(rng.integers(0, 12, 256), alpha, maxwell_boltzmann(1.0, alpha))
+        metric = symbol_metric(frame.levels() + rng.normal(0, 0.1, 256), frame)
+        assert metric.shape == (256, 12)
+        assert np.array_equal(metric.max(axis=1), np.zeros(256))
+
+
 class TestDecide:
     def test_noiseless_zero_ber(self):
         rng = np.random.default_rng(8)
         frame = uniform_frame(PamAlphabet.uniform(8), 4096, rng)
-        ber, hard = decide_and_ber(frame.levels(), frame)
+        ber, hard = decide_and_ber(symbol_metric(frame.levels(), frame), frame)
         assert ber == 0.0
         assert np.array_equal(hard, frame.indices)
 
@@ -275,7 +292,7 @@ class TestDecide:
         gamma = 10 ** (gamma_db / 10)
         sigma = 1 / np.sqrt(gamma)
         y = frame.levels() + rng.normal(0, sigma, n)
-        ber, _ = decide_and_ber(y, frame, noise_variance=sigma**2)
+        ber, _ = decide_and_ber(symbol_metric(y, frame, sigma**2), frame)
         expect = norm.sf(np.sqrt(gamma))
         se = np.sqrt(expect * (1 - expect) / n)
         assert abs(ber - expect) <= 3 * se
@@ -288,8 +305,8 @@ class TestDecide:
         bers = []
         for snr_db in (8.0, 11.0, 14.0, 17.0, 20.0):
             sigma = np.sqrt(np.mean(frame.levels() ** 2) / 10 ** (snr_db / 10))
-            ber, _ = decide_and_ber(frame.levels() + sigma * noise, frame,
-                                    noise_variance=sigma**2)
+            y = frame.levels() + sigma * noise
+            ber, _ = decide_and_ber(symbol_metric(y, frame, sigma**2), frame)
             bers.append(ber)
         assert all(b <= a for a, b in zip(bers, bers[1:]))
 
@@ -300,7 +317,7 @@ class TestDecide:
         eps = 1e-6
         y = np.array([mids[0] - eps, mids[0] + eps, mids[1] + eps, mids[2] + eps,
                       alpha.levels[3] + 1.0])
-        _, hard = decide_and_ber(y, frame, noise_variance=0.05)
+        _, hard = decide_and_ber(symbol_metric(y, frame, 0.05), frame)
         assert hard.tolist() == [0, 1, 2, 3, 3]
 
 
@@ -308,7 +325,7 @@ class TestLlr:
     def test_sign_matches_labels_at_low_noise(self):
         rng = np.random.default_rng(10)
         frame = uniform_frame(PamAlphabet.pam12(), 512, rng)
-        llr = llr_compute(frame.levels(), frame, noise_variance=1e-4)
+        llr = llr_compute(symbol_metric(frame.levels(), frame, 1e-4), frame)
         bits = frame.bits()
         assert np.all((llr > 0) == (bits == 0))
 
@@ -316,7 +333,7 @@ class TestLlr:
         alpha = PamAlphabet.uniform(2)
         dist = SymbolDistribution(np.array([0.3, 0.7]))
         frame = SymbolFrame(np.array([0]), alpha, dist)
-        llr = llr_compute(np.array([0.0]), frame, noise_variance=0.1)
+        llr = llr_compute(symbol_metric(np.array([0.0]), frame, 0.1), frame)
         # level -1 carries bit 0: LLR = log(P(-1)/P(+1))
         assert abs(llr[0, 0] - np.log(0.3 / 0.7)) < 1e-12
 
@@ -324,7 +341,7 @@ class TestLlr:
         alpha = PamAlphabet.uniform(4, normalize=False)  # levels -3,-1,1,3
         frame = SymbolFrame(np.zeros(1, dtype=int), alpha, SymbolDistribution.uniform(4))
         y, var = 0.3, 0.1
-        llr = llr_compute(np.array([y]), frame, noise_variance=var)
+        llr = llr_compute(symbol_metric(np.array([y]), frame, var), frame)
 
         # oracle: direct extended-precision summation, no log-sum-exp tricks
         levels = np.array([-3.0, -1.0, 1.0, 3.0], dtype=np.longdouble)
@@ -338,15 +355,15 @@ class TestLlr:
         rng = np.random.default_rng(11)
         frame = uniform_frame(PamAlphabet.uniform(4), 16, rng)
         with pytest.raises(ParameterError):
-            llr_compute(frame.levels(), frame, noise_variance=0.0)
+            symbol_metric(frame.levels(), frame, 0.0)
 
     def test_variance_estimated_when_omitted(self):
         rng = np.random.default_rng(17)
         frame = uniform_frame(PamAlphabet.uniform(4), 1 << 14, rng)
         sigma2 = 0.02
         y = frame.levels() + rng.normal(0, np.sqrt(sigma2), frame.n)
-        auto = llr_compute(y, frame)
-        explicit = llr_compute(y, frame, noise_variance=sigma2)
+        auto = llr_compute(symbol_metric(y, frame), frame)
+        explicit = llr_compute(symbol_metric(y, frame, sigma2), frame)
         # decision-directed estimate lands near truth, so LLRs track closely
         assert np.allclose(auto, explicit, rtol=0.1, atol=0.5)
 
@@ -381,7 +398,7 @@ class TestLlrMatrixForm:
         y = rng.uniform(-1.0 - spread, 1.0 + spread, 256)
         frame = SymbolFrame(np.zeros(y.size, dtype=int), alpha, dist)
         var = 10.0**log10_var
-        llr = llr_compute(y, frame, var)
+        llr = llr_compute(symbol_metric(y, frame, var), frame)
         raw, metric = reference_llr(y, frame, var)
         expect = np.clip(raw, -LLR_CAP, LLR_CAP)
         # both sides inherit the rounding of metrics of size max|metric|
@@ -397,7 +414,7 @@ class TestLlrMatrixForm:
         y = np.array([alpha.levels[0] - 20.0, alpha.levels[-1] + 20.0, 0.0])
         raw, _ = reference_llr(y, frame, 1e-4)
         assert np.min(np.abs(raw[:2])) > 745  # exp() of the gap underflows to 0
-        llr = llr_compute(y, frame, 1e-4)
+        llr = llr_compute(symbol_metric(y, frame, 1e-4), frame)
         assert np.array_equal(llr[:2], np.clip(raw[:2], -LLR_CAP, LLR_CAP))
         assert set(np.abs(llr[:2]).ravel()) == {LLR_CAP}
 
@@ -438,7 +455,7 @@ class TestGmiNgmi:
         n = 1 << 20
         frame = uniform_frame(PamAlphabet.uniform(2), n, rng)
         rx = frame.levels() + rng.normal(0, np.sqrt(sigma2), n)
-        llr = llr_compute(rx, frame, noise_variance=sigma2)
+        llr = llr_compute(symbol_metric(rx, frame, sigma2), frame)
         gmi, ngmi = gmi_ngmi(llr, frame.bits(), 1.0, 1)
         assert abs(gmi - oracle_gmi) < 0.01
         assert 0.0 <= ngmi <= 1.0
@@ -449,12 +466,13 @@ class TestGmiNgmi:
         frame = uniform_frame(alpha, 2048, rng)
         sigma2 = 0.05
         y = frame.levels() + rng.normal(0, np.sqrt(sigma2), 2048)
-        llr_a = llr_compute(y, frame, sigma2)
+        llr_a = llr_compute(symbol_metric(y, frame, sigma2), frame)
 
         scale = 3.7
         alpha_s = PamAlphabet(alpha.levels * scale, alpha.labels)
         frame_s = SymbolFrame(frame.indices, alpha_s, frame.distribution)
-        llr_b = llr_compute(scale * y, frame_s, scale**2 * sigma2)
+        metric_s = symbol_metric(scale * y, frame_s, scale**2 * sigma2)
+        llr_b = llr_compute(metric_s, frame_s)
         assert np.allclose(llr_a, llr_b, rtol=1e-9, atol=1e-9)
 
 
