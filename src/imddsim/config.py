@@ -3,12 +3,13 @@ and the two built-in presets.
 
 Each field is one decision a run can vary, checked where it is built: a
 bad value raises a ``ParameterError`` naming its dotted key (``dsp.ffe_taps``)
-before any stage runs. What the chain fixes is no field: PCG64 streams, two
-receiver samples per symbol (``rxdsp.SAMPLES_PER_SYMBOL``), the derived RRC
-span, interpolated code-rate lookup, the mixer LO (the band plan's), the
-quadrature MZM bias, a lossless modulator (``tx.laser_power_dbm`` sets the
-optical level), and the device roll-off orders (``frontend``'s Bessel orders
-and the mixer's second-order roll-off).
+before any stage runs. Every float must also be finite, which ``LinkConfig``
+checks once over the whole tree. What the chain fixes is no field: PCG64
+streams, two receiver samples per symbol (``rxdsp.SAMPLES_PER_SYMBOL``), the
+derived RRC span, interpolated code-rate lookup, the mixer LO (the band
+plan's), the quadrature MZM bias, a lossless modulator
+(``tx.laser_power_dbm`` sets the optical level), and the device roll-off
+orders (``frontend``'s Bessel orders and the mixer's second-order roll-off).
 
 Presets encode the two experiment frequency plans: C-band crosses over at
 76 GHz with the analog HPF at 75 GHz and the LO at 72 GHz; O-band runs
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, replace
@@ -48,6 +50,19 @@ def _check(ok: bool, key: str, message: str) -> None:
 def _check_positive(obj, *keys: str) -> None:
     for key in keys:
         _check(getattr(obj, key) > 0, key, "must be positive")
+
+
+def _check_finite(obj, path: str = "") -> None:
+    """Every float in ``obj``, at any depth of dataclasses and tuples, is
+    finite; JSON's ``Infinity`` and ``NaN`` stop here, named by dotted key."""
+    if isinstance(obj, float):
+        _check(math.isfinite(obj), path, "must be finite")
+    elif isinstance(obj, tuple):
+        for i, value in enumerate(obj):
+            _check_finite(value, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _check_finite(getattr(obj, f.name), f"{path}.{f.name}" if path else f.name)
 
 
 def _check_bits(obj, key: str) -> None:
@@ -94,7 +109,6 @@ class TxConfig:
     def __post_init__(self):
         _check_positive(self, "mixer_bandwidth_hz", "analog_rate_hz",
                         "analog_hpf_transition_hz", "drive_peak_fraction_vpi")
-        _check(np.isfinite(self.laser_power_dbm), "laser_power_dbm", "must be finite")
         _check_bits(self, "awg_resolution_bits")
 
 
@@ -132,7 +146,8 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Complete description of one end-to-end run."""
+    """Complete description of one end-to-end run. Every float in it, at
+    any depth, must be finite."""
 
     plan: BandPlan
     tx: TxConfig
@@ -149,6 +164,7 @@ class LinkConfig:
     rate_table_thresholds: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         _check(self.modulation in MODULATIONS, "modulation",
                f"must be one of {MODULATIONS}, got {self.modulation!r}")
         if self.modulation == "ps_pam12":

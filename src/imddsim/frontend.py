@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from .txdsp import BandPlan
 # device models
 # ---------------------------------------------------------------------------
 
-#: Poles of the Bessel bandwidth of the converters (AWG, DAC) and amplifiers.
+#: Poles of the Bessel bandwidth of the converters (AWG, DAC, scope), the
+#: amplifiers and the photodiode.
 ANALOG_BESSEL_ORDER = 4
 #: Poles of the Bessel electro-optic bandwidth of the MZM.
 MZM_BESSEL_ORDER = 2
@@ -59,6 +61,10 @@ class AmplifierModel:
             raise ParameterError("must be positive (or None for a linear amplifier)",
                                  "compression_in_1db")
 
+    def response(self, freq_hz: np.ndarray) -> np.ndarray:
+        """Complex bandwidth response at ``freq_hz``."""
+        return bessel_response(freq_hz, self.bandwidth_hz, ANALOG_BESSEL_ORDER)
+
 
 @dataclass(frozen=True)
 class MzmModel:
@@ -83,6 +89,18 @@ class MzmModel:
         if not low < self.bandwidth_atten_db < high:
             raise ParameterError(f"must lie in ({low:.3g}, {high:.3g}) dB",
                                  "bandwidth_atten_db")
+
+    @cached_property
+    def cutoff_hz(self) -> float:
+        """Bessel cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``,
+        solved once per model."""
+        target = 10 ** (-self.bandwidth_atten_db / 20.0)
+        return self.bandwidth_hz / _brentq(lambda x: _unit_mzm_gain(x) - target,
+                                           *_MZM_CUTOFF_BRACKET)
+
+    def response(self, freq_hz: np.ndarray) -> np.ndarray:
+        """Complex electro-optic response at ``freq_hz``."""
+        return bessel_response(freq_hz, self.cutoff_hz, MZM_BESSEL_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +251,7 @@ def _tanh_compression_point() -> float:
 def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     """Bandwidth filter, then linear gain, then optional tanh saturation
     referenced to the input 1-dB compression level."""
-    out = apply_filter(
-        wave, bessel_response(wave.freqs(), model.bandwidth_hz, ANALOG_BESSEL_ORDER)
-    )
+    out = apply_filter(wave, model.response(wave.freqs()))
     g = 10 ** (model.gain_db / 20.0)
     if model.compression_in_1db is None:
         return out.scaled(g)
@@ -260,22 +276,12 @@ def _unit_mzm_gain(x: float) -> float:
     return abs(bessel_response(np.array([x]), 1.0, MZM_BESSEL_ORDER)[0])
 
 
-def _mzm_bandwidth_cutoff(model: MzmModel) -> float:
-    """Bessel cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``."""
-    target = 10 ** (-model.bandwidth_atten_db / 20.0)
-    return model.bandwidth_hz / _brentq(lambda x: _unit_mzm_gain(x) - target,
-                                        *_MZM_CUTOFF_BRACKET)
-
-
 def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
                  model: MzmModel) -> SampledWaveform:
     """Field transfer E = sqrt(P_laser) cos(pi (v + Vpi/2) / (2 Vpi)) after
     the modulator bandwidth filter on the drive."""
     require_real(drive, "MZM drive")
-    v = apply_filter(
-        drive, bessel_response(drive.freqs(), _mzm_bandwidth_cutoff(model),
-                               MZM_BESSEL_ORDER)
-    ).real
+    v = apply_filter(drive, model.response(drive.freqs())).real
     amp = np.sqrt(10 ** ((laser_power_dbm - 30.0) / 10.0))
     field = amp * np.cos(np.pi * (v + model.v_pi_volts / 2) / (2.0 * model.v_pi_volts))
     return SampledWaveform(drive.sample_rate_hz, field.astype(np.complex128),

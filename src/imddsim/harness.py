@@ -26,8 +26,6 @@ from .channel import obpf, optical_amplify, propagate
 from .errors import ParameterError, StageError
 from .frontend import (
     ANALOG_BESSEL_ORDER,
-    MZM_BESSEL_ORDER,
-    _mzm_bandwidth_cutoff,
     amplify,
     mixer_gain,
     mzm_modulate,
@@ -108,15 +106,13 @@ def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
     the pre-emphasis stage. Upper-path frequencies are RF (post-mixer)."""
     tx = config.tx
     mag = np.ones_like(rf_freq_hz, dtype=float)
-    amps = list(tx.amplifier_chain)
+    devices = [*tx.amplifier_chain, tx.mzm]
     if upper_path:
         mag *= mixer_gain(rf_freq_hz, tx.mixer_bandwidth_hz)
         if tx.upper_path_amplifier is not None:
-            amps.insert(0, tx.upper_path_amplifier)
-    rolloffs = [(amp.bandwidth_hz, ANALOG_BESSEL_ORDER) for amp in amps]
-    rolloffs.append((_mzm_bandwidth_cutoff(tx.mzm), MZM_BESSEL_ORDER))
-    for cutoff_hz, order in rolloffs:
-        mag *= np.abs(bessel_response(rf_freq_hz, cutoff_hz, order))
+            devices.insert(0, tx.upper_path_amplifier)
+    for device in devices:
+        mag *= np.abs(device.response(rf_freq_hz))
     return mag
 
 

@@ -1,6 +1,6 @@
 """Direct-detection receiver and metrology: photodiode, digitizer, frame
 synchronization, T/2-spaced least-squares FFE, MAP decisions, bit LLRs,
-GMI/NGMI estimation, code-rate lookup, and the net-bitrate formulas.
+GMI/NGMI estimation, code-rate lookup, and the net-bitrate formula.
 
 ``symbol_metric`` is the one home of the noise-variance estimator and of the
 prior-weighted symbol metric; ``decide_and_ber`` and ``llr_compute`` reduce
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRateError, ParameterError, SyncError
+from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
 from .shaping import SymbolFrame, entropy_bits
 from .sigcore import SampledWaveform, apply_filter, bessel_response, resample, rms
 
@@ -48,7 +49,8 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
         sigma = np.sqrt(thermal_noise_density * fld.sample_rate_hz)
         current = current + rng.normal(0, sigma, fld.n)
     wave = SampledWaveform(fld.sample_rate_hz, current, "photocurrent")
-    return apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz, 4))
+    return apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz,
+                                              ANALOG_BESSEL_ORDER))
 
 
 def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
@@ -56,11 +58,10 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
              resolution_bits: int | None = None) -> SampledWaveform:
     """Scope front end: bandwidth filter, resample to the ADC rate, optional
     uniform quantization."""
-    out = apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz, 4))
+    out = apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz,
+                                             ANALOG_BESSEL_ORDER))
     out = resample(out, rate_hz)
     if resolution_bits is not None:
-        from .frontend import quantize_uniform
-
         out = out.with_samples(quantize_uniform(out.real, resolution_bits))
     return out
 
@@ -330,17 +331,6 @@ def net_bitrate_ps(h_bits: float, code_rate: float, symbol_rate_gbd: float,
                       stacklevel=2)
         return 0.0
     return value
-
-
-def net_bitrate_uniform(code_rate: float, symbol_rate_gbd: float,
-                        bits_per_symbol: int = 3) -> float:
-    """The paper's uniform-PAM bitrate m * R * B in Gb/s (3RB for PAM8).
-
-    It equals :func:`net_bitrate_ps` only when H = m, so runs price every
-    modulation with :func:`net_bitrate_ps`."""
-    if not 0 < code_rate <= 1:
-        raise ParameterError("code rate must lie in (0, 1]")
-    return bits_per_symbol * code_rate * symbol_rate_gbd
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ recombination exact outside the crossover transition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .sigcore import (
     design_rrc,
     filter_response,
     fir_response,
+    nmse_db,
     require_real,
     resample,
 )
@@ -30,13 +32,6 @@ from .sigcore import (
 # ---------------------------------------------------------------------------
 # Volterra pre-distortion
 # ---------------------------------------------------------------------------
-
-def _centered_offsets(memory: int) -> list[int]:
-    if memory <= 0:
-        return []
-    half = (memory - 1) // 2
-    return list(range(-half, half + 1))
-
 
 @dataclass(frozen=True)
 class VolterraStructure:
@@ -65,64 +60,45 @@ class VolterraStructure:
             if (getattr(self, key) or 0) < 0:
                 raise ParameterError("must be >= 0 or None", key)
 
-    def pair_terms(self) -> list[tuple[int, int]]:
-        offs = _centered_offsets(self.memory_2)
-        spread = self.max_spread_2
-        return [
-            (i, j)
-            for i in offs
-            for j in offs
-            if i <= j and (spread is None or j - i <= spread)
-        ]
-
-    def triple_terms(self) -> list[tuple[int, int, int]]:
-        offs = _centered_offsets(self.memory_3)
-        spread = self.max_spread_3
-        return [
-            (i, j, k)
-            for i in offs
-            for j in offs
-            for k in offs
-            if i <= j <= k and (spread is None or k - i <= spread)
-        ]
+    def terms(self) -> list[tuple[int, ...]]:
+        """Delay tuples in coefficient order: the first-order taps, then the
+        pairs i <= j, then the triples i <= j <= k, each order within its
+        centred window and spread, in lexicographic order."""
+        out = []
+        for order, memory, spread in ((1, self.memory_1, None),
+                                      (2, self.memory_2, self.max_spread_2),
+                                      (3, self.memory_3, self.max_spread_3)):
+            half = (memory - 1) // 2
+            offsets = range(-half, half + 1)  # empty for memory 0
+            out += [t for t in combinations_with_replacement(offsets, order)
+                    if spread is None or t[-1] - t[0] <= spread]
+        return out
 
     @property
     def coefficient_count(self) -> int:
-        return self.memory_1 + len(self.pair_terms()) + len(self.triple_terms())
+        return len(self.terms())
 
 
 @dataclass(frozen=True)
 class VolterraKernel:
-    """Third-order kernel with symmetric-index (i <= j <= k) storage."""
+    """Third-order kernel: one coefficient per term of ``structure.terms()``."""
 
-    h1: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    h2: np.ndarray
-    triples: tuple[tuple[int, int, int], ...]
-    h3: np.ndarray
+    structure: VolterraStructure
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        h1 = np.asarray(self.h1, dtype=float)
-        if h1.size % 2 == 0:
-            raise ParameterError("first-order memory must be odd")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", np.asarray(self.h2, dtype=float))
-        object.__setattr__(self, "h3", np.asarray(self.h3, dtype=float))
-        if len(self.pairs) != self.h2.size or len(self.triples) != self.h3.size:
-            raise ParameterError("coefficient count does not match term lists")
-
-    @property
-    def memory(self) -> int:
-        return int(self.h1.size)
+        c = np.asarray(self.coefficients, dtype=float)
+        if c.shape != (self.structure.coefficient_count,):
+            raise ParameterError(f"needs {self.structure.coefficient_count} "
+                                 f"coefficients, got shape {c.shape}")
+        object.__setattr__(self, "coefficients", c)
 
     @classmethod
     def identity(cls, structure: VolterraStructure | None = None) -> "VolterraKernel":
         structure = structure or VolterraStructure()
-        h1 = np.zeros(structure.memory_1)
-        h1[(structure.memory_1 - 1) // 2] = 1.0
-        pairs = tuple(structure.pair_terms())
-        triples = tuple(structure.triple_terms())
-        return cls(h1, pairs, np.zeros(len(pairs)), triples, np.zeros(len(triples)))
+        c = np.zeros(structure.coefficient_count)
+        c[(structure.memory_1 - 1) // 2] = 1.0
+        return cls(structure, c)
 
 
 def _shifted(x: np.ndarray, delay: int) -> np.ndarray:
@@ -137,30 +113,28 @@ def _shifted(x: np.ndarray, delay: int) -> np.ndarray:
     return out
 
 
+def _term(x: np.ndarray, delays: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
+    """scale * x[n - d1] * x[n - d2] * ..., multiplied left to right."""
+    out = scale * _shifted(x, delays[0])
+    for d in delays[1:]:
+        out = out * _shifted(x, d)
+    return out
+
+
 def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
-    """y[n] = sum h1[i] x[n-i] + sum h2[ij] x[n-i]x[n-j] + third-order terms."""
+    """y[n] = sum_t c_t prod_{d in t} x[n - d] over the kernel's terms; the
+    first-order taps run as one convolution."""
     x = np.asarray(symbols, dtype=float)
-    if kernel.memory > x.size:
+    n1 = kernel.structure.memory_1
+    if n1 > x.size:
         raise ParameterError("kernel memory exceeds sequence length")
-    half = (kernel.memory - 1) // 2
-    y = np.convolve(x, kernel.h1, mode="full")[half: half + x.size]
-    for (i, j), c in zip(kernel.pairs, kernel.h2):
-        if c != 0.0:
-            y += c * _shifted(x, i) * _shifted(x, j)
-    for (i, j, k), c in zip(kernel.triples, kernel.h3):
-        if c != 0.0:
-            y += c * _shifted(x, i) * _shifted(x, j) * _shifted(x, k)
+    half = (n1 - 1) // 2
+    c = kernel.coefficients
+    y = np.convolve(x, c[:n1], mode="full")[half: half + x.size]
+    for t, ct in zip(kernel.structure.terms()[n1:], c[n1:]):
+        if ct != 0.0:
+            y += _term(x, t, ct)
     return y
-
-
-def _regression_matrix(x: np.ndarray, structure: VolterraStructure) -> np.ndarray:
-    cols = [_shifted(x, d) for d in _centered_offsets(structure.memory_1)]
-    cols += [_shifted(x, i) * _shifted(x, j) for i, j in structure.pair_terms()]
-    cols += [
-        _shifted(x, i) * _shifted(x, j) * _shifted(x, k)
-        for i, j, k in structure.triple_terms()
-    ]
-    return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -187,21 +161,18 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     y = np.asarray(stimulus, dtype=float)
     if x.shape != y.shape:
         raise ParameterError("stimulus and response must have equal length")
-    n_coef = structure.coefficient_count
-    if x.size < 10 * n_coef:
+    terms = structure.terms()
+    if x.size < 10 * len(terms):
         raise ParameterError(
-            f"need >= {10 * n_coef} samples to fit {n_coef} coefficients"
+            f"need >= {10 * len(terms)} samples to fit {len(terms)} coefficients"
         )
 
-    phi = _regression_matrix(x, structure)
-    guard = max((structure.memory_1 - 1) // 2,
-                (structure.memory_2 - 1) // 2 if structure.memory_2 else 0,
-                (structure.memory_3 - 1) // 2 if structure.memory_3 else 0)
+    phi = np.column_stack([_term(x, t) for t in terms])
+    guard = max(abs(d) for t in terms for d in t)
     lo, hi = guard, x.size - guard
     n_train = lo + int((hi - lo) * (1.0 - holdout_fraction))
 
-    phi_tr, y_tr = phi[lo:n_train], y[lo:n_train]
-    w, _, _, sv = np.linalg.lstsq(phi_tr, y_tr, rcond=None)
+    w, _, _, sv = np.linalg.lstsq(phi[lo:n_train], y[lo:n_train], rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond > max_condition:
         raise NumericalError(
@@ -209,18 +180,11 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
             "reduce the term count or decorrelate the stimulus"
         )
 
-    def seg_nmse(sl: slice) -> float:
-        err = phi[sl] @ w - y[sl]
-        return float(10 * np.log10(np.sum(err**2) / np.sum(y[sl] ** 2)))
+    def seg_nmse(a: int, b: int) -> float:
+        return float(nmse_db(y[a:b], phi[a:b] @ w))
 
-    n1 = structure.memory_1
-    pairs = tuple(structure.pair_terms())
-    triples = tuple(structure.triple_terms())
-    kernel = VolterraKernel(
-        w[:n1], pairs, w[n1: n1 + len(pairs)], triples, w[n1 + len(pairs):]
-    )
-    return VolterraFit(kernel, seg_nmse(slice(lo, n_train)),
-                       seg_nmse(slice(n_train, hi)), cond)
+    return VolterraFit(VolterraKernel(structure, w), seg_nmse(lo, n_train),
+                       seg_nmse(n_train, hi), cond)
 
 
 # ---------------------------------------------------------------------------

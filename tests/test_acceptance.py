@@ -17,7 +17,6 @@ from imddsim.rxdsp import (
     gmi_ngmi,
     llr_compute,
     net_bitrate_ps,
-    net_bitrate_uniform,
     symbol_metric,
 )
 from imddsim.shaping import (
@@ -51,8 +50,9 @@ def _report(criterion: str, ok: bool):
 
 def test_criterion_01_formula_reproduction():
     checks = [
-        abs(net_bitrate_uniform(0.86019, 216.0) - 557.4) <= 0.05,
-        abs(net_bitrate_uniform(0.81173, 216.0) - 526.0) <= 0.05,
+        # the paper's 3RB for uniform PAM8, where H = m = 3
+        abs(net_bitrate_ps(3.0, 0.86019, 216.0, label_bits=3) - 557.4) <= 0.05,
+        abs(net_bitrate_ps(3.0, 0.81173, 216.0, label_bits=3) - 526.0) <= 0.05,
         net_bitrate_ps(3.5, 1.0, 216.0) == 756.0,
         # formula-inversion regression for the 582.6 Gb/s headline:
         # H - (1 - R) * 4 = 582.6 / 216 must reproduce 582.6

@@ -331,7 +331,23 @@ _BAD_VALUES = [
      "channel.fiber.dispersion_slope_ps_nm2_km"),
     ({"channel.amplifier.noise_spectral_density": -1e-17},
      "channel.amplifier.noise_spectral_density"),
+    # JSON reads Infinity and NaN; every float must be finite
+    ({"rx.dso_rate_hz": float("inf")}, "rx.dso_rate_hz"),
+    ({"tx.analog_rate_hz": float("inf")}, "tx.analog_rate_hz"),
+    ({"tx.combiner_skew_s": float("nan")}, "tx.combiner_skew_s"),
+    ({"tx.combiner_imbalance_db": float("inf")}, "tx.combiner_imbalance_db"),
+    ({"channel.amplifier.gain_db": float("inf")}, "channel.amplifier.gain_db"),
+    ({"rx.pd_thermal_noise_density": float("inf")}, "rx.pd_thermal_noise_density"),
+    ({"rate_table_rates": [0.6, float("nan")], "rate_table_thresholds": [0.62, 0.9]},
+     "rate_table_rates[1]"),
 ]
+
+
+def _replace_dotted(obj, key: str, value):
+    head, _, rest = key.partition(".")
+    if rest:
+        value = _replace_dotted(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
 
 
 class TestConfigBoundary:
@@ -349,6 +365,17 @@ class TestConfigBoundary:
             node[name] = value
         with pytest.raises(ParameterError, match=re.escape(dotted)):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rx.dso_rate_hz", float("inf")),
+        ("tx.combiner_skew_s", float("nan")),
+        ("tx.laser_power_dbm", float("-inf")),
+        ("channel.amplifier.gain_db", float("inf")),
+        ("dsp.preemphasis_max_boost_db", float("inf")),
+    ])
+    def test_non_finite_rejected_when_built_in_python(self, key, value):
+        with pytest.raises(ParameterError, match=re.escape(f"{key} must be finite")):
+            _replace_dotted(fast_link_config(), key, value)
 
 
 class TestFeasibleLength:

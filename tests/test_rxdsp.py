@@ -19,7 +19,6 @@ from imddsim.rxdsp import (
     gmi_ngmi,
     llr_compute,
     net_bitrate_ps,
-    net_bitrate_uniform,
     photodetect,
     required_code_rate,
     symbol_metric,
@@ -505,7 +504,8 @@ class TestBitrates:
         assert net_bitrate_ps(3.8, 0.9, 216.0) == pytest.approx(734.4)
 
     def test_uniform_formula(self):
-        assert net_bitrate_uniform(1.0, 216.0) == pytest.approx(648.0)
+        # H = m = 3 (uniform PAM8) gives the paper's 3RB
+        assert net_bitrate_ps(3.0, 1.0, 216.0, label_bits=3) == pytest.approx(648.0)
 
     def test_overparity_clamps(self):
         with pytest.warns(UserWarning):

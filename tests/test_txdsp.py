@@ -32,6 +32,51 @@ def matched_downsample(wave, sps, rolloff, span):
     return mf.real[::sps]
 
 
+def nested_loop_terms(st):
+    """Oracle: the kernel's delay tuples by explicit loops."""
+    def offsets(memory):
+        return range(-(memory // 2), memory // 2 + 1) if memory else range(0)
+
+    def within(spread, lo, hi):
+        return spread is None or hi - lo <= spread
+
+    terms = [(d,) for d in offsets(st.memory_1)]
+    terms += [(i, j) for i in offsets(st.memory_2) for j in offsets(st.memory_2)
+              if i <= j and within(st.max_spread_2, i, j)]
+    terms += [(i, j, k) for i in offsets(st.memory_3) for j in offsets(st.memory_3)
+              for k in offsets(st.memory_3)
+              if i <= j <= k and within(st.max_spread_3, i, k)]
+    return terms
+
+
+class TestVolterraTerms:
+    @pytest.mark.parametrize("st", [
+        VolterraStructure(memory_1=5, memory_2=5, memory_3=5,
+                          max_spread_2=None, max_spread_3=None),
+        VolterraStructure(memory_1=9, memory_2=7, memory_3=5,
+                          max_spread_2=2, max_spread_3=1),
+    ], ids=["full", "pruned"])
+    def test_terms_match_nested_loops(self, st):
+        assert st.terms() == nested_loop_terms(st)
+        assert st.coefficient_count == len(st.terms())
+
+    def test_wrong_coefficient_count_rejected(self):
+        st = VolterraStructure(memory_1=5, memory_2=3, memory_3=0)
+        with pytest.raises(ParameterError):
+            VolterraKernel(st, np.zeros(st.coefficient_count + 1))
+
+    def test_fit_recovers_applied_kernel_with_cross_terms(self):
+        # fitting and applying walk the same term list: regressing the
+        # kernel's output on its input returns the kernel
+        rng = np.random.default_rng(7)
+        st = VolterraStructure(memory_1=5, memory_2=3, memory_3=3,
+                               max_spread_2=None, max_spread_3=None)
+        k = VolterraKernel(st, 0.1 * rng.normal(size=st.coefficient_count))
+        x = rng.normal(size=2048)
+        fit = fit_volterra(apply_volterra(x, k), x, st)
+        assert np.max(np.abs(fit.kernel.coefficients - k.coefficients)) < 1e-10
+
+
 class TestApplyVolterra:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=256)
@@ -41,10 +86,9 @@ class TestApplyVolterra:
     def test_memoryless_cubic(self):
         x = np.random.default_rng(1).normal(size=256)
         st = VolterraStructure(memory_1=3, memory_2=0, memory_3=3, max_spread_3=0)
-        k = VolterraKernel.identity(st)
-        h3 = k.h3.copy()
-        h3[k.triples.index((0, 0, 0))] = -0.25
-        k = VolterraKernel(k.h1, k.pairs, k.h2, k.triples, h3)
+        c = VolterraKernel.identity(st).coefficients.copy()
+        c[st.terms().index((0, 0, 0))] = -0.25
+        k = VolterraKernel(st, c)
         assert np.allclose(apply_volterra(x, k), x - 0.25 * x**3, atol=1e-14)
 
     def test_first_order_equals_fir(self):
@@ -52,7 +96,7 @@ class TestApplyVolterra:
         x = rng.normal(size=512)
         h1 = rng.normal(size=7)
         st = VolterraStructure(memory_1=7, memory_2=0, memory_3=0)
-        k = VolterraKernel(h1, (), np.zeros(0), (), np.zeros(0))
+        k = VolterraKernel(st, h1)
         ref = np.convolve(x, h1, mode="full")[3: 3 + x.size]
         assert np.allclose(apply_volterra(x, k), ref, atol=1e-12)
 
@@ -68,9 +112,7 @@ class TestFitVolterra:
                                max_spread_2=1, max_spread_3=1)
         fit = fit_volterra(x, x, st)
         ident = VolterraKernel.identity(st)
-        assert np.allclose(fit.kernel.h1, ident.h1, atol=1e-6)
-        assert np.allclose(fit.kernel.h2, 0, atol=1e-6)
-        assert np.allclose(fit.kernel.h3, 0, atol=1e-6)
+        assert np.allclose(fit.kernel.coefficients, ident.coefficients, atol=1e-6)
 
     def test_linear_channel_learns_fir_inverse(self):
         rng = np.random.default_rng(4)
@@ -86,7 +128,7 @@ class TestFitVolterra:
         expect = np.zeros(15)
         expect[7:] = g_inv[:8]          # causal inverse lands right of center
         expect[:7] = g_inv[-7:]
-        err = np.sum((fit.kernel.h1 - expect) ** 2) / np.sum(expect**2)
+        err = np.sum((fit.kernel.coefficients - expect) ** 2) / np.sum(expect**2)
         assert 10 * np.log10(err) < -40
         assert fit.holdout_nmse_db <= -30
 
