@@ -119,6 +119,14 @@ def quantize_uniform(x: np.ndarray, bits: int, full_scale: float | None = None) 
     return np.clip(q, -fs + step / 2, fs - step / 2)
 
 
+def dac_response(freq_hz: np.ndarray, rate_hz: float,
+                 bandwidth_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The converter's response at ``freq_hz``, as its two factors: the
+    zero-order-hold droop sinc(f / rate) and the analog Bessel filter."""
+    return (np.sinc(freq_hz / rate_hz),
+            bessel_response(freq_hz, bandwidth_hz, ANALOG_BESSEL_ORDER))
+
+
 def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9,
         resolution_bits: int | None = None) -> SampledWaveform:
     """Zero-order-hold reconstruction to the analog rate, then the converter's
@@ -135,10 +143,8 @@ def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
     up = resample(wave, analog_rate_hz)
-    freqs = up.freqs()
-    droop = np.sinc(freqs / wave.sample_rate_hz)
-    return apply_filter(up.with_spectrum(up.spectrum * droop),
-                        bessel_response(freqs, bandwidth_hz, ANALOG_BESSEL_ORDER))
+    droop, bessel = dac_response(up.freqs(), wave.sample_rate_hz, bandwidth_hz)
+    return apply_filter(up.with_spectrum(up.spectrum * droop), bessel)
 
 
 def mixer_gain(freq_hz: np.ndarray, bandwidth_hz: float) -> np.ndarray:

@@ -25,8 +25,8 @@ from .config import LinkConfig, config_to_dict
 from .channel import obpf, optical_amplify, propagate
 from .errors import ParameterError, StageError
 from .frontend import (
-    ANALOG_BESSEL_ORDER,
     amplify,
+    dac_response,
     mixer_gain,
     mzm_modulate,
     stitch_bands,
@@ -53,7 +53,7 @@ from .shaping import (
     pas_assemble,
     uniform_frame,
 )
-from .sigcore import SampledWaveform, bessel_response, resample
+from .sigcore import SampledWaveform, resample
 from .txdsp import (
     apply_volterra,
     band_split,
@@ -121,9 +121,8 @@ def _preemphasize(config: LinkConfig, lower: SampledWaveform,
     plan = config.plan
     nyq = plan.awg_rate_hz / 2
     f = np.linspace(0.0, nyq, 2049)
-    zoh_awg = np.abs(np.sinc(f / plan.awg_rate_hz)) * np.abs(
-        bessel_response(f, plan.awg_bandwidth_hz, ANALOG_BESSEL_ORDER)
-    )
+    droop, bessel = dac_response(f, plan.awg_rate_hz, plan.awg_bandwidth_hz)
+    zoh_awg = np.abs(droop) * np.abs(bessel)
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
     resp_upper = zoh_awg * _tx_chain_magnitude(
         config, f + plan.lo_frequency_hz, upper_path=True

@@ -13,6 +13,7 @@ from imddsim.frontend import (
     amplify,
     combine,
     dac,
+    dac_response,
     mixer_upconvert,
     mzm_modulate,
     quantize_uniform,
@@ -59,6 +60,15 @@ class TestDac:
         expect = 20 * np.log10(np.sinc(64.0 / 256.0))
         assert abs(droop_db - expect) < 0.1
         assert abs(expect - (-0.91)) < 0.02  # sanity: the -0.91 dB case
+
+    def test_stage_applies_dac_response(self):
+        # the pre-emphasis is designed on dac_response, so the stage must
+        # apply exactly that magnitude
+        w, f = awg_tone(40e9)
+        out = dac(w, ANALOG_RATE, bandwidth_hz=80e9)
+        droop, bessel = dac_response(np.array([f]), AWG_RATE, 80e9)
+        gain = tone_amplitude(out, f) / tone_amplitude(w, f)
+        assert gain == pytest.approx(abs(droop[0] * bessel[0]), rel=1e-6)
 
     def test_quantization_noise_floor(self):
         rng = np.random.default_rng(0)

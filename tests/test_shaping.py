@@ -217,13 +217,64 @@ class TestCcdm:
 
     @settings(max_examples=150, deadline=None)
     @given(case=compositions_and_bits(),
-           precision=st.sampled_from([8, 64, shaping._SPECULATION_BITS]))
-    def test_batched_encode_equals_definition(self, case, precision):
+           widths=st.sampled_from([(8, 8), (16, 8), (64, 8), (64, 64), (512, 512),
+                                   (shaping._OUTER_BITS, shaping._INNER_BITS)]))
+    def test_batched_encode_equals_definition(self, case, widths):
+        # (outer, inner) window widths in bits: the tiny ones make both
+        # levels straddle class boundaries often and reach the exact step
         comp, bits = case
-        with mock.patch.object(shaping, "_SPECULATION_BITS", precision):
+        outer, inner = widths
+        with mock.patch.multiple(shaping, _OUTER_BITS=outer, _INNER_BITS=inner):
             word = ccdm_encode(bits, comp)
+            decoded = ccdm_decode(word, comp)
+        assert np.array_equal(word, reference_encode(bits, comp))
+        assert np.array_equal(decoded, bits)
+
+    def test_tiny_windows_match_definition(self):
+        # on short frames at 8-bit windows the bounds sit within a unit or two
+        # of the rank, so a bound rounded inward instead of outward picks a
+        # wrong class within a few dozen frames
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            comp = Composition(tuple(int(c) for c in
+                                     rng.integers(1, 40, size=rng.integers(2, 5))))
+            bits = rng.integers(0, 2, size=ccdm_input_bits(comp))
+            expected = reference_encode(bits, comp)
+            for widths in ((8, 8), (16, 8)):
+                with mock.patch.multiple(shaping, _OUTER_BITS=widths[0],
+                                         _INNER_BITS=widths[1]):
+                    assert np.array_equal(ccdm_encode(bits, comp), expected), widths
+
+    @pytest.mark.parametrize("offset, first_batch", [(-1, (1500, 3000, 0)),
+                                                     (0, (1500, 3000, 1500))],
+                             ids=["below", "on"])
+    def test_exact_step_at_a_class_boundary(self, offset, first_batch):
+        # rank total / 2 (+ offset) puts x within 2 / total of the boundary
+        # between the two classes; total has ~3000 bits, more than the outer
+        # window resolves, so the first symbol is decided by the exact step,
+        # which applies a one-symbol batch (c, n_rem, cum) to total = u * v.
+        # Below the boundary, x then sits just under 1, the end of the last
+        # class, which the windows decide without further exact steps.
+        comp = Composition((1500, 1500))
+        total = comp.permutation_count()
+        bits = shaping._bits_of(total // 2 + offset, ccdm_input_bits(comp))
+        with mock.patch.object(shaping, "_apply_batch",
+                               wraps=shaping._apply_batch) as apply:
+            word = ccdm_encode(bits, comp)
+        assert apply.call_args_list[0].args == (total, 1, *first_batch)
+        assert apply.call_count < 10
         assert np.array_equal(word, reference_encode(bits, comp))
         assert np.array_equal(ccdm_decode(word, comp), bits)
+
+    def test_frame_builds_one_multinomial(self):
+        # the multinomial's prime sieve runs once per frame, though both
+        # the input length and the encoder need the multinomial
+        cfg = replace(c_band_216g(7), sequence_length_symbols=4096)
+        rngs = _spawn_rngs(cfg)
+        with mock.patch.object(shaping, "_primes_upto",
+                               wraps=shaping._primes_upto) as sieve:
+            _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
+        assert sieve.call_count == 1
 
     def test_pam12_full_block_round_trip(self):
         a = PamAlphabet.pam12()
