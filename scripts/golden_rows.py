@@ -10,8 +10,9 @@ prefixed with the case name.
     python scripts/golden_rows.py --write    # record the current rows
 
 Without ``--exact`` the script prints, for each case, the change in NGMI and
-net bitrate next to the NGMI range over the golden seeds of that case, so a
-deliberate physics change can be read against the seed-to-seed spread.
+net bitrate next to the NGMI range over the golden seeds of that case (n/a
+for a case with one seed), so a deliberate physics change can be read
+against the seed-to-seed spread.
 Run it from the repository root; ``src/`` is put on the import path.
 """
 
@@ -71,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     ngmi_range = {}
     for (case, _), row in golden.items():
         ngmi_range.setdefault(case, []).append(MetricsReport.from_csv_row(row).ngmi)
-    ngmi_range = {case: max(v) - min(v) for case, v in ngmi_range.items()}
+    ngmi_range = {case: f"{max(v) - min(v):.4g}" if len(v) > 1 else "n/a"
+                  for case, v in ngmi_range.items()}
 
     differ = 0
     print(f"{'case':<16} {'seed':>4} {'dNGMI':>11} {'dnet Gb/s':>11} "
@@ -87,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         differ += new != old
         print(f"{case:<16} {seed:>4} {b.ngmi - a.ngmi:>+11.3e} "
               f"{b.net_bitrate_gbps - a.net_bitrate_gbps:>+11.3e} "
-              f"{ngmi_range[case]:>10.4g}  {'same' if new == old else 'DIFFER'}")
+              f"{ngmi_range[case]:>10}  {'same' if new == old else 'DIFFER'}")
     print(f"{differ} of {len(CASES)} rows differ from {GOLDEN.name}")
     return 1 if args.exact and differ else 0
 

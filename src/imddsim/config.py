@@ -4,12 +4,14 @@ and the two built-in presets.
 Each field is one decision a run can vary, checked where it is built: a
 bad value raises a ``ParameterError`` naming its dotted key (``dsp.ffe_taps``)
 before any stage runs. Every float must also be finite, which ``LinkConfig``
-checks once over the whole tree. What the chain fixes is no field: PCG64
-streams, two receiver samples per symbol (``rxdsp.SAMPLES_PER_SYMBOL``), the
-derived RRC span, interpolated code-rate lookup, the mixer LO (the band
-plan's), the quadrature MZM bias, a lossless modulator
-(``tx.laser_power_dbm`` sets the optical level), and the device roll-off
-orders (``frontend``'s Bessel orders and the mixer's second-order roll-off).
+checks once over the whole tree, and the signal band must fit the band
+plan's reconstructible range (LO plus AWG bandwidth). What the chain fixes
+is no field: PCG64 streams, two receiver samples per symbol
+(``rxdsp.SAMPLES_PER_SYMBOL``), an untruncated RRC pulse, interpolated
+code-rate lookup, the mixer LO (the band plan's), the quadrature MZM bias,
+a lossless modulator (``tx.laser_power_dbm`` sets the optical level), and
+the device roll-off orders (``frontend``'s Bessel orders and the mixer's
+second-order roll-off).
 
 Presets encode the two experiment frequency plans: C-band crosses over at
 76 GHz with the analog HPF at 75 GHz and the LO at 72 GHz; O-band runs
@@ -38,7 +40,7 @@ from .txdsp import BandPlan, VolterraStructure
 
 #: Version of the ``config_to_dict`` layout; files of any other version are
 #: rejected rather than read with a guessed meaning.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 MODULATIONS = ("ps_pam12", "uniform_pamN")
 
 
@@ -78,8 +80,7 @@ class DspConfig:
     preamble_symbols: int = 512
     volterra_enabled: bool = False
     volterra: VolterraStructure = VolterraStructure()
-    preemphasis_enabled: bool = True
-    preemphasis_max_boost_db: float = 12.0
+    preemphasis_max_boost_db: float = 12.0  # 0 dB turns pre-emphasis off
 
     def __post_init__(self):
         _check(0.0 <= self.rrc_rolloff <= 1.0, "rrc_rolloff", "must lie in [0, 1]")
@@ -177,6 +178,11 @@ class LinkConfig:
                "rate_table_thresholds", "and rate_table_rates must be set together")
         _check(self.tx.analog_rate_hz >= self.plan.awg_rate_hz, "tx.analog_rate_hz",
                "must be >= plan.awg_rate_hz (the AWG output is upsampled)")
+        top = (1 + self.dsp.rrc_rolloff) * self.symbol_rate_hz / 2
+        band = self.plan.lo_frequency_hz + self.plan.awg_bandwidth_hz
+        _check(top <= band, "symbol_rate_gbd",
+               f"puts the signal edge at {top / 1e9:.1f} GHz, which exceeds the "
+               f"reconstructible band (LO + AWG bandwidth = {band / 1e9:.1f} GHz)")
 
     @property
     def symbol_rate_hz(self) -> float:
@@ -311,7 +317,7 @@ def _build(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> LinkConfig:
     """Build a config from its ``config_to_dict`` form. Unknown keys, at any
     nesting level, and any ``schema_version`` other than ``SCHEMA_VERSION``
-    are rejected (README lists the keys versions 2 to 5 removed or merged)."""
+    are rejected (README lists the keys versions 2 to 6 removed or merged)."""
     data = dict(data)
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:

@@ -311,10 +311,11 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
 
     The mixer runs at the plan's LO. With the defaults every element is
     ideal: exact resampling instead of a ZOH DAC, a unity-SSB-gain mixer
-    without roll-off, a linear-phase HPF at the plan's analog cutoff with a
-    ``hpf_transition_hz`` transition (the complement of the FIR lowpass), no
-    upper-path amplifier, and a perfectly balanced combiner. The transmitter
-    runs the same path with its device models.
+    without roll-off, a zero-phase raised-cosine HPF at the plan's analog
+    cutoff with a ``hpf_transition_hz`` transition (``1 - filter_response``,
+    exactly 0 below and 1 above the transition), no upper-path amplifier,
+    and a perfectly balanced combiner. The transmitter runs the same path
+    with its device models.
 
     With a DAC bandwidth, the converter's Bessel response delays the IF arm,
     which up-converts into a constant phase offset between the bands; the LO

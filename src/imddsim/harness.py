@@ -142,8 +142,7 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     wide = rrc_upsample(tx_symbols, SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
                         config.symbol_rate_hz)
     lower, upper = band_split(wide, plan)
-    if dsp.preemphasis_enabled:
-        lower, upper = _preemphasize(config, lower, upper)
+    lower, upper = _preemphasize(config, lower, upper)
 
     wideband = stitch_bands(
         lower, upper, plan, tx.analog_rate_hz,
@@ -180,8 +179,7 @@ def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
     digital = digitize(current, rx.dso_rate_hz, rx.dso_bandwidth_hz,
                        rx.dso_resolution_bits)
     two_sps = resample(digital, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
-    aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols],
-                             SAMPLES_PER_SYMBOL)
+    aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols])
     eq, state = ffe_train_apply(aligned.real, reference, dsp.ffe_taps,
                                 dsp.ffe_train_fraction)
     return eq, state.training_symbols
@@ -261,15 +259,6 @@ def resolve_sequence_length(config: LinkConfig) -> int:
 
 def run_link(config: LinkConfig) -> MetricsReport:
     """Execute one deterministic end-to-end run and report its metrology."""
-    top = (1 + config.dsp.rrc_rolloff) * config.symbol_rate_hz / 2
-    if top > config.plan.lo_frequency_hz + config.plan.awg_bandwidth_hz:
-        raise StageError(
-            "txdsp",
-            ParameterError(
-                f"signal edge {top / 1e9:.1f} GHz exceeds the reconstructible band"
-            ),
-        )
-
     config = replace(config, sequence_length_symbols=resolve_sequence_length(config))
     rngs = _spawn_rngs(config)
 

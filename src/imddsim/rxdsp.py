@@ -70,11 +70,17 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
 # synchronization
 # ---------------------------------------------------------------------------
 
-def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
-                samples_per_symbol: int = 2,
-                peak_threshold: float = 8.0) -> tuple[SampledWaveform, float]:
+#: Receiver samples per symbol: the FFE is T/2-spaced.
+SAMPLES_PER_SYMBOL = 2
+#: Smallest ratio of the correlation peak to its rms that counts as a lock.
+SYNC_PEAK_THRESHOLD = 8.0
+
+
+def synchronize(received: SampledWaveform,
+                preamble_symbols: np.ndarray) -> tuple[SampledWaveform, float]:
     """Locate the frame by circular cross-correlation against the known
-    preamble and re-time the record onto the symbol grid.
+    preamble and re-time the record, sampled at ``SAMPLES_PER_SYMBOL``,
+    onto the symbol grid.
 
     Returns the aligned, mean-free waveform (the receiver is AC coupled)
     and the delay estimate in samples (at the received rate). Polarity is
@@ -83,9 +89,9 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
     """
     template = np.zeros(received.n)
     pre = np.asarray(preamble_symbols, dtype=float)
-    if pre.size * samples_per_symbol > received.n:
+    if pre.size * SAMPLES_PER_SYMBOL > received.n:
         raise ParameterError("preamble longer than the record")
-    template[: pre.size * samples_per_symbol: samples_per_symbol] = pre
+    template[: pre.size * SAMPLES_PER_SYMBOL: SAMPLES_PER_SYMBOL] = pre
 
     # mean removed by zeroing the DC bin; the real template makes the real
     # part of the correlation that of the received samples' real part
@@ -95,10 +101,10 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     floor = rms(mag)
-    if floor == 0 or mag[peak] / floor < peak_threshold:
+    if floor == 0 or mag[peak] / floor < SYNC_PEAK_THRESHOLD:
         raise SyncError(
             f"correlation peak {mag[peak] / max(floor, 1e-300):.2f}x the floor "
-            f"is below the {peak_threshold}x sync threshold"
+            f"is below the {SYNC_PEAK_THRESHOLD}x sync threshold"
         )
 
     # parabolic refinement on the magnitude peak
@@ -117,10 +123,6 @@ def synchronize(received: SampledWaveform, preamble_symbols: np.ndarray,
 # ---------------------------------------------------------------------------
 # adaptive equalization
 # ---------------------------------------------------------------------------
-
-#: Receiver samples per symbol: the FFE is T/2-spaced.
-SAMPLES_PER_SYMBOL = 2
-
 
 @dataclass(frozen=True)
 class EqualizerState:

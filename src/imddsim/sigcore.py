@@ -1,41 +1,41 @@
-"""Waveform container, filter design/application, resampling, and signal metrics.
+"""Waveform container, filter responses and their application, resampling,
+and signal metrics.
 
 Conventions used throughout the simulator:
 
 - Records are treated as circular: a linear stage is a response H(f) on the
-  record's n-point FFT grid, so linear-phase designs apply with exactly zero
-  net delay and length is always preserved.
+  record's n-point FFT grid, so zero-phase designs apply with exactly zero
+  delay and length is always preserved.
 - A :class:`SampledWaveform` keeps the form it was built from (samples or
   spectrum) and computes the other once, on first use. Linear stages
-  (filters, resampling by spectral truncation or zero padding, DAC droop,
-  mixer gain, combiner skew, uncompressed amplifiers, dispersion, the
-  optical filter, DC removal as a zeroed DC bin) multiply or reshape the
-  spectrum, so a chain of them costs no transform. Apart from one FFT per
-  FIR design, a transform runs only where a pointwise stage meets a linear
-  one: quantizers, tanh amplifier, drive peak and MZM cosine, ASE and
-  thermal noise, square-law detection, sync correlation, and the
-  equalizer. The LO multiply and the band split's down-conversion are
-  whole-bin spectrum shifts, since their tones sit on the record grid.
+  (filters, pulse shaping, resampling by spectral truncation or zero
+  padding, DAC droop, mixer gain, combiner skew, uncompressed amplifiers,
+  dispersion, the optical filter, DC removal as a zeroed DC bin) multiply
+  or reshape the spectrum, so a chain of them costs no transform. A
+  transform runs only where a pointwise stage meets a linear one:
+  quantizers, tanh amplifier, drive peak and MZM cosine, ASE and thermal
+  noise, square-law detection, sync correlation, and the equalizer. The LO
+  multiply and the band split's down-conversion are whole-bin spectrum
+  shifts, since their tones sit on the record grid.
 - A spectrum built for an electrical or photocurrent waveform is made
   conjugate-symmetric: the spectrum of the real part of its inverse FFT.
-- A filter is a response array on the waveform's own FFT grid, and
-  :func:`apply_filter` multiplies it onto the spectrum. Three functions
-  cover the chain: :func:`bessel_response` (analog Bessel lowpass of order
-  2 or 4, with its phase, for the converter, amplifier, modulator,
-  photodiode and scope roll-offs), :func:`filter_response` (zero-phase
-  Kaiser windowed-sinc FIR lowpass; the highpass is ``1 - response``, so
-  the pair sums to unity across the crossover) and :func:`fir_response`
-  (explicit linear-phase taps with the center delay removed).
-- The Bessel and Kaiser designs are short numpy ports of the
-  ``scipy.signal`` designs the chain used (``bessel(..., analog=True,
-  norm="mag")`` with ``freqs``, and ``firwin`` with ``kaiserord``), and
-  match them bit for bit, so importing the package loads no
+- A filter is a response array on the waveform's own FFT grid, written in
+  closed form, and :func:`apply_filter` multiplies it onto the spectrum.
+  Two functions cover the chain: :func:`bessel_response` (analog Bessel
+  lowpass of order 2 or 4, with its phase, for the converter, amplifier,
+  modulator, photodiode and scope roll-offs) and :func:`filter_response`
+  (zero-phase raised-cosine lowpass for the digital crossover, the IF
+  anti-alias filter and the analog HPF; the highpass is ``1 - response``,
+  so the pair sums to unity and each is exactly 0 or 1 outside the
+  transition). The RRC pulse is ``txdsp``'s, a closed-form response too.
+- The Bessel design is a short numpy port of the ``scipy.signal`` design
+  the chain used (``bessel(..., analog=True, norm="mag")`` with ``freqs``)
+  and matches it bit for bit, so importing the package loads no
   ``scipy.signal``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -180,94 +180,24 @@ def require_real(wave: SampledWaveform, what: str) -> None:
 # filter responses
 # ---------------------------------------------------------------------------
 
-#: Chebyshev coefficients of exp(-x) I0(x) on [0, 8] (Cephes ``i0``).
-_I0_CHEBYSHEV = (
-    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
-    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
-    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
-    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
-    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
-    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
-    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
-    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
-    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
-    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
-    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
-    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
-    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
-    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
-    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
-)
-
-#: Kaiser design for 80 dB stopband attenuation (Kaiser's empirical formulas).
-_KAISER_ATTEN_DB = 80.0
-_KAISER_BETA = 0.1102 * (_KAISER_ATTEN_DB - 8.7)
-
-
-def _i0(x: np.ndarray) -> np.ndarray:
-    """Modified Bessel function I0 for 0 <= x <= 8, computed as Cephes
-    ``i0`` does: a Clenshaw sum of the Chebyshev series times ``math.exp``
-    (``np.exp`` can differ in the last bit, and so can ``np.i0``)."""
-    y = x / 2.0 - 2.0
-    b0, b1 = np.full_like(y, _I0_CHEBYSHEV[0]), np.zeros_like(y)
-    for coef in _I0_CHEBYSHEV[1:]:
-        b2, b1 = b1, b0
-        b0 = y * b1 - b2 + coef
-    return np.array([math.exp(v) for v in x.tolist()]) * (0.5 * (b0 - b2))
-
-
-def _windowed_sinc_taps(cutoff_hz: float, transition_width_hz: float,
-                        sample_rate_hz: float, n_record: int) -> np.ndarray:
-    """Kaiser windowed-sinc lowpass prototype (odd length, 80 dB design),
-    normalized to unit DC gain."""
-    nyq = sample_rate_hz / 2.0
-    width = min(transition_width_hz, 2 * cutoff_hz, 2 * (nyq - cutoff_hz)) / nyq
-    numtaps = math.ceil((_KAISER_ATTEN_DB - 7.95) / 2.285 / (np.pi * width) + 1)
-    numtaps |= 1
-    # keep the prototype shorter than the record so it can be zero-padded
-    if numtaps > n_record:
-        numtaps = n_record if n_record % 2 else n_record - 1
-    if numtaps == 1:
-        return np.ones(1)
-    half = (numtaps - 1) / 2.0
-    m = np.arange(numtaps, dtype=np.float64) - half
-    right = cutoff_hz / nyq
-    window = (_i0(_KAISER_BETA * np.sqrt(1 - (m / half) ** 2.0))
-              / _i0(np.array([_KAISER_BETA]))[0])
-    h = right * np.sinc(right * m) * window
-    return h / np.sum(h)
-
-
-def fir_response(taps: np.ndarray, n: int) -> np.ndarray:
-    """Response of a linear-phase FIR on an n-point grid, center delay removed."""
-    taps = np.asarray(taps, dtype=np.complex128)
-    if not 0 < len(taps) <= n:
-        raise ParameterError(
-            f"filter prototype ({len(taps)} taps) must be non-empty and fit "
-            f"the record length {n}"
-        )
-    padded = np.zeros(n, dtype=np.complex128)
-    padded[: len(taps)] = taps
-    center = (len(taps) - 1) / 2.0
-    resp = np.fft.fft(padded) * np.exp(2j * np.pi * np.fft.fftfreq(n) * center)
-    if len(taps) % 2:
-        # symmetric odd-length prototypes have an exactly real response
-        resp = resp.real.astype(np.complex128)
-    return resp
-
-
 def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
                     sample_rate_hz: float) -> np.ndarray:
-    """Zero-phase Kaiser windowed-sinc lowpass on the n-point FFT grid at the
-    given rate. ``1 - response`` is the complementary highpass: the two sum
-    to unity across the crossover."""
+    """Zero-phase raised-cosine lowpass on the n-point FFT grid at the given
+    rate: 1 below ``cutoff - w/2``, 0 above ``cutoff + w/2``, and
+    ``(1 + cos(pi * ((|f| - cutoff) / w + 1/2))) / 2`` in between, with the
+    width ``w`` shrunk to fit between DC and Nyquist. ``1 - response`` is the
+    complementary highpass: the two sum to unity across the crossover."""
     nyq = sample_rate_hz / 2.0
     if not 0 < cutoff_hz < nyq:
         raise ParameterError(
             f"cutoff {cutoff_hz:.3g} Hz outside (0, Nyquist {nyq:.3g} Hz)"
         )
-    taps = _windowed_sinc_taps(cutoff_hz, transition_width_hz, sample_rate_hz, n)
-    return fir_response(taps, n)
+    if not transition_width_hz > 0:
+        raise ParameterError("transition width must be positive")
+    width = min(transition_width_hz, 2 * cutoff_hz, 2 * (nyq - cutoff_hz))
+    f = np.abs(np.fft.fftfreq(n, d=1.0 / sample_rate_hz))
+    phase = np.clip((f - cutoff_hz) / width + 0.5, 0.0, 1.0)
+    return 0.5 * (1.0 + np.cos(np.pi * phase))
 
 
 #: Poles and gain of the analog Bessel lowpass prototypes with their 3-dB
@@ -323,47 +253,6 @@ def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform
             f"response of shape {np.shape(response)} is not on the {wave.n}-bin grid"
         )
     return wave.with_spectrum(wave.spectrum * response)
-
-
-# ---------------------------------------------------------------------------
-# RRC design
-# ---------------------------------------------------------------------------
-
-def design_rrc(rolloff: float, span_symbols: int, samples_per_symbol: int) -> np.ndarray:
-    """Root-raised-cosine taps, odd length ``span*sps + 1``, sum equal to sps.
-
-    Normalized so the DC gain referred to the symbol stream is one: an
-    interpolator built from these taps preserves symbol amplitude.
-    """
-    if not 0.0 <= rolloff <= 1.0:
-        raise ParameterError("rolloff must lie in [0, 1]")
-    if span_symbols <= 0 or samples_per_symbol <= 0:
-        raise ParameterError("span and oversampling must be positive")
-
-    n = span_symbols * samples_per_symbol + 1
-    t = (np.arange(n) - (n - 1) / 2) / samples_per_symbol
-    beta = float(rolloff)
-    taps = np.zeros(n)
-
-    if beta == 0.0:
-        taps = np.sinc(t)
-    else:
-        singular = np.isclose(np.abs(t), 1.0 / (4 * beta))
-        center = np.isclose(t, 0.0)
-        safe = ~(singular | center)
-        ts = t[safe]
-        num = np.sin(np.pi * ts * (1 - beta)) + 4 * beta * ts * np.cos(
-            np.pi * ts * (1 + beta)
-        )
-        den = np.pi * ts * (1 - (4 * beta * ts) ** 2)
-        taps[safe] = num / den
-        taps[center] = 1 - beta + 4 * beta / np.pi
-        taps[singular] = (beta / np.sqrt(2)) * (
-            (1 + 2 / np.pi) * np.sin(np.pi / (4 * beta))
-            + (1 - 2 / np.pi) * np.cos(np.pi / (4 * beta))
-        )
-
-    return taps * (samples_per_symbol / np.sum(taps))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ bandwidth-extension front end.
 
 The band split divides a wideband record into a lower band (lowpass) and an
 upper band that is digitally down-converted to an IF through the analytic
-signal, so each half fits one real DAC channel. The digital LPF/HPF pair is
-complementary (responses sum to unity), which makes the later analog
-recombination exact outside the crossover transition.
+signal, so each half fits one real DAC channel. Every digital filter here is
+a closed-form response on the record's FFT grid: the RRC pulse is exact (not
+truncated), and the LPF/HPF pair is a raised-cosine crossover whose
+responses sum to unity and are exactly 0 or 1 outside the transition, which
+makes the later analog recombination exact outside the crossover.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .errors import NumericalError, ParameterError
 from .sigcore import (
     SampledWaveform,
     apply_filter,
-    design_rrc,
     filter_response,
-    fir_response,
     nmse_db,
     require_real,
     resample,
@@ -137,6 +137,12 @@ def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
     return y
 
 
+#: Trailing share of the usable record that ``fit_volterra`` holds out.
+VOLTERRA_HOLDOUT_FRACTION = 0.3
+#: Largest singular-value ratio a Volterra fit accepts.
+VOLTERRA_MAX_CONDITION = 1e10
+
+
 @dataclass(frozen=True)
 class VolterraFit:
     kernel: VolterraKernel
@@ -146,15 +152,13 @@ class VolterraFit:
 
 
 def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
-                 structure: VolterraStructure | None = None,
-                 holdout_fraction: float = 0.3,
-                 max_condition: float = 1e10) -> VolterraFit:
+                 structure: VolterraStructure | None = None) -> VolterraFit:
     """Least-squares post-inverse: regress ``stimulus`` on Volterra features
     of ``observed_response``. The resulting kernel, applied before the same
     device, acts as a pre-distorter (indirect learning).
 
-    A trailing fraction of the record is held out to report a generalization
-    NMSE next to the training NMSE.
+    A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out to
+    report a generalization NMSE next to the training NMSE.
     """
     structure = structure or VolterraStructure()
     x = np.asarray(observed_response, dtype=float)
@@ -170,11 +174,11 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     phi = np.column_stack([_term(x, t) for t in terms])
     guard = max(abs(d) for t in terms for d in t)
     lo, hi = guard, x.size - guard
-    n_train = lo + int((hi - lo) * (1.0 - holdout_fraction))
+    n_train = lo + int((hi - lo) * (1.0 - VOLTERRA_HOLDOUT_FRACTION))
 
     w, _, _, sv = np.linalg.lstsq(phi[lo:n_train], y[lo:n_train], rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if cond > max_condition:
+    if cond > VOLTERRA_MAX_CONDITION:
         raise NumericalError(
             f"normal equations ill-conditioned (cond={cond:.3g}); "
             "reduce the term count or decorrelate the stimulus"
@@ -191,23 +195,32 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
 # pulse shaping and pre-emphasis
 # ---------------------------------------------------------------------------
 
-def default_rrc_span(rolloff: float, n_symbols: int) -> int:
-    """Span needed to hold truncation ISI near -60 dB; long for small rolloff."""
-    span = 1024 if rolloff <= 0 else int(np.ceil(6.0 / rolloff))
-    return max(8, min(max(64, span), 1024, n_symbols - 1))
-
-
 def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
-                 symbol_rate_hz: float, span_symbols: int | None = None) -> SampledWaveform:
-    """Zero-stuff and shape with an RRC; output rate = sps * symbol rate."""
+                 symbol_rate_hz: float) -> SampledWaveform:
+    """Zero-stuff and shape with an RRC; output rate = sps * symbol rate.
+
+    The pulse is the exact RRC response on the record grid,
+    ``sps * cos(pi/2 * clip((|f|/R - (1 - rolloff)/2) / rolloff, 0, 1))``
+    (formed as a sine, so the stopband is exactly 0): DC gain sps (symbol
+    amplitude preserved), ``sps / sqrt(2)`` at R/2, and no truncation. At
+    roll-off 0 it is the brick wall with gain ``sps / sqrt(2)`` on the R/2
+    bin, so the matched pair still meets the Nyquist criterion there.
+    """
+    if not 0.0 <= rolloff <= 1.0:
+        raise ParameterError("rolloff must lie in [0, 1]")
     s = np.asarray(symbols, dtype=float)
-    if span_symbols is None:
-        span_symbols = default_rrc_span(rolloff, s.size)
-    taps = design_rrc(rolloff, span_symbols, samples_per_symbol)
-    up = np.zeros(s.size * samples_per_symbol)
-    up[::samples_per_symbol] = s
-    wave = SampledWaveform(symbol_rate_hz * samples_per_symbol, up)
-    return apply_filter(wave, fir_response(taps, wave.n))
+    n = s.size * samples_per_symbol
+    # |f| / R from whole bin indices, so R/2 lands on exactly 1/2
+    bins = np.arange(n)
+    excess = np.minimum(bins, n - bins) / s.size - (1.0 - rolloff) / 2
+    if rolloff > 0:
+        phase = np.clip(excess / rolloff, 0.0, 1.0)
+    else:
+        phase = 0.5 * (1.0 + np.sign(excess))
+    response = samples_per_symbol * np.sin(0.5 * np.pi * (1.0 - phase))
+    # zero-stuffing repeats the symbol spectrum once per sample of a symbol
+    spectrum = np.tile(np.fft.fft(s), samples_per_symbol) * response
+    return SampledWaveform.from_spectrum(symbol_rate_hz * samples_per_symbol, spectrum)
 
 
 def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,

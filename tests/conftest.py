@@ -38,7 +38,7 @@ def fast_link_config(seed=1, modulation="ps_pam12", noise_density=0.0,
         wavelength_nm=1550.0,
         amplifier=OpticalAmpSpec(0.0, noise_density),
     )
-    dsp = DspConfig(ffe_taps=63, ffe_train_fraction=0.3, preemphasis_enabled=False)
+    dsp = DspConfig(ffe_taps=63, ffe_train_fraction=0.3, preemphasis_max_boost_db=0.0)
     kwargs = dict(
         plan=plan, tx=tx, rx=rx, channel=chan,
         modulation=modulation, pam_order=pam_order,

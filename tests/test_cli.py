@@ -76,6 +76,19 @@ class TestSweepCommands:
         assert lines[0].startswith("symbol_rate_gbd,")
         assert len(lines) == 3
 
+    def test_sweep_baud_out_of_band_rate_is_a_row_error(self, tmp_path, capsys):
+        cfg = fast_link_config(modulation="uniform_pam8", noise_density=2e-17)
+        path = tmp_path / "pam8.json"
+        save_config(cfg, path)
+        out = tmp_path / "baud"
+        rc = main(["sweep-baud", "--config", str(path),
+                   "--rates", "420,216", "--out", str(out)])
+        assert rc == 0
+        ok, bad = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert ok.startswith("216,") and ok.endswith(",")
+        assert bad.startswith("420,") and "reconstructible band" in bad
+        assert "row 420 failed: symbol_rate_gbd" in capsys.readouterr().err
+
     def test_cores(self, config_path, tmp_path):
         out = tmp_path / "cores"
         rc = main(["cores", "--config", str(config_path), "--n", "2",

@@ -272,6 +272,9 @@ class TestStitchReconstruction:
         ids=["C-band", "O-band"],
     )
     def test_wideband_reconstruction(self, plan):
+        # the crossover and analog HPF are exactly 0 or 1 outside their
+        # transitions, so away from the crossover the stitch is exact to
+        # rounding (acceptance criterion 02 keeps its -30 dB bar)
         rng = np.random.default_rng(5)
         n = 32768
         freqs = np.fft.fftfreq(n, 1 / ANALOG_RATE)
@@ -286,4 +289,4 @@ class TestStitchReconstruction:
             rec = stitch_bands(lower, upper, plan, ANALOG_RATE)
         xo = plan.crossover_hz
         nmse = spectral_nmse_db(w, rec, exclude_bands=[(xo - 2e9, xo + 2e9)])
-        assert nmse <= -30.0
+        assert nmse <= -150.0

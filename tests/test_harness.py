@@ -187,7 +187,7 @@ class TestConfigSchema:
     @pytest.mark.parametrize("path, key, value", [
         ((), "symbol_rate_gbd", "216"),
         (("dsp",), "ffe_taps", 63.5),
-        (("dsp",), "preemphasis_enabled", "no"),
+        (("dsp",), "volterra_enabled", "no"),
         (("rx",), "dso_rate_hz", "256e9"),
     ])
     def test_value_type_checked(self, path, key, value):
@@ -275,6 +275,22 @@ class TestConfigSchema:
         with pytest.raises(ParameterError, match=re.escape(named)):
             load_config(cfg_path)
 
+    # a version-5 file, and the version-5 key that version 6 removed
+    @pytest.mark.parametrize("path, key, value, named", [
+        ((), "schema_version", 5, "schema_version 5"),
+        (("dsp",), "preemphasis_enabled", True, "'dsp.preemphasis_enabled'"),
+    ])
+    def test_version_5_file_rejected(self, tmp_path, path, key, value, named):
+        raw = config_to_dict(c_band_216g())
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            load_config(cfg_path)
+
     @pytest.mark.parametrize("version", [None, 0, 1, 2, 3, 99, "4"])
     def test_schema_version_must_be_current(self, version):
         raw = config_to_dict(c_band_216g())
@@ -289,6 +305,8 @@ class TestConfigSchema:
 # (dotted key -> value) edits of the fast link, and the key each must name
 _BAD_VALUES = [
     ({"dsp.rrc_rolloff": -0.1}, "dsp.rrc_rolloff"),
+    # the signal edge, 212 GHz, beyond the 72-GHz LO plus 120-GHz AWG band
+    ({"symbol_rate_gbd": 420.0}, "symbol_rate_gbd"),
     ({"dsp.ffe_taps": 100}, "dsp.ffe_taps"),
     ({"dsp.preamble_symbols": 0}, "dsp.preamble_symbols"),
     ({"dsp.preemphasis_max_boost_db": -5.0}, "dsp.preemphasis_max_boost_db"),
@@ -446,24 +464,26 @@ class TestRunLink:
         assert run_link(fast_config) == run_link(fast_config)
 
     # (modulation, seed, pre-emphasis, BER, GMI, NGMI, achievable, net) of the
-    # fast link with noise density 2e-17: the fixed-seed physics of the chain
+    # fast link with noise density 2e-17: the fixed-seed physics of the chain.
+    # Pre-emphasis is the default 12-dB boost cap, or off at a 0-dB cap
     @pytest.mark.parametrize("modulation, seed, preemphasis, golden", [
-        ("ps_pam12", 3, False, (0.02292768959435626, 2.8348259081542975,
-                                0.9087062430865457, 612.3223961613282,
-                                595.0423961613283)),
-        ("ps_pam12", 4, False, (0.016490299823633158, 2.9462679104230647,
-                                0.9365667436537375, 636.3938686513819,
-                                619.113868651382)),
-        ("uniform_pam8", 5, False, (0.02175191064079953, 2.7622297626387957,
-                                    0.9207432542129319, 596.6416287299799,
-                                    583.6816287299798)),
-        ("uniform_pam8", 6, True, (0.011405055849500294, 2.86802339153453,
-                                   0.9560077971781767, 619.4930525714585,
-                                   606.5330525714585)),
+        ("ps_pam12", 3, False, (0.023015873015873017, 2.8368223294881028,
+                                0.909205348419997, 612.7536231694302,
+                                595.4736231694302)),
+        ("ps_pam12", 4, False, (0.016578483245149912, 2.9468604602911603,
+                                0.9367148811207614, 636.5218594228907,
+                                619.2418594228906)),
+        ("uniform_pam8", 5, False, (0.021987066431510875, 2.7630109810501606,
+                                    0.9210036603500535, 596.8103719068347,
+                                    583.8503719068347)),
+        ("uniform_pam8", 6, True, (0.011522633744855968, 2.8679939434847572,
+                                   0.9559979811615857, 619.4866917927076,
+                                   606.5266917927075)),
     ])
     def test_fast_link_golden(self, modulation, seed, preemphasis, golden):
         cfg = fast_link_config(seed=seed, modulation=modulation, noise_density=2e-17)
-        cfg = replace(cfg, dsp=replace(cfg.dsp, preemphasis_enabled=preemphasis))
+        boost_db = 12.0 if preemphasis else 0.0
+        cfg = replace(cfg, dsp=replace(cfg.dsp, preemphasis_max_boost_db=boost_db))
         rep = run_link(cfg)
         assert rep.ber == golden[0]
         got = (rep.gmi_bits, rep.ngmi, rep.achievable_bitrate_gbps, rep.net_bitrate_gbps)
@@ -477,12 +497,11 @@ class TestRunLink:
         assert abs(short.ngmi - run_link(c_band_216g(seed)).ngmi) <= 0.02
 
     def test_fft_budget(self, monkeypatch, fast_config):
-        # Linear stages multiply the record spectrum, so a run transforms only
-        # to design 4 filters (RRC, band-split crossover, IF anti-alias,
-        # analog HPF) and where a pointwise stage meets a linear one (RRC
-        # input, drive peak, MZM drive, photocurrent, sync template,
-        # correlation, equalizer input). A round trip between two linear
-        # stages would add two.
+        # Linear stages multiply the record spectrum and every filter is a
+        # closed-form response, so a run transforms only where a pointwise
+        # stage meets a linear one (RRC input, drive peak, MZM drive,
+        # photocurrent, sync template, correlation, equalizer input). A round
+        # trip between two linear stages would add two.
         calls = []
 
         def counted(fn):
@@ -495,7 +514,7 @@ class TestRunLink:
             for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
         run_link(fast_config)
-        assert len(calls) == 11, calls
+        assert len(calls) == 7, calls
 
     def test_seed_changes_report(self, fast_config):
         a = run_link(fast_config)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy import signal as sps
-from scipy import special
 
 from imddsim import sigcore
 from imddsim.errors import ParameterError
@@ -9,13 +8,12 @@ from imddsim.sigcore import (
     SampledWaveform,
     apply_filter,
     bessel_response,
-    design_rrc,
     filter_response,
-    fir_response,
     nmse_db,
     resample,
     tone_amplitude,
 )
+from imddsim.txdsp import rrc_upsample
 
 RATE = 512e9
 
@@ -58,55 +56,64 @@ class TestSampledWaveform:
         assert w.samples[0] == 1.0 + 1.0j
 
 
+def rrc_response(rolloff, sps=2, n_symbols=64):
+    """The RRC response ``rrc_upsample`` applies: the spectrum of its output
+    for a unit impulse at symbol 0, whose zero-stuffed spectrum is all ones."""
+    impulse = np.zeros(n_symbols)
+    impulse[0] = 1.0
+    return rrc_upsample(impulse, sps, rolloff, 1e9).spectrum
+
+
 class TestDesignRrc:
+    """The RRC pulse, designed as a response on the record grid."""
+
     def test_symmetry(self):
-        taps = design_rrc(0.01, 64, 2)
-        assert len(taps) % 2 == 1
-        assert np.allclose(taps, taps[::-1], atol=1e-15)
+        h = rrc_response(0.01)
+        assert np.all(h.imag == 0)
+        assert np.array_equal(h[1:], h[1:][::-1])
 
     def test_dc_gain_is_unity(self):
+        # referred to the symbol stream: the gain is sps on the sps-fold grid
         for rolloff, sps in [(0.01, 2), (0.25, 4), (0.5, 8)]:
-            taps = design_rrc(rolloff, 32, sps)
-            assert abs(np.sum(taps) / sps - 1.0) < 1e-6
+            assert rrc_response(rolloff, sps)[0] == sps
 
     def test_half_symbol_rate_response(self):
-        # closed-form RRC spectrum: |H(1/2T)| = 1/sqrt(2)
-        sps = 4
-        taps = design_rrc(0.25, 64, sps)
-        k = np.arange(len(taps))
-        h_half = np.sum(taps * np.exp(-2j * np.pi * (0.5 / sps) * k))
-        assert abs(np.abs(h_half) / sps - 1 / np.sqrt(2)) < 1e-3
+        # closed-form RRC spectrum: |H(1/2T)| = 1/sqrt(2), bin n_symbols / 2
+        for rolloff in (0.0, 0.01, 0.25, 1.0):
+            h = rrc_response(rolloff, sps=4)
+            assert h[32].real / 4 == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_zero_isi_when_convolved_with_itself(self):
-        sps = 2
-        taps = design_rrc(0.1, 32, sps)
-        rc = np.convolve(taps, taps)
-        center = (len(rc) - 1) // 2
-        main = rc[center]
-        isi = rc[center % sps::sps].copy()
-        isi[center // sps] = 0.0
-        assert 20 * np.log10(np.max(np.abs(isi)) / main) < -50
+        # Nyquist round trip: shape, matched-filter (the same response over
+        # sps) and sample at the symbol instants returns the symbols
+        rng = np.random.default_rng(1)
+        sym = rng.normal(size=1000)
+        for rolloff in (0.0, 0.01, 0.1, 1.0):
+            h = rrc_response(rolloff, n_symbols=sym.size)
+            wave = rrc_upsample(sym, 2, rolloff, 1e9)
+            back = apply_filter(wave, h / 2).real[::2]
+            # below nmse_db's -200 dB floor, so the ratio is taken here
+            err_db = 10 * np.log10(np.sum((back - sym) ** 2) / np.sum(sym**2))
+            assert err_db <= -250.0, (rolloff, err_db)
 
     def test_zero_rolloff_is_sinc(self):
-        taps = design_rrc(0.0, 16, 2)
-        t = (np.arange(len(taps)) - (len(taps) - 1) / 2) / 2
-        expect = np.sinc(t)
-        expect *= 2 / np.sum(expect)
-        assert np.allclose(taps, expect, atol=1e-12)
+        # the sinc pulse's spectrum: a brick wall, with 1/sqrt(2) on the R/2
+        # bin so that bin and its alias at -R/2 fold to unity
+        h = rrc_response(0.0).real / 2
+        k = np.abs(np.fft.fftfreq(128, 1 / 128))
+        assert np.all(h[k < 32] == 1.0) and np.all(h[k > 32] == 0.0)
+        assert h[32] == h[96] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            design_rrc(-0.1, 8, 2)
-        with pytest.raises(ParameterError):
-            design_rrc(1.5, 8, 2)
-        with pytest.raises(ParameterError):
-            design_rrc(0.1, 0, 2)
+        for rolloff in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ParameterError):
+                rrc_upsample(np.ones(8), 2, rolloff, 1e9)
 
 
 class TestApplyFilter:
     def test_allpass_identity(self):
         w = bandlimited_noise(4096, RATE, 200e9, seed=1)
-        out = apply_filter(w, fir_response(np.array([1.0]), w.n))
+        out = apply_filter(w, np.ones(w.n))
         assert nmse_db(w, out) < -90
 
     def test_inband_tone_preserved(self):
@@ -155,11 +162,25 @@ class TestApplyFilter:
         hi = apply_filter(w, 1.0 - lowpass(w, 76e9))
         assert nmse_db(w, SampledWaveform(RATE, lo.real + hi.real)) < -120
 
-    def test_fir_taps_zero_delay(self):
+    def test_raised_cosine_transition(self):
+        n = 4096
+        f = np.abs(np.fft.fftfreq(n, 1 / RATE))
+        h = filter_response(76e9, 4e9, n, RATE)
+        assert np.all(h[f <= 74e9] == 1.0) and np.all(h[f >= 78e9] == 0.0)
+        mid = (f > 74e9) & (f < 78e9)
+        expect = 0.5 * (1 + np.cos(np.pi * ((f[mid] - 76e9) / 4e9 + 0.5)))
+        assert np.allclose(h[mid], expect, rtol=0, atol=1e-15)
+        # a transition wider than the room to Nyquist shrinks to fit it
+        near = filter_response(250e9, 40e9, n, RATE)
+        assert near[n // 2] == 0.0 and np.all(near[f <= 244e9] == 1.0)
+        for width in (0.0, -1e9):
+            with pytest.raises(ParameterError, match="transition width"):
+                filter_response(76e9, width, n, RATE)
+
+    def test_lowpass_zero_delay(self):
         w = bandlimited_noise(4096, RATE, 100e9, seed=6)
-        taps = design_rrc(0.1, 16, 2)
-        out = apply_filter(w, fir_response(taps, w.n))
-        # symmetric taps, compensated: peak correlation at zero lag
+        out = apply_filter(w, lowpass(w, 60e9))
+        # zero-phase response: peak correlation at zero lag
         corr = np.fft.ifft(
             np.fft.fft(out.samples) * np.conj(np.fft.fft(w.samples))
         ).real
@@ -170,9 +191,7 @@ class TestApplyFilter:
         with pytest.raises(ParameterError):
             apply_filter(w, np.ones(w.n // 2))
         with pytest.raises(ParameterError):
-            fir_response(np.array([]), w.n)
-        with pytest.raises(ParameterError):
-            fir_response(np.ones(w.n + 1), w.n)
+            apply_filter(w, np.ones(w.n + 1))
 
     def test_bessel_is_a_real_lowpass(self):
         n = 4096
@@ -187,8 +206,8 @@ class TestApplyFilter:
 
 
 class TestMatchesScipyDesigns:
-    """The numpy filter designs reproduce the scipy.signal designs they
-    replace bit for bit, so run outputs do not depend on which is used."""
+    """The numpy Bessel design reproduces the scipy.signal design it
+    replaces bit for bit, so run outputs do not depend on which is used."""
 
     @pytest.mark.parametrize("n", [77760, 131220, 155520])
     @pytest.mark.parametrize("order", [2, 4])
@@ -205,26 +224,6 @@ class TestMatchesScipyDesigns:
     def test_unsupported_bessel_order_rejected(self, order):
         with pytest.raises(ParameterError, match="Bessel order"):
             bessel_response(np.array([1e9]), 10e9, order)
-
-    def test_windowed_sinc_taps(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            rate = rng.uniform(50e9, 600e9)
-            nyq = rate / 2
-            cutoff = rng.uniform(0.02, 0.98) * nyq
-            width = rng.uniform(1e8, 2e10)
-            numtaps, beta = sps.kaiserord(
-                80.0, min(width, 2 * cutoff, 2 * (nyq - cutoff)) / nyq)
-            # a 500-sample record truncates the prototype to 499 taps
-            for n_record, length in ((10**7, numtaps | 1), (500, min(numtaps | 1, 499))):
-                ref = sps.firwin(length, cutoff, window=("kaiser", beta), fs=rate)
-                got = sigcore._windowed_sinc_taps(cutoff, width, rate, n_record)
-                assert np.array_equal(got, ref)
-
-    def test_i0(self):
-        x = np.concatenate([np.linspace(0.0, 8.0, 100001),
-                            np.random.default_rng(2).uniform(0.0, 8.0, 10000)])
-        assert np.array_equal(sigcore._i0(x), special.i0(x))
 
 
 class TestResample:
