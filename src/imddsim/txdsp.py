@@ -14,7 +14,7 @@ makes the later analog recombination exact outside the crossover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 
@@ -139,8 +139,13 @@ def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
 
 #: Trailing share of the usable record that ``fit_volterra`` holds out.
 VOLTERRA_HOLDOUT_FRACTION = 0.3
-#: Largest singular-value ratio a Volterra fit accepts.
-VOLTERRA_MAX_CONDITION = 1e10
+#: Largest singular-value ratio of the training features a Volterra fit
+#: accepts. The fit reads it from the Gram matrix, whose eigenvalue ratio is
+#: its square, so it can measure no more than about 1/sqrt(eps) ~ 7e7; 1e7
+#: keeps the limit inside the range where the reading is still accurate.
+VOLTERRA_MAX_CONDITION = 1e7
+#: Samples of the Volterra features ``fit_volterra`` builds at a time.
+_FIT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,48 @@ class VolterraFit:
     condition_number: float
 
 
+def _feature_block(x: np.ndarray, terms: list[tuple[int, ...]]):
+    """``block(a, b)``: samples a..b-1 of the Volterra features of ``x``,
+    term-major, so row ``i`` is ``_term(x, terms[i])[a:b]`` bit for bit.
+
+    Every feature is read from one zero-copy lag view of the zero-padded
+    record, ``lags[guard - d] = x[n - d]``. The terms of one order form one
+    group of rows: one fancy-indexed copy of the first factors, then one
+    in-place multiply per further factor, left to right as ``_term`` does.
+    """
+    guard = max(abs(d) for t in terms for d in t)
+    pad = np.zeros(guard)
+    lags = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, x, pad]), x.size)
+    groups, start = [], 0
+    for _, group in groupby(terms, key=len):
+        factors = guard - np.array(list(group)).T  # (order, terms of that order)
+        groups.append((start, start + factors.shape[1], factors))
+        start += factors.shape[1]
+
+    def block(a: int, b: int) -> np.ndarray:
+        phi = np.empty((len(terms), b - a))
+        for first, last, factors in groups:
+            rows = phi[first:last]
+            rows[:] = lags[factors[0], a:b]
+            for lag in factors[1:]:
+                rows *= lags[lag, a:b]
+        return phi
+
+    return block
+
+
 def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
                  structure: VolterraStructure | None = None) -> VolterraFit:
     """Least-squares post-inverse: regress ``stimulus`` on Volterra features
     of ``observed_response``. The resulting kernel, applied before the same
     device, acts as a pre-distorter (indirect learning).
 
-    A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out to
-    report a generalization NMSE next to the training NMSE.
+    The normal equations are accumulated over blocks of ``_FIT_BLOCK``
+    samples and solved by Cholesky, so the full feature matrix is never
+    held. A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out
+    to report a generalization NMSE next to the training NMSE; both come
+    from the residuals of a second blocked pass.
     """
     structure = structure or VolterraStructure()
     x = np.asarray(observed_response, dtype=float)
@@ -171,21 +210,35 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
             f"need >= {10 * len(terms)} samples to fit {len(terms)} coefficients"
         )
 
-    phi = np.column_stack([_term(x, t) for t in terms])
+    features = _feature_block(x, terms)
     guard = max(abs(d) for t in terms for d in t)
     lo, hi = guard, x.size - guard
     n_train = lo + int((hi - lo) * (1.0 - VOLTERRA_HOLDOUT_FRACTION))
 
-    w, _, _, sv = np.linalg.lstsq(phi[lo:n_train], y[lo:n_train], rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    gram = np.zeros((len(terms), len(terms)))
+    moment = np.zeros(len(terms))
+    for a in range(lo, n_train, _FIT_BLOCK):
+        b = min(a + _FIT_BLOCK, n_train)
+        phi = features(a, b)
+        gram += phi @ phi.T
+        moment += phi @ y[a:b]
+    eig = np.linalg.eigvalsh(gram)
+    cond = float(np.sqrt(eig[-1] / eig[0])) if eig[0] > 0 else np.inf
     if cond > VOLTERRA_MAX_CONDITION:
         raise NumericalError(
             f"normal equations ill-conditioned (cond={cond:.3g}); "
             "reduce the term count or decorrelate the stimulus"
         )
+    chol = np.linalg.cholesky(gram)
+    w = np.linalg.solve(chol.T, np.linalg.solve(chol, moment))
+
+    fitted = np.empty(hi - lo)
+    for a in range(lo, hi, _FIT_BLOCK):
+        b = min(a + _FIT_BLOCK, hi)
+        fitted[a - lo: b - lo] = w @ features(a, b)
 
     def seg_nmse(a: int, b: int) -> float:
-        return float(nmse_db(y[a:b], phi[a:b] @ w))
+        return float(nmse_db(y[a:b], fitted[a - lo: b - lo]))
 
     return VolterraFit(VolterraKernel(structure, w), seg_nmse(lo, n_train),
                        seg_nmse(n_train, hi), cond)

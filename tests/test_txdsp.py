@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from imddsim.errors import ParameterError
+from imddsim import txdsp
+from imddsim.errors import NumericalError, ParameterError
 from imddsim.sigcore import (
     SampledWaveform,
     apply_filter,
@@ -13,6 +16,8 @@ from imddsim.txdsp import (
     BandPlan,
     VolterraKernel,
     VolterraStructure,
+    _feature_block,
+    _term,
     apply_volterra,
     band_split,
     fit_volterra,
@@ -180,6 +185,95 @@ class TestFitVolterra:
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError):
             fit_volterra(np.ones(50), np.ones(50), VolterraStructure())
+
+    @pytest.mark.parametrize("noise", [1e-7, 1e-9], ids=["cond2e7", "cond2e9"])
+    def test_near_collinear_rejected(self, noise):
+        # +-1 symbols make x^2 ~ 1 and x^3 ~ x: kappa(features) ~ 2/noise;
+        # at 2e9 the Gram matrix can no longer resolve it at all
+        rng = np.random.default_rng(21)
+        x = rng.choice([-1.0, 1.0], 20000) + noise * rng.normal(size=20000)
+        with pytest.raises(NumericalError):
+            fit_volterra(rng.normal(size=x.size), x, VolterraStructure(5, 3, 3))
+
+    def test_collinear_rejected(self):
+        rng = np.random.default_rng(22)
+        x = rng.choice([-1.0, 1.0], 20000)
+        with pytest.raises(NumericalError):
+            fit_volterra(rng.normal(size=x.size), x, VolterraStructure(5, 3, 3))
+
+    def test_condition_number_of_training_features(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=6000)
+        st = VolterraStructure(memory_1=7, memory_2=3, memory_3=3)
+        y = x - 0.05 * x**3
+        fit = fit_volterra(y, x, st)
+        _, phi, lo, n_train, _ = fit_oracle(x, y, st)
+        assert fit.condition_number == pytest.approx(
+            np.linalg.cond(phi[lo:n_train]), rel=1e-6)
+
+    def test_memory_bound(self):
+        rng = np.random.default_rng(24)
+        x, y = rng.normal(size=65536), rng.normal(size=65536)
+        tracemalloc.start()
+        try:
+            fit_volterra(y, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+def fit_oracle(x, y, st):
+    """Oracle: ``lstsq`` on the explicit feature matrix's training rows;
+    returns (coefficients, features, training start, training end, usable
+    end)."""
+    terms = st.terms()
+    phi = np.column_stack([_term(x, t) for t in terms])
+    guard = max(abs(d) for t in terms for d in t)
+    lo, hi = guard, x.size - guard
+    n_train = lo + int((hi - lo) * (1.0 - txdsp.VOLTERRA_HOLDOUT_FRACTION))
+    w, _, _, _ = np.linalg.lstsq(phi[lo:n_train], y[lo:n_train], rcond=None)
+    return w, phi, lo, n_train, hi
+
+
+class TestFitBlocks:
+    """Block edges: the fit over many short blocks equals one ``lstsq``."""
+
+    ST = VolterraStructure(memory_1=7, memory_2=5, memory_3=3,
+                           max_spread_2=2, max_spread_3=None)
+
+    @pytest.fixture(params=[100, 257], ids=["block100", "block257"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(txdsp, "_FIT_BLOCK", request.param)
+        return request.param
+
+    @staticmethod
+    def record(n=3001):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=n)
+        y = np.convolve(x - 0.05 * x**3, [1.0, 0.2, -0.1], mode="full")[:n]
+        return x, y + 0.01 * rng.normal(size=n)
+
+    def test_matches_lstsq_oracle(self, block):
+        x, y = self.record()
+        fit = fit_volterra(y, x, self.ST)
+        w, phi, lo, n_train, hi = fit_oracle(x, y, self.ST)
+        sv = np.linalg.svd(phi[lo:n_train], compute_uv=False)
+        assert np.max(np.abs(fit.kernel.coefficients - w)) < 1e-12
+        assert fit.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-9)
+        assert fit.train_nmse_db == pytest.approx(
+            nmse_db(y[lo:n_train], phi[lo:n_train] @ w), abs=1e-9)
+        assert fit.holdout_nmse_db == pytest.approx(
+            nmse_db(y[n_train:hi], phi[n_train:hi] @ w), abs=1e-9)
+
+    def test_block_features_bit_equal_terms(self, block):
+        x, _ = self.record()
+        terms = self.ST.terms()
+        phi = np.column_stack([_term(x, t) for t in terms])
+        features = _feature_block(x, terms)
+        for a in range(0, x.size, block):
+            b = min(a + block, x.size)
+            assert np.array_equal(features(a, b), phi[a:b].T)
 
 
 class TestRrcUpsample:
