@@ -119,21 +119,17 @@ def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
 def _preemphasize(config: LinkConfig, lower: SampledWaveform,
                   upper: SampledWaveform) -> tuple[SampledWaveform, SampledWaveform]:
     plan = config.plan
-    nyq = plan.awg_rate_hz / 2
-    f = np.linspace(0.0, nyq, 2049)
+    # both bands share the AWG record grid
+    f = np.abs(lower.freqs())
     droop, bessel = dac_response(f, plan.awg_rate_hz, plan.awg_bandwidth_hz)
     zoh_awg = np.abs(droop) * np.abs(bessel)
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
     resp_upper = zoh_awg * _tx_chain_magnitude(
         config, f + plan.lo_frequency_hz, upper_path=True
     )
-    # the design table, interpolated onto the AWG grid both bands share
-    grid = np.abs(lower.freqs())
-    lower_h = np.interp(grid, f, resp_lower / resp_lower.max())
-    upper_h = np.interp(grid, f, resp_upper / resp_upper.max())
     boost = config.dsp.preemphasis_max_boost_db
-    return (linear_preemphasis(lower, lower_h, boost),
-            linear_preemphasis(upper, upper_h, boost))
+    return (linear_preemphasis(lower, resp_lower / resp_lower.max(), boost),
+            linear_preemphasis(upper, resp_upper / resp_upper.max(), boost))
 
 
 def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:

@@ -476,9 +476,9 @@ class TestRunLink:
         ("uniform_pam8", 5, False, (0.021987066431510875, 2.7630109810501606,
                                     0.9210036603500535, 596.8103719068347,
                                     583.8503719068347)),
-        ("uniform_pam8", 6, True, (0.011522633744855968, 2.8679939434847572,
-                                   0.9559979811615857, 619.4866917927076,
-                                   606.5266917927075)),
+        ("uniform_pam8", 6, True, (0.011522633744855968, 2.8679939472077844,
+                                   0.9559979824025948, 619.4866925968814,
+                                   606.5266925968814)),
     ])
     def test_fast_link_golden(self, modulation, seed, preemphasis, golden):
         cfg = fast_link_config(seed=seed, modulation=modulation, noise_density=2e-17)
