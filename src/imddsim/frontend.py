@@ -6,7 +6,7 @@ The optical carrier is a baseband complex envelope; absolute optical
 frequency only enters through the fiber dispersion parameters. LO tones are
 snapped to the record's frequency grid (the lab locks the LO clocks to the
 same AWG), which keeps mixing exactly circular: the LO multiply is a shift
-of the spectrum by whole bins.
+of the one-sided spectrum by whole bins.
 """
 
 from __future__ import annotations
@@ -164,7 +164,10 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
     ``bandwidth_hz`` is None).
 
     The LO sits on the record grid (bin k), so 2 x(t) cos(2 pi f_LO t + phi)
-    has the spectrum exp(j phi) X[f - f_LO] + exp(-j phi) X[f + f_LO].
+    has the spectrum exp(j phi) X[f - f_LO] + exp(-j phi) X[f + f_LO], each
+    image a slice of the one-sided spectrum: the lower sideband's bins
+    below DC fold back as conjugates, and the upper image of bins near
+    Nyquist wraps in past Nyquist as the conjugate half of the record.
     """
     require_real(if_wave, "mixer IF input")
     n, rate = if_wave.n, if_wave.sample_rate_hz
@@ -177,12 +180,22 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
         )
 
     k = int(round(lo_frequency_hz * n / rate))
-    phasor = np.exp(1j * lo_phase_rad)
+    if not 0 <= k <= n // 2:
+        raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
+                             f"[0, Nyquist {rate / 2:.4g} Hz]")
     x = if_wave.spectrum
-    product = phasor * np.roll(x, k) + np.conj(phasor) * np.roll(x, -k)
+    bins = x.size
+    up = np.empty_like(x)  # X[f - f_LO]
+    up[k:] = x[: bins - k]
+    up[:k] = np.conj(x[k:0:-1])
+    down = np.empty_like(x)  # X[f + f_LO]
+    down[: bins - k] = x[k:]
+    down[bins - k:] = np.conj(x[n - bins - k + 1: n - bins + 1][::-1])
+    phasor = np.exp(1j * lo_phase_rad)
+    product = phasor * up + np.conj(phasor) * down
     if bandwidth_hz is not None:
         product = product * mixer_gain(if_wave.freqs(), bandwidth_hz)
-    return SampledWaveform.from_spectrum(rate, product)
+    return SampledWaveform.from_spectrum(rate, product, n)
 
 
 def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
@@ -290,8 +303,7 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
     v = apply_filter(drive, model.response(drive.freqs())).real
     amp = np.sqrt(10 ** ((laser_power_dbm - 30.0) / 10.0))
     field = amp * np.cos(np.pi * (v + model.v_pi_volts / 2) / (2.0 * model.v_pi_volts))
-    return SampledWaveform(drive.sample_rate_hz, field.astype(np.complex128),
-                           "optical_field")
+    return SampledWaveform(drive.sample_rate_hz, field, "optical_field")
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def _preemphasize(config: LinkConfig, lower: SampledWaveform,
                   upper: SampledWaveform) -> tuple[SampledWaveform, SampledWaveform]:
     plan = config.plan
     # both bands share the AWG record grid
-    f = np.abs(lower.freqs())
+    f = lower.freqs()
     droop, bessel = dac_response(f, plan.awg_rate_hz, plan.awg_bandwidth_hz)
     zoh_awg = np.abs(droop) * np.abs(bessel)
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)

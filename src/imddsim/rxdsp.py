@@ -24,7 +24,14 @@ import numpy as np
 from .errors import NoRateError, ParameterError, SyncError
 from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
 from .shaping import SymbolFrame, entropy_bits
-from .sigcore import SampledWaveform, apply_filter, bessel_response, resample, rms
+from .sigcore import (
+    SampledWaveform,
+    apply_filter,
+    bessel_response,
+    require_real,
+    resample,
+    rms,
+)
 
 LLR_CAP = 50.0
 
@@ -87,17 +94,17 @@ def synchronize(received: SampledWaveform,
     left to the equalizer; the correlation uses magnitudes, so an inverted
     photocurrent still locks.
     """
+    require_real(received, "synchronize input")
     template = np.zeros(received.n)
     pre = np.asarray(preamble_symbols, dtype=float)
     if pre.size * SAMPLES_PER_SYMBOL > received.n:
         raise ParameterError("preamble longer than the record")
     template[: pre.size * SAMPLES_PER_SYMBOL: SAMPLES_PER_SYMBOL] = pre
 
-    # mean removed by zeroing the DC bin; the real template makes the real
-    # part of the correlation that of the received samples' real part
+    # mean removed by zeroing the DC bin
     x = received.spectrum.copy()
     x[0] = 0.0
-    corr = np.fft.ifft(x * np.conj(np.fft.fft(template))).real
+    corr = np.fft.irfft(x * np.conj(np.fft.rfft(template)), received.n)
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
     floor = rms(mag)
@@ -115,7 +122,7 @@ def synchronize(received: SampledWaveform,
     if delay > received.n / 2:
         delay -= received.n  # wrapped negative delay
 
-    freqs = np.fft.fftfreq(received.n)
+    freqs = np.fft.rfftfreq(received.n)
     aligned = x * np.exp(2j * np.pi * freqs * delay)
     return received.with_spectrum(aligned), delay
 

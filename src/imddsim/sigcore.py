@@ -4,7 +4,7 @@ and signal metrics.
 Conventions used throughout the simulator:
 
 - Records are treated as circular: a linear stage is a response H(f) on the
-  record's n-point FFT grid, so zero-phase designs apply with exactly zero
+  record's DFT grid, so zero-phase designs apply with exactly zero
   delay and length is always preserved.
 - A :class:`SampledWaveform` keeps the form it was built from (samples or
   spectrum) and computes the other once, on first use. Linear stages
@@ -17,10 +17,14 @@ Conventions used throughout the simulator:
   noise, square-law detection, sync correlation, and the equalizer. The LO
   multiply and the band split's down-conversion are whole-bin spectrum
   shifts, since their tones sit on the record grid.
-- A spectrum built for an electrical or photocurrent waveform is made
-  conjugate-symmetric: the spectrum of the real part of its inverse FFT.
-- A filter is a response array on the waveform's own FFT grid, written in
-  closed form, and :func:`apply_filter` multiplies it onto the spectrum.
+- Real signals stay real. Electrical and photocurrent waveforms hold
+  float64 samples and the one-sided ``n // 2 + 1``-bin spectrum
+  (``rfft``/``irfft``); only the optical field between the MZM and the
+  photodiode holds complex samples and the full n-bin spectrum. The
+  redundant negative-frequency half of a real spectrum is never formed.
+- A filter is a response array on the waveform's own frequency grid
+  (``wave.freqs()``), written in closed form, and :func:`apply_filter`
+  multiplies it onto the spectrum.
   Two functions cover the chain: :func:`bessel_response` (analog Bessel
   lowpass of order 2 or 4, with its phase, for the converter, amplifier,
   modulator, photodiode and scope roll-offs) and :func:`filter_response`
@@ -57,46 +61,71 @@ class SampledWaveform:
     sample_rate_hz : float
         Sampling rate, > 0.
     samples : array-like
-        Sample values; stored as complex128. Electrical and photocurrent
-        waveforms must be real (imaginary RMS below 1e-12 of total RMS).
+        Sample values. Electrical and photocurrent waveforms are real and
+        stored as float64; a complex input must have an imaginary RMS below
+        1e-12 of its total RMS, and its imaginary part is dropped. An optical
+        field is stored as complex128.
     domain_tag : str
         One of ``electrical``, ``optical_field``, ``photocurrent``.
 
-    :meth:`from_spectrum` builds a waveform from its n-point FFT instead;
-    the other form is computed on first access. Stages never modify a
-    waveform; they build a new one.
+    The spectrum has the form that fits the domain: the one-sided
+    ``n // 2 + 1``-bin ``rfft`` of a real waveform, the full n-bin ``fft``
+    of an optical field (unnormalized, ``numpy.fft`` order), with
+    :meth:`freqs` giving its bin frequencies. :meth:`from_spectrum` builds a
+    waveform from its spectrum instead; the other form is computed on first
+    access. Stages never modify a waveform; they build a new one.
     """
 
-    __slots__ = ("sample_rate_hz", "domain_tag", "_samples", "_spectrum")
+    __slots__ = ("sample_rate_hz", "domain_tag", "n", "_samples", "_spectrum")
 
     def __init__(self, sample_rate_hz: float, samples, domain_tag: str = "electrical"):
         arr = _checked(sample_rate_hz, samples, domain_tag, "samples")
         if domain_tag in _REAL_TAGS:
-            total = np.sqrt(np.mean(np.abs(arr) ** 2))
-            imag = np.sqrt(np.mean(arr.imag**2))
-            if total > 0 and imag > 1e-12 * total:
-                raise ParameterError(
-                    f"{domain_tag} waveform has non-negligible imaginary part"
-                )
-            arr = arr.real.astype(np.complex128)
+            if np.iscomplexobj(arr):
+                total = np.sqrt(np.mean(np.abs(arr) ** 2))
+                imag = np.sqrt(np.mean(arr.imag**2))
+                if total > 0 and imag > 1e-12 * total:
+                    raise ParameterError(
+                        f"{domain_tag} waveform has non-negligible imaginary part"
+                    )
+                arr = arr.real.copy()
+            arr = arr.astype(np.float64, copy=False)
+        else:
+            arr = arr.astype(np.complex128, copy=False)
         self.sample_rate_hz = sample_rate_hz
         self.domain_tag = domain_tag
+        self.n = arr.size
         self._samples = arr
         self._spectrum = None
 
     @classmethod
-    def from_spectrum(cls, sample_rate_hz: float, spectrum,
+    def from_spectrum(cls, sample_rate_hz: float, spectrum, n: int,
                       domain_tag: str = "electrical") -> "SampledWaveform":
-        """Waveform whose samples are the inverse FFT of ``spectrum`` (their
-        real part for electrical and photocurrent waveforms)."""
+        """The n-sample waveform whose spectrum is ``spectrum``: n bins for an
+        optical field, and ``n // 2 + 1`` bins for an electrical or
+        photocurrent waveform, whose samples are the ``irfft``.
+
+        ``irfft`` ignores the imaginary parts of the DC bin and, for even n,
+        the Nyquist bin, so the waveform holds the spectrum with those parts
+        zeroed: the ``rfft`` of its samples. Where the record grid later
+        changes (resampling, mixing), those bins become interior bins, and
+        an imaginary part left there would turn into signal."""
         spec = _checked(sample_rate_hz, spectrum, domain_tag, "spectrum")
-        if domain_tag in _REAL_TAGS:
-            # X[k] -> (X[k] + X*[-k]) / 2, the spectrum of Re(ifft(X))
-            mirrored = np.conj(spec[::-1])
-            spec = 0.5 * (spec + np.roll(mirrored, 1))
+        spec = spec.astype(np.complex128, copy=False)
+        real = domain_tag in _REAL_TAGS
+        bins = n // 2 + 1 if real else n
+        if spec.size != bins:
+            raise ParameterError(f"a {n}-sample {domain_tag} waveform has {bins} "
+                                 f"spectrum bins, not {spec.size}")
+        if real:
+            ends = [0, -1] if n % 2 == 0 else [0]
+            if np.any(spec[ends].imag != 0):
+                spec = spec.copy()  # the caller's array stays as it was
+                spec[ends] = spec[ends].real
         wave = cls.__new__(cls)
         wave.sample_rate_hz = sample_rate_hz
         wave.domain_tag = domain_tag
+        wave.n = n
         wave._samples = None
         wave._spectrum = spec
         return wave
@@ -104,42 +133,39 @@ class SampledWaveform:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            x = np.fft.ifft(self._spectrum)
             if self.domain_tag in _REAL_TAGS:
-                x.imag = 0.0
-            self._samples = x
+                self._samples = np.fft.irfft(self._spectrum, self.n)
+            else:
+                self._samples = np.fft.ifft(self._spectrum)
         return self._samples
 
     @property
     def spectrum(self) -> np.ndarray:
-        """n-point FFT of the samples (unnormalized, ``numpy.fft`` order)."""
+        """``rfft`` of the samples of a real waveform, ``fft`` of those of an
+        optical field."""
         if self._spectrum is None:
-            self._spectrum = np.fft.fft(self._samples)
+            if self.domain_tag in _REAL_TAGS:
+                self._spectrum = np.fft.rfft(self._samples)
+            else:
+                self._spectrum = np.fft.fft(self._samples)
         return self._spectrum
-
-    @property
-    def n(self) -> int:
-        held = self._samples if self._samples is not None else self._spectrum
-        return held.size
 
     @property
     def real(self) -> np.ndarray:
         return self.samples.real
 
     def freqs(self) -> np.ndarray:
-        """Frequency of each spectrum bin (Hz)."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.sample_rate_hz)
+        """Frequency of each spectrum bin (Hz): ``rfftfreq`` for a real
+        waveform, ``fftfreq`` for an optical field."""
+        grid = np.fft.rfftfreq if self.domain_tag in _REAL_TAGS else np.fft.fftfreq
+        return grid(self.n, d=1.0 / self.sample_rate_hz)
 
-    def with_samples(self, samples: np.ndarray, domain_tag: str | None = None) -> "SampledWaveform":
-        return SampledWaveform(
-            self.sample_rate_hz, samples, domain_tag or self.domain_tag
-        )
+    def with_samples(self, samples: np.ndarray) -> "SampledWaveform":
+        return SampledWaveform(self.sample_rate_hz, samples, self.domain_tag)
 
-    def with_spectrum(self, spectrum: np.ndarray,
-                      domain_tag: str | None = None) -> "SampledWaveform":
-        return SampledWaveform.from_spectrum(
-            self.sample_rate_hz, spectrum, domain_tag or self.domain_tag
-        )
+    def with_spectrum(self, spectrum: np.ndarray) -> "SampledWaveform":
+        return SampledWaveform.from_spectrum(self.sample_rate_hz, spectrum, self.n,
+                                             self.domain_tag)
 
     def scaled(self, factor: float) -> "SampledWaveform":
         """The waveform times a constant, formed from the spectrum when one
@@ -159,7 +185,7 @@ class SampledWaveform:
 def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
     if sample_rate_hz <= 0:
         raise ParameterError("sample_rate_hz must be positive")
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError(f"{what} must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
@@ -170,10 +196,9 @@ def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.nd
 
 
 def require_real(wave: SampledWaveform, what: str) -> None:
-    """Raise unless ``wave`` is real: a real domain, or an optical field
-    whose samples have no imaginary part."""
-    if wave.domain_tag not in _REAL_TAGS and np.any(wave.samples.imag != 0):
-        raise ParameterError(f"{what} must be real")
+    """Raise unless ``wave`` is an electrical or photocurrent waveform."""
+    if wave.domain_tag not in _REAL_TAGS:
+        raise ParameterError(f"{what} must be real, not an {wave.domain_tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +207,10 @@ def require_real(wave: SampledWaveform, what: str) -> None:
 
 def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
                     sample_rate_hz: float) -> np.ndarray:
-    """Zero-phase raised-cosine lowpass on the n-point FFT grid at the given
-    rate: 1 below ``cutoff - w/2``, 0 above ``cutoff + w/2``, and
-    ``(1 + cos(pi * ((|f| - cutoff) / w + 1/2))) / 2`` in between, with the
+    """Zero-phase raised-cosine lowpass on the one-sided grid of a real
+    n-sample record at the given rate (``n // 2 + 1`` bins, ``rfftfreq``):
+    1 below ``cutoff - w/2``, 0 above ``cutoff + w/2``, and
+    ``(1 + cos(pi * ((f - cutoff) / w + 1/2))) / 2`` in between, with the
     width ``w`` shrunk to fit between DC and Nyquist. ``1 - response`` is the
     complementary highpass: the two sum to unity across the crossover."""
     nyq = sample_rate_hz / 2.0
@@ -195,7 +221,7 @@ def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
     if not transition_width_hz > 0:
         raise ParameterError("transition width must be positive")
     width = min(transition_width_hz, 2 * cutoff_hz, 2 * (nyq - cutoff_hz))
-    f = np.abs(np.fft.fftfreq(n, d=1.0 / sample_rate_hz))
+    f = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
     phase = np.clip((f - cutoff_hz) / width + 0.5, 0.0, 1.0)
     return 0.5 * (1.0 + np.cos(np.pi * phase))
 
@@ -231,28 +257,27 @@ def _bessel_design(cutoff_hz: float, order: int) -> tuple[float, np.ndarray]:
 def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.ndarray:
     """Analog Bessel lowpass of ``order`` poles (3-dB point at ``cutoff_hz``;
     orders 2 and 4) evaluated with its phase at ``freqs_hz``; closed form, so
-    it may roll off beyond Nyquist."""
+    it may roll off beyond Nyquist. The denominator is real, so the response
+    at -f is the conjugate of that at f."""
     if cutoff_hz <= 0:
         raise ParameterError("Bessel cutoff must be positive")
     gain, den = _bessel_design(cutoff_hz, order)
-    s = 1j * (2 * np.pi * np.abs(freqs_hz))
+    s = 1j * (2 * np.pi * np.asarray(freqs_hz, dtype=float))
     y = np.zeros_like(s)
     for coef in den:  # Horner, as scipy.signal.freqs evaluates it
         y = y * s + coef
-    h = gain / y
-    # real filter: enforce conjugate symmetry for the negative-frequency bins
-    h[freqs_hz < 0] = np.conj(h[freqs_hz < 0])
-    return h
+    return gain / y
 
 
 def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform:
     """Filter a waveform: its spectrum times ``response``, given on the
-    waveform's own FFT grid (``wave.freqs()``), so length is preserved."""
-    if np.shape(response) != (wave.n,):
-        raise ParameterError(
-            f"response of shape {np.shape(response)} is not on the {wave.n}-bin grid"
-        )
-    return wave.with_spectrum(wave.spectrum * response)
+    waveform's own frequency grid (``wave.freqs()``), so length is
+    preserved."""
+    spectrum = wave.spectrum
+    if np.shape(response) != spectrum.shape:
+        raise ParameterError(f"response of shape {np.shape(response)} is not on "
+                             f"the {spectrum.size}-bin grid")
+    return wave.with_spectrum(spectrum * response)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +285,16 @@ def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform
 # ---------------------------------------------------------------------------
 
 def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
-    """FFT-method rate conversion; exact for band-limited circular records.
+    """FFT-method rate conversion of a real waveform; exact for band-limited
+    circular records.
 
-    The spectrum is truncated or zero-padded and rescaled, with the unpaired
-    bin at half the smaller rate split or joined as ``scipy.signal.resample``
-    does. The record duration must map to an integer number of output samples
-    (rational ratio precondition).
+    The one-sided spectrum is truncated or zero-padded and rescaled, with
+    the bin at half the smaller length doubled on the way down and halved
+    on the way up when that length is even, as ``scipy.signal.resample``
+    does for real input. The record duration must map to an integer number
+    of output samples (rational ratio precondition).
     """
+    require_real(wave, "resample input")
     if target_rate_hz <= 0:
         raise ParameterError("target rate must be positive")
     if target_rate_hz == wave.sample_rate_hz:
@@ -278,21 +306,15 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
             f"rate ratio {target_rate_hz}/{wave.sample_rate_hz} does not yield an "
             f"integer record length from {wave.n} samples"
         )
-    n_in, x = wave.n, wave.spectrum
+    n_in = wave.n
     m = min(n_in, n_out)
-    half = m // 2 + 1
-    y = np.zeros(n_out, dtype=np.complex128)
-    y[:half] = x[:half]
-    if half < m:
-        y[half - m:] = x[half - m:]
+    y = np.zeros(n_out // 2 + 1, dtype=np.complex128)
+    y[: m // 2 + 1] = wave.spectrum[: m // 2 + 1]
     if m % 2 == 0 and n_out != n_in:
-        if n_out < n_in:
-            y[-(m // 2)] += x[-(m // 2)]
-        else:
-            y[m // 2] /= 2
-            y[n_out - m // 2] = y[m // 2]
-    return SampledWaveform.from_spectrum(target_rate_hz, y / (n_in / n_out),
-                                         wave.domain_tag)
+        # the unpaired bin: its mirror joins it going down, splits off going up
+        y[m // 2] *= 2.0 if n_out < n_in else 0.5
+    y *= n_out / n_in
+    return SampledWaveform.from_spectrum(target_rate_hz, y, n_out, wave.domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -318,62 +340,82 @@ def nmse_db(reference: SampledWaveform | np.ndarray,
     return max(10.0 * np.log10(err / denom), NMSE_FLOOR_DB)
 
 
+def _energy(wave: SampledWaveform, spectrum: np.ndarray) -> np.ndarray:
+    """|X|^2 per bin of a spectrum on ``wave``'s grid, counted as often as the
+    bin occurs in the full n-point spectrum: on the one-sided grid of a real
+    waveform, DC and (for even n) the Nyquist bin once and every other bin
+    twice."""
+    energy = np.abs(spectrum) ** 2
+    if wave.domain_tag in _REAL_TAGS:
+        energy[1: (wave.n + 1) // 2] *= 2.0
+    return energy
+
+
 def spectral_nmse_db(reference: SampledWaveform, test: SampledWaveform,
                      exclude_bands: Iterable[tuple[float, float]] = ()) -> float:
-    """NMSE evaluated on the FFT grid with |f| inside exclude_bands masked out."""
-    if reference.sample_rate_hz != test.sample_rate_hz or reference.n != test.n:
+    """NMSE evaluated on the spectrum grid with |f| inside exclude_bands
+    masked out."""
+    if (reference.sample_rate_hz != test.sample_rate_hz or reference.n != test.n
+            or reference.domain_tag != test.domain_tag):
         raise ParameterError("waveforms must share grid")
     freqs = np.abs(reference.freqs())
-    r = reference.spectrum
-    t = test.spectrum
-    keep = np.ones(reference.n, dtype=bool)
+    keep = np.ones(freqs.size, dtype=bool)
     for f_lo, f_hi in exclude_bands:
         keep &= ~((freqs >= f_lo) & (freqs <= f_hi))
-    denom = np.sum(np.abs(r[keep]) ** 2)
+    denom = np.sum(_energy(reference, reference.spectrum)[keep])
     if denom == 0:
         raise ParameterError("zero reference energy outside excluded bands")
-    err = np.sum(np.abs((r - t)[keep]) ** 2)
+    err = np.sum(_energy(reference, reference.spectrum - test.spectrum)[keep])
     if err == 0:
         return NMSE_FLOOR_DB
     return max(10.0 * np.log10(err / denom), NMSE_FLOOR_DB)
 
 
-def tone_amplitude(wave: SampledWaveform, freq_hz: float) -> float:
-    """Amplitude of the tone nearest freq_hz via single-bin DFT (real signals)."""
+def _full_bin(wave: SampledWaveform, freq_hz: float) -> tuple[int, complex]:
+    """Index k of the n-point DFT bin nearest ``freq_hz`` and its value X[k];
+    a real waveform's one-sided spectrum gives X[k] = conj(X[n - k]) above
+    Nyquist."""
     n = wave.n
-    k = int(round(freq_hz * n / wave.sample_rate_hz))
-    scale = 1.0 if k in (0, n // 2) else 2.0
-    return scale * np.abs(wave.spectrum[k % n]) / n
+    k = int(round(freq_hz * n / wave.sample_rate_hz)) % n
+    spectrum = wave.spectrum
+    return k, spectrum[k] if k < spectrum.size else np.conj(spectrum[n - k])
+
+
+def tone_amplitude(wave: SampledWaveform, freq_hz: float) -> float:
+    """Amplitude of the tone nearest freq_hz via single-bin DFT (real
+    signals): 2|X[k]|/n, or |X[k]|/n at DC and at the Nyquist bin of an even
+    n, the bins a real tone does not share with its mirror image."""
+    k, value = _full_bin(wave, freq_hz)
+    scale = 1.0 if k == 0 or 2 * k == wave.n else 2.0
+    return scale * np.abs(value) / wave.n
 
 
 def tone_phase(wave: SampledWaveform, freq_hz: float) -> float:
     """Phase (radians) of the bin nearest freq_hz."""
-    k = int(round(freq_hz * wave.n / wave.sample_rate_hz))
-    return float(np.angle(wave.spectrum[k % wave.n]))
+    return float(np.angle(_full_bin(wave, freq_hz)[1]))
 
 
 def band_energy_fraction(wave: SampledWaveform, f_lo_hz: float, f_hi_hz: float) -> float:
     """Fraction of total energy with |f| in [f_lo, f_hi]."""
-    spec = np.abs(wave.spectrum) ** 2
+    energy = _energy(wave, wave.spectrum)
     freqs = np.abs(wave.freqs())
-    total = np.sum(spec)
+    total = np.sum(energy)
     if total == 0:
         return 0.0
     sel = (freqs >= f_lo_hz) & (freqs <= f_hi_hz)
-    return float(np.sum(spec[sel]) / total)
+    return float(np.sum(energy[sel]) / total)
 
 
 def occupied_bandwidth(wave: SampledWaveform, fraction: float = 0.999) -> float:
     """Smallest f such that |f'| <= f holds `fraction` of the energy."""
-    spec = np.abs(wave.spectrum) ** 2
     freqs = np.abs(wave.freqs())
     order = np.argsort(freqs)
-    cum = np.cumsum(spec[order])
+    cum = np.cumsum(_energy(wave, wave.spectrum)[order])
     total = cum[-1]
     if total == 0:
         return 0.0
     idx = int(np.searchsorted(cum, fraction * total))
-    return float(freqs[order][min(idx, wave.n - 1)])
+    return float(freqs[order][min(idx, freqs.size - 1)])
 
 
 def bin_centered_frequency(freq_hz: float, n: int, sample_rate_hz: float) -> float:

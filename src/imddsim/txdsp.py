@@ -5,7 +5,7 @@ bandwidth-extension front end.
 The band split divides a wideband record into a lower band (lowpass) and an
 upper band that is digitally down-converted to an IF through the analytic
 signal, so each half fits one real DAC channel. Every digital filter here is
-a closed-form response on the record's FFT grid: the RRC pulse is exact (not
+a closed-form response on the record's one-sided frequency grid: the RRC pulse is exact (not
 truncated), and the LPF/HPF pair is a raised-cosine crossover whose
 responses sum to unity and are exactly 0 or 1 outside the transition, which
 makes the later analog recombination exact outside the crossover.
@@ -252,7 +252,7 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
                  symbol_rate_hz: float) -> SampledWaveform:
     """Zero-stuff and shape with an RRC; output rate = sps * symbol rate.
 
-    The pulse is the exact RRC response on the record grid,
+    The pulse is the exact RRC response on the record's one-sided grid,
     ``sps * cos(pi/2 * clip((|f|/R - (1 - rolloff)/2) / rolloff, 0, 1))``
     (formed as a sine, so the stopband is exactly 0): DC gain sps (symbol
     amplitude preserved), ``sps / sqrt(2)`` at R/2, and no truncation. At
@@ -263,35 +263,39 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
         raise ParameterError("rolloff must lie in [0, 1]")
     s = np.asarray(symbols, dtype=float)
     n = s.size * samples_per_symbol
-    # |f| / R from whole bin indices, so R/2 lands on exactly 1/2
-    bins = np.arange(n)
-    excess = np.minimum(bins, n - bins) / s.size - (1.0 - rolloff) / 2
+    # f / R from whole bin indices, so R/2 lands on exactly 1/2
+    excess = np.arange(n // 2 + 1) / s.size - (1.0 - rolloff) / 2
     if rolloff > 0:
         phase = np.clip(excess / rolloff, 0.0, 1.0)
     else:
         phase = 0.5 * (1.0 + np.sign(excess))
     response = samples_per_symbol * np.sin(0.5 * np.pi * (1.0 - phase))
-    # zero-stuffing repeats the symbol spectrum once per sample of a symbol
-    spectrum = np.tile(np.fft.fft(s), samples_per_symbol) * response
-    return SampledWaveform.from_spectrum(symbol_rate_hz * samples_per_symbol, spectrum)
+    # zero-stuffing repeats the symbols' full spectrum, one-sided half plus
+    # its mirror, once per sample of a symbol
+    half = np.fft.rfft(s)
+    period = np.concatenate([half, np.conj(half[1: (s.size + 1) // 2][::-1])])
+    spectrum = np.resize(period, n // 2 + 1) * response
+    return SampledWaveform.from_spectrum(symbol_rate_hz * samples_per_symbol,
+                                         spectrum, n)
 
 
 def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
                        max_boost_db: float = 20.0) -> SampledWaveform:
     """Magnitude-inverse pre-equalization of a device chain ``response``
-    given on the waveform's own FFT grid.
+    given on the waveform's own frequency grid (``wave.freqs()``).
 
     Boost is clipped at ``max_boost_db``, which also covers zeros in the
     response. Phase is left untouched; the receiver equalizer owns residual
     phase.
     """
     h_mag = np.abs(response)
-    if h_mag.shape != (wave.n,):
-        raise ParameterError(f"response is not on the {wave.n}-bin grid")
+    spectrum = wave.spectrum
+    if h_mag.shape != spectrum.shape:
+        raise ParameterError(f"response is not on the {spectrum.size}-bin grid")
     cap = 10 ** (max_boost_db / 20.0)
     with np.errstate(divide="ignore"):
         boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
-    return wave.with_spectrum(wave.spectrum * boost)
+    return wave.with_spectrum(spectrum * boost)
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +335,33 @@ class BandPlan:
 def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, SampledWaveform]:
     """Split a real wideband record into (lower band, down-converted upper IF).
 
-    Both outputs land at the AWG rate. The upper branch uses the analytic
+    Both outputs land at the AWG rate. The upper branch takes the analytic
     signal of the HPF output shifted down by the LO (snapped to the record's
     frequency grid so the later mixer up-shift cancels it exactly, and so the
     shift moves the spectrum by whole bins), then the real part, an
-    AWG-bandwidth lowpass, and resampling.
+    AWG-bandwidth lowpass, and resampling. The one-sided spectrum already is
+    the analytic signal's (each bin but DC and Nyquist doubled, then halved
+    again by taking the real part), so the shift is a slice, plus the bins
+    shifted below DC folded back as their conjugates.
     """
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
 
     lp = filter_response(plan.crossover_hz, plan.crossover_transition_hz, n, rate)
-    hp = 1.0 - lp
-
     spectrum = wave.spectrum
-    lower = SampledWaveform.from_spectrum(rate, spectrum * lp)
+    lower = SampledWaveform.from_spectrum(rate, spectrum * lp, n)
     lower_wave = resample(lower, plan.awg_rate_hz)
 
-    # analytic signal of the upper band: positive frequencies only
-    upper_spec = spectrum * hp
-    analytic = np.zeros_like(upper_spec)
-    analytic[0] = upper_spec[0]
+    upper = spectrum * (1.0 - lp)
+    # DC and the Nyquist bin of an even n carry no mirror image
+    upper[0] *= 0.5
     if n % 2 == 0:
-        analytic[n // 2] = upper_spec[n // 2]
-        analytic[1: n // 2] = 2.0 * upper_spec[1: n // 2]
-    else:
-        analytic[1: (n + 1) // 2] = 2.0 * upper_spec[1: (n + 1) // 2]
-    # down-shift by the LO bin; the real waveform keeps the real part
+        upper[-1] *= 0.5
     k = int(round(plan.lo_frequency_hz * n / rate))
-    if_wave = SampledWaveform.from_spectrum(rate, np.roll(analytic, -k))
+    shifted = np.zeros_like(upper)
+    shifted[: upper.size - k] = upper[k:]
+    shifted[: k + 1] += np.conj(upper[k::-1])
+    if_wave = SampledWaveform.from_spectrum(rate, shifted, n)
 
     aa_cutoff = min(plan.awg_bandwidth_hz, 0.49 * plan.awg_rate_hz)
     if_wave = apply_filter(if_wave, filter_response(aa_cutoff, 2e9, n, rate))

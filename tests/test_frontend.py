@@ -119,6 +119,29 @@ class TestMixer:
         with pytest.warns(UserWarning, match="above the LO"):
             mixer_upconvert(w, 72e9)
 
+    @pytest.mark.filterwarnings("ignore:.*above the LO")
+    @pytest.mark.parametrize("n", [4096, 4095])
+    @pytest.mark.parametrize("lo_bin", [1, 5, 700, "nyquist-3", "nyquist"])
+    def test_matches_time_domain_product(self, n, lo_bin):
+        # 2 x(t) cos(2 pi f_LO t + phi) of a full-band record: a low LO folds
+        # the lower sideband through DC, one near Nyquist wraps the upper
+        # image back through Nyquist
+        k = {"nyquist-3": n // 2 - 3, "nyquist": n // 2}.get(lo_bin, lo_bin)
+        x = np.random.default_rng(n + k).normal(size=n)
+        t = np.arange(n)
+        for phi in (0.0, 0.7, -2.1):
+            out = mixer_upconvert(SampledWaveform(ANALOG_RATE, x), k * ANALOG_RATE / n,
+                                  lo_phase_rad=phi)
+            # the LO phase reduced modulo a period in integers first
+            ref = 2 * x * np.cos(2 * np.pi * (k * t % n) / n + phi)
+            assert out.samples.dtype == np.float64 and out.spectrum.size == n // 2 + 1
+            assert np.max(np.abs(out.real - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_lo_beyond_nyquist_rejected(self):
+        w, _ = analog_tone(10e9, n=1024)
+        with pytest.raises(ParameterError, match="Nyquist"):
+            mixer_upconvert(w, 0.51 * ANALOG_RATE)
+
 
 class TestCombine:
     def test_zero_upper(self):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import traceback
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import TRANSPARENT_SEEDS, fast_link_config, transparency_failures
 from imddsim import harness, rxdsp
+from imddsim.channel import FiberSpec, OpticalAmpSpec
 from imddsim.config import (
     PRESETS,
+    ChannelConfig,
     DspConfig,
     c_band_216g,
     config_from_dict,
@@ -38,6 +41,9 @@ from imddsim.harness import (
     sweep_to_csv,
 )
 from imddsim.txdsp import VolterraStructure
+
+#: The stages that transform the complex optical field.
+OPTICAL_TRANSFORM_STAGES = ("propagate", "optical_amplify", "obpf", "photodetect")
 
 
 class TestPresets:
@@ -496,25 +502,50 @@ class TestRunLink:
         short = run_link(replace(c_band_216g(seed), sequence_length_symbols=4096))
         assert abs(short.ngmi - run_link(c_band_216g(seed)).ngmi) <= 0.02
 
-    def test_fft_budget(self, monkeypatch, fast_config):
-        # Linear stages multiply the record spectrum and every filter is a
-        # closed-form response, so a run transforms only where a pointwise
-        # stage meets a linear one (RRC input, drive peak, MZM drive,
-        # photocurrent, sync template, correlation, equalizer input). A round
-        # trip between two linear stages would add two.
+    @staticmethod
+    def _fft_calls(monkeypatch, config) -> list[tuple[str, str | None]]:
+        """(transform, optical stage on the stack or None) of each FFT a run
+        makes, in call order."""
         calls = []
 
         def counted(fn):
             def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
+                stack = [frame.name for frame in traceback.extract_stack()]
+                stage = next((name for name in reversed(stack)
+                              if name in OPTICAL_TRANSFORM_STAGES), None)
+                calls.append((fn.__name__, stage))
                 return fn(*args, **kwargs)
             return wrapper
 
         for module in (np.fft, scipy.fft):
             for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
-        run_link(fast_config)
+        run_link(config)
+        return calls
+
+    def test_fft_budget(self, monkeypatch, fast_config):
+        # Linear stages multiply the record spectrum and every filter is a
+        # closed-form response, so a run transforms only where a pointwise
+        # stage meets a linear one (RRC input, drive peak, MZM drive,
+        # photocurrent, sync template, correlation, equalizer input). A round
+        # trip between two linear stages would add two. Every one of them
+        # acts on a real record, so each is a one-sided rfft or irfft.
+        calls = self._fft_calls(monkeypatch, fast_config)
         assert len(calls) == 7, calls
+        assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
+
+    def test_fft_budget_with_optical_channel(self, monkeypatch, fast_config):
+        # fiber, ASE and OBPF act on the complex optical field: each adds
+        # one full complex transform, and so does reading the field samples
+        # at the photodiode; every other transform stays one-sided
+        channel = ChannelConfig(FiberSpec(2.0), 1310.0, OpticalAmpSpec(0.0, 2e-17),
+                                obpf_bandwidth_hz=400e9)
+        calls = self._fft_calls(monkeypatch, replace(fast_config, channel=channel))
+        complex_calls = [(name, stage) for name, stage in calls
+                         if name not in ("rfft", "irfft")]
+        assert complex_calls == [("fft", "propagate"), ("ifft", "optical_amplify"),
+                                 ("fft", "obpf"), ("ifft", "photodetect")], calls
+        assert len(calls) == 11, calls
 
     def test_seed_changes_report(self, fast_config):
         a = run_link(fast_config)

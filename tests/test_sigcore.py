@@ -68,9 +68,14 @@ class TestDesignRrc:
     """The RRC pulse, designed as a response on the record grid."""
 
     def test_symmetry(self):
+        # a real, zero-phase response on the one-sided grid: the pulse is
+        # even in time about the symbol it carries
         h = rrc_response(0.01)
-        assert np.all(h.imag == 0)
-        assert np.array_equal(h[1:], h[1:][::-1])
+        assert h.size == 2 * 64 // 2 + 1 and np.all(h.imag == 0)
+        impulse = np.zeros(64)
+        impulse[0] = 1.0
+        pulse = rrc_upsample(impulse, 2, 0.01, 1e9).real
+        assert np.allclose(pulse[1:], pulse[1:][::-1], rtol=0, atol=1e-15)
 
     def test_dc_gain_is_unity(self):
         # referred to the symbol stream: the gain is sps on the sps-fold grid
@@ -100,9 +105,9 @@ class TestDesignRrc:
         # the sinc pulse's spectrum: a brick wall, with 1/sqrt(2) on the R/2
         # bin so that bin and its alias at -R/2 fold to unity
         h = rrc_response(0.0).real / 2
-        k = np.abs(np.fft.fftfreq(128, 1 / 128))
+        k = np.arange(65)  # bins of the one-sided 128-point grid
         assert np.all(h[k < 32] == 1.0) and np.all(h[k > 32] == 0.0)
-        assert h[32] == h[96] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert h[32] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     def test_parameter_errors(self):
         for rolloff in (-0.1, 1.5, float("nan")):
@@ -113,7 +118,7 @@ class TestDesignRrc:
 class TestApplyFilter:
     def test_allpass_identity(self):
         w = bandlimited_noise(4096, RATE, 200e9, seed=1)
-        out = apply_filter(w, np.ones(w.n))
+        out = apply_filter(w, np.ones(w.n // 2 + 1))
         assert nmse_db(w, out) < -90
 
     def test_inband_tone_preserved(self):
@@ -164,7 +169,7 @@ class TestApplyFilter:
 
     def test_raised_cosine_transition(self):
         n = 4096
-        f = np.abs(np.fft.fftfreq(n, 1 / RATE))
+        f = np.fft.rfftfreq(n, 1 / RATE)
         h = filter_response(76e9, 4e9, n, RATE)
         assert np.all(h[f <= 74e9] == 1.0) and np.all(h[f >= 78e9] == 0.0)
         mid = (f > 74e9) & (f < 78e9)
@@ -188,10 +193,9 @@ class TestApplyFilter:
 
     def test_response_off_grid_rejected(self):
         w = bandlimited_noise(4096, RATE, 100e9, seed=8)
-        with pytest.raises(ParameterError):
-            apply_filter(w, np.ones(w.n // 2))
-        with pytest.raises(ParameterError):
-            apply_filter(w, np.ones(w.n + 1))
+        for bins in (w.n // 2, w.n, w.n + 1):  # w has w.n // 2 + 1 bins
+            with pytest.raises(ParameterError):
+                apply_filter(w, np.ones(bins))
 
     def test_bessel_is_a_real_lowpass(self):
         n = 4096
@@ -297,3 +301,116 @@ class TestMeasurement:
         masked = sigcore.spectral_nmse_db(w, corrupted, exclude_bands=[(98e9, 102e9)])
         assert full > -30
         assert masked < -150
+
+
+class TestToneAmplitudeRecordLength:
+    """Only an even record has a Nyquist bin; on an odd one, bin n // 2 is
+    an ordinary bin shared with its mirror image."""
+
+    @pytest.mark.parametrize("n, k", [(101, 50), (100, 49), (100, 50), (101, 0)])
+    def test_unit_cosine_reads_one(self, n, k):
+        w = SampledWaveform(1e9, np.cos(2 * np.pi * k * np.arange(n) / n))
+        assert tone_amplitude(w, k * 1e9 / n) == pytest.approx(1.0, rel=1e-12)
+
+
+def full_spectrum_metrics(wave, other, f_lo, f_hi, tone_hz):
+    """The spectral metrics computed from the full n-point FFT and its
+    ``fftfreq`` grid: the reference the one-sided forms must equal."""
+    n = wave.n
+    spec, other_spec = np.fft.fft(wave.real), np.fft.fft(other.real)
+    freqs = np.abs(np.fft.fftfreq(n, 1 / wave.sample_rate_hz))
+    energy = np.abs(spec) ** 2
+    sel = (freqs >= f_lo) & (freqs <= f_hi)
+    keep = ~sel
+    order = np.argsort(freqs)
+    cum = np.cumsum(energy[order])
+    k = int(round(tone_hz * n / wave.sample_rate_hz)) % n
+    return {
+        "band_energy_fraction": np.sum(energy[sel]) / np.sum(energy),
+        "spectral_nmse_db": 10 * np.log10(np.sum(np.abs(spec - other_spec)[keep] ** 2)
+                                          / np.sum(energy[keep])),
+        "tone_amplitude": (1.0 if k == 0 or 2 * k == n else 2.0) * np.abs(spec[k]) / n,
+        "tone_phase": np.angle(spec[k]),
+        "occupied_bandwidth": freqs[order][np.searchsorted(cum, 0.99 * cum[-1])],
+    }
+
+
+class TestOneSidedMetrics:
+    """DC and the Nyquist bin of an even n count once, every other bin of
+    the one-sided spectrum twice, so each metric equals its full-spectrum
+    value."""
+
+    @pytest.mark.parametrize("n", [2048, 2047])
+    @pytest.mark.parametrize("tone_hz", [40e9, -40e9, 300e9, 0.0, 256e9])
+    def test_equal_to_full_spectrum(self, n, tone_hz):
+        rng = np.random.default_rng(n)
+        w = SampledWaveform(RATE, rng.normal(size=n))
+        other = SampledWaveform(RATE, w.real + 0.1 * rng.normal(size=n))
+        f_lo, f_hi = 60e9, 180e9
+        ref = full_spectrum_metrics(w, other, f_lo, f_hi, tone_hz)
+        got = {
+            "band_energy_fraction": sigcore.band_energy_fraction(w, f_lo, f_hi),
+            "spectral_nmse_db": sigcore.spectral_nmse_db(
+                w, other, exclude_bands=[(f_lo, f_hi)]),
+            "tone_amplitude": tone_amplitude(w, tone_hz),
+            "tone_phase": sigcore.tone_phase(w, tone_hz),
+            "occupied_bandwidth": sigcore.occupied_bandwidth(w, 0.99),
+        }
+        for name, value in got.items():
+            assert value == pytest.approx(ref[name], rel=1e-12, abs=1e-300), name
+
+
+class TestResampleAgainstScipy:
+    """The one-sided truncation or zero padding, with its Nyquist split and
+    join, is ``scipy.signal.resample`` on real input."""
+
+    @pytest.mark.parametrize("n_in, n_out", [
+        (1000, 1500), (1000, 750), (1000, 600), (999, 1332), (1332, 999),
+        (1001, 1430), (1001, 715), (1430, 1001), (1500, 1001),
+    ])
+    def test_matches_scipy(self, n_in, n_out):
+        x = np.random.default_rng(n_in * n_out).normal(size=n_in)
+        out = resample(SampledWaveform(RATE, x), RATE * n_out / n_in)
+        ref = sps.resample(x, n_out)
+        assert out.n == n_out and out.samples.dtype == np.float64
+        assert np.max(np.abs(out.real - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_optical_field_rejected(self):
+        w = SampledWaveform(RATE, np.ones(16, dtype=complex), "optical_field")
+        with pytest.raises(ParameterError):
+            resample(w, 2 * RATE)
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_from_spectrum_holds_the_rfft(self, n):
+        # irfft ignores the imaginary parts of DC and an even n's Nyquist
+        # bin; the waveform drops them, so the spectrum it holds is the
+        # rfft of its samples, and the caller's array is left alone
+        spec = np.random.default_rng(n).normal(size=(n // 2 + 1, 2)) @ [1, 1j]
+        given = spec.copy()
+        w = SampledWaveform.from_spectrum(RATE, spec, n)
+        assert np.array_equal(spec, given)
+        assert np.allclose(w.spectrum, np.fft.rfft(w.samples), rtol=0, atol=1e-14)
+        assert w.spectrum[0].imag == 0 and (n % 2 or w.spectrum[-1].imag == 0)
+        with pytest.raises(ParameterError, match="spectrum bins"):
+            SampledWaveform.from_spectrum(RATE, spec, n + 2)
+
+    def test_stage_outputs_are_real_and_one_sided(self):
+        from imddsim.frontend import dac
+        from imddsim.rxdsp import digitize, photodetect
+
+        rng = np.random.default_rng(3)
+        wide = rrc_upsample(rng.choice([-1.0, 1.0], 512), 2, 0.1, 128e9)
+        field = SampledWaveform(256e9, 1 + 0.1 * wide.real, "optical_field")
+        current = photodetect(field, 100e9)
+        outputs = {
+            "rrc_upsample": wide,
+            "dac": dac(wide, 512e9, 80e9),
+            "photodetect": current,
+            "digitize": digitize(current, 128e9, 50e9, resolution_bits=6),
+        }
+        for name, out in outputs.items():
+            assert out.samples.dtype == np.float64, name
+            assert out.spectrum.shape == out.freqs().shape == (out.n // 2 + 1,), name
+            assert out.freqs()[0] == 0 and out.freqs()[-1] <= out.sample_rate_hz / 2

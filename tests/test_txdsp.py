@@ -8,6 +8,7 @@ from imddsim.errors import NumericalError, ParameterError
 from imddsim.sigcore import (
     SampledWaveform,
     apply_filter,
+    filter_response,
     nmse_db,
     occupied_bandwidth,
     tone_amplitude,
@@ -314,7 +315,7 @@ class TestPreemphasis:
     def test_flat_response_identity(self):
         rng = np.random.default_rng(10)
         w = SampledWaveform(256e9, rng.normal(size=2048))
-        out = linear_preemphasis(w, np.ones(w.n))
+        out = linear_preemphasis(w, np.ones(w.n // 2 + 1))
         assert nmse_db(w, out) < -150
 
     def test_first_order_rolloff_flattened(self):
@@ -323,7 +324,7 @@ class TestPreemphasis:
         f0 = 100e9 / np.sqrt(10 ** 0.6 - 1)
         n = 8192
         t = np.arange(n) / rate
-        response = 1.0 / np.sqrt(1 + (np.fft.fftfreq(n, 1 / rate) / f0) ** 2)
+        response = 1.0 / np.sqrt(1 + (np.fft.rfftfreq(n, 1 / rate) / f0) ** 2)
         for f_test in (20e9, 50e9, 80e9, 100e9):
             w = SampledWaveform(rate, np.cos(2 * np.pi * f_test * t))
             pre = linear_preemphasis(w, response, max_boost_db=20.0)
@@ -341,13 +342,14 @@ class TestPreemphasis:
     def test_zero_response_boosted_to_cap(self):
         rng = np.random.default_rng(12)
         w = SampledWaveform(256e9, rng.normal(size=64))
-        resp = np.ones(64)
-        resp[20:45] = 0.0
+        resp = np.ones(33)  # the one-sided grid of 64 samples
+        resp[20:] = 0.0
         out = linear_preemphasis(w, resp, max_boost_db=20.0)
         gain = out.spectrum / w.spectrum
-        assert np.allclose(gain[20:45], 10.0) and np.allclose(gain[:20], 1.0)
-        with pytest.raises(ParameterError):
-            linear_preemphasis(w, resp[:33])
+        assert np.allclose(gain[20:], 10.0) and np.allclose(gain[:20], 1.0)
+        for off_grid in (resp[:32], np.ones(64)):
+            with pytest.raises(ParameterError):
+                linear_preemphasis(w, off_grid)
 
 
 class TestBandPlan:
@@ -400,3 +402,24 @@ class TestBandSplit:
                             "optical_field")
         with pytest.raises(ParameterError):
             band_split(w, C_PLAN)
+
+    @pytest.mark.parametrize("n, rate", [(4096, 512e9), (4095, 384e9)])
+    def test_upper_band_matches_analytic_signal(self, n, rate):
+        # the IF is Re{hilbert(HPF x) exp(-j 2 pi f_LO t)}, AA-filtered and
+        # resampled; a 6-GHz crossover puts HPF content below the 72-GHz
+        # LO, which the down-shift folds back through DC
+        from scipy import signal
+
+        plan = BandPlan(73e9, 72e9, 72e9, crossover_transition_hz=6e9)
+        x = np.random.default_rng(n).normal(size=n)
+        hp = 1.0 - filter_response(plan.crossover_hz, 6e9, n, rate)
+        bins = np.arange(n)
+        hp_full = hp[np.minimum(bins, n - bins)]  # even in f
+        analytic = signal.hilbert(np.fft.ifft(np.fft.fft(x) * hp_full).real)
+        k = int(round(plan.lo_frequency_hz * n / rate))
+        if_t = (analytic * np.exp(-2j * np.pi * (k * bins % n) / n)).real
+        aa = filter_response(plan.awg_bandwidth_hz, 2e9, n, rate)
+        ref = signal.resample(np.fft.irfft(np.fft.rfft(if_t) * aa, n),
+                              round(n * plan.awg_rate_hz / rate))
+        _, upper = band_split(SampledWaveform(rate, x), plan)
+        assert np.max(np.abs(upper.real - ref)) <= 1e-12 * np.max(np.abs(ref))
