@@ -24,14 +24,7 @@ import numpy as np
 from .errors import NoRateError, ParameterError, SyncError
 from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
 from .shaping import SymbolFrame, entropy_bits
-from .sigcore import (
-    SampledWaveform,
-    apply_filter,
-    bessel_response,
-    require_real,
-    resample,
-    rms,
-)
+from .sigcore import SampledWaveform, apply_filter, bessel_response, require_real, resample, rms
 
 LLR_CAP = 50.0
 

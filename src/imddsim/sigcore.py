@@ -20,8 +20,8 @@ Conventions used throughout the simulator:
 - Real signals stay real. Electrical and photocurrent waveforms hold
   float64 samples and the one-sided ``n // 2 + 1``-bin spectrum
   (``rfft``/``irfft``); only the optical field between the MZM and the
-  photodiode holds complex samples and the full n-bin spectrum. The
-  redundant negative-frequency half of a real spectrum is never formed.
+  photodiode holds complex samples and the full n-bin spectrum. No real
+  waveform holds the redundant negative-frequency half of its spectrum.
 - A filter is a response array on the waveform's own frequency grid
   (``wave.freqs()``), written in closed form, and :func:`apply_filter`
   multiplies it onto the spectrum.
