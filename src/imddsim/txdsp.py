@@ -5,10 +5,11 @@ bandwidth-extension front end.
 The band split divides a wideband record into a lower band (lowpass) and an
 upper band that is digitally down-converted to an IF through the analytic
 signal, so each half fits one real DAC channel. Every digital filter here is
-a closed-form response on the record's one-sided frequency grid: the RRC pulse is exact (not
-truncated), and the LPF/HPF pair is a raised-cosine crossover whose
-responses sum to unity and are exactly 0 or 1 outside the transition, which
-makes the later analog recombination exact outside the crossover.
+a closed-form response on the record's one-sided frequency grid: the RRC
+pulse is exact (not truncated), and the LPF/HPF pair is a raised-cosine
+crossover whose responses sum to unity and are exactly 0 or 1 outside the
+transition, which makes the later analog recombination exact outside the
+crossover.
 """
 
 from __future__ import annotations
