@@ -170,14 +170,16 @@ def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
              seed_thermal) -> tuple[np.ndarray, int]:
     """Field to equalized T-spaced symbols; returns (symbols, train_count)."""
     rx, dsp = config.rx, config.dsp
-    current = photodetect(field, rx.pd_bandwidth_hz, rx.pd_responsivity,
-                          rx.pd_thermal_noise_density, seed_thermal)
-    digital = digitize(current, rx.dso_rate_hz, rx.dso_bandwidth_hz,
-                       rx.dso_resolution_bits)
-    two_sps = resample(digital, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
-    aligned, _ = synchronize(two_sps, reference[: dsp.preamble_symbols])
-    eq, state = ffe_train_apply(aligned.real, reference, dsp.ffe_taps,
-                                dsp.ffe_train_fraction)
+    # one name through the chain, so each stage's input is freed once the
+    # next stage returns
+    wave = photodetect(field, rx.pd_bandwidth_hz, rx.pd_responsivity,
+                       rx.pd_thermal_noise_density, seed_thermal)
+    wave = digitize(wave, rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits)
+    wave = resample(wave, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
+    wave, _ = synchronize(wave, reference[: dsp.preamble_symbols])
+    samples = wave.real
+    del wave  # the FFE needs only the samples, not the spectrum
+    eq, state = ffe_train_apply(samples, reference, dsp.ffe_taps, dsp.ffe_train_fraction)
     return eq, state.training_symbols
 
 

@@ -2,9 +2,10 @@
 synchronization, T/2-spaced least-squares FFE, MAP decisions, bit LLRs,
 GMI/NGMI estimation, code-rate lookup, and the net-bitrate formula.
 
-``symbol_metric`` is the one home of the noise-variance estimator and of the
-prior-weighted symbol metric; ``decide_and_ber`` and ``llr_compute`` reduce
-that metric, and ``score_symbols`` turns it into a run's ``MetricsReport``.
+``nearest_level_variance`` is the one home of the noise-variance estimator
+and ``symbol_metric`` that of the prior-weighted symbol metric;
+``decide_and_ber`` and ``llr_compute`` reduce that metric, and
+``score_symbols`` turns it into a run's ``MetricsReport``, block by block.
 
 Bitrate convention (symbol rate B in GBd, result in Gb/s): every run uses
 C = (H - (1 - R) * m) * B with entropy H and m label bits (4 for PAM12).
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import NoRateError, ParameterError, SyncError
 from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
-from .shaping import SymbolFrame, entropy_bits
+from .shaping import PamAlphabet, SymbolFrame, entropy_bits
 from .sigcore import SampledWaveform, apply_filter, bessel_response, require_real, resample, rms
 
 LLR_CAP = 50.0
@@ -142,6 +143,8 @@ class EqualizerState:
 #: seeds 7 and 11, ridges from 1e-9 to 1e-6 agree within 0.001 NGMI, while
 #: 1e-3 costs 0.0035 on O-band.
 FFE_RIDGE = 1e-6
+#: Training symbols whose windows ``ffe_train_apply`` copies at a time.
+_FFE_BLOCK = 2048
 
 
 def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
@@ -157,7 +160,10 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     per training symbol) and r the reference, the taps solve the regularised
     normal equations ``(G + FFE_RIDGE * tr(G) / taps * I) w = V^T r`` with
     ``G = V^T V``: the Wiener taps to which an LMS equalizer converges in the
-    mean (Haykin, *Adaptive Filter Theory*, 5th ed., 2014).
+    mean (Haykin, *Adaptive Filter Theory*, 5th ed., 2014). G and V^T r are
+    accumulated over blocks of ``_FFE_BLOCK`` training symbols, each copied
+    into one reused buffer, so V itself is never held; ``final_mse`` comes
+    from a second blocked pass.
     ``train_passes`` is accepted for callers that bind it and must be 1.
     """
     if tap_count % 2 == 0:
@@ -179,13 +185,28 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     # records are circular end to end; pad by wrapping
     xp = np.concatenate([x[-half:], x, x[: tap_count]])
     windows = np.lib.stride_tricks.sliding_window_view(xp, tap_count)
-    train = np.ascontiguousarray(windows[: SAMPLES_PER_SYMBOL * n_train:
-                                         SAMPLES_PER_SYMBOL])
+    train = windows[: SAMPLES_PER_SYMBOL * n_train: SAMPLES_PER_SYMBOL]
     target = ref[:n_train]
-    gram = train.T @ train
+    buffer = np.empty((min(_FFE_BLOCK, n_train), tap_count))
+
+    def blocks():
+        for a in range(0, n_train, _FFE_BLOCK):
+            b = min(a + _FFE_BLOCK, n_train)
+            v = buffer[: b - a]
+            v[...] = train[a:b]
+            yield a, b, v
+
+    gram = np.zeros((tap_count, tap_count))
+    moment = np.zeros(tap_count)
+    for a, b, v in blocks():
+        gram += v.T @ v
+        moment += v.T @ target[a:b]
     gram[np.diag_indices(tap_count)] += FFE_RIDGE * np.trace(gram) / tap_count
-    w = np.linalg.solve(gram, train.T @ target)
-    final_mse = float(np.mean((train @ w - target) ** 2))
+    w = np.linalg.solve(gram, moment)
+    residual = np.empty(n_train)
+    for a, b, v in blocks():
+        residual[a:b] = v @ w - target[a:b]
+    final_mse = float(np.mean(residual ** 2))
 
     out = windows[SAMPLES_PER_SYMBOL * n_train: SAMPLES_PER_SYMBOL * n_sym:
                   SAMPLES_PER_SYMBOL] @ w
@@ -196,25 +217,40 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
 # decisions, LLRs, and mutual information
 # ---------------------------------------------------------------------------
 
+def nearest_level_variance(soft_symbols: np.ndarray, alphabet: PamAlphabet) -> float:
+    """The receiver's one noise-variance estimator: decision-directed with
+    uniform priors, the mean squared distance from each sample to its
+    nearest level (floored at 1e-30).
+
+    The levels are strictly increasing, so the nearest one is a neighbour of
+    the sample's insertion point; rounding is monotone, so the squared
+    distance to it is the minimum over all levels bit for bit, and no
+    (n, M) array is built.
+    """
+    y = np.asarray(soft_symbols, dtype=float)
+    levels = alphabet.levels
+    upper = np.clip(np.searchsorted(levels, y), 1, levels.size - 1)
+    nearest = np.minimum((y - levels[upper - 1]) ** 2, (y - levels[upper]) ** 2)
+    return max(float(np.mean(nearest)), 1e-30)
+
+
 def symbol_metric(soft_symbols: np.ndarray, frame: SymbolFrame,
                   noise_variance: float | None = None) -> np.ndarray:
     """Prior-weighted symbol metric ``log p(a) - (y - a)^2 / 2 sigma^2`` as
     an (n, M) array, each row shifted so that its maximum is 0.
 
-    This is the receiver's one noise-variance estimator: if the variance is
-    not given, it is decision-directed with uniform priors, the mean squared
-    distance from each sample to its nearest level. Decisions and LLRs both
-    reduce this metric, so a run decides and weighs its bits with one
-    variance.
+    If the variance is not given, it is :func:`nearest_level_variance` of
+    the samples. Decisions and LLRs both reduce this metric, so a run
+    decides and weighs its bits with one variance.
     """
     y = np.asarray(soft_symbols, dtype=float)
     if y.size != frame.n:
         raise ParameterError("soft symbols and frame must have equal length")
-    metric = (y[:, None] - frame.alphabet.levels[None, :]) ** 2
     if noise_variance is None:
-        noise_variance = max(float(np.mean(metric.min(axis=1))), 1e-30)
+        noise_variance = nearest_level_variance(y, frame.alphabet)
     if noise_variance <= 0:
         raise ParameterError("noise variance must be positive")
+    metric = (y[:, None] - frame.alphabet.levels[None, :]) ** 2
     metric /= -2.0 * noise_variance
     with np.errstate(divide="ignore"):
         metric += np.log(frame.distribution.probabilities)
@@ -391,17 +427,39 @@ class MetricsReport:
                       for name, text in zip(names, fields)})
 
 
+#: Symbols ``score_symbols`` scores at a time.
+_SCORE_BLOCK = 8192
+
+
 def score_symbols(soft_symbols: np.ndarray, frame: SymbolFrame, rate_table: RateTable,
                   symbol_rate_gbd: float, seed: int) -> MetricsReport:
     """Score equalized symbols against the frame they carry: MAP decisions
-    and BER, bit LLRs, GMI/NGMI, the required code rate and both bitrates,
-    all from one :func:`symbol_metric`."""
-    metric = symbol_metric(soft_symbols, frame)
-    ber, _ = decide_and_ber(metric, frame)
-    llr = llr_compute(metric, frame)
+    and BER, bit LLRs, GMI/NGMI, the required code rate and both bitrates.
+
+    The noise variance is estimated once over the whole record; the
+    :func:`symbol_metric`, the decisions, the LLRs and the GMI are then
+    taken over blocks of ``_SCORE_BLOCK`` symbols, whose error counts and
+    GMI deficits add up, so no (n, M) array of the record is held.
+    """
+    y = np.asarray(soft_symbols, dtype=float)
+    if y.size != frame.n:
+        raise ParameterError("soft symbols and frame must have equal length")
+    variance = nearest_level_variance(y, frame.alphabet)
     h_bits = entropy_bits(frame.distribution)
     m = frame.alphabet.label_bits
-    gmi, ngmi = gmi_ngmi(llr, frame.bits(), h_bits, m)
+    errors, deficit = 0, 0.0
+    for a in range(0, frame.n, _SCORE_BLOCK):
+        block = SymbolFrame(frame.indices[a: a + _SCORE_BLOCK], frame.alphabet,
+                            frame.distribution)
+        metric = symbol_metric(y[a: a + _SCORE_BLOCK], block, variance)
+        ber, _ = decide_and_ber(metric, block)
+        # a block's BER is its error count over n * m, so this is exact
+        errors += round(ber * block.n * m)
+        gmi, _ = gmi_ngmi(llr_compute(metric, block), block.bits(), h_bits, m)
+        deficit += (h_bits - gmi) * block.n
+    ber = errors / (frame.n * m)
+    gmi = h_bits - deficit / frame.n
+    ngmi = 1.0 - (h_bits - gmi) / m
     rate = required_code_rate(ngmi, rate_table)
     return MetricsReport(
         ber=ber, gmi_bits=gmi, ngmi=ngmi, required_code_rate=rate,

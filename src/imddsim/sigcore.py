@@ -264,9 +264,10 @@ def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.nd
     gain, den = _bessel_design(cutoff_hz, order)
     s = 1j * (2 * np.pi * np.asarray(freqs_hz, dtype=float))
     y = np.zeros_like(s)
-    for coef in den:  # Horner, as scipy.signal.freqs evaluates it
-        y = y * s + coef
-    return gain / y
+    for coef in den:  # Horner, as scipy.signal.freqs evaluates it, in place
+        y *= s
+        y += coef
+    return np.divide(gain, y, out=y)
 
 
 def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform:

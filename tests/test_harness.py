@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import traceback
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -546,6 +547,18 @@ class TestRunLink:
         assert complex_calls == [("fft", "propagate"), ("ifft", "optical_amplify"),
                                  ("fft", "obpf"), ("ifft", "photodetect")], calls
         assert len(calls) == 11, calls
+
+    def test_o_band_memory_bound(self):
+        # the receiver and the metrology work in blocks, so the run's peak is
+        # set by the optical channel (about 17.4 MB); with the FFE's training
+        # windows held whole it was about 23 MB
+        tracemalloc.start()
+        try:
+            run_link(o_band_216g(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_seed_changes_report(self, fast_config):
         a = run_link(fast_config)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from scipy import signal as sps
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from imddsim import rxdsp
 from imddsim.errors import NoRateError, ParameterError, SyncError
 from imddsim.rxdsp import (
     CSV_HEADER,
@@ -18,9 +21,11 @@ from imddsim.rxdsp import (
     ffe_train_apply,
     gmi_ngmi,
     llr_compute,
+    nearest_level_variance,
     net_bitrate_ps,
     photodetect,
     required_code_rate,
+    score_symbols,
     symbol_metric,
     synchronize,
 )
@@ -28,6 +33,7 @@ from imddsim.shaping import (
     PamAlphabet,
     SymbolDistribution,
     SymbolFrame,
+    entropy_bits,
     maxwell_boltzmann,
     uniform_frame,
 )
@@ -259,6 +265,42 @@ class TestFfe:
         assert state.tap_count == 31
 
 
+class TestFfeBlocks:
+    """Block edges: the normal equations accumulated over many short blocks
+    give the taps, output and training MSE of one block."""
+
+    @pytest.fixture(params=[100, 257], ids=["block100", "block257"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(rxdsp, "_FFE_BLOCK", request.param)
+        return request.param
+
+    def test_matches_one_block(self, block, monkeypatch):
+        rng = np.random.default_rng(32)
+        sym = rng.normal(size=3001)
+        x = np.convolve(np.repeat(sym, 2), [1.0, 0.4, -0.2, 0.1])[: 2 * sym.size]
+        x = x + 0.05 * rng.normal(size=x.size)
+        # 930 training symbols: the last block is a partial one
+        eq, state = ffe_train_apply(x, sym, 31, 0.31)
+        monkeypatch.setattr(rxdsp, "_FFE_BLOCK", sym.size)
+        eq_one, state_one = ffe_train_apply(x, sym, 31, 0.31)
+        assert state.training_symbols == state_one.training_symbols == 930
+        assert np.max(np.abs(state.taps - state_one.taps)) < 1e-12
+        assert np.max(np.abs(eq - eq_one)) < 1e-12
+        assert abs(state.final_mse - state_one.final_mse) < 1e-12
+
+    def test_memory_bound(self):
+        rng = np.random.default_rng(33)
+        x, sym = rng.normal(size=131220), rng.normal(size=65610)
+        tracemalloc.start()
+        try:
+            ffe_train_apply(x, sym, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 13 122 x 101 training windows alone would take 10.6 MB
+        assert peak < 6e6
+
+
 class TestSymbolMetric:
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(18)
@@ -273,6 +315,23 @@ class TestSymbolMetric:
         metric = symbol_metric(frame.levels() + rng.normal(0, 0.1, 256), frame)
         assert metric.shape == (256, 12)
         assert np.array_equal(metric.max(axis=1), np.zeros(256))
+
+
+class TestNearestLevelVariance:
+    @pytest.mark.parametrize("alpha", [PamAlphabet.uniform(2), PamAlphabet.uniform(8),
+                                       PamAlphabet.pam12()], ids=lambda a: a.name)
+    def test_equals_minimum_over_all_levels(self, alpha):
+        # oracle: the smallest squared distance over every level, samples
+        # beyond both outer levels and on every midpoint included
+        rng = np.random.default_rng(34)
+        mids = (alpha.levels[:-1] + alpha.levels[1:]) / 2
+        y = np.concatenate([rng.uniform(-3.0, 3.0, 5000), mids, alpha.levels])
+        expect = float(np.mean(((y[:, None] - alpha.levels) ** 2).min(axis=1)))
+        assert nearest_level_variance(y, alpha) == expect
+
+    def test_floored_on_noiseless_symbols(self):
+        alpha = PamAlphabet.uniform(4)
+        assert nearest_level_variance(alpha.levels, alpha) == 1e-30
 
 
 class TestDecide:
@@ -473,6 +532,54 @@ class TestGmiNgmi:
         metric_s = symbol_metric(scale * y, frame_s, scale**2 * sigma2)
         llr_b = llr_compute(metric_s, frame_s)
         assert np.allclose(llr_a, llr_b, rtol=1e-9, atol=1e-9)
+
+
+class TestScoreBlocks:
+    """Block edges: scoring over many short blocks gives the BER, GMI and
+    NGMI of the whole record scored at once."""
+
+    @pytest.fixture(params=[100, 257], ids=["block100", "block257"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(rxdsp, "_SCORE_BLOCK", request.param)
+        return request.param
+
+    @staticmethod
+    def record(n):
+        rng = np.random.default_rng(35)
+        alpha = PamAlphabet.pam12()
+        dist = maxwell_boltzmann(1.0, alpha)
+        frame = SymbolFrame(rng.choice(alpha.size, n, p=dist.probabilities), alpha, dist)
+        step = alpha.levels[1] - alpha.levels[0]
+        return frame.levels() + rng.normal(0, 0.2 * step, n), frame
+
+    def test_matches_one_block(self, block):
+        y, frame = self.record(3001)
+        rep = score_symbols(y, frame, RateTable.default(), 216.0, 7)
+        metric = symbol_metric(y, frame)
+        ber, _ = decide_and_ber(metric, frame)
+        gmi, ngmi = gmi_ngmi(llr_compute(metric, frame), frame.bits(),
+                             entropy_bits(frame.distribution), 4)
+        assert 0 < rep.ber == ber
+        assert abs(rep.gmi_bits - gmi) < 1e-12
+        assert abs(rep.ngmi - ngmi) < 1e-12
+        assert rep.required_code_rate == required_code_rate(ngmi, RateTable.default())
+
+    def test_rejects_length_mismatch(self):
+        # blocks taken along the frame would otherwise drop the extra sample
+        y, frame = self.record(300)
+        with pytest.raises(ParameterError, match="equal length"):
+            score_symbols(np.append(y, 0.0), frame, RateTable.default(), 216.0, 7)
+
+    def test_memory_bound(self):
+        y, frame = self.record(52488)
+        tracemalloc.start()
+        try:
+            score_symbols(y, frame, RateTable.default(), 216.0, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # scoring in one block holds several 52 488 x 12 arrays of 5 MB each
+        assert peak < 6e6
 
 
 class TestRateTable:

@@ -209,6 +209,31 @@ class TestApplyFilter:
             bessel_response(h, 0.0, 4)
 
 
+def bessel_out_of_place(freqs_hz, cutoff_hz, order):
+    """Oracle: ``bessel_response`` with the out-of-place Horner loop that the
+    in-place one replaced."""
+    gain, den = sigcore._bessel_design(cutoff_hz, order)
+    s = 1j * (2 * np.pi * np.asarray(freqs_hz, dtype=float))
+    y = np.zeros_like(s)
+    for coef in den:
+        y = y * s + coef
+    return gain / y
+
+
+class TestBesselInPlace:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("grid", [
+        np.fft.rfftfreq(155520, 1 / 512e9),
+        np.fft.fftfreq(155520, 1 / 512e9),
+        np.fft.rfftfreq(131220, 1 / 432e9),
+        np.array([0.0, 60e9]),
+    ], ids=["one-sided", "signed", "one-sided-131220", "two-point"])
+    def test_bit_equal_to_out_of_place(self, grid, order):
+        for cutoff in (63.7e9, 100e9, 113e9):
+            assert np.array_equal(bessel_response(grid, cutoff, order),
+                                  bessel_out_of_place(grid, cutoff, order))
+
+
 class TestMatchesScipyDesigns:
     """The numpy Bessel design reproduces the scipy.signal design it
     replaces bit for bit, so run outputs do not depend on which is used."""
