@@ -78,9 +78,13 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
         raise ParameterError("propagate expects an optical field envelope")
     if spec.length_km == 0:
         return field
-    phase = dispersion_phase(field.freqs(), spec, lambda_nm, spec.length_km)
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
-    return field.with_spectrum(loss * field.spectrum * np.exp(1j * phase))
+    # spectrum before all-pass: numpy's complex products do not commute bitwise
+    spectrum = loss * field.spectrum
+    allpass = 1j * dispersion_phase(field.freqs(), spec, lambda_nm, spec.length_km)
+    np.exp(allpass, out=allpass)
+    spectrum *= allpass
+    return field.with_spectrum(spectrum)
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
@@ -109,7 +113,10 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
     if bandwidth_hz is None and trim_km == 0:
         return field
     f = np.abs(field.freqs())
-    resp = np.exp(-1j * dispersion_phase(f, fiber, wavelength_nm, trim_km))
+    resp = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
+    np.exp(resp, out=resp)
     if bandwidth_hz is not None:
         resp[f > bandwidth_hz / 2] = 0.0
-    return field.with_spectrum(field.spectrum * resp)
+    del f
+    # spectrum before response, as in propagate
+    return field.with_spectrum(np.multiply(field.spectrum, resp, out=resp))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .sigcore import (
     SampledWaveform,
+    _bessel_design,
     apply_filter,
     band_energy_fraction,
     bessel_response,
@@ -39,8 +40,9 @@ from .txdsp import BandPlan
 ANALOG_BESSEL_ORDER = 4
 #: Poles of the Bessel electro-optic bandwidth of the MZM.
 MZM_BESSEL_ORDER = 2
-#: Normalized frequencies (cutoff 1) that bracket the MZM cutoff solve.
-_MZM_CUTOFF_BRACKET = (0.1, 50.0)
+#: u solving tanh(u)/u = -1 dB: the input scale of the amplifier's tanh
+#: saturation at its 1-dB compression point.
+_TANH_1DB = 0.6124646942440785
 
 
 @dataclass(frozen=True)
@@ -85,18 +87,23 @@ class MzmModel:
             raise ParameterError("must be positive", "v_pi_volts")
         if self.bandwidth_hz <= 0:
             raise ParameterError("must be positive", "bandwidth_hz")
-        low, high = (-20 * np.log10(_unit_mzm_gain(x)) for x in _MZM_CUTOFF_BRACKET)
-        if not low < self.bandwidth_atten_db < high:
-            raise ParameterError(f"must lie in ({low:.3g}, {high:.3g}) dB",
-                                 "bandwidth_atten_db")
+        if not (np.isfinite(self.bandwidth_atten_db) and self.bandwidth_atten_db > 0):
+            raise ParameterError("must be positive and finite", "bandwidth_atten_db")
 
     @cached_property
     def cutoff_hz(self) -> float:
-        """Bessel cutoff placing ``bandwidth_atten_db`` at ``bandwidth_hz``,
-        solved once per model."""
-        target = 10 ** (-self.bandwidth_atten_db / 20.0)
-        return self.bandwidth_hz / _brentq(lambda x: _unit_mzm_gain(x) - target,
-                                           *_MZM_CUTOFF_BRACKET)
+        """Bessel cutoff placing ``bandwidth_atten_db`` (A) at ``bandwidth_hz``.
+
+        With a 1 rad/s cutoff the response is g / (s^2 + a1 s + a0), so
+        |H(jx)|^2 = 10^(-A/10) is x^4 + B x^2 + C = 0 with B = a1^2 - 2 a0
+        and C = a0^2 - g^2 10^(A/10) < 0. Its positive root x^2, in the form
+        free of cancellation, is the bandwidth over the cutoff, squared.
+        """
+        gain, (_, a1, a0) = _bessel_design(1 / (2 * np.pi), MZM_BESSEL_ORDER)
+        b = a1 * a1 - 2 * a0
+        c = a0 * a0 - gain * gain * 10 ** (self.bandwidth_atten_db / 10.0)
+        x2 = -2 * c / (b + np.sqrt(b * b - 4 * c))
+        return self.bandwidth_hz / float(np.sqrt(x2))
 
     def response(self, freq_hz: np.ndarray) -> np.ndarray:
         """Complex electro-optic response at ``freq_hz``."""
@@ -209,64 +216,6 @@ def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
     return lower.plus(upper_rf, 10 ** (gain_imbalance_db / 20.0))
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of ``f`` bracketed by [xa, xb], by Brent's method (Brent 1973,
-    ch. 4): inverse quadratic or secant steps, falling back to bisection.
-    The step and stopping rules and the tolerances are those of
-    ``scipy.optimize.brentq``'s defaults, so the iterates, and the root,
-    are the same."""
-    xtol, rtol, maxiter = 2e-12, 4 * 2.0**-52, 100
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant (interpolate)
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic (extrapolate)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"root search did not converge in {maxiter} iterations")
-
-
-_TANH_1DB = None
-
-
-def _tanh_compression_point() -> float:
-    """u solving tanh(u)/u = -1 dB; input scale of the saturation map."""
-    global _TANH_1DB
-    if _TANH_1DB is None:
-        target = 10 ** (-1.0 / 20.0)
-        _TANH_1DB = _brentq(lambda u: np.tanh(u) / u - target, 1e-3, 3.0)
-    return _TANH_1DB
-
-
 def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     """Bandwidth filter, then linear gain, then optional tanh saturation
     referenced to the input 1-dB compression level."""
@@ -274,7 +223,7 @@ def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     g = 10 ** (model.gain_db / 20.0)
     if model.compression_in_1db is None:
         return out.scaled(g)
-    sat = g * model.compression_in_1db / _tanh_compression_point()
+    sat = g * model.compression_in_1db / _TANH_1DB
     return out.with_samples(sat * np.tanh(g * out.real / sat))
 
 
@@ -283,16 +232,11 @@ def bessel_group_delay_dc(cutoff_hz: float, order: int = ANALOG_BESSEL_ORDER) ->
 
     Bessel delay is maximally flat, so the DC value is representative across
     the passband; the band-stitching alignment uses it to set the LO phase
-    the way a lab path-matches the two arms.
+    the way a lab path-matches the two arms. For the denominator
+    ... + a1 s + a0 it is exactly a1 / a0.
     """
-    f = cutoff_hz * 1e-4
-    h = bessel_response(np.array([f, 2 * f]), cutoff_hz, order)
-    return float((np.angle(h[0]) - np.angle(h[1])) / (2 * np.pi * f))
-
-
-def _unit_mzm_gain(x: float) -> float:
-    """|H| of the MZM's Bessel response with unit cutoff at frequency ``x``."""
-    return abs(bessel_response(np.array([x]), 1.0, MZM_BESSEL_ORDER)[0])
+    _, den = _bessel_design(cutoff_hz, order)
+    return float(den[-2] / den[-1])
 
 
 def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,

@@ -271,6 +271,7 @@ def run_link(config: LinkConfig) -> MetricsReport:
     field = _stage("frontend", _transmit, config, tx_symbols)
     field = _stage("channel", _through_channel, config, field, rngs["ase"])
     eq, n_train = _stage("rxdsp", _receive, config, field, symbols, rngs["thermal"])
+    del field
 
     eval_frame = SymbolFrame(frame.indices[n_train:], frame.alphabet,
                              frame.distribution)

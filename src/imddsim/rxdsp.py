@@ -131,10 +131,6 @@ class EqualizerState:
     training_symbols: int
     final_mse: float  # the trained taps' mean squared error over the training span
 
-    @property
-    def tap_count(self) -> int:
-        return int(self.taps.size)
-
 
 #: Ridge on the FFE normal equations as a fraction of the Gram matrix's mean
 #: diagonal. Half of the T/2 band carries no signal, so the bare Gram matrix

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from imddsim.errors import ParameterError
 from imddsim.frontend import (
     AmplifierModel,
     MzmModel,
-    _brentq,
-    _tanh_compression_point,
+    _TANH_1DB,
     amplify,
+    bessel_group_delay_dc,
     combine,
     dac,
     dac_response,
@@ -21,6 +22,7 @@ from imddsim.frontend import (
 )
 from imddsim.sigcore import (
     SampledWaveform,
+    _bessel_design,
     bessel_response,
     bin_centered_frequency,
     nmse_db,
@@ -247,14 +249,13 @@ class TestMzm:
         assert -20 * np.log10(abs(h[0])) == pytest.approx(atten_db, rel=1e-6)
 
 
-class TestBrentq:
-    """The Brent port takes scipy.optimize.brentq's iterates, so its roots
-    are the same floats."""
+class TestClosedForms:
+    """The MZM cutoff, the DC group delay and the tanh 1-dB point are closed
+    forms; scipy.optimize.brentq and finite differences are their oracles."""
 
     def test_tanh_compression_point(self):
         target = 10 ** (-1.0 / 20.0)
-        ref = brentq(lambda u: np.tanh(u) / u - target, 1e-3, 3.0)
-        assert _tanh_compression_point() == ref
+        assert _TANH_1DB == brentq(lambda u: np.tanh(u) / u - target, 1e-3, 3.0)
 
     def test_mzm_bandwidth_cutoff(self):
         rng = np.random.default_rng(5)
@@ -263,26 +264,37 @@ class TestBrentq:
         for atten_db in attens:
             model = MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
             target = 10 ** (-atten_db / 20.0)
+            # brentq's default xtol (2e-12, absolute) is too loose near x = 0.1
             ref = brentq(lambda x: abs(bessel_response(np.array([x]), 1.0, 2)[0]) - target,
-                         0.1, 50.0)
-            assert model.cutoff_hz == 110e9 / ref
+                         0.1, 50.0, xtol=1e-300)
+            assert model.cutoff_hz == pytest.approx(110e9 / ref, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("coefs, lo, hi", [
-        ([1.0, 0.0, -2.0], 0.0, 1.7),
-        ([1.0, 0.0, -2.0], 1.2, 1.8),
-        ([1.0, -6.0, 11.0, -6.0], 0.0, 1.7),
-        ([1.0, -6.0, 11.0, -6.0], -5.0, 5.0),
-        ([1.0, -6.0, 11.0, -6.0], 2.5, 10.0),
-        ([0.5, 0.0, 0.0, -3.0], -5.0, 5.0),
-    ])
-    def test_polynomial_roots(self, coefs, lo, hi):
-        def f(x):
-            return float(np.polyval(coefs, x))
-        assert _brentq(f, lo, hi) == brentq(f, lo, hi)
+    def test_attenuation_placed_exactly(self):
+        # |H|^2 = g^2 / |D|^2 of the design the model filters with, taken in
+        # exact rationals: at 1e-3 dB one rounding of |H| is 1e-12 of A
+        w = Fraction(2 * np.pi * 110e9)
+        for atten_db in np.geomspace(1e-3, 300.0):
+            model = MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
+            gain, den = _bessel_design(model.cutoff_hz, 2)
+            gain, _, a1, a0 = map(Fraction, (gain, *den))  # D = s^2 + a1 s + a0
+            excess = ((a0 - w * w) ** 2 + (a1 * w) ** 2) / gain**2 - 1
+            got = 10 / np.log(10) * np.log1p(float(excess))
+            assert got == pytest.approx(atten_db, rel=1e-12, abs=0)
 
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_group_delay_dc(self, order):
+        cutoff = 80e9
+        f = np.array([-1e-3, 0.0, 1e-3]) * cutoff
+        phase = np.unwrap(np.angle(bessel_response(f, cutoff, order)))
+        tau = -(phase[2] - phase[0]) / (2 * np.pi * (f[2] - f[0]))
+        tau_dc = bessel_group_delay_dc(cutoff, order)
+        assert tau_dc == pytest.approx(tau, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("atten_db", [0.0, -1.0, np.inf])
+    def test_bad_attenuation_rejected(self, atten_db):
+        with pytest.raises(ParameterError) as err:
+            MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
+        assert err.value.key == "bandwidth_atten_db"
 
 
 class TestStitchReconstruction:

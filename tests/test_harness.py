@@ -135,7 +135,8 @@ _OVERRIDES = {
     (("tx",), "mixer_bandwidth_hz"): st.floats(50e9, 1e15),
     (("tx",), "laser_power_dbm"): st.floats(-10.0, 30.0),
     (("tx", "mzm"), "v_pi_volts"): st.floats(1.0, 5.0),
-    (("tx", "mzm"), "bandwidth_atten_db"): st.floats(0.1, 60.0),
+    (("tx", "mzm"), "bandwidth_atten_db"): st.floats(0.0, exclude_min=True,
+                                                     allow_infinity=False),
     (("tx", "amplifier_chain", 0), "gain_db"): st.floats(-10.0, 30.0),
     (("tx", "amplifier_chain", 1), "compression_in_1db"): st.none() | st.floats(0.01, 2.0),
     (("rx",), "dso_resolution_bits"): st.none() | st.integers(4, 12),
@@ -328,7 +329,7 @@ _BAD_VALUES = [
     ({"tx.mzm.v_pi_volts": 0.0}, "tx.mzm.v_pi_volts"),
     ({"tx.mzm.bandwidth_hz": -1.0}, "tx.mzm.bandwidth_hz"),
     ({"tx.mzm.bandwidth_atten_db": 0.0}, "tx.mzm.bandwidth_atten_db"),
-    ({"tx.mzm.bandwidth_atten_db": 70.0}, "tx.mzm.bandwidth_atten_db"),
+    ({"tx.mzm.bandwidth_atten_db": -1.0}, "tx.mzm.bandwidth_atten_db"),
     ({"tx.upper_path_amplifier": {"gain_db": 7.0, "bandwidth_hz": 0.0}},
      "tx.upper_path_amplifier.bandwidth_hz"),
     ({"tx.upper_path_amplifier": {"gain_db": 7.0, "bandwidth_hz": 130e9,

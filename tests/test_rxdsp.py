@@ -262,7 +262,7 @@ class TestFfe:
         x = self.make_2sps(sym)
         _, state = ffe_train_apply(x, sym, tap_count=31)
         assert np.isfinite(state.final_mse)
-        assert state.tap_count == 31
+        assert state.taps.size == 31
 
 
 class TestFfeBlocks:
