@@ -5,6 +5,12 @@ Dispersion follows the Sellmeier-slope model D(lambda) =
 all-pass exp(+j pi lambda^2 D L f^2 / c), so anomalous dispersion (D > 0)
 advances high frequencies. Kerr nonlinearity is out of scope for these
 short single-span links.
+
+The field stays spectral from fiber to photodiode: ``propagate`` and
+``obpf`` multiply the record spectrum, and ``optical_amplify`` adds the ASE
+as its DFT to a field that holds its spectrum, so the optical chain costs
+one ``fft`` (of the modulator output, in ``propagate``) and one ``ifft``
+(when ``photodetect`` reads the samples).
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ class OpticalAmpSpec:
     """Flat-gain amplifier with additive white complex Gaussian field noise.
 
     ``noise_spectral_density`` is the field-noise power density (W/Hz); the
-    per-sample variance is density times the simulation rate.
+    per-sample variance is density times the simulation rate, and the mean
+    |bin|^2 of the n-bin DFT is n times that.
     """
 
     gain_db: float = 0.0
@@ -89,15 +96,32 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
                     seed: int | None = None) -> SampledWaveform:
-    """Amplitude gain plus seeded ASE noise over the simulation bandwidth."""
+    """Amplitude gain plus seeded ASE noise over the simulation bandwidth.
+
+    The noise is drawn in the form the field holds, so the stage costs no
+    transform. A samples-only field (no fiber before the amplifier) gets
+    complex white noise whose real and imaginary parts are each N(0, s^2),
+    with 2 s^2 = density * rate. A field that holds its spectrum (after
+    ``propagate``) gets the noise's DFT instead: the DFT of n i.i.d.
+    circular complex Gaussian samples is n i.i.d. circular complex Gaussian
+    bins with n times the per-sample variance, so the bins are drawn with
+    parts N(0, n s^2) and the noise has the same distribution either way.
+    """
     gain = 10 ** (spec.gain_db / 20.0)
     if spec.noise_spectral_density == 0:
         return field.scaled(gain)
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(spec.noise_spectral_density * field.sample_rate_hz / 2.0)
-    noise = rng.normal(0, sigma, field.n) + 1j * rng.normal(0, sigma, field.n)
-    return SampledWaveform(field.sample_rate_hz, gain * field.samples + noise,
-                           "optical_field")
+    spectral = field.holds_spectrum
+    if spectral:
+        out = gain * field.spectrum
+        sigma *= np.sqrt(field.n)
+    else:
+        out = gain * field.samples
+    # real then imaginary part, each added in place to spare a record
+    out.real += rng.normal(0, sigma, field.n)
+    out.imag += rng.normal(0, sigma, field.n)
+    return field.with_spectrum(out) if spectral else field.with_samples(out)
 
 
 def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,

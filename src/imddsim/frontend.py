@@ -89,6 +89,9 @@ class MzmModel:
             raise ParameterError("must be positive", "bandwidth_hz")
         if not (np.isfinite(self.bandwidth_atten_db) and self.bandwidth_atten_db > 0):
             raise ParameterError("must be positive and finite", "bandwidth_atten_db")
+        if not (np.isfinite(self.cutoff_hz) and self.cutoff_hz > 0):
+            raise ParameterError("gives no finite positive Bessel cutoff",
+                                 "bandwidth_atten_db")
 
     @cached_property
     def cutoff_hz(self) -> float:
@@ -98,11 +101,15 @@ class MzmModel:
         |H(jx)|^2 = 10^(-A/10) is x^4 + B x^2 + C = 0 with B = a1^2 - 2 a0
         and C = a0^2 - g^2 10^(A/10) < 0. Its positive root x^2, in the form
         free of cancellation, is the bandwidth over the cutoff, squared.
+        Above about 3 080 dB, g^2 10^(A/10) leaves the float range and the
+        cutoff is NaN, which the constructor rejects.
         """
         gain, (_, a1, a0) = _bessel_design(1 / (2 * np.pi), MZM_BESSEL_ORDER)
         b = a1 * a1 - 2 * a0
-        c = a0 * a0 - gain * gain * 10 ** (self.bandwidth_atten_db / 10.0)
-        x2 = -2 * c / (b + np.sqrt(b * b - 4 * c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t2_inv = np.float64(10.0) ** (self.bandwidth_atten_db / 10.0)
+            c = a0 * a0 - gain * gain * t2_inv
+            x2 = -2 * c / (b + np.sqrt(b * b - 4 * c))
         return self.bandwidth_hz / float(np.sqrt(x2))
 
     def response(self, freq_hz: np.ndarray) -> np.ndarray:

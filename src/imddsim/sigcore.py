@@ -13,10 +13,12 @@ Conventions used throughout the simulator:
   dispersion, the optical filter, DC removal as a zeroed DC bin) multiply
   or reshape the spectrum, so a chain of them costs no transform. A
   transform runs only where a pointwise stage meets a linear one:
-  quantizers, tanh amplifier, drive peak and MZM cosine, ASE and thermal
-  noise, square-law detection, sync correlation, and the equalizer. The LO
+  quantizers, tanh amplifier, drive peak and MZM cosine, thermal noise,
+  square-law detection, sync correlation, and the equalizer. The LO
   multiply and the band split's down-conversion are whole-bin spectrum
-  shifts, since their tones sit on the record grid.
+  shifts, since their tones sit on the record grid. White ASE noise is
+  drawn in the form the optical field holds (as its DFT after the fiber),
+  so it costs no transform either.
 - Real signals stay real. Electrical and photocurrent waveforms hold
   float64 samples and the one-sided ``n // 2 + 1``-bin spectrum
   (``rfft``/``irfft``); only the optical field between the MZM and the
@@ -149,6 +151,12 @@ class SampledWaveform:
             else:
                 self._spectrum = np.fft.fft(self._samples)
         return self._spectrum
+
+    @property
+    def holds_spectrum(self) -> bool:
+        """True when the spectrum is held (built from it or computed once
+        already), so reading it costs no transform."""
+        return self._spectrum is not None
 
     @property
     def real(self) -> np.ndarray:

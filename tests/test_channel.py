@@ -105,7 +105,7 @@ class TestOpticalAmplify:
         density = 1e-25
         out = optical_amplify(w, OpticalAmpSpec(0.0, density), seed=1)
         var = np.mean(np.abs(out.samples) ** 2)
-        assert var == pytest.approx(density * RATE, rel=0.05)
+        assert var == pytest.approx(density * RATE, rel=0.05, abs=0)
 
     def test_seed_determinism(self):
         w = gaussian_pulse(5e-12)
@@ -113,6 +113,58 @@ class TestOpticalAmplify:
         a = optical_amplify(w, spec, seed=42)
         b = optical_amplify(w, spec, seed=42)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_samples_only_field_gets_sample_noise(self):
+        w = gaussian_pulse(5e-12)
+        spec = OpticalAmpSpec(3.0, 1e-26)
+        out = optical_amplify(w, spec, seed=42)
+        assert not out.holds_spectrum
+        rng = np.random.default_rng(42)
+        sigma = np.sqrt(spec.noise_spectral_density * RATE / 2.0)
+        gain = 10 ** (spec.gain_db / 20.0)
+        expect = (gain * w.samples + rng.normal(0, sigma, w.n)
+                  + 1j * rng.normal(0, sigma, w.n))
+        assert np.array_equal(out.samples, expect)
+
+
+class TestSpectralAse:
+    """On a field that holds its spectrum the ASE is drawn as its DFT: n
+    i.i.d. circular complex Gaussian bins with n times the per-sample
+    variance, added to the spectrum."""
+
+    N = 1 << 20
+    DENSITY = 1e-25
+
+    def spectral_noise(self, seed):
+        w = SampledWaveform.from_spectrum(RATE, np.zeros(self.N, dtype=complex),
+                                          self.N, "optical_field")
+        return optical_amplify(w, OpticalAmpSpec(0.0, self.DENSITY), seed=seed)
+
+    def test_noise_variance_matches_density(self):
+        out = self.spectral_noise(1)
+        assert out.holds_spectrum
+        var = np.mean(np.abs(out.samples) ** 2)
+        assert var == pytest.approx(self.DENSITY * RATE, rel=0.05, abs=0)
+
+    def test_noise_is_white(self):
+        out = self.spectral_noise(3)
+        power = np.abs(out.spectrum) ** 2
+        order = np.argsort(np.abs(out.freqs()), kind="stable")
+        quarter = self.N // 4
+        low = power[order[:quarter]].mean()
+        high = power[order[-quarter:]].mean()
+        assert high == pytest.approx(low, rel=0.05)
+        assert low == pytest.approx(self.N * self.DENSITY * RATE, rel=0.05)
+
+    def test_seed_determinism(self):
+        w = propagate(gaussian_pulse(5e-12), O_FIBER, 1330.0)
+        spec = OpticalAmpSpec(3.0, 1e-26)
+        a = optical_amplify(w, spec, seed=42)
+        b = optical_amplify(w, spec, seed=42)
+        assert a.holds_spectrum
+        assert np.array_equal(a.spectrum, b.spectrum)
+        assert not np.array_equal(a.spectrum,
+                                  optical_amplify(w, spec, seed=43).spectrum)
 
 
 class TestObpf:

@@ -290,7 +290,8 @@ class TestClosedForms:
         tau_dc = bessel_group_delay_dc(cutoff, order)
         assert tau_dc == pytest.approx(tau, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("atten_db", [0.0, -1.0, np.inf])
+    # 4 000 dB: 10^(A/10) overflows a float, so there is no cutoff
+    @pytest.mark.parametrize("atten_db", [0.0, -1.0, np.inf, 4000.0])
     def test_bad_attenuation_rejected(self, atten_db):
         with pytest.raises(ParameterError) as err:
             MzmModel(2.8, bandwidth_hz=110e9, bandwidth_atten_db=atten_db)
