@@ -44,8 +44,6 @@ from .rxdsp import (
 from .shaping import (
     PamAlphabet,
     SymbolFrame,
-    ccdm_encode,
-    ccdm_input_bits,
     composition_from_distribution,
     magnitude_distribution,
     maxwell_boltzmann,
@@ -88,15 +86,26 @@ def smallest_feasible_length(symbol_rate_hz: float, rates_hz: tuple[float, ...])
 # ---------------------------------------------------------------------------
 
 def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
+    """The transmitted frame: uniform i.i.d. PAM-N, or PS-PAM12 from the
+    Maxwell-Boltzmann composition with uniform sign bits.
+
+    The run scores the symbols' labels and never reads data bits back, so
+    the shaped frame's amplitude classes are a seeded uniform permutation
+    of the composition, drawn from ``rng_data``, not the CCDM codeword of
+    random bits. The CCDM reaches only the lexicographically first 2**k of
+    the composition's permutations; the draw covers all of them. The
+    bitrates still bill the design entropy H, not the CCDM's rate.
+    """
     n = config.sequence_length_symbols
     if config.modulation == "ps_pam12":
         alphabet = PamAlphabet.pam12()
         nu = nu_for_entropy(config.target_entropy_bits, alphabet)
         dist = maxwell_boltzmann(nu, alphabet)
         comp = composition_from_distribution(magnitude_distribution(dist, alphabet), n)
-        bits = rng_data.integers(0, 2, size=ccdm_input_bits(comp))
+        classes = np.repeat(np.arange(alphabet.size // 2), comp.counts)
+        rng_data.shuffle(classes)
         signs = rng_signs.integers(0, 2, size=n)
-        return pas_assemble(ccdm_encode(bits, comp), signs, alphabet, dist)
+        return pas_assemble(classes, signs, alphabet, dist)
     return uniform_frame(PamAlphabet.uniform(config.pam_order), n, rng_data)
 
 

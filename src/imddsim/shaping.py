@@ -21,6 +21,15 @@ two fixed-point windows of the rank, a narrow one per symbol and a wide one
 per outer batch, each with a rigorous lower and upper bound, and decides a
 class exactly whenever the bounds disagree, so both produce exactly the
 per-symbol definition's output for every input (costs in their docstrings).
+
+The CCDM is not on the run path. A run scores the symbols' labels and
+never decodes data bits, so the harness draws each shaped frame as a
+seeded uniform permutation of the composition and hands it to
+``pas_assemble``; the encoder and decoder stay as the library's matcher,
+which the acceptance gate tests. The trade-off: the permutation draw is
+uniform over all the composition's permutations, where the CCDM reaches
+only the lexicographically first 2**k of them, and the bitrates still bill
+the design entropy H rather than the CCDM's rate k/n + 1.
 """
 
 from __future__ import annotations
@@ -550,7 +559,8 @@ def ccdm_decode(symbols: Sequence[int], composition: Composition) -> np.ndarray:
 def pas_assemble(amplitude_classes: Sequence[int], sign_bits: Sequence[int],
                  alphabet: PamAlphabet,
                  distribution: SymbolDistribution | None = None) -> SymbolFrame:
-    """Combine CCDM amplitude classes with uniform sign bits into symbols.
+    """Combine amplitude classes (a CCDM codeword, or the run's permuted
+    composition) with uniform sign bits into symbols.
 
     Sign bit 0 selects the positive level. When no design distribution is
     given, the exact frame prior implied by the composition and equiprobable

@@ -46,7 +46,7 @@ class TestRunCommand:
         def fail(*args, **kwargs):
             raise FloatingPointError("forced")
 
-        monkeypatch.setattr(harness, "ccdm_encode", fail)
+        monkeypatch.setattr(harness, "pas_assemble", fail)
         rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "[shaping]" in capsys.readouterr().err

@@ -488,12 +488,12 @@ class TestRunLink:
     # fast link with noise density 2e-17: the fixed-seed physics of the chain.
     # Pre-emphasis is the default 12-dB boost cap, or off at a 0-dB cap
     @pytest.mark.parametrize("modulation, seed, preemphasis, golden", [
-        ("ps_pam12", 3, False, (0.023015873015873017, 2.8368223294881028,
-                                0.909205348419997, 612.7536231694302,
-                                595.4736231694302)),
-        ("ps_pam12", 4, False, (0.016578483245149912, 2.9468604602911603,
-                                0.9367148811207614, 636.5218594228907,
-                                619.2418594228906)),
+        ("ps_pam12", 3, False, (0.013139329805996473, 2.9866894616469977,
+                                0.9466721314597207, 645.1249237157515,
+                                627.8449237157515)),
+        ("ps_pam12", 4, False, (0.014109347442680775, 2.9674108955624607,
+                                0.9418524899385865, 640.9607534414915,
+                                623.6807534414916)),
         ("uniform_pam8", 5, False, (0.021987066431510875, 2.7630109810501606,
                                     0.9210036603500535, 596.8103719068347,
                                     583.8503719068347)),
@@ -512,8 +512,11 @@ class TestRunLink:
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_short_c_band_record_matches_preset(self, seed):
-        # least-squares taps do not wait on convergence, so 4 096 symbols
-        # (819 training) give the NGMI of the 65 536-symbol preset
+        # 4 096 symbols (819 training) land within 0.02 of the 65 536-symbol
+        # preset's NGMI only because two effects cancel: the short record's
+        # lower crest factor drives the MZM harder under the peak-scaled
+        # drive, which gains NGMI, while the FFE trains on fewer symbols,
+        # which loses it. At equal RMS drive the short record reads lower.
         short = run_link(replace(c_band_216g(seed), sequence_length_symbols=4096))
         assert abs(short.ngmi - run_link(c_band_216g(seed)).ngmi) <= 0.02
 
@@ -607,7 +610,7 @@ class TestRunLink:
         def fail(*args, **kwargs):
             raise FloatingPointError("forced")
 
-        monkeypatch.setattr(harness, "ccdm_encode", fail)
+        monkeypatch.setattr(harness, "pas_assemble", fail)
         with pytest.raises(StageError) as err:
             run_link(fast_config)
         assert err.value.stage == "shaping"

@@ -266,16 +266,6 @@ class TestCcdm:
         assert np.array_equal(word, reference_encode(bits, comp))
         assert np.array_equal(ccdm_decode(word, comp), bits)
 
-    def test_frame_builds_one_multinomial(self):
-        # the multinomial's prime sieve runs once per frame, though both
-        # the input length and the encoder need the multinomial
-        cfg = replace(c_band_216g(7), sequence_length_symbols=4096)
-        rngs = _spawn_rngs(cfg)
-        with mock.patch.object(shaping, "_primes_upto",
-                               wraps=shaping._primes_upto) as sieve:
-            _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
-        assert sieve.call_count == 1
-
     def test_pam12_full_block_round_trip(self):
         a = PamAlphabet.pam12()
         dist = maxwell_boltzmann(nu_for_entropy(3.2, a), a)
@@ -285,15 +275,46 @@ class TestCcdm:
         assert np.bincount(word, minlength=6).tolist() == list(comp.counts)
         assert np.array_equal(ccdm_decode(word, comp), bits)
 
+    def test_frame_skips_the_ccdm(self):
+        # the run draws the shaped frame as a permutation: neither the
+        # encoder nor the multinomial's prime sieve runs
+        cfg = replace(c_band_216g(7), sequence_length_symbols=4096)
+        rngs = _spawn_rngs(cfg)
+        with mock.patch.object(shaping, "_primes_upto",
+                               wraps=shaping._primes_upto) as sieve, \
+                mock.patch.object(shaping, "ccdm_encode",
+                                  wraps=shaping.ccdm_encode) as encode:
+            _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
+        assert sieve.call_count == 0
+        assert encode.call_count == 0
+
+    def test_frame_is_a_seeded_permutation_of_the_composition(self):
+        def frame(seed):
+            cfg = replace(c_band_216g(seed), sequence_length_symbols=4096)
+            rngs = _spawn_rngs(cfg)
+            return _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
+
+        def classes(f):
+            return np.abs(f.indices - 5.5).astype(int)  # |level| class, 0..5
+
+        first = frame(7)
+        a = first.alphabet
+        dist = maxwell_boltzmann(nu_for_entropy(c_band_216g(7).target_entropy_bits, a), a)
+        comp = composition_from_distribution(magnitude_distribution(dist, a), first.n)
+        assert np.bincount(classes(first), minlength=6).tolist() == list(comp.counts)
+        assert np.array_equal(frame(7).indices, first.indices)
+        assert not np.array_equal(classes(frame(8)), classes(first))
+
     def test_c_band_frame_golden(self):
         # SHA-256 of the seed-7 C-band preset's symbol indices at 65 529
-        # symbols, as produced by the per-symbol matcher
+        # symbols: the composition's classes shuffled by the data stream,
+        # signed by the sign stream
         cfg = replace(c_band_216g(7), sequence_length_symbols=65529)
         rngs = _spawn_rngs(cfg)
         frame = _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
         digest = hashlib.sha256(frame.indices.astype("<i8").tobytes()).hexdigest()
         assert frame.n == 65529
-        assert digest == "8f4fac3b5678a4ec9d5b521403bb8850f72f0b551be0bc4ff9f49c2e3478d0dd"
+        assert digest == "06982a62afda02a5fa9e3806c2c81e9f79bf53e0b548cefd0e63a54e19406580"
 
     @given(st.lists(st.integers(0, 3000), min_size=1, max_size=6)
            .filter(lambda c: sum(c) >= 1))
