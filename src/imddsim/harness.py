@@ -166,22 +166,29 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     return mzm_modulate(drive, tx.laser_power_dbm, tx.mzm)
 
 
-def _through_channel(config: LinkConfig, field: SampledWaveform,
+def _through_channel(config: LinkConfig, held: list[SampledWaveform],
                      seed_ase) -> SampledWaveform:
+    """Field to field through fiber, amplifier and OBPF; pops the input
+    field from ``held`` (see ``_receive``)."""
     chan = config.channel
-    field = propagate(field, chan.fiber, chan.wavelength_nm)
+    field = propagate(held.pop(), chan.fiber, chan.wavelength_nm)
     field = optical_amplify(field, chan.amplifier, seed_ase)
     return obpf(field, chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm,
                 chan.obpf_cd_trim_km)
 
 
-def _receive(config: LinkConfig, field: SampledWaveform, reference: np.ndarray,
+def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndarray,
              seed_thermal) -> tuple[np.ndarray, int]:
-    """Field to equalized T-spaced symbols; returns (symbols, train_count)."""
+    """Field to equalized T-spaced symbols; returns (symbols, train_count).
+
+    The field is popped from the one-element list ``held``: the caller
+    passes the list, not the field, so the field is freed once
+    ``photodetect`` returns instead of living through the whole stage.
+    """
     rx, dsp = config.rx, config.dsp
     # one name through the chain, so each stage's input is freed once the
     # next stage returns
-    wave = photodetect(field, rx.pd_bandwidth_hz, rx.pd_responsivity,
+    wave = photodetect(held.pop(), rx.pd_bandwidth_hz, rx.pd_responsivity,
                        rx.pd_thermal_noise_density, seed_thermal)
     wave = digitize(wave, rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits)
     wave = resample(wave, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
@@ -200,9 +207,9 @@ def _train_dpd(config: LinkConfig, rngs: dict):
     sub = _spawn_rngs(train_cfg)
     frame = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"])
     symbols = frame.levels()
-    field = _transmit(train_cfg, symbols)
-    field = _through_channel(train_cfg, field, sub["ase"])
-    eq, n_train = _receive(train_cfg, field, symbols, sub["thermal"])
+    held = [_transmit(train_cfg, symbols)]
+    held.append(_through_channel(train_cfg, held, sub["ase"]))
+    eq, n_train = _receive(train_cfg, held, symbols, sub["thermal"])
     fit = fit_volterra(symbols[n_train:], eq, config.dsp.volterra)
     return fit.kernel
 
@@ -277,10 +284,11 @@ def run_link(config: LinkConfig) -> MetricsReport:
         kernel = _stage("dpd_training", _train_dpd, config, rngs)
         tx_symbols = _stage("txdsp", apply_volterra, symbols, kernel)
 
-    field = _stage("frontend", _transmit, config, tx_symbols)
-    field = _stage("channel", _through_channel, config, field, rngs["ase"])
-    eq, n_train = _stage("rxdsp", _receive, config, field, symbols, rngs["thermal"])
-    del field
+    # the field goes from stage to stage in ``held``, which each stage
+    # empties, so no stage's input outlives its first use
+    held = [_stage("frontend", _transmit, config, tx_symbols)]
+    held.append(_stage("channel", _through_channel, config, held, rngs["ase"]))
+    eq, n_train = _stage("rxdsp", _receive, config, held, symbols, rngs["thermal"])
 
     eval_frame = SymbolFrame(frame.indices[n_train:], frame.alphabet,
                              frame.distribution)

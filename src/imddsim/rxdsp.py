@@ -28,6 +28,9 @@ from .shaping import PamAlphabet, SymbolFrame, entropy_bits
 from .sigcore import SampledWaveform, apply_filter, bessel_response, require_real, resample, rms
 
 LLR_CAP = 50.0
+#: Floor of the symbol metric in ``llr_compute``: exp(-700) is still a
+#: normal float, and a term this small cannot move an LLR below the cap.
+_METRIC_FLOOR = -700.0
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +137,35 @@ class EqualizerState:
 
 #: Ridge on the FFE normal equations as a fraction of the Gram matrix's mean
 #: diagonal. Half of the T/2 band carries no signal, so the bare Gram matrix
-#: has a condition number near 2e18 on the presets and its solve depends on
-#: the BLAS; the ridge brings it to about 3e6. Measured on both presets at
+#: has a condition number near 2e18 on the presets and its solution is set by
+#: rounding; the ridge brings it to about 3e6. Measured on both presets at
 #: seeds 7 and 11, ridges from 1e-9 to 1e-6 agree within 0.001 NGMI, while
 #: 1e-3 costs 0.0035 on O-band.
 FFE_RIDGE = 1e-6
-#: Training symbols whose windows ``ffe_train_apply`` copies at a time.
-_FFE_BLOCK = 2048
+#: Largest block that ``_solve_spd`` hands to ``np.linalg.solve``. OpenBLAS
+#: factors small systems on one thread; with numpy 2.4.6 a solve gives the
+#: same bytes on one and two threads up to 96 unknowns, but not at 101.
+_SOLVE_BLOCK = 96
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite system ``a x = b`` by block
+    elimination whose LAPACK calls stay at or below ``_SOLVE_BLOCK``.
+
+    With a = [[A11, A12], [A21, A22]] and A11 the leading ``_SOLVE_BLOCK``
+    rows, x2 solves the Schur complement A22 - A21 A11^-1 A12 (positive
+    definite again, so this recurses) and x1 = A11^-1 (b1 - A12 x2). The
+    Schur products are elementwise sums, not BLAS calls.
+    """
+    p = _SOLVE_BLOCK
+    if a.shape[0] <= p:
+        return np.linalg.solve(a, b)
+    inv_a11 = np.linalg.solve(a[:p, :p], np.column_stack([a[:p, p:], b[:p]]))
+    x12, x1 = inv_a11[:, :-1], inv_a11[:, -1]
+    a21 = a[p:, :p]
+    schur = a[p:, p:] - (a21[:, :, None] * x12[None]).sum(axis=1)
+    x2 = _solve_spd(schur, b[p:] - (a21 * x1).sum(axis=1))
+    return np.concatenate([x1 - (x12 * x2).sum(axis=1), x2])
 
 
 def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
@@ -156,10 +181,15 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     per training symbol) and r the reference, the taps solve the regularised
     normal equations ``(G + FFE_RIDGE * tr(G) / taps * I) w = V^T r`` with
     ``G = V^T V``: the Wiener taps to which an LMS equalizer converges in the
-    mean (Haykin, *Adaptive Filter Theory*, 5th ed., 2014). G and V^T r are
-    accumulated over blocks of ``_FFE_BLOCK`` training symbols, each copied
-    into one reused buffer, so V itself is never held; ``final_mse`` comes
-    from a second blocked pass.
+    mean (Haykin, *Adaptive Filter Theory*, 5th ed., 2014).
+    The windows of n training symbols are rows of one padded record xp at
+    stride 2, so only the first two rows of G are sums over the record; the
+    rest follow from the shift recursion of the covariance method of linear
+    prediction (Makhoul, "Linear prediction: a tutorial review", Proc. IEEE
+    63(4), 1975), ``G[i+2, j+2] = G[i, j] + xp[2n+i] xp[2n+j] - xp[i] xp[j]``.
+    The sums are ``einsum`` reductions over the sliding-window view and the
+    solve is :func:`_solve_spd`, so no threaded BLAS or LAPACK call touches
+    the record and the taps do not depend on the BLAS thread count.
     ``train_passes`` is accepted for callers that bind it and must be 1.
     """
     if tap_count % 2 == 0:
@@ -180,33 +210,32 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     half = (tap_count - 1) // 2
     # records are circular end to end; pad by wrapping
     xp = np.concatenate([x[-half:], x, x[: tap_count]])
-    windows = np.lib.stride_tricks.sliding_window_view(xp, tap_count)
-    train = windows[: SAMPLES_PER_SYMBOL * n_train: SAMPLES_PER_SYMBOL]
-    target = ref[:n_train]
-    buffer = np.empty((min(_FFE_BLOCK, n_train), tap_count))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, tap_count)[
+        : SAMPLES_PER_SYMBOL * n_sym: SAMPLES_PER_SYMBOL]
+    train, target = windows[:n_train], ref[:n_train]
 
-    def blocks():
-        for a in range(0, n_train, _FFE_BLOCK):
-            b = min(a + _FFE_BLOCK, n_train)
-            v = buffer[: b - a]
-            v[...] = train[a:b]
-            yield a, b, v
-
-    gram = np.zeros((tap_count, tap_count))
-    moment = np.zeros(tap_count)
-    for a, b, v in blocks():
-        gram += v.T @ v
-        moment += v.T @ target[a:b]
+    gram = _shift_gram(xp, train)
     gram[np.diag_indices(tap_count)] += FFE_RIDGE * np.trace(gram) / tap_count
-    w = np.linalg.solve(gram, moment)
-    residual = np.empty(n_train)
-    for a, b, v in blocks():
-        residual[a:b] = v @ w - target[a:b]
-    final_mse = float(np.mean(residual ** 2))
+    w = _solve_spd(gram, np.einsum("ki,k->i", train, target))
+    fitted = np.einsum("ki,i->k", windows, w)
+    final_mse = float(np.mean((fitted[:n_train] - target) ** 2))
+    return fitted[n_train:], EqualizerState(w, n_train, final_mse)
 
-    out = windows[SAMPLES_PER_SYMBOL * n_train: SAMPLES_PER_SYMBOL * n_sym:
-                  SAMPLES_PER_SYMBOL] @ w
-    return out, EqualizerState(w, n_train, final_mse)
+
+def _shift_gram(xp: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """``train.T @ train`` for windows that are rows of ``xp`` at stride 2:
+    the first two rows by ``einsum``, the rest by the shift recursion."""
+    n, taps = train.shape
+    gram = np.empty((taps, taps))
+    gram[:2] = np.einsum("ki,kj->ij", train[:, :2], train)
+    # mirrored, so that the recursion keeps G exactly symmetric
+    gram[1:2, 0] = gram[0, 1:2]
+    gram[2:, :2] = gram[:2, 2:].T
+    head, tail = xp[:taps], xp[2 * n: 2 * n + taps]
+    step = np.multiply.outer(tail, tail) - np.multiply.outer(head, head)
+    for i in range(taps - 2):
+        gram[i + 2, 2:] = gram[i, :-2] + step[i, :-2]
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +247,25 @@ def nearest_level_variance(soft_symbols: np.ndarray, alphabet: PamAlphabet) -> f
     uniform priors, the mean squared distance from each sample to its
     nearest level (floored at 1e-30).
 
-    The levels are strictly increasing, so the nearest one is a neighbour of
-    the sample's insertion point; rounding is monotone, so the squared
-    distance to it is the minimum over all levels bit for bit, and no
-    (n, M) array is built.
+    The squared distance is a running minimum over the M levels: no (n, M)
+    array is built, and for M up to 12 the M contiguous passes are faster
+    than a binary search per sample.
     """
     y = np.asarray(soft_symbols, dtype=float)
-    levels = alphabet.levels
-    upper = np.clip(np.searchsorted(levels, y), 1, levels.size - 1)
-    nearest = np.minimum((y - levels[upper - 1]) ** 2, (y - levels[upper]) ** 2)
+    nearest = np.full(y.shape, np.inf)
+    diff = np.empty_like(y)
+    for level in alphabet.levels:
+        np.subtract(y, level, out=diff)
+        np.square(diff, out=diff)
+        np.minimum(nearest, diff, out=nearest)
     return max(float(np.mean(nearest)), 1e-30)
 
 
 def symbol_metric(soft_symbols: np.ndarray, frame: SymbolFrame,
                   noise_variance: float | None = None) -> np.ndarray:
     """Prior-weighted symbol metric ``log p(a) - (y - a)^2 / 2 sigma^2`` as
-    an (n, M) array, each row shifted so that its maximum is 0.
+    an (n, M) array, each row shifted so that its maximum is 0. The array is
+    the transpose of a C-ordered (M, n) one.
 
     If the variance is not given, it is :func:`nearest_level_variance` of
     the samples. Decisions and LLRs both reduce this metric, so a run
@@ -246,12 +278,16 @@ def symbol_metric(soft_symbols: np.ndarray, frame: SymbolFrame,
         noise_variance = nearest_level_variance(y, frame.alphabet)
     if noise_variance <= 0:
         raise ParameterError("noise variance must be positive")
-    metric = (y[:, None] - frame.alphabet.levels[None, :]) ** 2
+    # built as (M, n), so that every step, the maximum over the M levels
+    # included, runs along contiguous rows of n; (a - y)^2 is (y - a)^2 bit
+    # for bit
+    metric = np.subtract.outer(frame.alphabet.levels, y)
+    np.square(metric, out=metric)
     metric /= -2.0 * noise_variance
     with np.errstate(divide="ignore"):
-        metric += np.log(frame.distribution.probabilities)
-    metric -= metric.max(axis=1, keepdims=True)
-    return metric
+        metric += np.log(frame.distribution.probabilities)[:, None]
+    metric -= metric.max(axis=0)
+    return metric.T
 
 
 def decide_and_ber(metric: np.ndarray, frame: SymbolFrame) -> tuple[float, np.ndarray]:
@@ -261,8 +297,12 @@ def decide_and_ber(metric: np.ndarray, frame: SymbolFrame) -> tuple[float, np.nd
     With uniform priors the decision thresholds reduce to the midpoints.
     """
     hard = np.argmax(metric, axis=1)
-    ber = float(np.mean(frame.bits() != frame.alphabet.labels[hard]))
-    return ber, hard
+    labels = frame.alphabet.labels
+    # bit errors of each (sent, decided) pair: the same integer count as
+    # comparing the (n, m) label arrays, without building them
+    hamming = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2)
+    errors = int(hamming[frame.indices, hard].sum())
+    return errors / (frame.n * frame.alphabet.label_bits), hard
 
 
 def llr_compute(metric: np.ndarray, frame: SymbolFrame) -> np.ndarray:
@@ -270,14 +310,23 @@ def llr_compute(metric: np.ndarray, frame: SymbolFrame) -> np.ndarray:
     clipped to +-``LLR_CAP``. Returns an (n, label_bits) array.
 
     With P the exponential of the metric, the LLRs are
-    ``log(P Z0) - log(P Z1)`` for the 0/1 label masks Z0 and Z1. A mask sum
-    underflows only where the true |LLR| exceeds 700, far beyond the cap."""
-    prob = np.exp(metric)
-    zero = (frame.alphabet.labels == 0).astype(float)
-    # np.dot reaches BLAS for this tall, narrow product; matmul is ~30x slower
-    with np.errstate(divide="ignore"):
-        llr = np.log(np.dot(prob, zero)) - np.log(np.dot(prob, 1.0 - zero))
-    return np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
+    ``log(P Z0) - log(P Z1)`` for the 0/1 label masks Z0 and Z1. The metric
+    is floored at ``_METRIC_FLOOR`` first, so no subnormal reaches ``exp``,
+    the product or ``log``. Each row's maximum is 0, so a floored term moves
+    a mask sum only where that sum is below about exp(-660), that is where
+    |LLR| exceeds 600: the capped LLRs are those of the unfloored metric."""
+    # (M, n) like the metric's own layout; both mask sums come from one
+    # product, so that one log covers them
+    prob = np.maximum(metric.T, _METRIC_FLOOR)
+    np.exp(prob, out=prob)
+    masks = frame.alphabet.labels.T
+    sums = np.vstack([masks == 0, masks == 1]).astype(float) @ prob
+    np.log(sums, out=sums)
+    m = masks.shape[0]
+    llr = sums[:m] - sums[m:]
+    np.clip(llr, -LLR_CAP, LLR_CAP, out=llr)
+    # C order, like the label bits that gmi_ngmi pairs it with
+    return np.ascontiguousarray(llr.T)
 
 
 def gmi_ngmi(llrs: np.ndarray, transmitted_bits: np.ndarray,
@@ -286,15 +335,18 @@ def gmi_ngmi(llrs: np.ndarray, transmitted_bits: np.ndarray,
 
     GMI = H - mean_n sum_i log2(1 + exp(+/- LLR)), the sign chosen so a
     confident correct LLR contributes ~0; NGMI = 1 - (H - GMI) / m. LLR
-    magnitudes are capped at +-50 first.
+    magnitudes are capped at +-50 first, so ``exp`` cannot overflow and
+    ``log1p(exp(x))`` stands for ``logaddexp(0, x)``; the deficit over all
+    n symbols is one sum.
     """
     llr = np.clip(np.asarray(llrs, dtype=float), -LLR_CAP, LLR_CAP)
     bits = np.asarray(transmitted_bits)
     if llr.shape != bits.shape:
         raise ParameterError("LLR and bit arrays must share shape")
-    sign = np.where(bits == 1, 1.0, -1.0)
-    deficit_bits = np.logaddexp(0.0, sign * llr) / np.log(2.0)
-    gmi = entropy_bits - float(np.mean(np.sum(deficit_bits, axis=1)))
+    signed = np.where(bits == 1, llr, -llr)
+    np.exp(signed, out=signed)
+    np.log1p(signed, out=signed)
+    gmi = entropy_bits - float(signed.sum() / (np.log(2.0) * llr.shape[0]))
     ngmi = 1.0 - (entropy_bits - gmi) / label_bits
     return gmi, ngmi
 

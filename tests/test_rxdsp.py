@@ -181,6 +181,19 @@ def _max_rel(a, b):
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
+def _frames(n, seed):
+    """(soft symbols, frame) on uniform PAM8 and on PS-PAM12 (nu = 1), with
+    noise at a quarter of the level spacing."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for alpha, dist in ((PamAlphabet.uniform(8), SymbolDistribution.uniform(8)),
+                        (PamAlphabet.pam12(), maxwell_boltzmann(1.0, PamAlphabet.pam12()))):
+        frame = SymbolFrame(rng.choice(alpha.size, n, p=dist.probabilities), alpha, dist)
+        step = alpha.levels[1] - alpha.levels[0]
+        out.append((frame.levels() + rng.normal(0, 0.25 * step, n), frame))
+    return out
+
+
 class TestFfe:
     def make_2sps(self, symbols, channel=None, snr_db=None, seed=0, rolloff=0.1):
         s = symbols if channel is None else np.convolve(symbols, channel, "full")[: symbols.size]
@@ -265,28 +278,41 @@ class TestFfe:
         assert state.taps.size == 31
 
 
-class TestFfeBlocks:
-    """Block edges: the normal equations accumulated over many short blocks
-    give the taps, output and training MSE of one block."""
+class TestFfeGram:
+    """The normal equations without BLAS: the shift-recursion Gram against
+    a direct V^T V, and the blocked solve against one LAPACK solve."""
 
-    @pytest.fixture(params=[100, 257], ids=["block100", "block257"])
-    def block(self, request, monkeypatch):
-        monkeypatch.setattr(rxdsp, "_FFE_BLOCK", request.param)
-        return request.param
+    @staticmethod
+    def windows(taps, n_train, seed):
+        rng = np.random.default_rng(seed)
+        half = (taps - 1) // 2
+        x = rng.normal(size=2 * (n_train + 4 * taps))
+        xp = np.concatenate([x[x.size - half:], x, x[:taps]])
+        train = np.lib.stride_tricks.sliding_window_view(xp, taps)[: 2 * n_train: 2]
+        return xp, train
 
-    def test_matches_one_block(self, block, monkeypatch):
-        rng = np.random.default_rng(32)
-        sym = rng.normal(size=3001)
-        x = np.convolve(np.repeat(sym, 2), [1.0, 0.4, -0.2, 0.1])[: 2 * sym.size]
-        x = x + 0.05 * rng.normal(size=x.size)
-        # 930 training symbols: the last block is a partial one
-        eq, state = ffe_train_apply(x, sym, 31, 0.31)
-        monkeypatch.setattr(rxdsp, "_FFE_BLOCK", sym.size)
-        eq_one, state_one = ffe_train_apply(x, sym, 31, 0.31)
-        assert state.training_symbols == state_one.training_symbols == 930
-        assert np.max(np.abs(state.taps - state_one.taps)) < 1e-12
-        assert np.max(np.abs(eq - eq_one)) < 1e-12
-        assert abs(state.final_mse - state_one.final_mse) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(taps=st.integers(0, 31).map(lambda k: 2 * k + 1),
+           n_train=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    @example(taps=63, n_train=63, seed=1)
+    @example(taps=1, n_train=1, seed=2)
+    @example(taps=3, n_train=2, seed=3)
+    def test_shift_recursion_matches_direct_gram(self, taps, n_train, seed):
+        xp, train = self.windows(taps, n_train, seed)
+        direct = np.ascontiguousarray(train).T @ np.ascontiguousarray(train)
+        gram = rxdsp._shift_gram(xp, train)
+        assert _max_rel(gram, direct) <= 1e-12
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("size", [1, 95, 96, 97, 101, 193, 250])
+    def test_blocked_solve_matches_lapack(self, size):
+        rng = np.random.default_rng(size)
+        v = rng.normal(size=(2 * size, size))
+        a = v.T @ v + 1e-3 * size * np.eye(size)
+        b = rng.normal(size=size)
+        # a condition number below 1e4, so both solves agree to ~1e-12
+        assert _max_rel(rxdsp._solve_spd(a, b), np.linalg.solve(a, b)) <= 1e-10
 
     def test_memory_bound(self):
         rng = np.random.default_rng(33)
@@ -316,6 +342,15 @@ class TestSymbolMetric:
         assert metric.shape == (256, 12)
         assert np.array_equal(metric.max(axis=1), np.zeros(256))
 
+    def test_shift_equals_row_maximum(self):
+        for y, frame in _frames(3000, 40):
+            var = nearest_level_variance(y, frame.alphabet)
+            raw = (y[:, None] - frame.alphabet.levels[None, :]) ** 2
+            raw /= -2.0 * var
+            raw += np.log(frame.distribution.probabilities)
+            expect = raw - raw.max(axis=1, keepdims=True)
+            assert np.array_equal(symbol_metric(y, frame, var), expect)
+
 
 class TestNearestLevelVariance:
     @pytest.mark.parametrize("alpha", [PamAlphabet.uniform(2), PamAlphabet.uniform(8),
@@ -341,6 +376,12 @@ class TestDecide:
         ber, hard = decide_and_ber(symbol_metric(frame.levels(), frame), frame)
         assert ber == 0.0
         assert np.array_equal(hard, frame.indices)
+
+    def test_hamming_count_equals_label_comparison(self):
+        for y, frame in _frames(5000, 41):
+            ber, hard = decide_and_ber(symbol_metric(y, frame), frame)
+            expect = float(np.mean(frame.bits() != frame.alphabet.labels[hard]))
+            assert 0 < ber == expect
 
     def test_pam2_q_function(self):
         rng = np.random.default_rng(9)
@@ -477,6 +518,37 @@ class TestLlrMatrixForm:
         assert set(np.abs(llr[:2]).ravel()) == {LLR_CAP}
 
 
+class TestLlrFloor:
+    """The metric floor keeps the capped LLRs of the unfloored metric bit
+    for bit where ``exp`` underflows to subnormals."""
+
+    @staticmethod
+    def unfloored(metric, frame):
+        # llr_compute's own product, without the floor
+        masks = frame.alphabet.labels.T
+        with np.errstate(divide="ignore"):
+            sums = np.log(np.vstack([masks == 0, masks == 1]) @ np.exp(metric.T))
+        m = masks.shape[0]
+        return np.clip(sums[:m] - sums[m:], -LLR_CAP, LLR_CAP).T
+
+    @pytest.mark.parametrize("alpha", [PamAlphabet.uniform(8), PamAlphabet.pam12()],
+                             ids=["PAM8", "H3.585"])
+    @pytest.mark.parametrize("spacing_sigma", [8.0, 12.0, 40.0])
+    def test_bit_identical_where_exp_is_subnormal(self, alpha, spacing_sigma):
+        # uniform priors: PAM8 at 3 bits and PS-PAM12 at H = log2(12) = 3.585
+        rng = np.random.default_rng(42)
+        dist = SymbolDistribution.uniform(alpha.size)
+        frame = SymbolFrame(rng.integers(0, alpha.size, 8192), alpha, dist)
+        step = alpha.levels[1] - alpha.levels[0]
+        y = frame.levels() + rng.normal(0, step / spacing_sigma, frame.n)
+        y[:50] = rng.uniform(alpha.levels[0] - step, alpha.levels[-1] + step, 50)
+        metric = symbol_metric(y, frame)
+        with np.errstate(under="ignore"):
+            prob = np.exp(metric)
+        assert np.any((prob > 0) & (prob < np.finfo(float).tiny))
+        assert np.array_equal(llr_compute(metric, frame), self.unfloored(metric, frame))
+
+
 class TestGmiNgmi:
     def test_confident_correct_llrs(self):
         rng = np.random.default_rng(12)
@@ -494,6 +566,27 @@ class TestGmiNgmi:
         gmi, ngmi = gmi_ngmi(np.zeros_like(bits, dtype=float), bits, 3.0, 3)
         assert gmi == pytest.approx(0.0)   # deficit of m = 3 bits
         assert ngmi == pytest.approx(0.0)
+
+    def test_matches_logaddexp_form(self):
+        # each term alone, on a grid through both caps and beyond them
+        grid = np.concatenate([np.linspace(-60, 60, 481), [-LLR_CAP, LLR_CAP, 0.0]])
+        for x in grid:
+            for bit in (0, 1):
+                gmi, _ = gmi_ngmi(np.array([[x]]), np.array([[bit]]), 0.0, 1)
+                sign = 1.0 if bit else -1.0
+                term = np.logaddexp(0.0, sign * np.clip(x, -LLR_CAP, LLR_CAP)) / np.log(2.0)
+                assert abs(-gmi - term) <= 1e-15 * term
+        # and a frame's deficit, summed at once instead of per symbol
+        rng = np.random.default_rng(43)
+        llr = rng.normal(0.0, 20.0, (4096, 4))
+        llr[:64] = rng.choice([-LLR_CAP, LLR_CAP, -80.0, 80.0], (64, 4))
+        bits = rng.integers(0, 2, llr.shape)
+        sign = np.where(bits == 1, 1.0, -1.0)
+        clipped = np.clip(llr, -LLR_CAP, LLR_CAP)
+        deficit = np.mean(np.sum(np.logaddexp(0.0, sign * clipped) / np.log(2.0), axis=1))
+        gmi, ngmi = gmi_ngmi(llr, bits, 3.2, 4)
+        assert abs((3.2 - gmi) - deficit) <= 1e-15 * deficit
+        assert type(gmi) is float and type(ngmi) is float
 
     def test_pam2_awgn_matches_quadrature_oracle(self):
         snr_db = 3.0
@@ -563,6 +656,10 @@ class TestScoreBlocks:
         assert abs(rep.gmi_bits - gmi) < 1e-12
         assert abs(rep.ngmi - ngmi) < 1e-12
         assert rep.required_code_rate == required_code_rate(ngmi, RateTable.default())
+        # the report's repr is part of the thread-invariance contract
+        assert all(type(getattr(rep, f)) is float for f in (
+            "ber", "gmi_bits", "ngmi", "required_code_rate", "achievable_bitrate_gbps",
+            "net_bitrate_gbps", "entropy_bits"))
 
     def test_rejects_length_mismatch(self):
         # blocks taken along the frame would otherwise drop the extra sample
