@@ -202,8 +202,7 @@ def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndar
 def _train_dpd(config: LinkConfig, rngs: dict):
     """Indirect-learning pre-distorter fitted on an independent seed."""
     train_seed = int(rngs["dpd"].integers(0, 2**31 - 1))
-    train_cfg = replace(config, seed=train_seed,
-                        dsp=replace(config.dsp, volterra_enabled=False))
+    train_cfg = replace(config, seed=train_seed)
     sub = _spawn_rngs(train_cfg)
     frame = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"])
     symbols = frame.levels()

@@ -15,7 +15,7 @@ crossover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -102,42 +102,6 @@ class VolterraKernel:
         return cls(structure, c)
 
 
-def _shifted(x: np.ndarray, delay: int) -> np.ndarray:
-    """x[n - delay] with zero padding outside the record."""
-    out = np.zeros_like(x)
-    if delay >= 0:
-        if delay < x.size:
-            out[delay:] = x[: x.size - delay]
-    else:
-        if -delay < x.size:
-            out[:delay] = x[-delay:]
-    return out
-
-
-def _term(x: np.ndarray, delays: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
-    """scale * x[n - d1] * x[n - d2] * ..., multiplied left to right."""
-    out = scale * _shifted(x, delays[0])
-    for d in delays[1:]:
-        out = out * _shifted(x, d)
-    return out
-
-
-def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
-    """y[n] = sum_t c_t prod_{d in t} x[n - d] over the kernel's terms; the
-    first-order taps run as one convolution."""
-    x = np.asarray(symbols, dtype=float)
-    n1 = kernel.structure.memory_1
-    if n1 > x.size:
-        raise ParameterError("kernel memory exceeds sequence length")
-    half = (n1 - 1) // 2
-    c = kernel.coefficients
-    y = np.convolve(x, c[:n1], mode="full")[half: half + x.size]
-    for t, ct in zip(kernel.structure.terms()[n1:], c[n1:]):
-        if ct != 0.0:
-            y += _term(x, t, ct)
-    return y
-
-
 #: Trailing share of the usable record that ``fit_volterra`` holds out.
 VOLTERRA_HOLDOUT_FRACTION = 0.3
 #: Largest singular-value ratio of the training features a Volterra fit
@@ -145,7 +109,7 @@ VOLTERRA_HOLDOUT_FRACTION = 0.3
 #: its square, so it can measure no more than about 1/sqrt(eps) ~ 7e7; 1e7
 #: keeps the limit inside the range where the reading is still accurate.
 VOLTERRA_MAX_CONDITION = 1e7
-#: Samples of the Volterra features ``fit_volterra`` builds at a time.
+#: Samples of the Volterra features ``_feature_blocks`` builds at a time.
 _FIT_BLOCK = 8192
 
 
@@ -157,35 +121,54 @@ class VolterraFit:
     condition_number: float
 
 
-def _feature_block(x: np.ndarray, terms: list[tuple[int, ...]]):
-    """``block(a, b)``: samples a..b-1 of the Volterra features of ``x``,
-    term-major, so row ``i`` is ``_term(x, terms[i])[a:b]`` bit for bit.
+def _feature_blocks(x: np.ndarray, terms: list[tuple[int, ...]], lo: int, hi: int):
+    """Yield ``(s, phi)`` for consecutive slices ``s`` that tile samples
+    ``lo..hi-1`` in steps of ``_FIT_BLOCK``: ``phi`` holds the Volterra
+    features of ``x`` over ``s``, term-major, so row ``i`` is
+    ``prod_{d in terms[i]} x[n - d]`` with zeros outside the record,
+    multiplied left to right. This is the one evaluator of the series:
+    fitting and applying a kernel both read their features here.
 
-    Every feature is read from one zero-copy lag view of the zero-padded
-    record, ``lags[guard - d] = x[n - d]``. The terms of one order form one
-    group of rows: one fancy-indexed copy of the first factors, then one
-    in-place multiply per further factor, left to right as ``_term`` does.
+    ``phi`` is a view of one buffer that every block reuses, so it is valid
+    until the next block is drawn. Every feature is read from one zero-copy
+    lag view of the zero-padded record, ``lags[guard - d] = x[n - d]``: each
+    row is one copy of its first factor and one in-place multiply per
+    further factor, so building a block allocates nothing.
     """
     guard = max(abs(d) for t in terms for d in t)
     pad = np.zeros(guard)
     lags = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([pad, x, pad]), x.size)
-    groups, start = [], 0
-    for _, group in groupby(terms, key=len):
-        factors = guard - np.array(list(group)).T  # (order, terms of that order)
-        groups.append((start, start + factors.shape[1], factors))
-        start += factors.shape[1]
+    factors = [[guard - d for d in t] for t in terms]
+    buffer = np.empty(len(terms) * min(_FIT_BLOCK, hi - lo))
+    for a in range(lo, hi, _FIT_BLOCK):
+        b = min(a + _FIT_BLOCK, hi)
+        phi = buffer[: len(terms) * (b - a)].reshape(len(terms), b - a)
+        for row, (first, *rest) in zip(phi, factors):
+            row[:] = lags[first, a:b]
+            for lag in rest:
+                row *= lags[lag, a:b]
+        yield slice(a, b), phi
 
-    def block(a: int, b: int) -> np.ndarray:
-        phi = np.empty((len(terms), b - a))
-        for first, last, factors in groups:
-            rows = phi[first:last]
-            rows[:] = lags[factors[0], a:b]
-            for lag in factors[1:]:
-                rows *= lags[lag, a:b]
-        return phi
 
-    return block
+def _volterra_series(x: np.ndarray, terms: list[tuple[int, ...]], w: np.ndarray,
+                     lo: int, hi: int) -> np.ndarray:
+    """``sum_t w_t * feature_t`` at samples ``lo..hi-1`` of ``x``, zero
+    elsewhere."""
+    y = np.zeros(x.size)
+    for s, phi in _feature_blocks(x, terms, lo, hi):
+        y[s] = w @ phi
+    return y
+
+
+def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
+    """y[n] = sum_t c_t prod_{d in t} x[n - d] over the kernel's terms, with
+    zeros outside the record."""
+    x = np.asarray(symbols, dtype=float)
+    if kernel.structure.memory_1 > x.size:
+        raise ParameterError("kernel memory exceeds sequence length")
+    return _volterra_series(x, kernel.structure.terms(), kernel.coefficients,
+                            0, x.size)
 
 
 def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
@@ -198,7 +181,8 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     samples and solved by Cholesky, so the full feature matrix is never
     held. A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out
     to report a generalization NMSE next to the training NMSE; both come
-    from the residuals of a second blocked pass.
+    from the residuals of a second blocked pass. Both passes read their
+    features from ``_feature_blocks``, as ``apply_volterra`` does.
     """
     structure = structure or VolterraStructure()
     x = np.asarray(observed_response, dtype=float)
@@ -211,18 +195,15 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
             f"need >= {10 * len(terms)} samples to fit {len(terms)} coefficients"
         )
 
-    features = _feature_block(x, terms)
     guard = max(abs(d) for t in terms for d in t)
     lo, hi = guard, x.size - guard
     n_train = lo + int((hi - lo) * (1.0 - VOLTERRA_HOLDOUT_FRACTION))
 
     gram = np.zeros((len(terms), len(terms)))
     moment = np.zeros(len(terms))
-    for a in range(lo, n_train, _FIT_BLOCK):
-        b = min(a + _FIT_BLOCK, n_train)
-        phi = features(a, b)
+    for s, phi in _feature_blocks(x, terms, lo, n_train):
         gram += phi @ phi.T
-        moment += phi @ y[a:b]
+        moment += phi @ y[s]
     eig = np.linalg.eigvalsh(gram)
     cond = float(np.sqrt(eig[-1] / eig[0])) if eig[0] > 0 else np.inf
     if cond > VOLTERRA_MAX_CONDITION:
@@ -233,13 +214,10 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     chol = np.linalg.cholesky(gram)
     w = np.linalg.solve(chol.T, np.linalg.solve(chol, moment))
 
-    fitted = np.empty(hi - lo)
-    for a in range(lo, hi, _FIT_BLOCK):
-        b = min(a + _FIT_BLOCK, hi)
-        fitted[a - lo: b - lo] = w @ features(a, b)
+    fitted = _volterra_series(x, terms, w, lo, hi)
 
     def seg_nmse(a: int, b: int) -> float:
-        return float(nmse_db(y[a:b], fitted[a - lo: b - lo]))
+        return float(nmse_db(y[a:b], fitted[a:b]))
 
     return VolterraFit(VolterraKernel(structure, w), seg_nmse(lo, n_train),
                        seg_nmse(n_train, hi), cond)
@@ -281,7 +259,7 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
 
 
 def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
-                       max_boost_db: float = 20.0) -> SampledWaveform:
+                       max_boost_db: float) -> SampledWaveform:
     """Magnitude-inverse pre-equalization of a device chain ``response``
     given on the waveform's own frequency grid (``wave.freqs()``).
 

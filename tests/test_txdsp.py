@@ -17,8 +17,7 @@ from imddsim.txdsp import (
     BandPlan,
     VolterraKernel,
     VolterraStructure,
-    _feature_block,
-    _term,
+    _feature_blocks,
     apply_volterra,
     band_split,
     fit_volterra,
@@ -51,6 +50,26 @@ def rrc_pulse(t, beta):
     out[center] = 1 - beta + 4 * beta / np.pi
     out[singular] = beta / np.sqrt(2) * ((1 + 2 / np.pi) * np.sin(np.pi / (4 * beta))
                                          + (1 - 2 / np.pi) * np.cos(np.pi / (4 * beta)))
+    return out
+
+
+def _shifted(x, delay):
+    """Oracle: x[n - delay] with zero padding outside the record."""
+    out = np.zeros_like(x)
+    if delay >= 0:
+        if delay < x.size:
+            out[delay:] = x[: x.size - delay]
+    else:
+        if -delay < x.size:
+            out[:delay] = x[-delay:]
+    return out
+
+
+def _term(x, delays):
+    """Oracle: x[n - d1] * x[n - d2] * ..., multiplied left to right."""
+    out = _shifted(x, delays[0])
+    for d in delays[1:]:
+        out = out * _shifted(x, d)
     return out
 
 
@@ -223,6 +242,19 @@ class TestFitVolterra:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_apply_memory_bound(self):
+        # one 63 x 8 192 feature block (4.1 MB) fits under the bound; the
+        # full 63 x 65 536 feature matrix (33 MB) does not
+        x = np.random.default_rng(25).normal(size=65536)
+        k = VolterraKernel.identity()
+        tracemalloc.start()
+        try:
+            apply_volterra(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 def fit_oracle(x, y, st):
     """Oracle: ``lstsq`` on the explicit feature matrix's training rows;
@@ -268,13 +300,28 @@ class TestFitBlocks:
             nmse_db(y[n_train:hi], phi[n_train:hi] @ w), abs=1e-9)
 
     def test_block_features_bit_equal_terms(self, block):
+        # the blocks tile [lo, hi) exactly, each one ``block`` long but the last
         x, _ = self.record()
         terms = self.ST.terms()
         phi = np.column_stack([_term(x, t) for t in terms])
-        features = _feature_block(x, terms)
-        for a in range(0, x.size, block):
-            b = min(a + block, x.size)
-            assert np.array_equal(features(a, b), phi[a:b].T)
+        for lo, hi in ((0, x.size), (3, x.size - 3), (17, 18)):
+            edge = lo
+            for s, rows in _feature_blocks(x, terms, lo, hi):
+                assert s.start == edge and s.stop == min(edge + block, hi)
+                assert np.array_equal(rows, phi[s].T)
+                edge = s.stop
+            assert edge == hi
+
+    def test_apply_matches_term_sum_with_cross_terms(self, block):
+        # full cross terms; the first and last ``guard`` samples read the
+        # zero padding, and the record ends inside a block
+        st = VolterraStructure(memory_1=7, memory_2=5, memory_3=5,
+                               max_spread_2=None, max_spread_3=None)
+        x, _ = self.record()
+        c = np.random.default_rng(32).normal(size=st.coefficient_count)
+        ref = sum(ct * _term(x, t) for t, ct in zip(st.terms(), c))
+        y = apply_volterra(x, VolterraKernel(st, c))
+        assert np.max(np.abs(y - ref)) < 1e-12
 
 
 class TestRrcUpsample:
@@ -315,7 +362,7 @@ class TestPreemphasis:
     def test_flat_response_identity(self):
         rng = np.random.default_rng(10)
         w = SampledWaveform(256e9, rng.normal(size=2048))
-        out = linear_preemphasis(w, np.ones(w.n // 2 + 1))
+        out = linear_preemphasis(w, np.ones(w.n // 2 + 1), max_boost_db=20.0)
         assert nmse_db(w, out) < -150
 
     def test_first_order_rolloff_flattened(self):
@@ -349,7 +396,7 @@ class TestPreemphasis:
         assert np.allclose(gain[20:], 10.0) and np.allclose(gain[:20], 1.0)
         for off_grid in (resp[:32], np.ones(64)):
             with pytest.raises(ParameterError):
-                linear_preemphasis(w, off_grid)
+                linear_preemphasis(w, off_grid, max_boost_db=20.0)
 
 
 class TestBandPlan:
