@@ -11,6 +11,12 @@ The field stays spectral from fiber to photodiode: ``propagate`` and
 as its DFT to a field that holds its spectrum, so the optical chain costs
 one ``fft`` (of the modulator output, in ``propagate``) and one ``ifft``
 (when ``photodetect`` reads the samples).
+
+The dispersion all-passes and the OBPF passband depend on |f| only, so they
+are built on the ``n // 2 + 1`` ``rfftfreq`` bins and applied to both
+halves of the n-bin spectrum, without a full-length response. ``fftfreq``
+gives the negative bins as exactly the negated ``rfftfreq`` values, so this
+is bit-equal to evaluating them on every bin.
 """
 
 from __future__ import annotations
@@ -86,12 +92,9 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
     if spec.length_km == 0:
         return field
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
-    # spectrum before all-pass: numpy's complex products do not commute bitwise
-    spectrum = loss * field.spectrum
-    allpass = 1j * dispersion_phase(field.freqs(), spec, lambda_nm, spec.length_km)
+    allpass = 1j * dispersion_phase(_half_freqs(field), spec, lambda_nm, spec.length_km)
     np.exp(allpass, out=allpass)
-    spectrum *= allpass
-    return field.with_spectrum(spectrum)
+    return field.with_spectrum(_times_even(field.spectrum, allpass, scale=loss))
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
@@ -136,11 +139,44 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
         raise ParameterError("obpf expects an optical field envelope")
     if bandwidth_hz is None and trim_km == 0:
         return field
-    f = np.abs(field.freqs())
+    f = _half_freqs(field)
+    spectrum = field.spectrum
+    if trim_km == 0:
+        # the passband alone, equal to multiplying by it up to the sign of
+        # zeros: zero the bins with |f| above its edge, which on the n-bin
+        # grid are k..n - k for the first such rfftfreq bin k
+        k = int(np.searchsorted(f, bandwidth_hz / 2, side="right"))
+        out = spectrum.copy()
+        out[k:field.n - k + 1] = 0.0
+        return field.with_spectrum(out)
     resp = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
     np.exp(resp, out=resp)
     if bandwidth_hz is not None:
         resp[f > bandwidth_hz / 2] = 0.0
     del f
-    # spectrum before response, as in propagate
-    return field.with_spectrum(np.multiply(field.spectrum, resp, out=resp))
+    return field.with_spectrum(_times_even(spectrum, resp))
+
+
+def _half_freqs(field: SampledWaveform) -> np.ndarray:
+    """|f| of the optical field's bins 0..n // 2 (the ``rfftfreq`` grid)."""
+    return np.fft.rfftfreq(field.n, d=1.0 / field.sample_rate_hz)
+
+
+def _times_even(spectrum: np.ndarray, half: np.ndarray,
+                scale: float | None = None) -> np.ndarray:
+    """``scale * spectrum`` (n ``fft`` bins) times the response that is even
+    in f and takes the values ``half`` on bins 0..n // 2, as a new array.
+
+    Bins n // 2 + 1..n - 1 hold the frequencies -((n - 1) // 2)..-1, so they
+    take ``half[(n - 1) // 2..1]``. The spectrum stays the first factor, as
+    numpy's complex products do not commute bitwise, and no product is taken
+    in place: numpy rounds an in-place product of one element differently.
+    """
+    n = spectrum.size
+    h = n // 2 + 1
+    out = np.empty_like(spectrum)
+    for part, resp in ((slice(0, h), half), (slice(h, n), half[1:(n + 1) // 2][::-1])):
+        x = spectrum[part] if scale is None else scale * spectrum[part]
+        np.multiply(x, resp, out=out[part])
+        del x  # the scaled half record goes before the next is made
+    return out

@@ -10,9 +10,12 @@ length is 5-smooth apart from primes the rate ratios force.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -217,6 +220,40 @@ def _train_dpd(config: LinkConfig, rngs: dict):
 # run_link
 # ---------------------------------------------------------------------------
 
+#: glibc ``mallopt(3)`` parameters and the values ``run_link`` pins them to:
+#: the largest that glibc's own dynamic mmap threshold reaches on 64-bit
+#: (``DEFAULT_MMAP_THRESHOLD_MAX``), and twice that for the trim threshold,
+#: as glibc's dynamic rule sets it.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds, once per process.
+
+    A run allocates and frees about a dozen record-sized arrays (1-3 MB)
+    per pass. Under glibc's dynamic thresholds the heap top freed by one
+    stage is returned to the kernel and faulted back in by the next; pinned,
+    the process keeps up to 64 MiB of freed heap for reuse, and arrays of
+    32 MiB or more are still mmapped and returned at once. Elsewhere
+    (musl, macOS, Windows) this does nothing. Results do not depend on it.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -272,6 +309,7 @@ def resolve_sequence_length(config: LinkConfig) -> int:
 
 def run_link(config: LinkConfig) -> MetricsReport:
     """Execute one deterministic end-to-end run and report its metrology."""
+    _pin_malloc_thresholds()
     config = replace(config, sequence_length_symbols=resolve_sequence_length(config))
     rngs = _spawn_rngs(config)
 

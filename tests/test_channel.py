@@ -202,25 +202,30 @@ class TestChannelMemory:
     out-of-place products."""
 
     def test_bit_equal_to_out_of_place(self):
+        # the responses are built on the n // 2 + 1 rfftfreq bins and
+        # mirrored onto the negative ones; odd, even and the shortest records
+        # cover every way the two halves meet
         rng = np.random.default_rng(7)
-        n = 1 << 12
-        w = SampledWaveform(RATE, rng.normal(size=n) + 1j * rng.normal(size=n),
-                            "optical_field")
-        f = w.freqs()
         loss = 10 ** (-O_FIBER.attenuation_db_km * O_FIBER.length_km / 20.0)
-        phase = dispersion_phase(f, O_FIBER, 1330.0, O_FIBER.length_km)
-        expect = loss * w.spectrum * np.exp(1j * phase)
-        assert np.array_equal(propagate(w, O_FIBER, 1330.0).spectrum, expect)
-        resp = np.exp(-1j * dispersion_phase(np.abs(f), O_FIBER, 1310.0, 2.0))
-        resp[np.abs(f) > 50e9] = 0.0
-        expect = w.spectrum * resp
-        assert np.array_equal(obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0).spectrum,
-                              expect)
+        for n in (1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1):
+            w = SampledWaveform(RATE, rng.normal(size=n) + 1j * rng.normal(size=n),
+                                "optical_field")
+            f = w.freqs()
+            phase = dispersion_phase(f, O_FIBER, 1330.0, O_FIBER.length_km)
+            expect = loss * w.spectrum * np.exp(1j * phase)
+            assert np.array_equal(propagate(w, O_FIBER, 1330.0).spectrum, expect), n
+            for trim_km in (2.0, 0.0):  # with no trim, the passband alone
+                resp = np.exp(-1j * dispersion_phase(np.abs(f), O_FIBER, 1310.0, trim_km))
+                resp[np.abs(f) > 50e9] = 0.0
+                out = obpf(w, 100e9, O_FIBER, 1310.0, trim_km=trim_km).spectrum
+                assert np.array_equal(out, w.spectrum * resp), (n, trim_km)
 
     @pytest.mark.parametrize("stage, records", [
-        # 2.63 complex records; the all-pass built out of place took 3.50
+        # 2.00 complex records with the all-pass on the half grid; 2.63 on
+        # the full grid, and 3.50 with it built out of place
         (lambda w: propagate(w, O_FIBER, 1330.0), 3.0),
-        # 2.13 complex records; the all-pass built out of place took 2.56
+        # 1.56 complex records on the half grid; 2.13 on the full grid, and
+        # 2.56 out of place
         (lambda w: obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0), 2.35),
     ], ids=["propagate", "obpf"])
     def test_peak_memory(self, stage, records):

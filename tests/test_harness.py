@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -590,15 +591,16 @@ class TestRunLink:
     def test_o_band_memory_bound(self):
         # the receiver and the metrology work in blocks, the ASE is added to
         # the field's spectrum, and no stage's input field outlives its first
-        # use, so the run's peak (about 12.4 MB) is set by the fiber's
-        # propagate; with the ASE drawn as samples, optical_amplify set it at
-        # about 16.1 MB
+        # use, so the run's peak (about 12.3 MB) is set by photodetect, with
+        # the fiber's propagate at 11.0 MB (12.4 MB with its all-pass on the
+        # full grid); with the ASE drawn as samples, optical_amplify set it
+        # at about 16.1 MB
         assert self._traced_peak(o_band_216g(7)) < 16e6
 
     def test_dpd_training_memory_bound(self):
         # the DPD training link hands its field on like the run does, so the
         # Volterra fit no longer runs next to the training link's received
-        # field: the peak is about 13.4 MB, and 18.3 MB with the field held
+        # field: the peak is about 13.3 MB, and 18.3 MB with the field held
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
         assert self._traced_peak(cfg) < 15e6
@@ -707,6 +709,44 @@ class TestThreadInvariance:
         assert "np.float64" not in outputs[1]
         for threads, out in outputs.items():
             assert out == outputs[1], f"{threads} threads:\n{out}\n1 thread:\n{outputs[1]}"
+
+
+#: Runs the C-band preset at 16 384 symbols three times and prints the
+#: minor page faults of the third pass.
+_THIRD_PASS_FAULTS = """
+import resource
+from dataclasses import replace
+from imddsim import c_band_216g, run_link
+cfg = replace(c_band_216g(7), sequence_length_symbols=16384)
+for _ in range(2):
+    run_link(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_link(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_warm_pass_reuses_the_heap(self):
+        # with glibc's dynamic thresholds each stage's freed heap top went
+        # back to the kernel and was faulted in again: 2 501 faults a pass
+        src = str(Path(imddsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _THIRD_PASS_FAULTS], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert int(out) < 100
+
+    def test_no_op_without_glibc(self, monkeypatch):
+        def no_confstr(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        def no_libc(*args):
+            raise AssertionError("loaded the C library off glibc")
+
+        monkeypatch.setattr(harness.os, "confstr", no_confstr)
+        monkeypatch.setattr(harness.ctypes, "CDLL", no_libc)
+        assert harness._pin_malloc_thresholds.__wrapped__() is None
 
 
 class TestSweeps:
