@@ -6,21 +6,10 @@ The distribution matcher maps uniform data bits to fixed-composition
 amplitude sequences by exact multiset ranking (Schulte & Boecherer, "Constant
 Composition Distribution Matching", IEEE T-IT 62(1), 2016): the k-bit input
 indexes the lexicographic enumeration of all permutations of the
-composition, with the interval subdivision carried out in arbitrary-precision
-integers (block lengths around 1e5 overflow any fixed-width type).
-
-By definition, each output symbol splits the current rank interval of
-``total`` permutations into one sub-interval per class, of size
-``total * c / n_rem``; that is one full-width big-integer step per symbol.
-The encoder and decoder here compose runs of such steps into three integers
-``(P, Q, A)`` (the interval shrinks to ``total * P / Q`` and moves by
-``total * A / Q``) in two levels: short inner batches of about a hundred
-symbols, each composed into an outer batch of about a thousand, which is
-applied to the full-width integers once. The encoder picks the classes on
-two fixed-point windows of the rank, a narrow one per symbol and a wide one
-per outer batch, each with a rigorous lower and upper bound, and decides a
-class exactly whenever the bounds disagree, so both produce exactly the
-per-symbol definition's output for every input (costs in their docstrings).
+composition. The encoder and decoder are the matcher's definition, one
+interval split per symbol in arbitrary-precision integers (block lengths
+around 1e5 overflow any fixed-width type), so their cost grows
+quadratically with the block length (timings in their docstrings).
 
 The CCDM is not on the run path. A run scores the symbols' labels and
 never decodes data bits, so the harness draws each shaped frame as a
@@ -38,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, isqrt, perm, prod
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -356,197 +345,76 @@ def ccdm_rate_bits_per_symbol(composition: Composition) -> float:
     return ccdm_input_bits(composition) / composition.n
 
 
-# Widths, in bits, of the encoder's two fixed-point windows on the rank. The
-# outer window bounds the rank for one full-width update and lasts about
-# _OUTER_BITS / H symbols (H = bits per symbol); the inner window, cut from
-# it, picks one class per symbol and lasts about _INNER_BITS / H symbols.
-_OUTER_BITS = 2048
-_INNER_BITS = 256
-# Symbols ranked per inner batch in the decoder.
-_DECODE_BATCH = 256
-
-
-def _compose(batch: tuple[int, int, int], p: int, q: int,
-             a: int) -> tuple[int, int, int]:
-    """The batch (P, Q, A), x -> (x*Q - A) / P, followed by x -> (x*q - a) / p.
-
-    The common factor of p, q and a is divided out first: on these short
-    operands the gcd is cheap, and it keeps the composed batch, and so the
-    gcd and the division in ``_apply_batch``, short.
-    """
-    g = gcd(p, q, a)
-    p, q, a = p // g, q // g, a // g
-    P, Q, A = batch
-    return P * p, Q * q, A * q + P * a
-
-
-def _apply_batch(u: int, v: int, p: int, q: int,
-                 a: int) -> tuple[int, int, int]:
-    """Apply a composed batch to the rank interval, whose size is kept as
-    the product u * v: return total * a / q, the offset of the chosen
-    sub-interval, and the sub-interval's size total * p / q as (u, p).
-    Everything is exact.
-
-    Once the common factor of p, q and a is divided out, q divides total: a
-    factor of q missing from total would have to divide p and a as well,
-    since both results are integers. The factor v, the previous batch's p,
-    is multiplied in only now, after its common factor with q is cancelled,
-    which shortens both the full-width division and the product.
-    """
-    g = gcd(p, q, a)
-    p, q, a = p // g, q // g, a // g
-    g = gcd(v, q)
-    u = u // (q // g) * (v // g)
-    return u * a, u, p
+def _integers_below(values: Sequence[int], upper: int, error: type[Exception],
+                    what: str) -> np.ndarray:
+    """``values`` as int64, or ``error`` unless they form a 1-D sequence of
+    integer-valued numbers in [0, upper)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf"
+            or not np.all((arr >= 0) & (arr < upper) & (arr == np.floor(arr)))):
+        raise error(f"{what} must be a 1-D sequence of integers in [0, {upper})")
+    return arr.astype(np.int64)
 
 
 def ccdm_encode(data_bits: Sequence[int], composition: Composition) -> np.ndarray:
-    """Map data bits to the index-th lexicographic permutation of the
-    composition's multiset (index = the bits read as a big-endian integer).
+    """Map k data bits (a 1-D 0/1 sequence, else ``ParameterError``) to the
+    index-th lexicographic permutation of the composition's multiset, index
+    being the bits read as a big-endian integer.
 
-    Definition: at each position, with ``total`` permutations left in the
-    rank interval and ``n_rem`` symbols to go, class s owns the sub-interval
-    of size ``total * c_s / n_rem`` after those of the classes below it; the
-    class whose sub-interval holds ``index`` is emitted, ``index`` drops by
-    the sizes before it and ``total`` becomes its size. Equivalently, with
-    x = index / total, the class is the one whose cumulative count range
-    [cum, cum + c) holds floor(x * n_rem), and x becomes (x * n_rem - cum) / c.
-
-    Algorithm: two batch levels. The outer level bounds x within a
-    2**-_OUTER_BITS interval [LO, HI] from the leading bits of ``index`` and
-    ``total``. The inner level cuts an _INNER_BITS-bit interval [lo, hi]
-    around it and steps both ends in fixed point, one symbol at a time,
-    while they pick the same class, accumulating p = prod c and a (the rank
-    offset's numerator); q = prod n_rem is a falling factorial. Each inner
-    batch is composed into the outer (P, Q, A) (``_compose``), and the outer
-    bounds follow the composed map x -> (x*q - a) / p, rounded outward. When
-    an inner batch cannot pick a single class, the outer batch is applied to
-    the full-width integers with one exact division (``_apply_batch``); when
-    a fresh outer window cannot either, one symbol is decided from the exact
-    floor(index * n_rem / total). The output equals the definition's for
-    every input.
-
-    Cost: the symbol loop works on integers of a few hundred bits, about
-    100 symbols per inner batch, and the full-width update runs once per
-    outer batch of about 900 symbols (73 updates for the C-band preset's
-    65 610 symbols, k = 144 305 bits). That frame encodes in 0.25-0.35 s of
-    CPU time on a 2-core x86-64 VM (Python 3.11), against 4.6 s step by
-    step: about 45 % in the symbol loop (~1 us a symbol, the interpreter's
-    floor), 40 % in the full-width updates (mostly CPython's quadratic long
-    division and two products) and 15 % composing batches and stepping the
-    outer bounds.
+    The definition: with ``total`` permutations left in the rank interval
+    and ``n_rem`` symbols to go, class s owns a sub-interval of the integer
+    size ``total * c_s / n_rem``, after those of the classes below it. The
+    emitted class is the one whose cumulative count range [cum, cum + c)
+    holds ``index * n_rem // total``; ``index`` drops by
+    ``total * cum // n_rem`` and ``total`` becomes ``total * c // n_rem``.
+    Each step divides k-bit integers, so the cost is quadratic: about
+    0.1 ms at 64 symbols, 24 ms at 4 050, 0.25 s at 16 384 and 3.9 s at
+    65 529 (k = 144 125; 2-core x86-64 VM, Python 3.11).
     """
-    bits = np.asarray(data_bits, dtype=np.int64)
+    bits = _integers_below(data_bits, 2, ParameterError, "data bits")
     total = composition.permutation_count()
     k = total.bit_length() - 1
     if bits.size != k:
         raise ParameterError(f"composition requires exactly {k} data bits, got {bits.size}")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ParameterError("data bits must be 0/1")
-
     index = _int_of(bits)
-    u, v = total, 1  # total = u * v
     counts = list(composition.counts)
-    n_rem = composition.n
-    out = []
-    wide, w = _OUTER_BITS, _INNER_BITS
-    cut = wide - w
-    while n_rem:
-        # x = index / total lies in [LO, HI] / 2**wide
-        shift = max(0, u.bit_length() - wide)
-        t, i, inexact = u >> shift, index >> shift, int(shift > 0)
-        LO = (i << wide) // ((t + inexact) * v)
-        HI = -((-(i + inexact) << wide) // (t * v))
-        batch = (1, 1, 0)
-        outer_start = n_rem
-        while n_rem:
-            # [lo, hi] / 2**w contains [LO, HI] / 2**wide
-            lo, hi = LO >> cut, -(-HI >> cut)
-            p, a, start = 1, 0, n_rem
-            while n_rem:
-                lo_n, hi_n = lo * n_rem, hi * n_rem
-                j = lo_n >> w
-                s = cum = 0
-                c = end = counts[0]
-                while j >= end:
-                    cum = end
-                    s += 1
-                    c = counts[s]
-                    end += c
-                # [lo, hi] straddles a class boundary (x < 1 never reaches
-                # the end of the last class)
-                if hi_n >> w >= end and end < n_rem:
-                    break
-                base = cum << w
-                lo = (lo_n - base) // c
-                hi = -((base - hi_n) // c)
-                a = a * n_rem + p * cum
-                p *= c
-                counts[s] = c - 1
-                n_rem -= 1
-                out.append(s)
-            if n_rem == start:
-                break
-            q = perm(start, start - n_rem)  # the product of the n_rem
-            batch = _compose(batch, p, q, a)
-            a <<= wide
-            LO = (LO * q - a) // p
-            HI = -((a - HI * q) // p)
-        if n_rem == outer_start:
-            # x sits too close to a class boundary: decide this symbol exactly
-            ends = list(accumulate(counts))
-            s = bisect_right(ends, index * n_rem // (u * v))
-            c = counts[s]
-            batch = (c, n_rem, ends[s] - c)
-            counts[s] = c - 1
-            n_rem -= 1
-            out.append(s)
-        offset, u, v = _apply_batch(u, v, *batch)
-        index -= offset
-    return np.array(out, dtype=np.int64)
+    out = np.empty(composition.n, dtype=np.int64)
+    for pos, n_rem in enumerate(range(composition.n, 0, -1)):
+        ends = list(accumulate(counts))
+        s = bisect_right(ends, index * n_rem // total)
+        c = counts[s]
+        index -= total * (ends[s] - c) // n_rem
+        total = total * c // n_rem
+        counts[s] = c - 1
+        out[pos] = s
+    return out
 
 
 def ccdm_decode(symbols: Sequence[int], composition: Composition) -> np.ndarray:
     """Rank a permutation back to its data bits; strict codeword check.
 
-    The rank is the sum, over positions, of the sub-interval sizes of the
-    classes below the emitted one (the inverse of ``ccdm_encode``'s
-    definition). It is accumulated in the encoder's two batch levels: runs
-    of ``_DECODE_BATCH`` symbols, each a (p, q, a) composed into an outer
-    (P, Q, A) (``_compose``), which is applied to the full-width integers
-    once it spans about _OUTER_BITS bits of rank (``_apply_batch``). The
-    result equals the per-symbol sum; the C-band preset's 65 610 symbols
-    decode in 0.2-0.25 s where the per-symbol sum takes 5 s (same machine as
-    ``ccdm_encode``). Sequences with the wrong length or
-    composition, and ranks at or beyond 2**k, raise ``DecodeError``.
+    The rank is the definition's sum of the sub-interval sizes below each
+    emitted class: ``index`` grows by ``total * cum // n_rem`` and ``total``
+    becomes ``total * c // n_rem``, at ``ccdm_encode``'s quadratic cost
+    (2.7 s at 65 529 symbols). Raises ``DecodeError`` unless ``symbols`` is
+    1-D and integer, with the composition's counts and a rank below 2**k.
     """
-    sym = np.asarray(symbols, dtype=np.int64)
     counts = list(composition.counts)
-    observed = np.bincount(sym, minlength=len(counts)) if sym.size else np.zeros(len(counts), int)
-    if sym.size != composition.n or list(observed) != counts:
+    sym = _integers_below(symbols, len(counts), DecodeError, "symbols")
+    if np.bincount(sym, minlength=len(counts)).tolist() != counts:
         raise DecodeError("symbol sequence does not match the composition")
 
-    u, v = composition.permutation_count(), 1  # total = u * v
-    k = u.bit_length() - 1
+    total = composition.permutation_count()
+    k = total.bit_length() - 1
     index = 0
-    n_rem = composition.n
-    seq = sym.tolist()
-    batch = (1, 1, 0)
-    for start in range(0, len(seq), _DECODE_BATCH):
-        run = seq[start:start + _DECODE_BATCH]
-        p, a, q = 1, 0, perm(n_rem, len(run))
-        for s in run:
-            c = counts[s]
-            a = a * n_rem + p * sum(counts[:s])
-            p *= c
-            counts[s] = c - 1
-            n_rem -= 1
-        batch = _compose(batch, p, q, a)
-        P, Q, _ = batch
-        if Q.bit_length() - P.bit_length() >= _OUTER_BITS or not n_rem:
-            offset, u, v = _apply_batch(u, v, *batch)
-            index += offset
-            batch = (1, 1, 0)
+    for n_rem, s in zip(range(composition.n, 0, -1), sym.tolist()):
+        c = counts[s]
+        index += total * sum(counts[:s]) // n_rem
+        total = total * c // n_rem
+        counts[s] = c - 1
     if index >= (1 << k):
         raise DecodeError("permutation rank exceeds the codebook (not a codeword)")
     return _bits_of(index, k)

@@ -216,61 +216,35 @@ class TestCcdm:
             assert np.array_equal(ccdm_decode(sym, comp), bits)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=compositions_and_bits(),
-           widths=st.sampled_from([(8, 8), (16, 8), (64, 8), (64, 64), (512, 512),
-                                   (shaping._OUTER_BITS, shaping._INNER_BITS)]))
-    def test_batched_encode_equals_definition(self, case, widths):
-        # (outer, inner) window widths in bits: the tiny ones make both
-        # levels straddle class boundaries often and reach the exact step
+    @given(case=compositions_and_bits())
+    def test_batched_encode_equals_definition(self, case):
+        # reference_encode subtracts whole class blocks; ccdm_encode bisects
+        # the cumulative counts with one division per symbol
         comp, bits = case
-        outer, inner = widths
-        with mock.patch.multiple(shaping, _OUTER_BITS=outer, _INNER_BITS=inner):
-            word = ccdm_encode(bits, comp)
-            decoded = ccdm_decode(word, comp)
+        word = ccdm_encode(bits, comp)
         assert np.array_equal(word, reference_encode(bits, comp))
-        assert np.array_equal(decoded, bits)
+        assert np.array_equal(ccdm_decode(word, comp), bits)
 
-    def test_tiny_windows_match_definition(self):
-        # on short frames at 8-bit windows the bounds sit within a unit or two
-        # of the rank, so a bound rounded inward instead of outward picks a
-        # wrong class within a few dozen frames
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            comp = Composition(tuple(int(c) for c in
-                                     rng.integers(1, 40, size=rng.integers(2, 5))))
-            bits = rng.integers(0, 2, size=ccdm_input_bits(comp))
-            expected = reference_encode(bits, comp)
-            for widths in ((8, 8), (16, 8)):
-                with mock.patch.multiple(shaping, _OUTER_BITS=widths[0],
-                                         _INNER_BITS=widths[1]):
-                    assert np.array_equal(ccdm_encode(bits, comp), expected), widths
-
-    @pytest.mark.parametrize("offset, first_batch", [(-1, (1500, 3000, 0)),
-                                                     (0, (1500, 3000, 1500))],
-                             ids=["below", "on"])
-    def test_exact_step_at_a_class_boundary(self, offset, first_batch):
-        # rank total / 2 (+ offset) puts x within 2 / total of the boundary
-        # between the two classes; total has ~3000 bits, more than the outer
-        # window resolves, so the first symbol is decided by the exact step,
-        # which applies a one-symbol batch (c, n_rem, cum) to total = u * v.
-        # Below the boundary, x then sits just under 1, the end of the last
-        # class, which the windows decide without further exact steps.
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "on"])
+    def test_exact_step_at_a_class_boundary(self, offset):
+        # rank total / 2 (+ offset) puts the first symbol's split within one
+        # permutation of the boundary between the two classes of a
+        # composition whose total has ~3000 bits
         comp = Composition((1500, 1500))
         total = comp.permutation_count()
         bits = shaping._bits_of(total // 2 + offset, ccdm_input_bits(comp))
-        with mock.patch.object(shaping, "_apply_batch",
-                               wraps=shaping._apply_batch) as apply:
-            word = ccdm_encode(bits, comp)
-        assert apply.call_args_list[0].args == (total, 1, *first_batch)
-        assert apply.call_count < 10
+        word = ccdm_encode(bits, comp)
+        assert word[0] == offset + 1
         assert np.array_equal(word, reference_encode(bits, comp))
         assert np.array_equal(ccdm_decode(word, comp), bits)
 
     def test_pam12_full_block_round_trip(self):
+        # 4 050 symbols: k = 8 882 bits, far past any fixed-width integer
         a = PamAlphabet.pam12()
         dist = maxwell_boltzmann(nu_for_entropy(3.2, a), a)
-        comp = composition_from_distribution(magnitude_distribution(dist, a), 65529)
+        comp = composition_from_distribution(magnitude_distribution(dist, a), 4050)
         bits = np.random.default_rng(7).integers(0, 2, size=ccdm_input_bits(comp))
+        assert bits.size == 8882
         word = ccdm_encode(bits, comp)
         assert np.bincount(word, minlength=6).tolist() == list(comp.counts)
         assert np.array_equal(ccdm_decode(word, comp), bits)
@@ -328,6 +302,20 @@ class TestCcdm:
     def test_wrong_input_length(self):
         with pytest.raises(ParameterError):
             ccdm_encode([0, 1, 0], Composition((2, 2)))
+
+    @pytest.mark.parametrize("bits", [[0.5, 1], [[0, 1]], [0, 2], [0, -1],
+                                      [0, float("nan")], [[0], [0, 1]]],
+                             ids=["fraction", "2-d", "two", "negative", "nan", "ragged"])
+    def test_malformed_bits_rejected(self, bits):
+        with pytest.raises(ParameterError):
+            ccdm_encode(bits, Composition((2, 2)))
+
+    @pytest.mark.parametrize("symbols", [[0, 0, -1, 1], [0, 0, 1, 1.7], [[0, 0], [1, 1]],
+                                         [0, 0, 1, 2], [0, 0, 1, float("inf")]],
+                             ids=["negative", "fraction", "2-d", "beyond", "inf"])
+    def test_malformed_symbols_rejected(self, symbols):
+        with pytest.raises(DecodeError):
+            ccdm_decode(symbols, Composition((2, 2)))
 
     def test_wrong_composition_rejected(self):
         with pytest.raises(DecodeError):
