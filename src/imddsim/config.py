@@ -6,12 +6,13 @@ bad value raises a ``ParameterError`` naming its dotted key (``dsp.ffe_taps``)
 before any stage runs. Every float must also be finite, which ``LinkConfig``
 checks once over the whole tree, and the signal band must fit the band
 plan's reconstructible range (LO plus AWG bandwidth). What the chain fixes
-is no field: PCG64 streams, two receiver samples per symbol
-(``rxdsp.SAMPLES_PER_SYMBOL``), an untruncated RRC pulse, interpolated
-code-rate lookup, the mixer LO (the band plan's), the quadrature MZM bias,
-a lossless modulator (``tx.laser_power_dbm`` sets the optical level), and
-the device roll-off orders (``frontend``'s Bessel orders and the mixer's
-second-order roll-off).
+is no field: PCG64 streams, ``rxdsp``'s samples per symbol and sync
+preamble, an untruncated RRC pulse, interpolated code-rate lookup, the
+mixer LO (the band plan's), ``frontend``'s analog HPF transition, a
+balanced and aligned combiner, the quadrature MZM bias, a lossless
+modulator (``tx.laser_power_dbm`` sets the optical level), a photodiode
+of unit responsivity (its thermal density sets the SNR), and the device
+roll-off orders (Bessel orders and the mixer's second-order roll-off).
 
 Presets encode the two experiment frequency plans: C-band crosses over at
 76 GHz with the analog HPF at 75 GHz and the LO at 72 GHz; O-band runs
@@ -40,7 +41,7 @@ from .txdsp import BandPlan, VolterraStructure
 
 #: Version of the ``config_to_dict`` layout; files of any other version are
 #: rejected rather than read with a guessed meaning.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 MODULATIONS = ("ps_pam12", "uniform_pamN")
 
 
@@ -77,7 +78,6 @@ class DspConfig:
     rrc_rolloff: float = 0.01
     ffe_taps: int = 101
     ffe_train_fraction: float = 0.2
-    preamble_symbols: int = 512
     volterra_enabled: bool = False
     volterra: VolterraStructure = VolterraStructure()
     preemphasis_max_boost_db: float = 12.0  # 0 dB turns pre-emphasis off
@@ -88,7 +88,6 @@ class DspConfig:
                "must be odd (centered equalizer)")
         _check(0.0 < self.ffe_train_fraction < 1.0, "ffe_train_fraction",
                "must lie in (0, 1)")
-        _check_positive(self, "preamble_symbols")
         _check(self.preemphasis_max_boost_db >= 0, "preemphasis_max_boost_db",
                "must be >= 0 dB")
 
@@ -100,31 +99,26 @@ class TxConfig:
     mixer_bandwidth_hz: float = 150e9
     analog_rate_hz: float = 512e9
     awg_resolution_bits: int | None = None
-    analog_hpf_transition_hz: float = 2e9
     upper_path_amplifier: AmplifierModel | None = None
     amplifier_chain: tuple[AmplifierModel, ...] = ()
-    combiner_imbalance_db: float = 0.0
-    combiner_skew_s: float = 0.0
     drive_peak_fraction_vpi: float = 0.25
 
     def __post_init__(self):
         _check_positive(self, "mixer_bandwidth_hz", "analog_rate_hz",
-                        "analog_hpf_transition_hz", "drive_peak_fraction_vpi")
+                        "drive_peak_fraction_vpi")
         _check_bits(self, "awg_resolution_bits")
 
 
 @dataclass(frozen=True)
 class RxConfig:
     pd_bandwidth_hz: float = 100e9
-    pd_responsivity: float = 1.0
     pd_thermal_noise_density: float = 0.0
     dso_rate_hz: float = 256e9
     dso_bandwidth_hz: float = 113e9
     dso_resolution_bits: int | None = None
 
     def __post_init__(self):
-        _check_positive(self, "pd_bandwidth_hz", "pd_responsivity", "dso_rate_hz",
-                        "dso_bandwidth_hz")
+        _check_positive(self, "pd_bandwidth_hz", "dso_rate_hz", "dso_bandwidth_hz")
         _check(self.pd_thermal_noise_density >= 0, "pd_thermal_noise_density",
                "must be >= 0")
         _check_bits(self, "dso_resolution_bits")
@@ -174,6 +168,7 @@ class LinkConfig:
                                  key="target_entropy_bits")
         _check(self.pam_order >= 2, "pam_order", "must be >= 2")
         _check_positive(self, "symbol_rate_gbd", "sequence_length_symbols")
+        _check(self.seed >= 0, "seed", "must be >= 0")
         _check((self.rate_table_rates is None) == (self.rate_table_thresholds is None),
                "rate_table_thresholds", "and rate_table_rates must be set together")
         _check(self.tx.analog_rate_hz >= self.plan.awg_rate_hz, "tx.analog_rate_hz",
@@ -317,7 +312,7 @@ def _build(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> LinkConfig:
     """Build a config from its ``config_to_dict`` form. Unknown keys, at any
     nesting level, and any ``schema_version`` other than ``SCHEMA_VERSION``
-    are rejected (README lists the keys versions 2 to 6 removed or merged)."""
+    are rejected (README lists the keys versions 2 to 7 removed or merged)."""
     data = dict(data)
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:

@@ -25,6 +25,7 @@ from .sigcore import (
     band_energy_fraction,
     bessel_response,
     filter_response,
+    lo_shift,
     require_real,
     resample,
 )
@@ -40,6 +41,8 @@ from .txdsp import BandPlan
 ANALOG_BESSEL_ORDER = 4
 #: Poles of the Bessel electro-optic bandwidth of the MZM.
 MZM_BESSEL_ORDER = 2
+#: Transition width of the analog HPF that removes the mixer's lower image.
+ANALOG_HPF_TRANSITION_HZ = 2e9
 #: u solving tanh(u)/u = -1 dB: the input scale of the amplifier's tanh
 #: saturation at its 1-dB compression point.
 _TANH_1DB = 0.6124646942440785
@@ -177,11 +180,9 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
     ``mixer_gain`` at the RF output frequency (no roll-off when
     ``bandwidth_hz`` is None).
 
-    The LO sits on the record grid (bin k), so 2 x(t) cos(2 pi f_LO t + phi)
-    has the spectrum exp(j phi) X[f - f_LO] + exp(-j phi) X[f + f_LO], each
-    image a slice of the one-sided spectrum: the lower sideband's bins
-    below DC fold back as conjugates, and the upper image of bins near
-    Nyquist wraps in past Nyquist as the conjugate half of the record.
+    The LO sits on the record grid, so 2 x(t) cos(2 pi f_LO t + phi) has
+    the spectrum exp(j phi) X[f - f_LO] + exp(-j phi) X[f + f_LO], the two
+    images of ``lo_shift``.
     """
     require_real(if_wave, "mixer IF input")
     n, rate = if_wave.n, if_wave.sample_rate_hz
@@ -193,34 +194,20 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
             stacklevel=2,
         )
 
-    k = int(round(lo_frequency_hz * n / rate))
-    if not 0 <= k <= n // 2:
-        raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
-                             f"[0, Nyquist {rate / 2:.4g} Hz]")
-    x = if_wave.spectrum
-    bins = x.size
-    up = np.empty_like(x)  # X[f - f_LO]
-    up[k:] = x[: bins - k]
-    up[:k] = np.conj(x[k:0:-1])
-    down = np.empty_like(x)  # X[f + f_LO]
-    down[: bins - k] = x[k:]
-    down[bins - k:] = np.conj(x[n - bins - k + 1: n - bins + 1][::-1])
+    up, down = lo_shift(if_wave.spectrum, n, rate, lo_frequency_hz)
     phasor = np.exp(1j * lo_phase_rad)
-    product = phasor * up + np.conj(phasor) * down
+    np.multiply(phasor, up, out=up)  # phasor first: numpy rounds by operand order
+    up += np.conj(phasor) * down
     if bandwidth_hz is not None:
-        product = product * mixer_gain(if_wave.freqs(), bandwidth_hz)
-    return SampledWaveform.from_spectrum(rate, product, n)
+        up *= mixer_gain(if_wave.freqs(), bandwidth_hz)
+    return SampledWaveform.from_spectrum(rate, up, n)
 
 
-def combine(lower: SampledWaveform, upper_rf: SampledWaveform,
-            gain_imbalance_db: float = 0.0, skew_s: float = 0.0) -> SampledWaveform:
-    """Active combiner: lower + imbalance * delay(upper, skew)."""
+def combine(lower: SampledWaveform, upper_rf: SampledWaveform) -> SampledWaveform:
+    """Active combiner: a balanced, aligned sum of the two bands."""
     if lower.sample_rate_hz != upper_rf.sample_rate_hz or lower.n != upper_rf.n:
         raise ParameterError("combiner inputs must share rate and length")
-    if skew_s != 0.0:
-        delay = np.exp(-2j * np.pi * upper_rf.freqs() * skew_s)
-        upper_rf = upper_rf.with_spectrum(upper_rf.spectrum * delay)
-    return lower.plus(upper_rf, 10 ** (gain_imbalance_db / 20.0))
+    return lower.plus(upper_rf)
 
 
 def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
@@ -264,21 +251,18 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
 def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  plan: BandPlan, analog_rate_hz: float,
                  mixer_bandwidth_hz: float | None = None,
-                 hpf_transition_hz: float = 2e9,
                  dac_bandwidth_hz: float | None = None,
                  dac_resolution_bits: int | None = None,
-                 gain_imbalance_db: float = 0.0,
-                 skew_s: float = 0.0,
                  upper_amplifier: AmplifierModel | None = None) -> SampledWaveform:
     """Reconstruct the wideband signal from the two AWG records.
 
     The mixer runs at the plan's LO. With the defaults every element is
     ideal: exact resampling instead of a ZOH DAC, a unity-SSB-gain mixer
     without roll-off, a zero-phase raised-cosine HPF at the plan's analog
-    cutoff with a ``hpf_transition_hz`` transition (``1 - filter_response``,
-    exactly 0 below and 1 above the transition), no upper-path amplifier,
-    and a perfectly balanced combiner. The transmitter runs the same path
-    with its device models.
+    cutoff with an ``ANALOG_HPF_TRANSITION_HZ`` transition
+    (``1 - filter_response``, exactly 0 below and 1 above the transition),
+    and no upper-path amplifier. The transmitter runs the same path with its
+    device models.
 
     With a DAC bandwidth, the converter's Bessel response delays the IF arm,
     which up-converts into a constant phase offset between the bands; the LO
@@ -297,9 +281,9 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     upper_rf = mixer_upconvert(upper_if, plan.lo_frequency_hz, mixer_bandwidth_hz,
                                lo_phase_rad)
 
-    lpf = filter_response(plan.analog_hpf_cutoff_hz, hpf_transition_hz,
+    lpf = filter_response(plan.analog_hpf_cutoff_hz, ANALOG_HPF_TRANSITION_HZ,
                           upper_rf.n, upper_rf.sample_rate_hz)
     upper_rf = apply_filter(upper_rf, 1.0 - lpf)
     if upper_amplifier is not None:
         upper_rf = amplify(upper_rf, upper_amplifier)
-    return combine(lower, upper_rf, gain_imbalance_db, skew_s)
+    return combine(lower, upper_rf)

@@ -36,6 +36,7 @@ from .frontend import (
 )
 from .rxdsp import (
     CSV_HEADER,
+    PREAMBLE_SYMBOLS,
     SAMPLES_PER_SYMBOL,
     MetricsReport,
     digitize,
@@ -155,10 +156,8 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     wideband = stitch_bands(
         lower, upper, plan, tx.analog_rate_hz,
         mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
-        hpf_transition_hz=tx.analog_hpf_transition_hz,
         dac_bandwidth_hz=plan.awg_bandwidth_hz,
         dac_resolution_bits=tx.awg_resolution_bits,
-        gain_imbalance_db=tx.combiner_imbalance_db, skew_s=tx.combiner_skew_s,
         upper_amplifier=tx.upper_path_amplifier,
     )
     for amp in tx.amplifier_chain:
@@ -191,11 +190,11 @@ def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndar
     rx, dsp = config.rx, config.dsp
     # one name through the chain, so each stage's input is freed once the
     # next stage returns
-    wave = photodetect(held.pop(), rx.pd_bandwidth_hz, rx.pd_responsivity,
-                       rx.pd_thermal_noise_density, seed_thermal)
+    wave = photodetect(held.pop(), rx.pd_bandwidth_hz, rx.pd_thermal_noise_density,
+                       seed_thermal)
     wave = digitize(wave, rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits)
     wave = resample(wave, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
-    wave, _ = synchronize(wave, reference[: dsp.preamble_symbols])
+    wave, _ = synchronize(wave, reference[:PREAMBLE_SYMBOLS])
     samples = wave.real
     del wave  # the FFE needs only the samples, not the spectrum
     eq, state = ffe_train_apply(samples, reference, dsp.ffe_taps, dsp.ffe_train_fraction)

@@ -38,16 +38,17 @@ _METRIC_FLOOR = -700.0
 # ---------------------------------------------------------------------------
 
 def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
-                responsivity: float = 1.0, thermal_noise_density: float = 0.0,
+                thermal_noise_density: float = 0.0,
                 seed: int | None = None) -> SampledWaveform:
-    """Square-law detection: i = R |E|^2, seeded thermal noise, PD bandwidth.
+    """Square-law detection at unit responsivity, i = |E|^2, then seeded
+    thermal noise and the PD bandwidth.
 
     ``thermal_noise_density`` is the input-referred current noise PSD
     (A^2/Hz); per-sample variance is density times the simulation rate.
     """
     if fld.domain_tag != "optical_field":
         raise ParameterError("photodetect expects an optical field envelope")
-    current = responsivity * np.abs(fld.samples) ** 2
+    current = np.abs(fld.samples) ** 2
     if thermal_noise_density > 0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(thermal_noise_density * fld.sample_rate_hz)
@@ -76,6 +77,8 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
 
 #: Receiver samples per symbol: the FFE is T/2-spaced.
 SAMPLES_PER_SYMBOL = 2
+#: Leading symbols of the frame that ``synchronize`` correlates against.
+PREAMBLE_SYMBOLS = 512
 #: Smallest ratio of the correlation peak to its rms that counts as a lock.
 SYNC_PEAK_THRESHOLD = 8.0
 

@@ -164,9 +164,10 @@ class Composition:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts) or sum(counts) < 1:
-            raise ParameterError("counts must be non-negative with n >= 1")
+        counts = tuple(_integers_below(self.counts, np.inf, ParameterError,
+                                       "counts").tolist())
+        if sum(counts) < 1:
+            raise ParameterError("counts must sum to n >= 1")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -354,9 +355,10 @@ def _integers_below(values: Sequence[int], upper: int, error: type[Exception],
     except ValueError:  # ragged nesting
         arr = None
     if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf"
-            or not np.all((arr >= 0) & (arr < upper) & (arr == np.floor(arr)))):
+            or arr.size and not 0 <= arr.min() <= arr.max() < upper
+            or arr.dtype.kind == "f" and not np.all(arr == np.floor(arr))):
         raise error(f"{what} must be a 1-D sequence of integers in [0, {upper})")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def ccdm_encode(data_bits: Sequence[int], composition: Composition) -> np.ndarray:
@@ -430,19 +432,18 @@ def pas_assemble(amplitude_classes: Sequence[int], sign_bits: Sequence[int],
     """Combine amplitude classes (a CCDM codeword, or the run's permuted
     composition) with uniform sign bits into symbols.
 
-    Sign bit 0 selects the positive level. When no design distribution is
-    given, the exact frame prior implied by the composition and equiprobable
-    signs is attached.
+    Sign bit 0 selects the positive level. Classes must be integers in
+    [0, M/2) and signs 0 or 1, else ``ParameterError``. When no design
+    distribution is given, the exact frame prior implied by the composition
+    and equiprobable signs is attached.
     """
-    classes = np.asarray(amplitude_classes, dtype=np.int64)
-    signs = np.asarray(sign_bits, dtype=np.int64)
-    if classes.shape != signs.shape:
-        raise ParameterError("amplitude and sign sequences must have equal length")
     if not alphabet.is_symmetric:
         raise ParameterError("PAS requires a symmetric alphabet")
     half = alphabet.size // 2
-    if classes.size and (classes.min() < 0 or classes.max() >= half):
-        raise ParameterError("amplitude class out of range")
+    classes = _integers_below(amplitude_classes, half, ParameterError, "amplitude classes")
+    signs = _integers_below(sign_bits, 2, ParameterError, "sign bits")
+    if classes.shape != signs.shape:
+        raise ParameterError("amplitude and sign sequences must have equal length")
 
     indices = np.where(signs == 0, half + classes, half - 1 - classes)
 

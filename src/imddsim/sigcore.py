@@ -1,5 +1,5 @@
 """Waveform container, filter responses and their application, resampling,
-and signal metrics.
+the LO shift, and signal metrics.
 
 Conventions used throughout the simulator:
 
@@ -9,16 +9,16 @@ Conventions used throughout the simulator:
 - A :class:`SampledWaveform` keeps the form it was built from (samples or
   spectrum) and computes the other once, on first use. Linear stages
   (filters, pulse shaping, resampling by spectral truncation or zero
-  padding, DAC droop, mixer gain, combiner skew, uncompressed amplifiers,
-  dispersion, the optical filter, DC removal as a zeroed DC bin) multiply
-  or reshape the spectrum, so a chain of them costs no transform. A
-  transform runs only where a pointwise stage meets a linear one:
-  quantizers, tanh amplifier, drive peak and MZM cosine, thermal noise,
-  square-law detection, sync correlation, and the equalizer. The LO
-  multiply and the band split's down-conversion are whole-bin spectrum
-  shifts, since their tones sit on the record grid. White ASE noise is
-  drawn in the form the optical field holds (as its DFT after the fiber),
-  so it costs no transform either.
+  padding, DAC droop, mixer gain, uncompressed amplifiers, dispersion,
+  the optical filter, DC removal as a zeroed DC bin) multiply or reshape
+  the spectrum, so a chain of them costs no transform. A transform runs
+  only where a pointwise stage meets a linear one: quantizers, tanh
+  amplifier, drive peak and MZM cosine, thermal noise, square-law
+  detection, sync correlation, and the equalizer. The LO sits on the
+  record grid, so the mixer's up-conversion and the band split's
+  down-conversion are one whole-bin spectrum shift, :func:`lo_shift`.
+  White ASE noise is drawn in the form the optical field holds (as its
+  DFT after the fiber), so it costs no transform either.
 - Real signals stay real. Electrical and photocurrent waveforms hold
   float64 samples and the one-sided ``n // 2 + 1``-bin spectrum
   (``rfft``/``irfft``); only the optical field between the MZM and the
@@ -182,12 +182,12 @@ class SampledWaveform:
             return self.with_spectrum(factor * self._spectrum)
         return self.with_samples(factor * self._samples)
 
-    def plus(self, other: "SampledWaveform", scale: float = 1.0) -> "SampledWaveform":
-        """``self + scale * other``, added as samples when both hold them
-        and as spectra otherwise."""
+    def plus(self, other: "SampledWaveform") -> "SampledWaveform":
+        """``self + other``, added as samples when both hold them and as
+        spectra otherwise."""
         if self._samples is not None and other._samples is not None:
-            return self.with_samples(self._samples + scale * other._samples)
-        return self.with_spectrum(self.spectrum + scale * other.spectrum)
+            return self.with_samples(self._samples + other._samples)
+        return self.with_spectrum(self.spectrum + other.spectrum)
 
 
 def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
@@ -290,7 +290,7 @@ def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform
 
 
 # ---------------------------------------------------------------------------
-# resampling
+# resampling and the LO shift
 # ---------------------------------------------------------------------------
 
 def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
@@ -324,6 +324,22 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
         y[m // 2] *= 2.0 if n_out < n_in else 0.5
     y *= n_out / n_in
     return SampledWaveform.from_spectrum(target_rate_hz, y, n_out, wave.domain_tag)
+
+
+def lo_shift(spectrum: np.ndarray, n: int, sample_rate_hz: float,
+             lo_frequency_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays ``(X[f - f_LO], X[f + f_LO])`` from the one-sided spectrum
+    X of a real n-sample record, the LO snapped to a grid bin; their sum is
+    the spectrum of 2 x(t) cos(2 pi f_LO t). Bins below DC fold back, and
+    bins past Nyquist wrap in, as conjugates."""
+    k = int(round(lo_frequency_hz * n / sample_rate_hz))
+    if not 0 <= k <= n // 2:
+        raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
+                             f"[0, Nyquist {sample_rate_hz / 2:.4g} Hz]")
+    bins = spectrum.size
+    up = np.concatenate([np.conj(spectrum[k:0:-1]), spectrum[: bins - k]])
+    wrap = np.conj(spectrum[n - bins - k + 1: n - bins + 1][::-1])
+    return up, np.concatenate([spectrum[k:], wrap])
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +396,16 @@ def spectral_nmse_db(reference: SampledWaveform, test: SampledWaveform,
     return max(10.0 * np.log10(err / denom), NMSE_FLOOR_DB)
 
 
-def _full_bin(wave: SampledWaveform, freq_hz: float) -> tuple[int, complex]:
-    """Index k of the n-point DFT bin nearest ``freq_hz`` and its value X[k];
-    a real waveform's one-sided spectrum gives X[k] = conj(X[n - k]) above
-    Nyquist."""
-    n = wave.n
-    k = int(round(freq_hz * n / wave.sample_rate_hz)) % n
-    spectrum = wave.spectrum
-    return k, spectrum[k] if k < spectrum.size else np.conj(spectrum[n - k])
-
-
 def tone_amplitude(wave: SampledWaveform, freq_hz: float) -> float:
     """Amplitude of the tone nearest freq_hz via single-bin DFT (real
     signals): 2|X[k]|/n, or |X[k]|/n at DC and at the Nyquist bin of an even
-    n, the bins a real tone does not share with its mirror image."""
-    k, value = _full_bin(wave, freq_hz)
-    scale = 1.0 if k == 0 or 2 * k == wave.n else 2.0
-    return scale * np.abs(value) / wave.n
-
-
-def tone_phase(wave: SampledWaveform, freq_hz: float) -> float:
-    """Phase (radians) of the bin nearest freq_hz."""
-    return float(np.angle(_full_bin(wave, freq_hz)[1]))
+    n, the bins a real tone does not share with its mirror image. Above
+    Nyquist, a real waveform's one-sided spectrum gives |X[k]| = |X[n - k]|."""
+    n = wave.n
+    k = int(round(freq_hz * n / wave.sample_rate_hz)) % n
+    spectrum = wave.spectrum
+    value = spectrum[k] if k < spectrum.size else spectrum[n - k]
+    return (1.0 if k == 0 or 2 * k == n else 2.0) * np.abs(value) / n
 
 
 def band_energy_fraction(wave: SampledWaveform, f_lo_hz: float, f_hi_hz: float) -> float:

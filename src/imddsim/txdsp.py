@@ -24,6 +24,7 @@ from .sigcore import (
     SampledWaveform,
     apply_filter,
     filter_response,
+    lo_shift,
     nmse_db,
     require_real,
     resample,
@@ -281,6 +282,9 @@ def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
 # band split
 # ---------------------------------------------------------------------------
 
+#: Transition width of the band split's IF anti-alias lowpass.
+IF_TRANSITION_HZ = 2e9
+
 @dataclass(frozen=True)
 class BandPlan:
     """Frequency plan of the two-band transmitter.
@@ -309,6 +313,12 @@ class BandPlan:
         if self.crossover_hz - self.lo_frequency_hz >= self.awg_bandwidth_hz:
             raise ParameterError("is below the down-converted band edge",
                                  "awg_bandwidth_hz")
+        # the band split's IF lowpass, at most the AWG bandwidth, must stop
+        # its sum image: the HPF band shifted up by the LO
+        if (self.crossover_hz - self.crossover_transition_hz / 2 + self.lo_frequency_hz
+                < self.awg_bandwidth_hz + IF_TRANSITION_HZ / 2):
+            raise ParameterError("puts the band split's sum image in the IF band",
+                                 "lo_frequency_hz")
 
 
 def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, SampledWaveform]:
@@ -320,8 +330,9 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     shift moves the spectrum by whole bins), then the real part, an
     AWG-bandwidth lowpass, and resampling. The one-sided spectrum already is
     the analytic signal's (each bin but DC and Nyquist doubled, then halved
-    again by taking the real part), so the shift is a slice, plus the bins
-    shifted below DC folded back as their conjugates.
+    again by taking the real part), so the real part is the sum of the two
+    ``lo_shift`` images. Below the LO, X[f - f_LO] is the fold back through
+    DC; above it, ``BandPlan`` puts it where the IF lowpass is 0.
     """
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
@@ -336,13 +347,10 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     upper[0] *= 0.5
     if n % 2 == 0:
         upper[-1] *= 0.5
-    k = int(round(plan.lo_frequency_hz * n / rate))
-    shifted = np.zeros_like(upper)
-    shifted[: upper.size - k] = upper[k:]
-    shifted[: k + 1] += np.conj(upper[k::-1])
-    if_wave = SampledWaveform.from_spectrum(rate, shifted, n)
-
+    up, down = lo_shift(upper, n, rate, plan.lo_frequency_hz)
+    up += down
+    if_wave = SampledWaveform.from_spectrum(rate, up, n)
     aa_cutoff = min(plan.awg_bandwidth_hz, 0.49 * plan.awg_rate_hz)
-    if_wave = apply_filter(if_wave, filter_response(aa_cutoff, 2e9, n, rate))
+    if_wave = apply_filter(if_wave, filter_response(aa_cutoff, IF_TRANSITION_HZ, n, rate))
     upper_wave = resample(if_wave, plan.awg_rate_hz)
     return lower_wave, upper_wave

@@ -37,6 +37,12 @@ class TestRunCommand:
                      "--out", str(out_b)]) == 0
         assert (out_a / "run.csv").read_text() == (out_b / "run.csv").read_text()
 
+    def test_negative_seed_fails(self, config_path, tmp_path, capsys):
+        rc = main(["run", "--config", str(config_path), "--seed", "-1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_unknown_config_fails(self, tmp_path, capsys):
         rc = main(["run", "--config", "missing.json", "--out", str(tmp_path)])
         assert rc == 1

@@ -28,7 +28,6 @@ from imddsim.sigcore import (
     nmse_db,
     spectral_nmse_db,
     tone_amplitude,
-    tone_phase,
 )
 from imddsim.txdsp import BandPlan, band_split
 
@@ -157,14 +156,6 @@ class TestCombine:
         up = SampledWaveform(ANALOG_RATE, rng.normal(size=256))
         out = combine(low, up)
         assert np.allclose(out.real, low.real + up.real, atol=1e-15)
-
-    def test_skew_phase_shift(self):
-        w, f = analog_tone(100e9)
-        zero = SampledWaveform(ANALOG_RATE, np.zeros(w.n))
-        out = combine(zero, w, skew_s=1e-12)
-        dphi = np.degrees(tone_phase(out, f) - tone_phase(w, f))
-        dphi = (dphi + 180) % 360 - 180
-        assert abs(abs(dphi) - 36.0) < 1.0
 
     def test_rate_mismatch(self):
         with pytest.raises(ParameterError):

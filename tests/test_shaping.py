@@ -346,6 +346,12 @@ class TestCcdm:
 
 
 class TestComposition:
+    @pytest.mark.parametrize("counts", [(2.5, 2), ("2", 2), (2, -1), (0, 0), ()],
+                             ids=["fraction", "string", "negative", "zero-sum", "empty"])
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ParameterError, match="counts"):
+            Composition(counts)
+
     def test_largest_remainder_sums_exactly(self):
         p = np.array([0.4, 0.35, 0.15, 0.1])
         for n in (7, 97, 1000):
@@ -380,6 +386,21 @@ class TestPasAssemble:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             pas_assemble([0, 1], [0], PamAlphabet.pam12())
+
+    @pytest.mark.parametrize("classes, signs, named", [
+        ([0.7, 1], [0, 1], "amplitude classes"),
+        ([0, 6], [0, 1], "amplitude classes"),
+        ([-1, 1], [0, 1], "amplitude classes"),
+        ([0, float("nan")], [0, 1], "amplitude classes"),
+        ([[0, 1]], [[0, 1]], "amplitude classes"),
+        ([0, 1], [0, 5], "sign bits"),
+        ([0, 1], [0, 0.5], "sign bits"),
+        ([0, 1], [-1, 0], "sign bits"),
+    ], ids=["fraction", "beyond", "negative", "nan", "2-d", "sign-5", "sign-fraction",
+            "sign-negative"])
+    def test_malformed_input_rejected(self, classes, signs, named):
+        with pytest.raises(ParameterError, match=named):
+            pas_assemble(classes, signs, PamAlphabet.pam12())
 
     def test_empirical_distribution_near_target(self):
         rng = np.random.default_rng(7)

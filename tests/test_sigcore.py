@@ -355,7 +355,6 @@ def full_spectrum_metrics(wave, other, f_lo, f_hi, tone_hz):
         "spectral_nmse_db": 10 * np.log10(np.sum(np.abs(spec - other_spec)[keep] ** 2)
                                           / np.sum(energy[keep])),
         "tone_amplitude": (1.0 if k == 0 or 2 * k == n else 2.0) * np.abs(spec[k]) / n,
-        "tone_phase": np.angle(spec[k]),
         "occupied_bandwidth": freqs[order][np.searchsorted(cum, 0.99 * cum[-1])],
     }
 
@@ -378,7 +377,6 @@ class TestOneSidedMetrics:
             "spectral_nmse_db": sigcore.spectral_nmse_db(
                 w, other, exclude_bands=[(f_lo, f_hi)]),
             "tone_amplitude": tone_amplitude(w, tone_hz),
-            "tone_phase": sigcore.tone_phase(w, tone_hz),
             "occupied_bandwidth": sigcore.occupied_bandwidth(w, 0.99),
         }
         for name, value in got.items():

@@ -406,6 +406,13 @@ class TestBandPlan:
         with pytest.raises(ParameterError):
             BandPlan(160e9, 150e9, 20e9)  # IF edge beyond AWG bandwidth
 
+    def test_sum_image_inside_if_band_rejected(self):
+        # the HPF band, from 44 GHz, shifted up by the LO must start at or
+        # above the 81-GHz edge of the IF anti-alias lowpass
+        BandPlan(45e9, 45e9, 37e9)
+        with pytest.raises(ParameterError, match="lo_frequency_hz"):
+            BandPlan(45e9, 45e9, 36e9)
+
 
 class TestBandSplit:
     def make_tone(self, freq, n=65536, rate=512e9):
