@@ -8,9 +8,11 @@ short single-span links.
 
 The field stays spectral from fiber to photodiode: ``propagate`` and
 ``obpf`` multiply the record spectrum, and ``optical_amplify`` adds the ASE
-as its DFT to a field that holds its spectrum, so the optical chain costs
-one ``fft`` (of the modulator output, in ``propagate``) and one ``ifft``
-(when ``photodetect`` reads the samples).
+as its DFT to a field that holds its spectrum. The modulator output is
+real-valued, so ``propagate`` takes its ``rfft`` and writes the negative
+half of the spectrum as the conjugate mirror, and ``photodetect`` forms
+|E|^2 of the spectrum-held field from two ``irfft``s: with a fiber, the
+optical chain costs three real transforms and no complex one.
 
 The dispersion all-passes and the OBPF passband depend on |f| only, so they
 are built on the ``n // 2 + 1`` ``rfftfreq`` bins and applied to both
@@ -86,7 +88,11 @@ def dispersion_phase(freq_hz: np.ndarray, spec: FiberSpec, lambda_nm: float,
 
 
 def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> SampledWaveform:
-    """Chromatic dispersion (all-pass) plus scalar attenuation."""
+    """Chromatic dispersion (all-pass) plus scalar attenuation.
+
+    A field that holds only real-valued samples (the modulator output) is
+    read by its ``rfft``; any other field by its full spectrum.
+    """
     if field.domain_tag != "optical_field":
         raise ParameterError("propagate expects an optical field envelope")
     if spec.length_km == 0:
@@ -94,6 +100,8 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
     allpass = 1j * dispersion_phase(_half_freqs(field), spec, lambda_nm, spec.length_km)
     np.exp(allpass, out=allpass)
+    if not field.holds_spectrum and not np.any(field.samples.imag):
+        return field.with_spectrum(_real_times_even(field.samples.real, allpass, loss))
     return field.with_spectrum(_times_even(field.spectrum, allpass, scale=loss))
 
 
@@ -179,4 +187,21 @@ def _times_even(spectrum: np.ndarray, half: np.ndarray,
         x = spectrum[part] if scale is None else scale * spectrum[part]
         np.multiply(x, resp, out=out[part])
         del x  # the scaled half record goes before the next is made
+    return out
+
+
+def _real_times_even(samples: np.ndarray, half: np.ndarray, scale: float) -> np.ndarray:
+    """``_times_even(scale * fft(samples), half)`` for real ``samples``, from
+    their ``rfft``: bins n // 2 + 1..n - 1 of the ``fft`` are the conjugates
+    of bins (n - 1) // 2..1, so they take the mirrored conjugate times the
+    same mirrored response."""
+    n = samples.size
+    h = n // 2 + 1
+    x = np.fft.rfft(samples)
+    x *= scale
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(x, half, out=out[:h])
+    np.conjugate(x, out=x)
+    mirror = slice((n + 1) // 2 - 1, 0, -1)
+    np.multiply(x[mirror], half[mirror], out=out[h:])
     return out

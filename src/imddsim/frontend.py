@@ -161,7 +161,7 @@ def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
     up = resample(wave, analog_rate_hz)
     droop, bessel = dac_response(up.freqs(), wave.sample_rate_hz, bandwidth_hz)
-    return apply_filter(up.with_spectrum(up.spectrum * droop), bessel)
+    return apply_filter(up, droop, bessel)
 
 
 def mixer_gain(freq_hz: np.ndarray, bandwidth_hz: float) -> np.ndarray:
@@ -240,7 +240,15 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
     require_real(drive, "MZM drive")
     v = apply_filter(drive, model.response(drive.freqs())).real
     amp = np.sqrt(10 ** ((laser_power_dbm - 30.0) / 10.0))
-    field = amp * np.cos(np.pi * (v + model.v_pi_volts / 2) / (2.0 * model.v_pi_volts))
+    phase = v + model.v_pi_volts / 2
+    del v
+    phase *= np.pi
+    phase /= 2.0 * model.v_pi_volts
+    # the cosine goes straight into the real part of the complex field
+    field = np.zeros(phase.size, dtype=np.complex128)
+    np.cos(phase, out=field.real)
+    del phase
+    field.real *= amp
     return SampledWaveform(drive.sample_rate_hz, field, "optical_field")
 
 

@@ -151,6 +151,7 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     wide = rrc_upsample(tx_symbols, SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
                         config.symbol_rate_hz)
     lower, upper = band_split(wide, plan)
+    del wide
     lower, upper = _preemphasize(config, lower, upper)
 
     wideband = stitch_bands(
@@ -165,6 +166,7 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
 
     peak = np.max(np.abs(wideband.real))
     drive = wideband.scaled(tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak)
+    del wideband
     return mzm_modulate(drive, tx.laser_power_dbm, tx.mzm)
 
 

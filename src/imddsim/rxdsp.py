@@ -45,10 +45,15 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
 
     ``thermal_noise_density`` is the input-referred current noise PSD
     (A^2/Hz); per-sample variance is density times the simulation rate.
+    A field that holds only its spectrum is detected from it by two real
+    transforms (see ``_intensity``), one that holds samples from them.
     """
     if fld.domain_tag != "optical_field":
         raise ParameterError("photodetect expects an optical field envelope")
-    current = np.abs(fld.samples) ** 2
+    if fld.holds_samples:
+        current = np.abs(fld.samples) ** 2
+    else:
+        current = _intensity(fld.spectrum)
     if thermal_noise_density > 0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(thermal_noise_density * fld.sample_rate_hz)
@@ -56,6 +61,35 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
     wave = SampledWaveform(fld.sample_rate_hz, current, "photocurrent")
     return apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz,
                                               ANALOG_BESSEL_ORDER))
+
+
+def _intensity(spectrum: np.ndarray) -> np.ndarray:
+    """|E|^2 = a^2 + b^2 of the field E = a + j b whose n-bin ``fft`` is S,
+    without the complex ``ifft``.
+
+    On bins k = 0..n // 2, rfft(a) is the Hermitian part
+    (S[k] + conj S[-k]) / 2 and rfft(b) the anti-Hermitian part
+    (S[k] - conj S[-k]) / 2j, so a and b are two ``irfft``s. Both are taken
+    of twice those parts, which scales them by exactly 2, and the sum of
+    squares by 1/4.
+    """
+    n = spectrum.size
+    h = n // 2 + 1
+    head = spectrum[:h]
+    mirror = np.empty(h, dtype=np.complex128)  # conj S[-k]
+    mirror[0] = spectrum[0]
+    mirror[1:] = spectrum[:n - h:-1]
+    np.conjugate(mirror, out=mirror)
+    a = np.fft.irfft(head + mirror, n)
+    np.subtract(head, mirror, out=mirror)
+    mirror *= -1j
+    b = np.fft.irfft(mirror, n)
+    del mirror
+    a *= a
+    b *= b
+    a += b
+    a *= 0.25
+    return a
 
 
 def digitize(wave: SampledWaveform, rate_hz: float = 256e9,

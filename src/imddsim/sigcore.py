@@ -24,6 +24,9 @@ Conventions used throughout the simulator:
   (``rfft``/``irfft``); only the optical field between the MZM and the
   photodiode holds complex samples and the full n-bin spectrum. No real
   waveform holds the redundant negative-frequency half of its spectrum.
+  Even the field is transformed by real transforms: the fiber reads the
+  real-valued modulator output by its ``rfft``, and the photodiode forms
+  |E|^2 from the field's spectrum by two ``irfft``s.
 - A filter is a response array on the waveform's own frequency grid
   (``wave.freqs()``), written in closed form, and :func:`apply_filter`
   multiplies it onto the spectrum.
@@ -112,6 +115,14 @@ class SampledWaveform:
         zeroed: the ``rfft`` of its samples. Where the record grid later
         changes (resampling, mixing), those bins become interior bins, and
         an imaginary part left there would turn into signal."""
+        return cls._from_spectrum(sample_rate_hz, spectrum, n, domain_tag, owned=False)
+
+    @classmethod
+    def _from_spectrum(cls, sample_rate_hz: float, spectrum, n: int, domain_tag: str,
+                       owned: bool) -> "SampledWaveform":
+        """:meth:`from_spectrum`; with ``owned`` the new waveform takes
+        ``spectrum`` over, so the DC and Nyquist imaginary parts are zeroed
+        in it rather than in a copy."""
         spec = _checked(sample_rate_hz, spectrum, domain_tag, "spectrum")
         spec = spec.astype(np.complex128, copy=False)
         real = domain_tag in _REAL_TAGS
@@ -122,7 +133,8 @@ class SampledWaveform:
         if real:
             ends = [0, -1] if n % 2 == 0 else [0]
             if np.any(spec[ends].imag != 0):
-                spec = spec.copy()  # the caller's array stays as it was
+                if not owned:
+                    spec = spec.copy()  # the caller's array stays as it was
                 spec[ends] = spec[ends].real
         wave = cls.__new__(cls)
         wave.sample_rate_hz = sample_rate_hz
@@ -157,6 +169,12 @@ class SampledWaveform:
         """True when the spectrum is held (built from it or computed once
         already), so reading it costs no transform."""
         return self._spectrum is not None
+
+    @property
+    def holds_samples(self) -> bool:
+        """True when the samples are held, so reading them costs no
+        transform."""
+        return self._samples is not None
 
     @property
     def real(self) -> np.ndarray:
@@ -247,6 +265,10 @@ _BESSEL_PROTOTYPES = {
 }
 
 
+#: Bins per block in which :func:`bessel_response` evaluates.
+_RESPONSE_BLOCK = 16384
+
+
 def _bessel_design(cutoff_hz: float, order: int) -> tuple[float, np.ndarray]:
     """Gain and real denominator polynomial of the Bessel lowpass with its
     3-dB point at ``cutoff_hz``: the prototype's poles scaled by the cutoff
@@ -270,23 +292,38 @@ def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.nd
     if cutoff_hz <= 0:
         raise ParameterError("Bessel cutoff must be positive")
     gain, den = _bessel_design(cutoff_hz, order)
-    s = 1j * (2 * np.pi * np.asarray(freqs_hz, dtype=float))
-    y = np.zeros_like(s)
-    for coef in den:  # Horner, as scipy.signal.freqs evaluates it, in place
-        y *= s
-        y += coef
-    return np.divide(gain, y, out=y)
+    f = np.asarray(freqs_hz, dtype=float)
+    out = np.empty(f.shape, dtype=np.complex128)
+    flat, y_flat = f.reshape(-1), out.reshape(-1)
+    # in blocks, so no full-length complex s = j 2 pi f is held
+    for start in range(0, flat.size, _RESPONSE_BLOCK):
+        s = 1j * (2 * np.pi * flat[start:start + _RESPONSE_BLOCK])
+        y = y_flat[start:start + _RESPONSE_BLOCK]
+        y[:] = 0
+        for coef in den:  # Horner, as scipy.signal.freqs evaluates it, in place
+            y *= s
+            y += coef
+        np.divide(gain, y, out=y)
+    return out
 
 
-def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform:
-    """Filter a waveform: its spectrum times ``response``, given on the
-    waveform's own frequency grid (``wave.freqs()``), so length is
-    preserved."""
+def apply_filter(wave: SampledWaveform, response: np.ndarray,
+                 *cascade: np.ndarray) -> SampledWaveform:
+    """Filter a waveform: its spectrum times ``response``, then times each
+    response of ``cascade`` in turn, all given on the waveform's own
+    frequency grid (``wave.freqs()``), so length is preserved. The cascade's
+    products are taken in place, which rounds as new products would, so it
+    costs no further record."""
     spectrum = wave.spectrum
-    if np.shape(response) != spectrum.shape:
-        raise ParameterError(f"response of shape {np.shape(response)} is not on "
-                             f"the {spectrum.size}-bin grid")
-    return wave.with_spectrum(spectrum * response)
+    for resp in (response, *cascade):
+        if np.shape(resp) != spectrum.shape:
+            raise ParameterError(f"response of shape {np.shape(resp)} is not on "
+                                 f"the {spectrum.size}-bin grid")
+    out = spectrum * response
+    for resp in cascade:
+        out *= resp
+    return SampledWaveform._from_spectrum(wave.sample_rate_hz, out, wave.n,
+                                          wave.domain_tag, owned=True)
 
 
 # ---------------------------------------------------------------------------

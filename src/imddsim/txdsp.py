@@ -205,6 +205,7 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     for s, phi in _feature_blocks(x, terms, lo, n_train):
         gram += phi @ phi.T
         moment += phi @ y[s]
+    del phi  # the last block's buffer goes before _volterra_series makes one
     eig = np.linalg.eigvalsh(gram)
     cond = float(np.sqrt(eig[-1] / eig[0])) if eig[0] > 0 else np.inf
     if cond > VOLTERRA_MAX_CONDITION:

@@ -14,6 +14,7 @@ from imddsim.channel import (
     propagate,
 )
 from imddsim.errors import ParameterError
+from imddsim.rxdsp import photodetect
 from imddsim.sigcore import SampledWaveform, nmse_db
 
 RATE = 2048e9  # fine time resolution for pulse-width measurements
@@ -86,6 +87,21 @@ class TestPropagate:
         one = propagate(propagate(w, FiberSpec(4.0), 1330.0), FiberSpec(6.0), 1330.0)
         two = propagate(w, FiberSpec(10.0), 1330.0)
         assert nmse_db(two, one) < -90
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
+    def test_real_field_read_by_rfft(self, n):
+        # a field that holds only real-valued samples (the modulator output)
+        # is read by its rfft, the negative half written as the conjugate
+        # mirror; odd, even and one-bin records meet the mirror differently
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        w = SampledWaveform(RATE, x.astype(complex), "optical_field")
+        out = propagate(w, O_FIBER, 1330.0).spectrum
+        assert not w.holds_spectrum  # no complex fft of the input ran
+        loss = 10 ** (-O_FIBER.attenuation_db_km * O_FIBER.length_km / 20.0)
+        phase = dispersion_phase(w.freqs(), O_FIBER, 1330.0, O_FIBER.length_km)
+        expect = loss * np.fft.fft(x) * np.exp(1j * phase)
+        assert np.max(np.abs(out - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_requires_optical_field(self):
         w = SampledWaveform(RATE, np.ones(64))
@@ -197,9 +213,10 @@ class TestObpf:
 
 
 class TestChannelMemory:
-    """The all-passes are built in place, so each stage holds fewer
-    record-sized arrays at once beyond its input, with the bytes of the
-    out-of-place products."""
+    """The all-passes are built in place, a real-valued field is read by its
+    ``rfft`` and a spectrum-held one detected by two ``irfft``s, so each
+    stage holds fewer record-sized arrays at once beyond its input, with the
+    bytes of the out-of-place products."""
 
     def test_bit_equal_to_out_of_place(self):
         # the responses are built on the n // 2 + 1 rfftfreq bins and
@@ -220,20 +237,26 @@ class TestChannelMemory:
                 out = obpf(w, 100e9, O_FIBER, 1310.0, trim_km=trim_km).spectrum
                 assert np.array_equal(out, w.spectrum * resp), (n, trim_km)
 
-    @pytest.mark.parametrize("stage, records", [
+    @pytest.mark.parametrize("stage, real, records", [
         # 2.00 complex records with the all-pass on the half grid; 2.63 on
         # the full grid, and 3.50 with it built out of place
-        (lambda w: propagate(w, O_FIBER, 1330.0), 3.0),
+        (lambda w: propagate(w, O_FIBER, 1330.0), False, 3.0),
+        # 2.00 complex records from the rfft; 3.00 from the full fft
+        (lambda w: propagate(w, O_FIBER, 1330.0), True, 2.5),
         # 1.56 complex records on the half grid; 2.13 on the full grid, and
         # 2.56 out of place
-        (lambda w: obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0), 2.35),
-    ], ids=["propagate", "obpf"])
-    def test_peak_memory(self, stage, records):
+        (lambda w: obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0), False, 2.35),
+        # 2.03 complex records from two irffts; 3.50 from the complex ifft
+        (photodetect, False, 2.5),
+    ], ids=["propagate", "propagate-real", "obpf", "photodetect"])
+    def test_peak_memory(self, stage, real, records):
         rng = np.random.default_rng(6)
         n = 1 << 16
-        w = SampledWaveform(RATE, rng.normal(size=n) + 1j * rng.normal(size=n),
-                            "optical_field")
-        w.spectrum  # the input arrives holding its spectrum
+        if real:  # the modulator output: real-valued samples only
+            w = SampledWaveform(RATE, rng.normal(size=n).astype(complex), "optical_field")
+        else:  # the input arrives holding only its spectrum
+            w = SampledWaveform.from_spectrum(
+                RATE, rng.normal(size=n) + 1j * rng.normal(size=n), n, "optical_field")
         tracemalloc.start()
         try:
             stage(w)

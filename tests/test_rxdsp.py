@@ -74,6 +74,24 @@ class TestPhotodetect:
         out = photodetect(fld, bandwidth_hz=1e15)
         assert np.min(out.real) > -1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
+    def test_spectrum_held_field_matches_ifft(self, n):
+        # a field that holds only its spectrum S is detected by two irffts of
+        # its Hermitian and anti-Hermitian parts; odd, even and one-bin
+        # records meet the conjugate mirror differently
+        rng = np.random.default_rng(n)
+        spectrum = rng.normal(size=n) + 1j * rng.normal(size=n)
+        fld = SampledWaveform.from_spectrum(RATE, spectrum, n, "optical_field")
+        out = photodetect(fld).real
+        assert not fld.holds_samples  # no complex ifft ran
+        expect = photodetect(SampledWaveform(RATE, np.fft.ifft(spectrum),
+                                             "optical_field")).real
+        assert np.max(np.abs(out - expect)) <= 1e-12 * np.max(np.abs(expect))
+        # the intensity itself, before the photodiode bandwidth
+        current = rxdsp._intensity(spectrum)
+        reference = np.abs(np.fft.ifft(spectrum)) ** 2
+        assert np.max(np.abs(current - reference)) <= 1e-12 * np.max(reference)
+
     def test_seeded_noise_deterministic(self):
         fld = SampledWaveform(RATE, np.ones(512), "optical_field")
         a = photodetect(fld, thermal_noise_density=1e-22, seed=5)

@@ -196,6 +196,22 @@ class TestApplyFilter:
         for bins in (w.n // 2, w.n, w.n + 1):  # w has w.n // 2 + 1 bins
             with pytest.raises(ParameterError):
                 apply_filter(w, np.ones(bins))
+            with pytest.raises(ParameterError):
+                apply_filter(w, np.ones(w.n // 2 + 1), np.ones(bins))
+
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096])
+    def test_cascade_bit_equal_to_successive_filters(self, n):
+        # the cascade's products are taken in place, and round as the new
+        # products of one filter after another do; the DC and Nyquist bins
+        # keep no imaginary part either way
+        w = bandlimited_noise(n, RATE, 100e9, seed=9)
+        droop = np.sinc(w.freqs() / RATE)
+        bessel = bessel_response(w.freqs(), 60e9, 4)
+        spectrum = w.spectrum.copy()
+        out = apply_filter(w, droop, bessel).spectrum
+        assert np.array_equal(out, apply_filter(apply_filter(w, droop), bessel).spectrum)
+        assert out[0].imag == 0 and (n % 2 or out[-1].imag == 0)
+        assert np.array_equal(w.spectrum, spectrum)  # the input is left alone
 
     def test_bessel_is_a_real_lowpass(self):
         n = 4096
@@ -226,8 +242,9 @@ class TestBesselInPlace:
         np.fft.rfftfreq(155520, 1 / 512e9),
         np.fft.fftfreq(155520, 1 / 512e9),
         np.fft.rfftfreq(131220, 1 / 432e9),
+        np.fft.rfftfreq(2 * sigcore._RESPONSE_BLOCK, 1 / 512e9),
         np.array([0.0, 60e9]),
-    ], ids=["one-sided", "signed", "one-sided-131220", "two-point"])
+    ], ids=["one-sided", "signed", "one-sided-131220", "block-plus-one", "two-point"])
     def test_bit_equal_to_out_of_place(self, grid, order):
         for cutoff in (63.7e9, 100e9, 113e9):
             assert np.array_equal(bessel_response(grid, cutoff, order),
