@@ -9,16 +9,21 @@ short single-span links.
 The field stays spectral from fiber to photodiode: ``propagate`` and
 ``obpf`` multiply the record spectrum, and ``optical_amplify`` adds the ASE
 as its DFT to a field that holds its spectrum. The modulator output is
-real-valued, so ``propagate`` takes its ``rfft`` and writes the negative
-half of the spectrum as the conjugate mirror, and ``photodetect`` forms
-|E|^2 of the spectrum-held field from two ``irfft``s: with a fiber, the
-optical chain costs three real transforms and no complex one.
+real-valued, so ``propagate`` (or ``obpf``, with no fiber before it) takes
+its ``rfft`` and writes the negative half of the spectrum as the conjugate
+mirror, and ``photodetect`` forms |E|^2 of the spectrum-held field from two
+``irfft``s: the optical chain costs three real transforms and no complex
+one.
 
 The dispersion all-passes and the OBPF passband depend on |f| only, so they
-are built on the ``n // 2 + 1`` ``rfftfreq`` bins and applied to both
-halves of the n-bin spectrum, without a full-length response. ``fftfreq``
-gives the negative bins as exactly the negated ``rfftfreq`` values, so this
-is bit-equal to evaluating them on every bin.
+are evaluated on the ``n // 2 + 1`` ``rfftfreq`` bins, in blocks, and
+applied to both halves of the n-bin spectrum, so no full-length response is
+held. ``fftfreq`` gives the negative bins as exactly the negated
+``rfftfreq`` values, so this is bit-equal to evaluating them on every bin.
+
+Each stage drops its input field once it has read it, so a field that its
+caller handed on (passed without binding a name to it) is freed inside the
+stage.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .sigcore import SampledWaveform
+from .sigcore import _RESPONSE_BLOCK, SampledWaveform, _require_finite
 
 #: Speed of light in vacuum (m/s), exact by the SI definition of the metre.
 _C_M_S = 299_792_458.0
@@ -98,11 +103,21 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
     if spec.length_km == 0:
         return field
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
-    allpass = 1j * dispersion_phase(_half_freqs(field), spec, lambda_nm, spec.length_km)
-    np.exp(allpass, out=allpass)
-    if not field.holds_spectrum and not np.any(field.samples.imag):
-        return field.with_spectrum(_real_times_even(field.samples.real, allpass, loss))
-    return field.with_spectrum(_times_even(field.spectrum, allpass, scale=loss))
+    n, rate = field.n, field.sample_rate_hz
+    real = _real_valued(field)
+    if real:
+        x = np.fft.rfft(field.samples.real)
+        x *= loss
+    else:
+        x = field.spectrum
+    del field  # a caller that handed the field on frees it here
+
+    def allpass(f):
+        out = 1j * dispersion_phase(f, spec, lambda_nm, spec.length_km)
+        return np.exp(out, out=out)
+
+    out = _times_even(x, n, rate, allpass, real, None if real else loss)
+    return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
@@ -119,20 +134,22 @@ def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
     parts N(0, n s^2) and the noise has the same distribution either way.
     """
     gain = 10 ** (spec.gain_db / 20.0)
-    if spec.noise_spectral_density == 0:
-        return field.scaled(gain)
-    rng = np.random.default_rng(seed)
-    sigma = np.sqrt(spec.noise_spectral_density * field.sample_rate_hz / 2.0)
+    n, rate = field.n, field.sample_rate_hz
     spectral = field.holds_spectrum
-    if spectral:
-        out = gain * field.spectrum
-        sigma *= np.sqrt(field.n)
-    else:
-        out = gain * field.samples
-    # real then imaginary part, each added in place to spare a record
-    out.real += rng.normal(0, sigma, field.n)
-    out.imag += rng.normal(0, sigma, field.n)
-    return field.with_spectrum(out) if spectral else field.with_samples(out)
+    out = gain * (field.spectrum if spectral else field.samples)
+    del field  # a caller that handed the field on frees it here
+    if spec.noise_spectral_density > 0:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(spec.noise_spectral_density * rate / 2.0)
+        if spectral:
+            sigma *= np.sqrt(n)
+        # real then imaginary part, each added in place to spare a record
+        out.real += rng.normal(0, sigma, n)
+        out.imag += rng.normal(0, sigma, n)
+    if not spectral:
+        return SampledWaveform(rate, out, "optical_field")  # scans the samples
+    _require_finite(out, "amplified field spectrum")
+    return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
 def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
@@ -140,68 +157,86 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
     """Programmable optical filter on the complex envelope: a brick-wall
     passband ``bandwidth_hz`` wide centred on the carrier (None passes every
     bin) times the all-pass that undoes the dispersion of ``trim_km`` of
-    ``fiber``. Both depend on |f| only, so the response is even in f. With
-    neither, the field passes unchanged.
+    ``fiber``. Both depend on |f| only, so the response is even in f, and a
+    field that holds only real-valued samples (no fiber before the filter)
+    is read by its ``rfft``, as ``propagate`` reads it. With neither, the
+    field passes unchanged.
     """
     if field.domain_tag != "optical_field":
         raise ParameterError("obpf expects an optical field envelope")
     if bandwidth_hz is None and trim_km == 0:
         return field
-    f = _half_freqs(field)
-    spectrum = field.spectrum
+    n, rate = field.n, field.sample_rate_hz
+    real = _real_valued(field)
+    x = np.fft.rfft(field.samples.real) if real else field.spectrum
+    del field  # a caller that handed the field on frees it here
     if trim_km == 0:
         # the passband alone, equal to multiplying by it up to the sign of
         # zeros: zero the bins with |f| above its edge, which on the n-bin
         # grid are k..n - k for the first such rfftfreq bin k
-        k = int(np.searchsorted(f, bandwidth_hz / 2, side="right"))
-        out = spectrum.copy()
-        out[k:field.n - k + 1] = 0.0
-        return field.with_spectrum(out)
-    resp = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
-    np.exp(resp, out=resp)
-    if bandwidth_hz is not None:
-        resp[f > bandwidth_hz / 2] = 0.0
-    del f
-    return field.with_spectrum(_times_even(spectrum, resp))
+        k = int(np.searchsorted(np.fft.rfftfreq(n, d=1.0 / rate), bandwidth_hz / 2,
+                                side="right"))
+        out = np.empty(n, dtype=np.complex128)
+        if real:  # bins n // 2 + 1..n - 1 are the conjugates of (n - 1) // 2..1
+            out[: x.size] = x
+            np.conjugate(x[(n + 1) // 2 - 1: 0: -1], out=out[x.size:])
+        else:
+            out[:] = x
+        out[k:n - k + 1] = 0.0
+        return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
+
+    def response(f):
+        out = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
+        np.exp(out, out=out)
+        if bandwidth_hz is not None:
+            out[f > bandwidth_hz / 2] = 0.0
+        return out
+
+    out = _times_even(x, n, rate, response, real)
+    return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
-def _half_freqs(field: SampledWaveform) -> np.ndarray:
-    """|f| of the optical field's bins 0..n // 2 (the ``rfftfreq`` grid)."""
-    return np.fft.rfftfreq(field.n, d=1.0 / field.sample_rate_hz)
+def _real_valued(field: SampledWaveform) -> bool:
+    """True when ``field`` holds only samples and they are real-valued (the
+    modulator output), so its ``rfft`` gives its whole spectrum."""
+    return not field.holds_spectrum and not np.any(field.samples.imag)
 
 
-def _times_even(spectrum: np.ndarray, half: np.ndarray,
+def _times_even(x: np.ndarray, n: int, rate_hz: float, response, real: bool = False,
                 scale: float | None = None) -> np.ndarray:
-    """``scale * spectrum`` (n ``fft`` bins) times the response that is even
-    in f and takes the values ``half`` on bins 0..n // 2, as a new array.
+    """An n-bin spectrum times the response that is even in f, as a new
+    array.
 
-    Bins n // 2 + 1..n - 1 hold the frequencies -((n - 1) // 2)..-1, so they
-    take ``half[(n - 1) // 2..1]``. The spectrum stays the first factor, as
-    numpy's complex products do not commute bitwise, and no product is taken
-    in place: numpy rounds an in-place product of one element differently.
+    ``x`` is the n-bin spectrum, each value multiplied by ``scale`` first
+    when one is given, or with ``real`` the ``rfft`` of a real record (bins
+    0..n // 2): bins n // 2 + 1..n - 1 of its ``fft`` are the conjugates of
+    bins (n - 1) // 2..1. The response is ``response(f)`` on blocks of
+    ``_RESPONSE_BLOCK`` bins 0..n // 2, with ``f`` their frequencies at
+    ``rate_hz`` formed as ``rfftfreq`` forms them, so neither the grid nor
+    the response is held at full length; bin n - j takes the value at bin j.
+
+    Each value is the product one full-length product would give: the
+    spectrum stays the first factor, as numpy's complex products do not
+    commute bitwise, and no product is taken in place, as numpy rounds an
+    in-place product of one element differently.
     """
-    n = spectrum.size
-    h = n // 2 + 1
-    out = np.empty_like(spectrum)
-    for part, resp in ((slice(0, h), half), (slice(h, n), half[1:(n + 1) // 2][::-1])):
-        x = spectrum[part] if scale is None else scale * spectrum[part]
-        np.multiply(x, resp, out=out[part])
-        del x  # the scaled half record goes before the next is made
-    return out
-
-
-def _real_times_even(samples: np.ndarray, half: np.ndarray, scale: float) -> np.ndarray:
-    """``_times_even(scale * fft(samples), half)`` for real ``samples``, from
-    their ``rfft``: bins n // 2 + 1..n - 1 of the ``fft`` are the conjugates
-    of bins (n - 1) // 2..1, so they take the mirrored conjugate times the
-    same mirrored response."""
-    n = samples.size
-    h = n // 2 + 1
-    x = np.fft.rfft(samples)
-    x *= scale
     out = np.empty(n, dtype=np.complex128)
-    np.multiply(x, half, out=out[:h])
-    np.conjugate(x, out=x)
-    mirror = slice((n + 1) // 2 - 1, 0, -1)
-    np.multiply(x[mirror], half[mirror], out=out[h:])
+    h = n // 2 + 1
+    top = (n + 1) // 2  # bins 1..top - 1 have their mirror at n - j
+    step = 1.0 / (n * (1.0 / rate_hz))
+    for a in range(0, h, _RESPONSE_BLOCK):
+        b = min(a + _RESPONSE_BLOCK, h)
+        resp = response(np.arange(a, b) * step)
+        pos = x[a:b] if scale is None else scale * x[a:b]
+        np.multiply(pos, resp, out=out[a:b])
+        lo, hi = max(a, 1), min(b, top)
+        if lo >= hi:
+            continue
+        if real:
+            neg = np.conj(x[lo:hi])
+        else:
+            neg = x[n - hi + 1: n - lo + 1][::-1]
+            if scale is not None:
+                neg = scale * neg
+        np.multiply(neg, resp[lo - a: hi - a], out=out[n - hi + 1: n - lo + 1][::-1])
     return out

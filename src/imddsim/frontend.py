@@ -21,6 +21,7 @@ from .errors import ParameterError
 from .sigcore import (
     SampledWaveform,
     _bessel_design,
+    _require_finite,
     apply_filter,
     band_energy_fraction,
     bessel_response,
@@ -155,13 +156,37 @@ def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9
     above the converter Nyquist are not modeled, matching a converter whose
     output network removes them.
     """
+    response = dac_response(_analog_freqs(wave, analog_rate_hz), wave.sample_rate_hz,
+                            bandwidth_hz)
+    return _convert(wave, analog_rate_hz, resolution_bits, response)
+
+
+def _analog_freqs(wave: SampledWaveform, analog_rate_hz: float) -> np.ndarray:
+    """The one-sided grid of ``wave`` resampled to ``analog_rate_hz``."""
     if analog_rate_hz < wave.sample_rate_hz:
         raise ParameterError("analog rate must be at least the DAC rate")
+    n = int(round(wave.n * analog_rate_hz / wave.sample_rate_hz))
+    return np.fft.rfftfreq(n, d=1.0 / analog_rate_hz)
+
+
+def _convert(wave: SampledWaveform, analog_rate_hz: float, resolution_bits: int | None,
+             response: tuple[np.ndarray, np.ndarray] | None) -> SampledWaveform:
+    """:func:`dac` with the converter ``response`` (droop, Bessel) given on
+    the analog grid, or exact resampling alone when it is None. The droop
+    and the Bessel filter multiply the resampled spectrum, which the stage
+    made itself, in place."""
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
     up = resample(wave, analog_rate_hz)
-    droop, bessel = dac_response(up.freqs(), wave.sample_rate_hz, bandwidth_hz)
-    return apply_filter(up, droop, bessel)
+    if response is None:
+        return up
+    if up is wave:  # no rate change: the spectrum is the caller's
+        return apply_filter(up, *response)
+    del wave  # a caller that handed the record on frees it here
+    spectrum = up.spectrum
+    for resp in response:
+        spectrum *= resp
+    return up
 
 
 def mixer_gain(freq_hz: np.ndarray, bandwidth_hz: float) -> np.ndarray:
@@ -194,13 +219,11 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
             stacklevel=2,
         )
 
-    up, down = lo_shift(if_wave.spectrum, n, rate, lo_frequency_hz)
-    phasor = np.exp(1j * lo_phase_rad)
-    np.multiply(phasor, up, out=up)  # phasor first: numpy rounds by operand order
-    up += np.conj(phasor) * down
+    up = lo_shift(if_wave.spectrum, n, rate, lo_frequency_hz, np.exp(1j * lo_phase_rad))
+    del if_wave  # a caller that handed the IF record on frees it here
     if bandwidth_hz is not None:
-        up *= mixer_gain(if_wave.freqs(), bandwidth_hz)
-    return SampledWaveform.from_spectrum(rate, up, n)
+        up *= mixer_gain(np.fft.rfftfreq(n, d=1.0 / rate), bandwidth_hz)
+    return SampledWaveform._from_spectrum(rate, up, n, "electrical", owned=True)
 
 
 def combine(lower: SampledWaveform, upper_rf: SampledWaveform) -> SampledWaveform:
@@ -214,9 +237,13 @@ def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
     """Bandwidth filter, then linear gain, then optional tanh saturation
     referenced to the input 1-dB compression level."""
     out = apply_filter(wave, model.response(wave.freqs()))
+    del wave  # a caller that handed the record on frees it here
     g = 10 ** (model.gain_db / 20.0)
     if model.compression_in_1db is None:
-        return out.scaled(g)
+        spectrum = out.spectrum
+        spectrum *= g  # the filter's own product, scaled in place
+        _require_finite(spectrum, "amplifier output")
+        return out
     sat = g * model.compression_in_1db / _TANH_1DB
     return out.with_samples(sat * np.tanh(g * out.real / sat))
 
@@ -238,7 +265,9 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
     """Field transfer E = sqrt(P_laser) cos(pi (v + Vpi/2) / (2 Vpi)) after
     the modulator bandwidth filter on the drive."""
     require_real(drive, "MZM drive")
+    rate = drive.sample_rate_hz
     v = apply_filter(drive, model.response(drive.freqs())).real
+    del drive  # a caller that handed the drive on frees it here
     amp = np.sqrt(10 ** ((laser_power_dbm - 30.0) / 10.0))
     phase = v + model.v_pi_volts / 2
     del v
@@ -249,7 +278,7 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
     np.cos(phase, out=field.real)
     del phase
     field.real *= amp
-    return SampledWaveform(drive.sample_rate_hz, field, "optical_field")
+    return SampledWaveform(rate, field, "optical_field")
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +304,38 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     With a DAC bandwidth, the converter's Bessel response delays the IF arm,
     which up-converts into a constant phase offset between the bands; the LO
     phase absorbs it (the lab equivalent is tuning the LO path length).
+
+    The two records are the two channels of one AWG, so they must share
+    rate and length; both converters then run on one grid and share one
+    response. Each record is dropped once it is converted.
     """
+    if (lower_awg.sample_rate_hz, lower_awg.n) != (upper_awg.sample_rate_hz, upper_awg.n):
+        raise ParameterError("the two AWG records must share rate and length")
     lo_phase_rad = 0.0
-    if dac_bandwidth_hz is None:
-        lower = resample(lower_awg, analog_rate_hz)
-        upper_if = resample(upper_awg, analog_rate_hz)
-    else:
-        lower = dac(lower_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)
-        upper_if = dac(upper_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)
+    response = None
+    if dac_bandwidth_hz is not None:
+        # both converters run on the same grid, so they share one response
+        response = dac_response(_analog_freqs(lower_awg, analog_rate_hz),
+                                lower_awg.sample_rate_hz, dac_bandwidth_hz)
         tau_if = bessel_group_delay_dc(dac_bandwidth_hz)
         lo_phase_rad = -2 * np.pi * plan.lo_frequency_hz * tau_if
-
-    upper_rf = mixer_upconvert(upper_if, plan.lo_frequency_hz, mixer_bandwidth_hz,
-                               lo_phase_rad)
-
-    lpf = filter_response(plan.analog_hpf_cutoff_hz, ANALOG_HPF_TRANSITION_HZ,
-                          upper_rf.n, upper_rf.sample_rate_hz)
-    upper_rf = apply_filter(upper_rf, 1.0 - lpf)
+    lower = _convert(lower_awg, analog_rate_hz, dac_resolution_bits, response)
+    del lower_awg
+    # the IF record goes to the mixer in a list, so the mixer frees it once
+    # it has read it, and the response goes before the mixer runs
+    upper_if = [_convert(upper_awg, analog_rate_hz, dac_resolution_bits, response)]
+    del upper_awg, response
+    spectrum = mixer_upconvert(upper_if.pop(), plan.lo_frequency_hz, mixer_bandwidth_hz,
+                               lo_phase_rad).spectrum
+    # the HPF multiplies the mixer's product, which no one else holds, in place
+    hpf = filter_response(plan.analog_hpf_cutoff_hz, ANALOG_HPF_TRANSITION_HZ,
+                          lower.n, analog_rate_hz)
+    np.subtract(1.0, hpf, out=hpf)
+    spectrum *= hpf
+    del hpf
+    upper_rf = SampledWaveform._from_spectrum(analog_rate_hz, spectrum, lower.n,
+                                              "electrical", owned=True)
+    del spectrum
     if upper_amplifier is not None:
         upper_rf = amplify(upper_rf, upper_amplifier)
     return combine(lower, upper_rf)

@@ -129,56 +129,63 @@ def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
     return mag
 
 
-def _preemphasize(config: LinkConfig, lower: SampledWaveform,
-                  upper: SampledWaveform) -> tuple[SampledWaveform, SampledWaveform]:
+def _preemphasize(config: LinkConfig, bands: list[SampledWaveform]) -> list[SampledWaveform]:
+    """Pre-emphasize the ``[lower, upper]`` AWG records, popped from
+    ``bands`` so each is freed once its product is formed."""
     plan = config.plan
     # both bands share the AWG record grid
-    f = lower.freqs()
+    f = bands[0].freqs()
     droop, bessel = dac_response(f, plan.awg_rate_hz, plan.awg_bandwidth_hz)
     zoh_awg = np.abs(droop) * np.abs(bessel)
+    del droop, bessel
     resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
     resp_upper = zoh_awg * _tx_chain_magnitude(
         config, f + plan.lo_frequency_hz, upper_path=True
     )
+    del f, zoh_awg
     boost = config.dsp.preemphasis_max_boost_db
-    return (linear_preemphasis(lower, resp_lower / resp_lower.max(), boost),
-            linear_preemphasis(upper, resp_upper / resp_upper.max(), boost))
+    return [linear_preemphasis(bands.pop(0), resp_lower / resp_lower.max(), boost),
+            linear_preemphasis(bands.pop(), resp_upper / resp_upper.max(), boost)]
 
 
 def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
-    """Symbols to modulated optical field."""
-    dsp, tx, plan = config.dsp, config.tx, config.plan
-    wide = rrc_upsample(tx_symbols, SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
-                        config.symbol_rate_hz)
-    lower, upper = band_split(wide, plan)
-    del wide
-    lower, upper = _preemphasize(config, lower, upper)
+    """Symbols to modulated optical field.
 
-    wideband = stitch_bands(
-        lower, upper, plan, tx.analog_rate_hz,
+    Each record goes straight into the call that reads it, or in a list
+    that the call empties, so no stage's input outlives its first use
+    (CPython 3.11 and later hand a call's arguments to the callee's frame,
+    where the stage drops them)."""
+    dsp, tx, plan = config.dsp, config.tx, config.plan
+    bands = _preemphasize(config, list(band_split(
+        rrc_upsample(tx_symbols, SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
+                     config.symbol_rate_hz),
+        plan)))
+    held = [stitch_bands(
+        bands.pop(0), bands.pop(), plan, tx.analog_rate_hz,
         mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
         dac_bandwidth_hz=plan.awg_bandwidth_hz,
         dac_resolution_bits=tx.awg_resolution_bits,
         upper_amplifier=tx.upper_path_amplifier,
-    )
+    )]
     for amp in tx.amplifier_chain:
-        wideband = amplify(wideband, amp)
+        held.append(amplify(held.pop(), amp))
 
-    peak = np.max(np.abs(wideband.real))
-    drive = wideband.scaled(tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak)
-    del wideband
-    return mzm_modulate(drive, tx.laser_power_dbm, tx.mzm)
+    peak = np.max(np.abs(held[0].real))
+    scale = tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak
+    return mzm_modulate(held.pop().scaled(scale), tx.laser_power_dbm, tx.mzm)
 
 
 def _through_channel(config: LinkConfig, held: list[SampledWaveform],
                      seed_ase) -> SampledWaveform:
     """Field to field through fiber, amplifier and OBPF; pops the input
-    field from ``held`` (see ``_receive``)."""
+    field from ``held`` (see ``_receive``) and hands each stage's output
+    straight to the next, so each field is freed inside the stage that
+    reads it."""
     chan = config.channel
-    field = propagate(held.pop(), chan.fiber, chan.wavelength_nm)
-    field = optical_amplify(field, chan.amplifier, seed_ase)
-    return obpf(field, chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm,
-                chan.obpf_cd_trim_km)
+    return obpf(
+        optical_amplify(propagate(held.pop(), chan.fiber, chan.wavelength_nm),
+                        chan.amplifier, seed_ase),
+        chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm, chan.obpf_cd_trim_km)
 
 
 def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndarray,
@@ -186,17 +193,17 @@ def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndar
     """Field to equalized T-spaced symbols; returns (symbols, train_count).
 
     The field is popped from the one-element list ``held``: the caller
-    passes the list, not the field, so the field is freed once
-    ``photodetect`` returns instead of living through the whole stage.
+    passes the list, not the field, so no frame of the caller holds it.
+    Each stage's output goes straight into the next stage, which frees it
+    once it has read it, so every record dies at its last use.
     """
     rx, dsp = config.rx, config.dsp
-    # one name through the chain, so each stage's input is freed once the
-    # next stage returns
-    wave = photodetect(held.pop(), rx.pd_bandwidth_hz, rx.pd_thermal_noise_density,
-                       seed_thermal)
-    wave = digitize(wave, rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits)
-    wave = resample(wave, SAMPLES_PER_SYMBOL * config.symbol_rate_hz)
-    wave, _ = synchronize(wave, reference[:PREAMBLE_SYMBOLS])
+    wave, _ = synchronize(
+        resample(digitize(photodetect(held.pop(), rx.pd_bandwidth_hz,
+                                      rx.pd_thermal_noise_density, seed_thermal),
+                          rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits),
+                 SAMPLES_PER_SYMBOL * config.symbol_rate_hz),
+        reference[:PREAMBLE_SYMBOLS])
     samples = wave.real
     del wave  # the FFE needs only the samples, not the spectrum
     eq, state = ffe_train_apply(samples, reference, dsp.ffe_taps, dsp.ffe_train_fraction)
@@ -208,8 +215,7 @@ def _train_dpd(config: LinkConfig, rngs: dict):
     train_seed = int(rngs["dpd"].integers(0, 2**31 - 1))
     train_cfg = replace(config, seed=train_seed)
     sub = _spawn_rngs(train_cfg)
-    frame = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"])
-    symbols = frame.levels()
+    symbols = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"]).levels()
     held = [_transmit(train_cfg, symbols)]
     held.append(_through_channel(train_cfg, held, sub["ase"]))
     eq, n_train = _receive(train_cfg, held, symbols, sub["thermal"])
@@ -325,6 +331,7 @@ def run_link(config: LinkConfig) -> MetricsReport:
     # the field goes from stage to stage in ``held``, which each stage
     # empties, so no stage's input outlives its first use
     held = [_stage("frontend", _transmit, config, tx_symbols)]
+    del tx_symbols
     held.append(_stage("channel", _through_channel, config, held, rngs["ase"]))
     eq, n_train = _stage("rxdsp", _receive, config, held, symbols, rngs["thermal"])
 

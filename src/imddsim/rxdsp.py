@@ -25,7 +25,15 @@ import numpy as np
 from .errors import NoRateError, ParameterError, SyncError
 from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
 from .shaping import PamAlphabet, SymbolFrame, entropy_bits
-from .sigcore import SampledWaveform, apply_filter, bessel_response, require_real, resample, rms
+from .sigcore import (
+    SampledWaveform,
+    _require_finite,
+    apply_filter,
+    bessel_response,
+    require_real,
+    resample,
+    rms,
+)
 
 LLR_CAP = 50.0
 #: Floor of the symbol metric in ``llr_compute``: exp(-700) is still a
@@ -50,17 +58,30 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
     """
     if fld.domain_tag != "optical_field":
         raise ParameterError("photodetect expects an optical field envelope")
+    n, rate = fld.n, fld.sample_rate_hz
     if fld.holds_samples:
         current = np.abs(fld.samples) ** 2
+        del fld  # a caller that handed the field on frees it here
     else:
-        current = _intensity(fld.spectrum)
+        # the spectrum goes to _intensity in a list, so once the two parts
+        # are formed it is freed with the field of a caller that handed it on
+        spectrum = [fld.spectrum]
+        del fld
+        current = _intensity(spectrum.pop())
     if thermal_noise_density > 0:
         rng = np.random.default_rng(seed)
-        sigma = np.sqrt(thermal_noise_density * fld.sample_rate_hz)
-        current = current + rng.normal(0, sigma, fld.n)
-    wave = SampledWaveform(fld.sample_rate_hz, current, "photocurrent")
-    return apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz,
-                                              ANALOG_BESSEL_ORDER))
+        sigma = np.sqrt(thermal_noise_density * rate)
+        current += rng.normal(0, sigma, n)
+    _require_finite(current, "photocurrent")
+    # the PD filter reads the photocurrent's spectrum, so its samples go
+    # before the product is formed
+    spectrum = np.fft.rfft(current)
+    del current
+    response = bessel_response(np.fft.rfftfreq(n, d=1.0 / rate), bandwidth_hz,
+                               ANALOG_BESSEL_ORDER)
+    np.multiply(spectrum, response, out=response)
+    del spectrum
+    return SampledWaveform._from_spectrum(rate, response, n, "photocurrent", owned=True)
 
 
 def _intensity(spectrum: np.ndarray) -> np.ndarray:
@@ -80,9 +101,12 @@ def _intensity(spectrum: np.ndarray) -> np.ndarray:
     mirror[0] = spectrum[0]
     mirror[1:] = spectrum[:n - h:-1]
     np.conjugate(mirror, out=mirror)
-    a = np.fft.irfft(head + mirror, n)
+    both = head + mirror
     np.subtract(head, mirror, out=mirror)
+    del head, spectrum  # the caller's spectrum, if it handed it on
     mirror *= -1j
+    a = np.fft.irfft(both, n)
+    del both
     b = np.fft.irfft(mirror, n)
     del mirror
     a *= a
@@ -99,6 +123,7 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
     uniform quantization."""
     out = apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz,
                                              ANALOG_BESSEL_ORDER))
+    del wave  # a caller that handed the record on frees it here
     out = resample(out, rate_hz)
     if resolution_bits is not None:
         out = out.with_samples(quantize_uniform(out.real, resolution_bits))
@@ -129,17 +154,21 @@ def synchronize(received: SampledWaveform,
     photocurrent still locks.
     """
     require_real(received, "synchronize input")
-    template = np.zeros(received.n)
+    n, rate, tag = received.n, received.sample_rate_hz, received.domain_tag
     pre = np.asarray(preamble_symbols, dtype=float)
-    if pre.size * SAMPLES_PER_SYMBOL > received.n:
+    if pre.size * SAMPLES_PER_SYMBOL > n:
         raise ParameterError("preamble longer than the record")
-    template[: pre.size * SAMPLES_PER_SYMBOL: SAMPLES_PER_SYMBOL] = pre
 
     # mean removed by zeroing the DC bin
     x = received.spectrum.copy()
+    del received  # a caller that handed the record on frees it here
     x[0] = 0.0
-    corr = np.fft.irfft(x * np.conj(np.fft.rfft(template)), received.n)
-    mag = np.abs(corr)
+    # both complex products are left to numpy as written: a complex product
+    # rounds by operand order, and from 256 KiB on numpy reuses a temporary
+    # factor's array for the product, putting that factor first, so an
+    # in-place rewrite would move the results at rounding level
+    mag = np.fft.irfft(x * np.conj(_template_spectrum(pre, n)), n)
+    np.abs(mag, out=mag)
     peak = int(np.argmax(mag))
     floor = rms(mag)
     if floor == 0 or mag[peak] / floor < SYNC_PEAK_THRESHOLD:
@@ -153,12 +182,20 @@ def synchronize(received: SampledWaveform,
     denom = a - 2 * b + c
     frac = 0.0 if denom == 0 else 0.5 * (a - c) / denom
     delay = peak + float(np.clip(frac, -0.5, 0.5))
-    if delay > received.n / 2:
-        delay -= received.n  # wrapped negative delay
+    if delay > n / 2:
+        delay -= n  # wrapped negative delay
+    del mag
 
-    freqs = np.fft.rfftfreq(received.n)
-    aligned = x * np.exp(2j * np.pi * freqs * delay)
-    return received.with_spectrum(aligned), delay
+    aligned = x * np.exp(2j * np.pi * np.fft.rfftfreq(n) * delay)
+    return SampledWaveform._from_spectrum(rate, aligned, n, tag, owned=True), delay
+
+
+def _template_spectrum(preamble: np.ndarray, n: int) -> np.ndarray:
+    """``rfft`` of the n-sample record that holds ``preamble`` on every
+    ``SAMPLES_PER_SYMBOL``-th sample from the start and zeros elsewhere."""
+    template = np.zeros(n)
+    template[: preamble.size * SAMPLES_PER_SYMBOL: SAMPLES_PER_SYMBOL] = preamble
+    return np.fft.rfft(template)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +272,7 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
         raise ParameterError("least-squares training takes one pass; "
                              "train_passes must be 1")
     x = np.asarray(received, dtype=float)
+    _require_finite(x, "equalizer input")
     ref = np.asarray(reference_symbols, dtype=float)
     n_sym = min(x.size // SAMPLES_PER_SYMBOL, ref.size)
     if n_sym < 4 * tap_count:
@@ -358,6 +396,7 @@ def llr_compute(metric: np.ndarray, frame: SymbolFrame) -> np.ndarray:
     np.exp(prob, out=prob)
     masks = frame.alphabet.labels.T
     sums = np.vstack([masks == 0, masks == 1]).astype(float) @ prob
+    del prob
     np.log(sums, out=sums)
     m = masks.shape[0]
     llr = sums[:m] - sums[m:]
@@ -540,7 +579,10 @@ def score_symbols(soft_symbols: np.ndarray, frame: SymbolFrame, rate_table: Rate
         ber, _ = decide_and_ber(metric, block)
         # a block's BER is its error count over n * m, so this is exact
         errors += round(ber * block.n * m)
-        gmi, _ = gmi_ngmi(llr_compute(metric, block), block.bits(), h_bits, m)
+        llr = llr_compute(metric, block)
+        del metric  # before the next block's metric is built
+        gmi, _ = gmi_ngmi(llr, block.bits(), h_bits, m)
+        del llr
         deficit += (h_bits - gmi) * block.n
     ber = errors / (frame.n * m)
     gmi = h_bits - deficit / frame.n

@@ -85,6 +85,7 @@ class SampledWaveform:
 
     def __init__(self, sample_rate_hz: float, samples, domain_tag: str = "electrical"):
         arr = _checked(sample_rate_hz, samples, domain_tag, "samples")
+        _require_finite(arr, "samples")
         if domain_tag in _REAL_TAGS:
             if np.iscomplexobj(arr):
                 total = np.sqrt(np.mean(np.abs(arr) ** 2))
@@ -115,14 +116,17 @@ class SampledWaveform:
         zeroed: the ``rfft`` of its samples. Where the record grid later
         changes (resampling, mixing), those bins become interior bins, and
         an imaginary part left there would turn into signal."""
+        _require_finite(_checked(sample_rate_hz, spectrum, domain_tag, "spectrum"),
+                        "spectrum")
         return cls._from_spectrum(sample_rate_hz, spectrum, n, domain_tag, owned=False)
 
     @classmethod
     def _from_spectrum(cls, sample_rate_hz: float, spectrum, n: int, domain_tag: str,
                        owned: bool) -> "SampledWaveform":
-        """:meth:`from_spectrum`; with ``owned`` the new waveform takes
-        ``spectrum`` over, so the DC and Nyquist imaginary parts are zeroed
-        in it rather than in a copy."""
+        """:meth:`from_spectrum` of a spectrum a stage computed, without the
+        scan for non-finite values (see ``_require_finite``). With ``owned``
+        the new waveform takes ``spectrum`` over, so the DC and Nyquist
+        imaginary parts are zeroed in it rather than in a copy."""
         spec = _checked(sample_rate_hz, spectrum, domain_tag, "spectrum")
         spec = spec.astype(np.complex128, copy=False)
         real = domain_tag in _REAL_TAGS
@@ -193,11 +197,17 @@ class SampledWaveform:
         return SampledWaveform.from_spectrum(self.sample_rate_hz, spectrum, self.n,
                                              self.domain_tag)
 
+    def _with_own_spectrum(self, spectrum: np.ndarray) -> "SampledWaveform":
+        """:meth:`with_spectrum` of an array a stage has just computed, which
+        the new waveform takes over unscanned (see ``_require_finite``)."""
+        return SampledWaveform._from_spectrum(self.sample_rate_hz, spectrum, self.n,
+                                              self.domain_tag, owned=True)
+
     def scaled(self, factor: float) -> "SampledWaveform":
         """The waveform times a constant, formed from the spectrum when one
         is held (so a following linear stage needs no transform)."""
         if self._spectrum is not None:
-            return self.with_spectrum(factor * self._spectrum)
+            return self._with_own_spectrum(factor * self._spectrum)
         return self.with_samples(factor * self._samples)
 
     def plus(self, other: "SampledWaveform") -> "SampledWaveform":
@@ -205,20 +215,35 @@ class SampledWaveform:
         spectra otherwise."""
         if self._samples is not None and other._samples is not None:
             return self.with_samples(self._samples + other._samples)
-        return self.with_spectrum(self.spectrum + other.spectrum)
+        return self._with_own_spectrum(self.spectrum + other.spectrum)
 
 
 def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
+    """``values`` as an array, after the checks that need no pass over it."""
     if sample_rate_hz <= 0:
         raise ParameterError("sample_rate_hz must be positive")
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError(f"{what} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{what} must be finite")
     if domain_tag not in _DOMAIN_TAGS:
         raise ParameterError(f"unknown domain_tag {domain_tag!r}")
     return arr
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise unless every value is finite.
+
+    This is a pass over the record, so it runs only where outside data
+    enters: the public constructors (``SampledWaveform``,
+    :meth:`~SampledWaveform.from_spectrum`, ``with_samples``,
+    ``with_spectrum``), the raw arrays a public stage takes, and the output
+    of the pointwise stages that can overflow (amplifier gain, modulator,
+    optical gain and ASE, square-law detection). A linear stage applies a
+    finite closed-form response to a finite record, so the waveforms the
+    stages build in between go unscanned.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} must be finite")
 
 
 def require_real(wave: SampledWaveform, what: str) -> None:
@@ -265,8 +290,10 @@ _BESSEL_PROTOTYPES = {
 }
 
 
-#: Bins per block in which :func:`bessel_response` evaluates.
-_RESPONSE_BLOCK = 16384
+#: Bins per block in which :func:`bessel_response` and the optical channel
+#: evaluate their responses and :func:`lo_shift` adds its second image, so
+#: no full-length temporary is held.
+_RESPONSE_BLOCK = 8192
 
 
 def _bessel_design(cutoff_hz: float, order: int) -> tuple[float, np.ndarray]:
@@ -360,23 +387,40 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
         # the unpaired bin: its mirror joins it going down, splits off going up
         y[m // 2] *= 2.0 if n_out < n_in else 0.5
     y *= n_out / n_in
-    return SampledWaveform.from_spectrum(target_rate_hz, y, n_out, wave.domain_tag)
+    return SampledWaveform._from_spectrum(target_rate_hz, y, n_out, wave.domain_tag,
+                                          owned=True)
 
 
 def lo_shift(spectrum: np.ndarray, n: int, sample_rate_hz: float,
-             lo_frequency_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """New arrays ``(X[f - f_LO], X[f + f_LO])`` from the one-sided spectrum
-    X of a real n-sample record, the LO snapped to a grid bin; their sum is
-    the spectrum of 2 x(t) cos(2 pi f_LO t). Bins below DC fold back, and
-    bins past Nyquist wrap in, as conjugates."""
+             lo_frequency_hz: float, phasor: complex | None = None) -> np.ndarray:
+    """``phasor X[f - f_LO] + conj(phasor) X[f + f_LO]`` as a new array, from
+    the one-sided spectrum X of a real n-sample record, the LO snapped to a
+    grid bin: the spectrum of 2 x(t) cos(2 pi f_LO t + phi) for the phasor
+    exp(j phi), and of 2 x(t) cos(2 pi f_LO t) without one. Bins below DC
+    fold back, and bins past Nyquist wrap in, as conjugates. The second
+    image is added into the first in blocks, so no second record is held;
+    each product keeps the phasor first, as numpy rounds a complex product
+    by operand order."""
     k = int(round(lo_frequency_hz * n / sample_rate_hz))
     if not 0 <= k <= n // 2:
         raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
                              f"[0, Nyquist {sample_rate_hz / 2:.4g} Hz]")
     bins = spectrum.size
-    up = np.concatenate([np.conj(spectrum[k:0:-1]), spectrum[: bins - k]])
+    out = np.empty(bins, dtype=np.complex128)  # X[f - f_LO]
+    np.conjugate(spectrum[k:0:-1], out=out[:k])
+    out[k:] = spectrum[: bins - k]
     wrap = np.conj(spectrum[n - bins - k + 1: n - bins + 1][::-1])
-    return up, np.concatenate([spectrum[k:], wrap])
+    if phasor is None:
+        out[: bins - k] += spectrum[k:]  # X[f + f_LO]
+        out[bins - k:] += wrap
+        return out
+    np.multiply(phasor, out, out=out)
+    conj = np.conj(phasor)
+    for start in range(k, bins, _RESPONSE_BLOCK):
+        stop = min(start + _RESPONSE_BLOCK, bins)
+        out[start - k: stop - k] += np.multiply(conj, spectrum[start:stop])
+    out[bins - k:] += conj * wrap
+    return out
 
 
 # ---------------------------------------------------------------------------

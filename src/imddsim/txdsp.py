@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .sigcore import (
     SampledWaveform,
-    apply_filter,
+    _require_finite,
     filter_response,
     lo_shift,
     nmse_db,
@@ -243,21 +243,37 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
     if not 0.0 <= rolloff <= 1.0:
         raise ParameterError("rolloff must lie in [0, 1]")
     s = np.asarray(symbols, dtype=float)
+    _require_finite(s, "symbols")
     n = s.size * samples_per_symbol
-    # f / R from whole bin indices, so R/2 lands on exactly 1/2
-    excess = np.arange(n // 2 + 1) / s.size - (1.0 - rolloff) / 2
+    # f / R from whole bin indices, so R/2 lands on exactly 1/2; the clipped
+    # phase and the response are formed in place in the one array
+    response = np.arange(n // 2 + 1) / s.size
+    response -= (1.0 - rolloff) / 2
     if rolloff > 0:
-        phase = np.clip(excess / rolloff, 0.0, 1.0)
+        response /= rolloff
+        np.clip(response, 0.0, 1.0, out=response)
     else:
-        phase = 0.5 * (1.0 + np.sign(excess))
-    response = samples_per_symbol * np.sin(0.5 * np.pi * (1.0 - phase))
+        np.sign(response, out=response)
+        response += 1.0
+        response *= 0.5
+    np.subtract(1.0, response, out=response)
+    response *= 0.5 * np.pi
+    np.sin(response, out=response)
+    response *= samples_per_symbol
     # zero-stuffing repeats the symbols' full spectrum, one-sided half plus
     # its mirror, once per sample of a symbol
     half = np.fft.rfft(s)
-    period = np.concatenate([half, np.conj(half[1: (s.size + 1) // 2][::-1])])
-    spectrum = np.resize(period, n // 2 + 1) * response
-    return SampledWaveform.from_spectrum(symbol_rate_hz * samples_per_symbol,
-                                         spectrum, n)
+    spectrum = np.empty(n // 2 + 1, dtype=np.complex128)
+    spectrum[: half.size] = half[: spectrum.size]
+    mirror = spectrum[half.size: s.size]
+    np.conjugate(half[1: (s.size + 1) // 2][::-1][: mirror.size], out=mirror)
+    del half
+    for start in range(s.size, spectrum.size, s.size):
+        period = spectrum[start: start + s.size]
+        period[:] = spectrum[: period.size]
+    spectrum *= response
+    return SampledWaveform._from_spectrum(symbol_rate_hz * samples_per_symbol,
+                                          spectrum, n, "electrical", owned=True)
 
 
 def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
@@ -276,7 +292,7 @@ def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
     cap = 10 ** (max_boost_db / 20.0)
     with np.errstate(divide="ignore"):
         boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
-    return wave.with_spectrum(spectrum * boost)
+    return wave._with_own_spectrum(spectrum * boost)
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +353,26 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     """
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
+    spectrum = wave.spectrum
+    del wave  # a caller that handed the record on frees it with ``spectrum``
 
     lp = filter_response(plan.crossover_hz, plan.crossover_transition_hz, n, rate)
-    spectrum = wave.spectrum
-    lower = SampledWaveform.from_spectrum(rate, spectrum * lp, n)
-    lower_wave = resample(lower, plan.awg_rate_hz)
+    lower_wave = resample(
+        SampledWaveform._from_spectrum(rate, spectrum * lp, n, "electrical", owned=True),
+        plan.awg_rate_hz)
 
-    upper = spectrum * (1.0 - lp)
+    np.subtract(1.0, lp, out=lp)  # the complementary highpass
+    upper = spectrum * lp
+    del spectrum, lp
     # DC and the Nyquist bin of an even n carry no mirror image
     upper[0] *= 0.5
     if n % 2 == 0:
         upper[-1] *= 0.5
-    up, down = lo_shift(upper, n, rate, plan.lo_frequency_hz)
-    up += down
-    if_wave = SampledWaveform.from_spectrum(rate, up, n)
+    up = lo_shift(upper, n, rate, plan.lo_frequency_hz)
+    del upper
     aa_cutoff = min(plan.awg_bandwidth_hz, 0.49 * plan.awg_rate_hz)
-    if_wave = apply_filter(if_wave, filter_response(aa_cutoff, IF_TRANSITION_HZ, n, rate))
-    upper_wave = resample(if_wave, plan.awg_rate_hz)
+    up *= filter_response(aa_cutoff, IF_TRANSITION_HZ, n, rate)
+    upper_wave = resample(
+        SampledWaveform._from_spectrum(rate, up, n, "electrical", owned=True),
+        plan.awg_rate_hz)
     return lower_wave, upper_wave

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C_M_S
 
+from conftest import hands_off, traced_peak
 from imddsim.channel import (
     FiberSpec,
     OpticalAmpSpec,
@@ -184,6 +185,23 @@ class TestSpectralAse:
 
 
 class TestObpf:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
+    def test_real_field_read_by_rfft(self, n):
+        # a field that holds only real-valued samples (no fiber before the
+        # filter) is read by its rfft and the negative half of the spectrum
+        # written as the conjugate mirror; odd, even and one-bin records meet
+        # the mirror differently
+        x = np.random.default_rng(n).normal(size=n)
+        w = SampledWaveform(RATE, x.astype(complex), "optical_field")
+        f = np.abs(np.fft.fftfreq(n, 1 / RATE))
+        for trim_km in (2.0, 0.0):  # with no trim, the passband alone
+            resp = np.exp(-1j * dispersion_phase(f, O_FIBER, 1310.0, trim_km))
+            resp[f > 50e9] = 0.0
+            expect = np.fft.fft(x) * resp
+            out = obpf(w, 100e9, O_FIBER, 1310.0, trim_km=trim_km).spectrum
+            assert np.max(np.abs(out - expect)) <= 1e-12 * np.max(np.abs(expect)), trim_km
+        assert not w.holds_spectrum  # no complex fft of the input ran
+
     def test_unit_response_identity(self):
         w = gaussian_pulse(5e-12)
         assert obpf(w, None, O_FIBER, 1310.0) is w
@@ -264,3 +282,33 @@ class TestChannelMemory:
         finally:
             tracemalloc.stop()
         assert peak < records * 16 * n
+
+
+class TestHandOff:
+    """A stage frees the field its caller handed on once it has read it.
+    The field is built inside the call, so the test holds no reference;
+    peaks are in complex records of the field's n samples."""
+
+    N = 1 << 16
+
+    @hands_off
+    def test_propagate(self):
+        # the modulator output goes once its rfft is taken, before the
+        # output is made, and the all-pass is built in blocks: 2.13 records,
+        # 3.00 with the field and the whole all-pass held
+        rng = np.random.default_rng(8)
+        peak = traced_peak(lambda: propagate(
+            SampledWaveform(RATE, rng.normal(size=self.N).astype(complex), "optical_field"),
+            O_FIBER, 1330.0))
+        assert peak < 2.5 * 16 * self.N
+
+    @hands_off
+    def test_optical_amplify(self):
+        # the field goes once its gain product is formed, before the ASE is
+        # drawn: 2.00 records, 2.50 with the field held
+        rng = np.random.default_rng(9)
+        peak = traced_peak(lambda: optical_amplify(
+            SampledWaveform.from_spectrum(RATE, rng.normal(size=2 * self.N).view(complex),
+                                          self.N, "optical_field"),
+            OpticalAmpSpec(3.0, 2e-17), seed=5))
+        assert peak < 2.25 * 16 * self.N

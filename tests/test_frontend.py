@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import hands_off, traced_peak
+from imddsim import frontend
 from imddsim.errors import ParameterError
 from imddsim.frontend import (
     AmplifierModel,
@@ -23,7 +25,9 @@ from imddsim.frontend import (
 from imddsim.sigcore import (
     SampledWaveform,
     _bessel_design,
+    apply_filter,
     bessel_response,
+    filter_response,
     bin_centered_frequency,
     nmse_db,
     spectral_nmse_db,
@@ -142,6 +146,22 @@ class TestMixer:
         w, _ = analog_tone(10e9, n=1024)
         with pytest.raises(ParameterError, match="Nyquist"):
             mixer_upconvert(w, 0.51 * ANALOG_RATE)
+
+    @hands_off
+    @pytest.mark.filterwarnings("ignore:.*above the LO")
+    def test_frees_the_if_record_it_is_handed(self):
+        # the IF record is built inside the call, so it goes once the LO
+        # images are read from it, and the second image is added into the
+        # first in blocks: 2.63 spectra of the input's size at the peak,
+        # 4.51 with the record, both images and the phasor's product held
+        n = 1 << 16
+        bins = n // 2 + 1
+        rng = np.random.default_rng(32)
+        peak = traced_peak(lambda: mixer_upconvert(
+            SampledWaveform.from_spectrum(ANALOG_RATE, rng.normal(size=2 * bins).view(complex),
+                                          n),
+            72e9, 150e9, 0.3))
+        assert peak < 3.5 * 16 * bins
 
 
 class TestCombine:
@@ -317,3 +337,32 @@ class TestStitchReconstruction:
         xo = plan.crossover_hz
         nmse = spectral_nmse_db(w, rec, exclude_bands=[(xo - 2e9, xo + 2e9)])
         assert nmse <= -150.0
+
+    def test_converters_share_one_response(self, monkeypatch):
+        # both AWG records sit on one grid, so the two converters share one
+        # droop and Bessel response; the stitched record is byte-equal to the
+        # public stages run one by one, each converter with its own response
+        plan = BandPlan(76e9, 75e9, 72e9)
+        rng = np.random.default_rng(9)
+        lower, upper = (SampledWaveform(AWG_RATE, rng.normal(size=4096)) for _ in range(2))
+        calls = []
+        response = frontend.dac_response
+        monkeypatch.setattr(frontend, "dac_response",
+                            lambda *args: calls.append(args) or response(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the white IF crosses the LO
+            out = stitch_bands(lower, upper, plan, ANALOG_RATE, mixer_bandwidth_hz=150e9,
+                               dac_bandwidth_hz=80e9)
+            assert len(calls) == 1
+            phase = -2 * np.pi * plan.lo_frequency_hz * bessel_group_delay_dc(80e9)
+            upper_rf = mixer_upconvert(dac(upper, ANALOG_RATE, 80e9), plan.lo_frequency_hz,
+                                       150e9, phase)
+        hpf = 1.0 - filter_response(plan.analog_hpf_cutoff_hz, 2e9, upper_rf.n, ANALOG_RATE)
+        expect = combine(dac(lower, ANALOG_RATE, 80e9), apply_filter(upper_rf, hpf))
+        assert out.spectrum.tobytes() == expect.spectrum.tobytes()
+
+    def test_awg_records_must_share_grid(self):
+        plan = BandPlan(76e9, 75e9, 72e9)
+        w = SampledWaveform(AWG_RATE, np.ones(64))
+        with pytest.raises(ParameterError, match="share rate and length"):
+            stitch_bands(w, SampledWaveform(AWG_RATE, np.ones(32)), plan, ANALOG_RATE)

@@ -8,6 +8,7 @@ from scipy import signal as sps
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from conftest import hands_off, traced_peak
 from imddsim import rxdsp
 from imddsim.errors import NoRateError, ParameterError, SyncError
 from imddsim.rxdsp import (
@@ -91,6 +92,20 @@ class TestPhotodetect:
         current = rxdsp._intensity(spectrum)
         reference = np.abs(np.fft.ifft(spectrum)) ** 2
         assert np.max(np.abs(current - reference)) <= 1e-12 * np.max(reference)
+
+    @hands_off
+    def test_frees_the_field_it_is_handed(self):
+        # the field is built inside the call, so its spectrum goes once its
+        # Hermitian parts are formed, and the photocurrent's samples go once
+        # their spectrum is: 2.00 records of the field at the peak, 3.03 with
+        # the field held through the PD filter
+        n = 1 << 16
+        rng = np.random.default_rng(10)
+        peak = traced_peak(lambda: photodetect(
+            SampledWaveform.from_spectrum(RATE, rng.normal(size=2 * n).view(complex), n,
+                                          "optical_field"),
+            100e9, 1e-22, seed=4))
+        assert peak < 2.5 * 16 * n
 
     def test_seeded_noise_deterministic(self):
         fld = SampledWaveform(RATE, np.ones(512), "optical_field")
