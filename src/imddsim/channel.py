@@ -6,13 +6,13 @@ all-pass exp(+j pi lambda^2 D L f^2 / c), so anomalous dispersion (D > 0)
 advances high frequencies. Kerr nonlinearity is out of scope for these
 short single-span links.
 
-The field stays spectral from fiber to photodiode: ``propagate`` and
-``obpf`` multiply the record spectrum, and ``optical_amplify`` adds the ASE
-as its DFT to a field that holds its spectrum. The modulator output is
-real-valued, so ``propagate`` (or ``obpf``, with no fiber before it) takes
-its ``rfft`` and writes the negative half of the spectrum as the conjugate
-mirror, and ``photodetect`` forms |E|^2 of the spectrum-held field from two
-``irfft``s: the optical chain costs three real transforms and no complex
+The field stays spectral from fiber to photodiode: ``propagate`` hands on
+every field as its spectrum, ``obpf`` multiplies it, and
+``optical_amplify`` adds the ASE as its DFT. The modulator output is
+real-valued, so ``propagate`` takes its ``rfft`` and writes the negative
+half of the spectrum as the conjugate mirror (at zero length too, where the
+all-pass and the loss are exactly 1), and ``photodetect`` forms |E|^2 from
+two ``irfft``s: the optical chain costs three real transforms and no complex
 one.
 
 The dispersion all-passes and the OBPF passband depend on |f| only, so they
@@ -93,124 +93,96 @@ def dispersion_phase(freq_hz: np.ndarray, spec: FiberSpec, lambda_nm: float,
 
 
 def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> SampledWaveform:
-    """Chromatic dispersion (all-pass) plus scalar attenuation.
+    """Chromatic dispersion (all-pass) plus scalar attenuation; the output
+    holds its spectrum.
 
     A field that holds only real-valued samples (the modulator output) is
     read by its ``rfft``; any other field by its full spectrum.
     """
     if field.domain_tag != "optical_field":
         raise ParameterError("propagate expects an optical field envelope")
-    if spec.length_km == 0:
-        return field
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
     n, rate = field.n, field.sample_rate_hz
-    real = _real_valued(field)
+    real = not field.holds_spectrum and not np.any(field.samples.imag)
     if real:
         x = np.fft.rfft(field.samples.real)
         x *= loss
     else:
-        x = field.spectrum
+        x = loss * field.spectrum
     del field  # a caller that handed the field on frees it here
 
     def allpass(f):
         out = 1j * dispersion_phase(f, spec, lambda_nm, spec.length_km)
         return np.exp(out, out=out)
 
-    out = _times_even(x, n, rate, allpass, real, None if real else loss)
+    out = _times_even(x, n, rate, allpass, real)
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
                     seed: int | None = None) -> SampledWaveform:
-    """Amplitude gain plus seeded ASE noise over the simulation bandwidth.
+    """Amplitude gain plus seeded ASE noise over the simulation bandwidth,
+    on the field's spectrum.
 
-    The noise is drawn in the form the field holds, so the stage costs no
-    transform. A samples-only field (no fiber before the amplifier) gets
-    complex white noise whose real and imaginary parts are each N(0, s^2),
-    with 2 s^2 = density * rate. A field that holds its spectrum (after
-    ``propagate``) gets the noise's DFT instead: the DFT of n i.i.d.
-    circular complex Gaussian samples is n i.i.d. circular complex Gaussian
-    bins with n times the per-sample variance, so the bins are drawn with
-    parts N(0, n s^2) and the noise has the same distribution either way.
+    The noise is drawn as its DFT, so the stage costs no transform on a
+    field that holds its spectrum (as ``propagate`` hands it on). Complex
+    white noise whose real and imaginary parts are each N(0, s^2), with
+    2 s^2 = density * rate, has as its DFT n i.i.d. circular complex
+    Gaussian bins with n times the per-sample variance, so the bins are
+    drawn with parts N(0, n s^2).
     """
     gain = 10 ** (spec.gain_db / 20.0)
     n, rate = field.n, field.sample_rate_hz
-    spectral = field.holds_spectrum
-    out = gain * (field.spectrum if spectral else field.samples)
+    out = gain * field.spectrum
     del field  # a caller that handed the field on frees it here
     if spec.noise_spectral_density > 0:
         rng = np.random.default_rng(seed)
-        sigma = np.sqrt(spec.noise_spectral_density * rate / 2.0)
-        if spectral:
-            sigma *= np.sqrt(n)
+        sigma = np.sqrt(spec.noise_spectral_density * rate / 2.0) * np.sqrt(n)
         # real then imaginary part, each added in place to spare a record
         out.real += rng.normal(0, sigma, n)
         out.imag += rng.normal(0, sigma, n)
-    if not spectral:
-        return SampledWaveform(rate, out, "optical_field")  # scans the samples
     _require_finite(out, "amplified field spectrum")
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
 def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
          wavelength_nm: float, trim_km: float = 0.0) -> SampledWaveform:
-    """Programmable optical filter on the complex envelope: a brick-wall
-    passband ``bandwidth_hz`` wide centred on the carrier (None passes every
-    bin) times the all-pass that undoes the dispersion of ``trim_km`` of
-    ``fiber``. Both depend on |f| only, so the response is even in f, and a
-    field that holds only real-valued samples (no fiber before the filter)
-    is read by its ``rfft``, as ``propagate`` reads it. With neither, the
-    field passes unchanged.
+    """Programmable optical filter on the complex envelope's spectrum: a
+    brick-wall passband ``bandwidth_hz`` wide centred on the carrier (None
+    passes every bin) times the all-pass that undoes the dispersion of
+    ``trim_km`` of ``fiber``. Both depend on |f| only, so the response is
+    even in f. With neither, the field passes unchanged.
     """
     if field.domain_tag != "optical_field":
         raise ParameterError("obpf expects an optical field envelope")
     if bandwidth_hz is None and trim_km == 0:
         return field
     n, rate = field.n, field.sample_rate_hz
-    real = _real_valued(field)
-    x = np.fft.rfft(field.samples.real) if real else field.spectrum
+    x = field.spectrum
     del field  # a caller that handed the field on frees it here
-    if trim_km == 0:
-        # the passband alone, equal to multiplying by it up to the sign of
-        # zeros: zero the bins with |f| above its edge, which on the n-bin
-        # grid are k..n - k for the first such rfftfreq bin k
-        k = int(np.searchsorted(np.fft.rfftfreq(n, d=1.0 / rate), bandwidth_hz / 2,
-                                side="right"))
-        out = np.empty(n, dtype=np.complex128)
-        if real:  # bins n // 2 + 1..n - 1 are the conjugates of (n - 1) // 2..1
-            out[: x.size] = x
-            np.conjugate(x[(n + 1) // 2 - 1: 0: -1], out=out[x.size:])
-        else:
-            out[:] = x
-        out[k:n - k + 1] = 0.0
-        return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
     def response(f):
-        out = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
-        np.exp(out, out=out)
+        if trim_km == 0:
+            out = np.ones(f.size)
+        else:
+            out = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
+            np.exp(out, out=out)
         if bandwidth_hz is not None:
             out[f > bandwidth_hz / 2] = 0.0
         return out
 
-    out = _times_even(x, n, rate, response, real)
+    out = _times_even(x, n, rate, response)
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
-def _real_valued(field: SampledWaveform) -> bool:
-    """True when ``field`` holds only samples and they are real-valued (the
-    modulator output), so its ``rfft`` gives its whole spectrum."""
-    return not field.holds_spectrum and not np.any(field.samples.imag)
-
-
-def _times_even(x: np.ndarray, n: int, rate_hz: float, response, real: bool = False,
-                scale: float | None = None) -> np.ndarray:
+def _times_even(x: np.ndarray, n: int, rate_hz: float, response,
+                real: bool = False) -> np.ndarray:
     """An n-bin spectrum times the response that is even in f, as a new
     array.
 
-    ``x`` is the n-bin spectrum, each value multiplied by ``scale`` first
-    when one is given, or with ``real`` the ``rfft`` of a real record (bins
-    0..n // 2): bins n // 2 + 1..n - 1 of its ``fft`` are the conjugates of
-    bins (n - 1) // 2..1. The response is ``response(f)`` on blocks of
+    ``x`` is the n-bin spectrum, or with ``real`` the ``rfft`` of a real
+    record (bins 0..n // 2): bins n // 2 + 1..n - 1 of its ``fft`` are the
+    conjugates of bins (n - 1) // 2..1. The response is ``response(f)`` on blocks of
     ``_RESPONSE_BLOCK`` bins 0..n // 2, with ``f`` their frequencies at
     ``rate_hz`` formed as ``rfftfreq`` forms them, so neither the grid nor
     the response is held at full length; bin n - j takes the value at bin j.
@@ -227,16 +199,10 @@ def _times_even(x: np.ndarray, n: int, rate_hz: float, response, real: bool = Fa
     for a in range(0, h, _RESPONSE_BLOCK):
         b = min(a + _RESPONSE_BLOCK, h)
         resp = response(np.arange(a, b) * step)
-        pos = x[a:b] if scale is None else scale * x[a:b]
-        np.multiply(pos, resp, out=out[a:b])
+        np.multiply(x[a:b], resp, out=out[a:b])
         lo, hi = max(a, 1), min(b, top)
         if lo >= hi:
             continue
-        if real:
-            neg = np.conj(x[lo:hi])
-        else:
-            neg = x[n - hi + 1: n - lo + 1][::-1]
-            if scale is not None:
-                neg = scale * neg
+        neg = np.conj(x[lo:hi]) if real else x[n - hi + 1: n - lo + 1][::-1]
         np.multiply(neg, resp[lo - a: hi - a], out=out[n - hi + 1: n - lo + 1][::-1])
     return out

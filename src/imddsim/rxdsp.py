@@ -53,21 +53,17 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
 
     ``thermal_noise_density`` is the input-referred current noise PSD
     (A^2/Hz); per-sample variance is density times the simulation rate.
-    A field that holds only its spectrum is detected from it by two real
-    transforms (see ``_intensity``), one that holds samples from them.
+    The field is detected from its spectrum by two real transforms (see
+    ``_intensity``).
     """
     if fld.domain_tag != "optical_field":
         raise ParameterError("photodetect expects an optical field envelope")
     n, rate = fld.n, fld.sample_rate_hz
-    if fld.holds_samples:
-        current = np.abs(fld.samples) ** 2
-        del fld  # a caller that handed the field on frees it here
-    else:
-        # the spectrum goes to _intensity in a list, so once the two parts
-        # are formed it is freed with the field of a caller that handed it on
-        spectrum = [fld.spectrum]
-        del fld
-        current = _intensity(spectrum.pop())
+    # the spectrum goes to _intensity in a list, so once the two parts are
+    # formed it is freed with the field of a caller that handed it on
+    spectrum = [fld.spectrum]
+    del fld
+    current = _intensity(spectrum.pop())
     if thermal_noise_density > 0:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(thermal_noise_density * rate)

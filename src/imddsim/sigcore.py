@@ -17,8 +17,8 @@ Conventions used throughout the simulator:
   detection, sync correlation, and the equalizer. The LO sits on the
   record grid, so the mixer's up-conversion and the band split's
   down-conversion are one whole-bin spectrum shift, :func:`lo_shift`.
-  White ASE noise is drawn in the form the optical field holds (as its
-  DFT after the fiber), so it costs no transform either.
+  The fiber hands on every optical field as its spectrum, and white ASE
+  noise is drawn as its DFT, so it costs no transform either.
 - Real signals stay real. Electrical and photocurrent waveforms hold
   float64 samples and the one-sided ``n // 2 + 1``-bin spectrum
   (``rfft``/``irfft``); only the optical field between the MZM and the
@@ -173,12 +173,6 @@ class SampledWaveform:
         """True when the spectrum is held (built from it or computed once
         already), so reading it costs no transform."""
         return self._spectrum is not None
-
-    @property
-    def holds_samples(self) -> bool:
-        """True when the samples are held, so reading them costs no
-        transform."""
-        return self._samples is not None
 
     @property
     def real(self) -> np.ndarray:
@@ -392,15 +386,14 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
 
 
 def lo_shift(spectrum: np.ndarray, n: int, sample_rate_hz: float,
-             lo_frequency_hz: float, phasor: complex | None = None) -> np.ndarray:
+             lo_frequency_hz: float, phasor: complex = 1.0) -> np.ndarray:
     """``phasor X[f - f_LO] + conj(phasor) X[f + f_LO]`` as a new array, from
     the one-sided spectrum X of a real n-sample record, the LO snapped to a
     grid bin: the spectrum of 2 x(t) cos(2 pi f_LO t + phi) for the phasor
-    exp(j phi), and of 2 x(t) cos(2 pi f_LO t) without one. Bins below DC
-    fold back, and bins past Nyquist wrap in, as conjugates. The second
-    image is added into the first in blocks, so no second record is held;
-    each product keeps the phasor first, as numpy rounds a complex product
-    by operand order."""
+    exp(j phi) (the default 1 is phi = 0). Bins below DC fold back, and bins
+    past Nyquist wrap in, as conjugates. The second image is added into the
+    first in blocks, so no second record is held; each product keeps the
+    phasor first, as numpy rounds a complex product by operand order."""
     k = int(round(lo_frequency_hz * n / sample_rate_hz))
     if not 0 <= k <= n // 2:
         raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
@@ -410,10 +403,6 @@ def lo_shift(spectrum: np.ndarray, n: int, sample_rate_hz: float,
     np.conjugate(spectrum[k:0:-1], out=out[:k])
     out[k:] = spectrum[: bins - k]
     wrap = np.conj(spectrum[n - bins - k + 1: n - bins + 1][::-1])
-    if phasor is None:
-        out[: bins - k] += spectrum[k:]  # X[f + f_LO]
-        out[bins - k:] += wrap
-        return out
     np.multiply(phasor, out, out=out)
     conj = np.conj(phasor)
     for start in range(k, bins, _RESPONSE_BLOCK):

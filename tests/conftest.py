@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -78,15 +77,6 @@ def transparency_failures(report) -> list[str]:
 @pytest.fixture
 def fast_config():
     return fast_link_config()
-
-
-# A stage frees a record that its caller handed on (built inside the call
-# expression, with no name bound to it) once it has read it. Before Python
-# 3.11 the calling frame keeps a call's arguments until the call returns,
-# so there is nothing for the stage to free.
-hands_off = pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before Python 3.11 the caller's frame holds a call's arguments")
 
 
 def traced_peak(call) -> int:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import hands_off, traced_peak
+from conftest import traced_peak
 from imddsim import frontend
 from imddsim.errors import ParameterError
 from imddsim.frontend import (
@@ -147,7 +147,6 @@ class TestMixer:
         with pytest.raises(ParameterError, match="Nyquist"):
             mixer_upconvert(w, 0.51 * ANALOG_RATE)
 
-    @hands_off
     @pytest.mark.filterwarnings("ignore:.*above the LO")
     def test_frees_the_if_record_it_is_handed(self):
         # the IF record is built inside the call, so it goes once the LO

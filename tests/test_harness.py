@@ -473,18 +473,18 @@ class TestRunLink:
     # fast link with noise density 2e-17: the fixed-seed physics of the chain.
     # Pre-emphasis is the default 12-dB boost cap, or off at a 0-dB cap
     @pytest.mark.parametrize("modulation, seed, preemphasis, golden", [
-        ("ps_pam12", 3, False, (0.013139329805996473, 2.9866894616469977,
-                                0.9466721314597207, 645.1249237157515,
-                                627.8449237157515)),
-        ("ps_pam12", 4, False, (0.014109347442680775, 2.9674108955624607,
-                                0.9418524899385865, 640.9607534414915,
-                                623.6807534414916)),
-        ("uniform_pam8", 5, False, (0.021987066431510875, 2.7630109810501606,
-                                    0.9210036603500535, 596.8103719068347,
-                                    583.8503719068347)),
-        ("uniform_pam8", 6, True, (0.011522633744855968, 2.8679939472077844,
-                                   0.9559979824025948, 619.4866925968814,
-                                   606.5266925968814)),
+        ("ps_pam12", 3, False, (0.017195767195767195, 2.9248709753331226,
+                                0.931217509881252, 631.7721306719545,
+                                614.4921306719544)),
+        ("ps_pam12", 4, False, (0.015167548500881834, 2.9737120239058576,
+                                0.9434277720244357, 642.3217971636652,
+                                625.0417971636653)),
+        ("uniform_pam8", 5, False, (0.02069370958259847, 2.760190773524619,
+                                    0.920063591174873, 596.2012070813178,
+                                    583.2412070813177)),
+        ("uniform_pam8", 6, True, (0.009288653733098177, 2.8863120874265413,
+                                   0.9621040291421804, 623.443410884133,
+                                   610.4834108841329)),
     ])
     def test_fast_link_golden(self, modulation, seed, preemphasis, golden):
         cfg = fast_link_config(seed=seed, modulation=modulation, noise_density=2e-17)
@@ -526,52 +526,29 @@ class TestRunLink:
         run_link(config)
         return calls
 
-    def test_fft_budget(self, monkeypatch, fast_config):
+    @pytest.mark.parametrize("obpf_hz", [None, 400e9], ids=["no_obpf", "obpf"])
+    @pytest.mark.parametrize("density", [0.0, 2e-17], ids=["no_ase", "ase"])
+    @pytest.mark.parametrize("length_km", [0.0, 2.0], ids=["0km", "2km"])
+    def test_fft_budget(self, monkeypatch, fast_config, length_km, density, obpf_hz):
         # Linear stages multiply the record spectrum and every filter is a
         # closed-form response, so a run transforms only where a pointwise
-        # stage meets a linear one (RRC input, drive peak, MZM drive,
-        # photocurrent, sync template, correlation, equalizer input). A round
-        # trip between two linear stages would add two. Every one of them
-        # acts on a real record, so each is a one-sided rfft or irfft.
-        calls = self._fft_calls(monkeypatch, fast_config)
-        assert len(calls) == 7, calls
-        assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
-
-    def test_fft_budget_with_optical_channel(self, monkeypatch, fast_config):
-        # the fiber, the ASE and the OBPF act on the complex field's spectrum:
-        # the fiber reads the real-valued modulator output by one rfft, and
-        # the photodiode forms |E|^2 from the spectrum by two irffts before
-        # its bandwidth filter reads the photocurrent by one rfft, so the run
-        # transforms no complex record
-        channel = ChannelConfig(FiberSpec(2.0), 1310.0, OpticalAmpSpec(0.0, 2e-17),
-                                obpf_bandwidth_hz=400e9)
+        # stage meets a linear one (RRC input, drive peak, MZM drive, fiber
+        # input, photocurrent, sync template, correlation, equalizer input).
+        # A round trip between two linear stages would add two. The fiber
+        # reads the real-valued modulator output by one rfft, at any length,
+        # and hands on the field's spectrum, which the ASE and the OBPF act
+        # on; the photodiode forms |E|^2 from it by two irffts before its
+        # bandwidth filter reads the photocurrent by one rfft. Every
+        # transform acts on a real record, so each is a one-sided rfft or
+        # irfft, and the run makes the same 10 whatever its channel.
+        channel = ChannelConfig(FiberSpec(length_km), 1310.0, OpticalAmpSpec(0.0, density),
+                                obpf_bandwidth_hz=obpf_hz)
         calls = self._fft_calls(monkeypatch, replace(fast_config, channel=channel))
         optical = [(name, stage) for name, stage in calls if stage is not None]
         assert optical == [("rfft", "propagate"), ("irfft", "photodetect"),
                            ("irfft", "photodetect"), ("rfft", "photodetect")], calls
         assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
         assert len(calls) == 10, calls
-
-    def test_fft_budget_obpf_on_samples(self, monkeypatch, fast_config):
-        # with no fiber and no ASE the OBPF meets the real-valued modulator
-        # output and reads it by its rfft, as the fiber would: the run
-        # transforms no complex record
-        channel = ChannelConfig(FiberSpec(0.0), 1310.0, OpticalAmpSpec(0.0, 0.0),
-                                obpf_bandwidth_hz=400e9)
-        calls = self._fft_calls(monkeypatch, replace(fast_config, channel=channel))
-        optical = [(name, stage) for name, stage in calls if stage is not None]
-        assert optical == [("rfft", "obpf"), ("irfft", "photodetect"),
-                           ("irfft", "photodetect"), ("rfft", "photodetect")], calls
-        assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
-        assert len(calls) == 10, calls
-
-    def test_fft_budget_ase_on_samples(self, monkeypatch, fast_config):
-        # with no fiber the field reaches the amplifier as samples, and the
-        # ASE is added to them: the run transforms no complex record
-        channel = ChannelConfig(FiberSpec(0.0), 1310.0, OpticalAmpSpec(0.0, 2e-17))
-        calls = self._fft_calls(monkeypatch, replace(fast_config, channel=channel))
-        assert len(calls) == 7, calls
-        assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
 
     @staticmethod
     def _traced_peak(config) -> int:
@@ -589,20 +566,18 @@ class TestRunLink:
         # blocks, so the run's peak (about 6.2 MB) is set by the second DAC
         # in stitch_bands, with obpf, photodetect and the amplifiers at
         # 6.0 MB; with each stage's input and temporaries held to its end,
-        # band_split set it at about 9.6 MB. Before Python 3.11 the caller's
-        # frame keeps each call's arguments alive, which puts it near 7.9 MB
-        assert self._traced_peak(o_band_216g(7)) < (
-            6.8e6 if sys.version_info >= (3, 11) else 8.6e6)
+        # band_split set it at about 9.6 MB
+        assert self._traced_peak(o_band_216g(7)) < 6.8e6
 
     def test_dpd_training_memory_bound(self):
         # the DPD training link hands its records on like the run does, and
         # the fit frees its last feature block before it forms the fitted
         # series: the peak is about 7.2 MB, set by fit_volterra, with the
         # main link's stitch_bands at 6.7 MB; 10.6 MB with each stage's input
-        # and temporaries held to its end, and near 8.5 MB before Python 3.11
+        # and temporaries held to its end
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
-        assert self._traced_peak(cfg) < (8.0e6 if sys.version_info >= (3, 11) else 9.0e6)
+        assert self._traced_peak(cfg) < 8.0e6
 
     @pytest.mark.parametrize("stage, name", [
         ("frontend", "band_split"),

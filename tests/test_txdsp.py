@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import hands_off, traced_peak
+from conftest import traced_peak
 from imddsim import txdsp
 from imddsim.errors import NumericalError, ParameterError
 from imddsim.sigcore import (
@@ -479,7 +479,6 @@ class TestBandSplit:
         _, upper = band_split(SampledWaveform(rate, x), plan)
         assert np.max(np.abs(upper.real - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @hands_off
     def test_frees_the_record_it_is_handed(self):
         # the record is built inside the call, so only band_split holds it,
         # and it goes once both bands are formed from its spectrum; each
