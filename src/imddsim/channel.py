@@ -6,14 +6,13 @@ all-pass exp(+j pi lambda^2 D L f^2 / c), so anomalous dispersion (D > 0)
 advances high frequencies. Kerr nonlinearity is out of scope for these
 short single-span links.
 
-The field stays spectral from fiber to photodiode: ``propagate`` hands on
-every field as its spectrum, ``obpf`` multiplies it, and
+The field stays spectral from modulator to photodiode: the modulator hands
+on the field as its spectrum, ``propagate`` and ``obpf`` multiply it, and
 ``optical_amplify`` adds the ASE as its DFT. The modulator output is
-real-valued, so ``propagate`` takes its ``rfft`` and writes the negative
-half of the spectrum as the conjugate mirror (at zero length too, where the
-all-pass and the loss are exactly 1), and ``photodetect`` forms |E|^2 from
-two ``irfft``s: the optical chain costs three real transforms and no complex
-one.
+real-valued, so the modulator takes its ``rfft`` and writes the negative
+half of the spectrum as the conjugate mirror, and ``photodetect`` forms
+|E|^2 from two ``irfft``s: the optical chain costs three real transforms and
+no complex one.
 
 The dispersion all-passes and the OBPF passband depend on |f| only, so they
 are evaluated on the ``n // 2 + 1`` ``rfftfreq`` bins, in blocks, and
@@ -93,29 +92,20 @@ def dispersion_phase(freq_hz: np.ndarray, spec: FiberSpec, lambda_nm: float,
 
 
 def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> SampledWaveform:
-    """Chromatic dispersion (all-pass) plus scalar attenuation; the output
-    holds its spectrum.
-
-    A field that holds only real-valued samples (the modulator output) is
-    read by its ``rfft``; any other field by its full spectrum.
-    """
+    """Chromatic dispersion (all-pass) plus scalar attenuation, on the
+    field's spectrum."""
     if field.domain_tag != "optical_field":
         raise ParameterError("propagate expects an optical field envelope")
     loss = 10 ** (-spec.attenuation_db_km * spec.length_km / 20.0)
     n, rate = field.n, field.sample_rate_hz
-    real = not field.holds_spectrum and not np.any(field.samples.imag)
-    if real:
-        x = np.fft.rfft(field.samples.real)
-        x *= loss
-    else:
-        x = loss * field.spectrum
+    x = loss * field.spectrum
     del field  # a caller that handed the field on frees it here
 
     def allpass(f):
         out = 1j * dispersion_phase(f, spec, lambda_nm, spec.length_km)
         return np.exp(out, out=out)
 
-    out = _times_even(x, n, rate, allpass, real)
+    out = _times_even(x, n, rate, allpass)
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
@@ -175,17 +165,14 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
 
 
-def _times_even(x: np.ndarray, n: int, rate_hz: float, response,
-                real: bool = False) -> np.ndarray:
-    """An n-bin spectrum times the response that is even in f, as a new
-    array.
+def _times_even(x: np.ndarray, n: int, rate_hz: float, response) -> np.ndarray:
+    """The n-bin spectrum ``x`` times the response that is even in f, as a
+    new array.
 
-    ``x`` is the n-bin spectrum, or with ``real`` the ``rfft`` of a real
-    record (bins 0..n // 2): bins n // 2 + 1..n - 1 of its ``fft`` are the
-    conjugates of bins (n - 1) // 2..1. The response is ``response(f)`` on blocks of
-    ``_RESPONSE_BLOCK`` bins 0..n // 2, with ``f`` their frequencies at
-    ``rate_hz`` formed as ``rfftfreq`` forms them, so neither the grid nor
-    the response is held at full length; bin n - j takes the value at bin j.
+    The response is ``response(f)`` on blocks of ``_RESPONSE_BLOCK`` bins
+    0..n // 2, with ``f`` their frequencies at ``rate_hz`` formed as
+    ``rfftfreq`` forms them, so neither the grid nor the response is held at
+    full length; bin n - j takes the value at bin j.
 
     Each value is the product one full-length product would give: the
     spectrum stays the first factor, as numpy's complex products do not
@@ -203,6 +190,6 @@ def _times_even(x: np.ndarray, n: int, rate_hz: float, response,
         lo, hi = max(a, 1), min(b, top)
         if lo >= hi:
             continue
-        neg = np.conj(x[lo:hi]) if real else x[n - hi + 1: n - lo + 1][::-1]
-        np.multiply(neg, resp[lo - a: hi - a], out=out[n - hi + 1: n - lo + 1][::-1])
+        np.multiply(x[n - hi + 1: n - lo + 1][::-1], resp[lo - a: hi - a],
+                    out=out[n - hi + 1: n - lo + 1][::-1])
     return out

@@ -227,10 +227,10 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
 
 
 def combine(lower: SampledWaveform, upper_rf: SampledWaveform) -> SampledWaveform:
-    """Active combiner: a balanced, aligned sum of the two bands."""
+    """Active combiner: a balanced, aligned sum of the two bands' spectra."""
     if lower.sample_rate_hz != upper_rf.sample_rate_hz or lower.n != upper_rf.n:
         raise ParameterError("combiner inputs must share rate and length")
-    return lower.plus(upper_rf)
+    return lower._with_own_spectrum(lower.spectrum + upper_rf.spectrum)
 
 
 def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
@@ -263,22 +263,26 @@ def bessel_group_delay_dc(cutoff_hz: float, order: int = ANALOG_BESSEL_ORDER) ->
 def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
                  model: MzmModel) -> SampledWaveform:
     """Field transfer E = sqrt(P_laser) cos(pi (v + Vpi/2) / (2 Vpi)) after
-    the modulator bandwidth filter on the drive."""
+    the modulator bandwidth filter on the drive, handed on as its n-bin
+    spectrum: the ``rfft`` of the real cosine, with the conjugate mirror."""
     require_real(drive, "MZM drive")
-    rate = drive.sample_rate_hz
+    n, rate = drive.n, drive.sample_rate_hz
     v = apply_filter(drive, model.response(drive.freqs())).real
     del drive  # a caller that handed the drive on frees it here
     amp = np.sqrt(10 ** ((laser_power_dbm - 30.0) / 10.0))
-    phase = v + model.v_pi_volts / 2
+    field = v + model.v_pi_volts / 2
     del v
-    phase *= np.pi
-    phase /= 2.0 * model.v_pi_volts
-    # the cosine goes straight into the real part of the complex field
-    field = np.zeros(phase.size, dtype=np.complex128)
-    np.cos(phase, out=field.real)
-    del phase
-    field.real *= amp
-    return SampledWaveform(rate, field, "optical_field")
+    field *= np.pi
+    field /= 2.0 * model.v_pi_volts
+    np.cos(field, out=field)
+    field *= amp
+    _require_finite(field, "modulator output")
+    half = np.fft.rfft(field)
+    del field
+    spectrum = np.empty(n, dtype=np.complex128)
+    spectrum[: half.size] = half
+    np.conjugate(half[(n + 1) // 2 - 1: 0: -1], out=spectrum[half.size:])
+    return SampledWaveform._from_spectrum(rate, spectrum, n, "optical_field", owned=True)
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,11 @@ class PamAlphabet:
             raise ParameterError("magnitude classes require a symmetric alphabet")
         return self.levels[self.size // 2:]
 
-    def level_index(self, magnitude_class: int, negative: bool) -> int:
+    def level_index(self, magnitude_class, negative) -> np.ndarray:
+        """Index into ``levels`` of the level in magnitude class
+        ``magnitude_class`` with the given sign, elementwise."""
         half = self.size // 2
-        return half - 1 - magnitude_class if negative else half + magnitude_class
+        return np.where(negative, half - 1 - magnitude_class, half + magnitude_class)
 
     @classmethod
     def uniform(cls, size: int, normalize: bool = True, name: str = "") -> "PamAlphabet":
@@ -445,7 +447,7 @@ def pas_assemble(amplitude_classes: Sequence[int], sign_bits: Sequence[int],
     if classes.shape != signs.shape:
         raise ParameterError("amplitude and sign sequences must have equal length")
 
-    indices = np.where(signs == 0, half + classes, half - 1 - classes)
+    indices = alphabet.level_index(classes, signs == 1)
 
     if distribution is None:
         class_counts = np.bincount(classes, minlength=half)

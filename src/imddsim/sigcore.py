@@ -6,27 +6,27 @@ Conventions used throughout the simulator:
 - Records are treated as circular: a linear stage is a response H(f) on the
   record's DFT grid, so zero-phase designs apply with exactly zero
   delay and length is always preserved.
-- A :class:`SampledWaveform` keeps the form it was built from (samples or
-  spectrum) and computes the other once, on first use. Linear stages
-  (filters, pulse shaping, resampling by spectral truncation or zero
-  padding, DAC droop, mixer gain, uncompressed amplifiers, dispersion,
-  the optical filter, DC removal as a zeroed DC bin) multiply or reshape
-  the spectrum, so a chain of them costs no transform. A transform runs
-  only where a pointwise stage meets a linear one: quantizers, tanh
-  amplifier, drive peak and MZM cosine, thermal noise, square-law
-  detection, sync correlation, and the equalizer. The LO sits on the
-  record grid, so the mixer's up-conversion and the band split's
-  down-conversion are one whole-bin spectrum shift, :func:`lo_shift`.
-  The fiber hands on every optical field as its spectrum, and white ASE
-  noise is drawn as its DFT, so it costs no transform either.
-- Real signals stay real. Electrical and photocurrent waveforms hold
-  float64 samples and the one-sided ``n // 2 + 1``-bin spectrum
-  (``rfft``/``irfft``); only the optical field between the MZM and the
-  photodiode holds complex samples and the full n-bin spectrum. No real
-  waveform holds the redundant negative-frequency half of its spectrum.
-  Even the field is transformed by real transforms: the fiber reads the
-  real-valued modulator output by its ``rfft``, and the photodiode forms
-  |E|^2 from the field's spectrum by two ``irfft``s.
+- A :class:`SampledWaveform` holds its spectrum; the samples are computed
+  once, on first use. Linear stages (filters, pulse shaping, resampling by
+  spectral truncation or zero padding, DAC droop, mixer gain, uncompressed
+  amplifiers, dispersion, the optical filter, DC removal as a zeroed DC
+  bin) multiply or reshape the spectrum, so a chain of them costs no
+  transform. A transform runs only where a pointwise stage meets a linear
+  one: quantizers, tanh amplifier, drive peak and MZM cosine, thermal
+  noise, square-law detection, sync correlation, and the equalizer. The LO
+  sits on the record grid, so the mixer's up-conversion and the band
+  split's down-conversion are one whole-bin spectrum shift, :func:`lo_shift`.
+  The modulator hands on the optical field as its spectrum, and white ASE
+  noise is drawn as its DFT, so they cost no transform either.
+- Real signals stay real. Electrical and photocurrent waveforms hold the
+  one-sided ``n // 2 + 1``-bin spectrum (``rfft``/``irfft``) and float64
+  samples; only the optical field between the MZM and the photodiode holds
+  the full n-bin spectrum, and complex samples. No real waveform holds the
+  redundant negative-frequency half of its spectrum. Even the field is
+  transformed by real transforms: the modulator takes the ``rfft`` of its
+  real-valued cosine and writes the negative half as the conjugate mirror,
+  and the photodiode forms |E|^2 from the field's spectrum by two
+  ``irfft``s.
 - A filter is a response array on the waveform's own frequency grid
   (``wave.freqs()``), written in closed form, and :func:`apply_filter`
   multiplies it onto the spectrum.
@@ -67,18 +67,20 @@ class SampledWaveform:
         Sampling rate, > 0.
     samples : array-like
         Sample values. Electrical and photocurrent waveforms are real and
-        stored as float64; a complex input must have an imaginary RMS below
+        kept as float64; a complex input must have an imaginary RMS below
         1e-12 of its total RMS, and its imaginary part is dropped. An optical
-        field is stored as complex128.
+        field is kept as complex128.
     domain_tag : str
         One of ``electrical``, ``optical_field``, ``photocurrent``.
 
-    The spectrum has the form that fits the domain: the one-sided
+    A waveform holds its spectrum; the samples are computed once, on first
+    use. The spectrum has the form that fits the domain: the one-sided
     ``n // 2 + 1``-bin ``rfft`` of a real waveform, the full n-bin ``fft``
     of an optical field (unnormalized, ``numpy.fft`` order), with
-    :meth:`freqs` giving its bin frequencies. :meth:`from_spectrum` builds a
-    waveform from its spectrum instead; the other form is computed on first
-    access. Stages never modify a waveform; they build a new one.
+    :meth:`freqs` giving its bin frequencies. This constructor takes that
+    transform at once and keeps the samples as their cached view;
+    :meth:`from_spectrum` builds a waveform from its spectrum, with no
+    transform. Stages never modify a waveform; they build a new one.
     """
 
     __slots__ = ("sample_rate_hz", "domain_tag", "n", "_samples", "_spectrum")
@@ -96,13 +98,15 @@ class SampledWaveform:
                     )
                 arr = arr.real.copy()
             arr = arr.astype(np.float64, copy=False)
+            spectrum = np.fft.rfft(arr)
         else:
             arr = arr.astype(np.complex128, copy=False)
+            spectrum = np.fft.fft(arr)
         self.sample_rate_hz = sample_rate_hz
         self.domain_tag = domain_tag
         self.n = arr.size
         self._samples = arr
-        self._spectrum = None
+        self._spectrum = spectrum
 
     @classmethod
     def from_spectrum(cls, sample_rate_hz: float, spectrum, n: int,
@@ -160,19 +164,8 @@ class SampledWaveform:
     @property
     def spectrum(self) -> np.ndarray:
         """``rfft`` of the samples of a real waveform, ``fft`` of those of an
-        optical field."""
-        if self._spectrum is None:
-            if self.domain_tag in _REAL_TAGS:
-                self._spectrum = np.fft.rfft(self._samples)
-            else:
-                self._spectrum = np.fft.fft(self._samples)
+        optical field: the waveform's stored form."""
         return self._spectrum
-
-    @property
-    def holds_spectrum(self) -> bool:
-        """True when the spectrum is held (built from it or computed once
-        already), so reading it costs no transform."""
-        return self._spectrum is not None
 
     @property
     def real(self) -> np.ndarray:
@@ -198,18 +191,8 @@ class SampledWaveform:
                                               self.domain_tag, owned=True)
 
     def scaled(self, factor: float) -> "SampledWaveform":
-        """The waveform times a constant, formed from the spectrum when one
-        is held (so a following linear stage needs no transform)."""
-        if self._spectrum is not None:
-            return self._with_own_spectrum(factor * self._spectrum)
-        return self.with_samples(factor * self._samples)
-
-    def plus(self, other: "SampledWaveform") -> "SampledWaveform":
-        """``self + other``, added as samples when both hold them and as
-        spectra otherwise."""
-        if self._samples is not None and other._samples is not None:
-            return self.with_samples(self._samples + other._samples)
-        return self._with_own_spectrum(self.spectrum + other.spectrum)
+        """The waveform times a constant, formed on the spectrum."""
+        return self._with_own_spectrum(factor * self._spectrum)
 
 
 def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
@@ -231,10 +214,10 @@ def _require_finite(values: np.ndarray, what: str) -> None:
     enters: the public constructors (``SampledWaveform``,
     :meth:`~SampledWaveform.from_spectrum`, ``with_samples``,
     ``with_spectrum``), the raw arrays a public stage takes, and the output
-    of the pointwise stages that can overflow (amplifier gain, modulator,
-    optical gain and ASE, square-law detection). A linear stage applies a
-    finite closed-form response to a finite record, so the waveforms the
-    stages build in between go unscanned.
+    of the pointwise stages that can overflow (amplifier gain, the
+    modulator's cosine, optical gain and ASE, square-law detection). A
+    linear stage applies a finite closed-form response to a finite record,
+    so the waveforms the stages build in between go unscanned.
     """
     if not np.all(np.isfinite(values)):
         raise ParameterError(f"{what} must be finite")

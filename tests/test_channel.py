@@ -58,15 +58,13 @@ class TestDispersionCoefficient:
 class TestPropagate:
     def test_zero_length_identity(self):
         # at zero length the all-pass and the loss are exactly 1, so the
-        # output spectrum is the rfft of the real-valued input with the
-        # negative half written as its conjugate mirror, bit for bit
+        # spectrum comes back bit for bit
         for n in (1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1, 1 << 14):
-            x = np.random.default_rng(n).normal(size=n)
-            out = propagate(SampledWaveform(RATE, x.astype(complex), "optical_field"),
+            rng = np.random.default_rng(n)
+            spectrum = rng.normal(size=n) + 1j * rng.normal(size=n)
+            out = propagate(SampledWaveform.from_spectrum(RATE, spectrum, n, "optical_field"),
                             FiberSpec(0.0), 1310.0)
-            half = np.fft.rfft(x)
-            expect = np.concatenate([half, np.conj(half[(n + 1) // 2 - 1: 0: -1])])
-            assert out.spectrum.tobytes() == expect.tobytes(), n
+            assert out.spectrum.tobytes() == spectrum.tobytes(), n
 
     def test_energy_conserved_up_to_loss(self):
         w = gaussian_pulse(5e-12)
@@ -98,14 +96,13 @@ class TestPropagate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
     def test_real_field_read_by_rfft(self, n):
-        # a field that holds only real-valued samples (the modulator output)
-        # is read by its rfft, the negative half written as the conjugate
-        # mirror; odd, even and one-bin records meet the mirror differently
+        # a real-valued field (the modulator output) has a Hermitian
+        # spectrum; odd, even and one-bin records meet the mirror of the even
+        # response differently
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         w = SampledWaveform(RATE, x.astype(complex), "optical_field")
         out = propagate(w, O_FIBER, 1330.0).spectrum
-        assert not w.holds_spectrum  # no complex fft of the input ran
         loss = 10 ** (-O_FIBER.attenuation_db_km * O_FIBER.length_km / 20.0)
         phase = dispersion_phase(w.freqs(), O_FIBER, 1330.0, O_FIBER.length_km)
         expect = loss * np.fft.fft(x) * np.exp(1j * phase)
@@ -153,7 +150,6 @@ class TestSpectralAse:
 
     def test_noise_variance_matches_density(self):
         out = self.spectral_noise(1)
-        assert out.holds_spectrum
         var = np.mean(np.abs(out.samples) ** 2)
         assert var == pytest.approx(self.DENSITY * RATE, rel=0.05, abs=0)
 
@@ -172,7 +168,6 @@ class TestSpectralAse:
         spec = OpticalAmpSpec(3.0, 1e-26)
         a = optical_amplify(w, spec, seed=42)
         b = optical_amplify(w, spec, seed=42)
-        assert a.holds_spectrum
         assert np.array_equal(a.spectrum, b.spectrum)
         assert not np.array_equal(a.spectrum,
                                   optical_amplify(w, spec, seed=43).spectrum)
@@ -181,9 +176,9 @@ class TestSpectralAse:
 class TestObpf:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
     def test_real_field_read_by_rfft(self, n):
-        # a field that holds only real-valued samples is filtered on its
-        # spectrum; odd, even and one-bin records meet the mirror of the
-        # even response differently
+        # a real-valued field is filtered on its Hermitian spectrum; odd,
+        # even and one-bin records meet the mirror of the even response
+        # differently
         x = np.random.default_rng(n).normal(size=n)
         w = SampledWaveform(RATE, x.astype(complex), "optical_field")
         f = np.abs(np.fft.fftfreq(n, 1 / RATE))
@@ -223,10 +218,9 @@ class TestObpf:
 
 
 class TestChannelMemory:
-    """The all-passes are built in place, a real-valued field is read by its
-    ``rfft`` and a spectrum-held one detected by two ``irfft``s, so each
-    stage holds fewer record-sized arrays at once beyond its input, with the
-    bytes of the out-of-place products."""
+    """The all-passes are built in place and the field is detected by two
+    ``irfft``s, so each stage holds fewer record-sized arrays at once beyond
+    its input, with the bytes of the out-of-place products."""
 
     def test_bit_equal_to_out_of_place(self):
         # the responses are built on the n // 2 + 1 rfftfreq bins and
@@ -247,26 +241,21 @@ class TestChannelMemory:
                 out = obpf(w, 100e9, O_FIBER, 1310.0, trim_km=trim_km).spectrum
                 assert np.array_equal(out, w.spectrum * resp), (n, trim_km)
 
-    @pytest.mark.parametrize("stage, real, records", [
+    @pytest.mark.parametrize("stage, records", [
         # 2.50 complex records: the loss product and the output, with the
         # all-pass built in place on the half grid
-        (lambda w: propagate(w, O_FIBER, 1330.0), False, 3.0),
-        # 2.00 complex records from the rfft; 3.00 from the full fft
-        (lambda w: propagate(w, O_FIBER, 1330.0), True, 2.5),
+        (lambda w: propagate(w, O_FIBER, 1330.0), 3.0),
         # 1.56 complex records on the half grid; 2.13 on the full grid, and
         # 2.56 out of place
-        (lambda w: obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0), False, 2.35),
+        (lambda w: obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0), 2.35),
         # 2.03 complex records from two irffts; 3.50 from the complex ifft
-        (photodetect, False, 2.5),
-    ], ids=["propagate", "propagate-real", "obpf", "photodetect"])
-    def test_peak_memory(self, stage, real, records):
+        (photodetect, 2.5),
+    ], ids=["propagate", "obpf", "photodetect"])
+    def test_peak_memory(self, stage, records):
         rng = np.random.default_rng(6)
         n = 1 << 16
-        if real:  # the modulator output: real-valued samples only
-            w = SampledWaveform(RATE, rng.normal(size=n).astype(complex), "optical_field")
-        else:  # the input arrives holding only its spectrum
-            w = SampledWaveform.from_spectrum(
-                RATE, rng.normal(size=n) + 1j * rng.normal(size=n), n, "optical_field")
+        w = SampledWaveform.from_spectrum(
+            RATE, rng.normal(size=n) + 1j * rng.normal(size=n), n, "optical_field")
         tracemalloc.start()
         try:
             stage(w)
@@ -284,14 +273,21 @@ class TestHandOff:
     N = 1 << 16
 
     def test_propagate(self):
-        # the modulator output goes once its rfft is taken, before the
-        # output is made, and the all-pass is built in blocks: 2.13 records,
-        # 3.00 with the field and the whole all-pass held
+        # the field goes once its loss product is formed, before the output
+        # is made: handed on, it adds nothing to the peak the stage reaches
+        # on a field its caller holds (2.50 records: the loss product, the
+        # output and the all-pass blocks), where a stage that kept it would
+        # add one full record (3.50)
         rng = np.random.default_rng(8)
-        peak = traced_peak(lambda: propagate(
-            SampledWaveform(RATE, rng.normal(size=self.N).astype(complex), "optical_field"),
-            O_FIBER, 1330.0))
-        assert peak < 2.5 * 16 * self.N
+
+        def field():
+            return SampledWaveform.from_spectrum(
+                RATE, rng.normal(size=2 * self.N).view(complex), self.N, "optical_field")
+
+        peak = traced_peak(lambda: propagate(field(), O_FIBER, 1330.0))
+        held = field()
+        held_peak = traced_peak(lambda: propagate(held, O_FIBER, 1330.0))
+        assert peak < held_peak + 0.25 * 16 * self.N
 
     def test_optical_amplify(self):
         # the field goes once its gain product is formed, before the ASE is

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import traceback
-import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -18,7 +17,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TRANSPARENT_SEEDS, fast_link_config, transparency_failures
+from conftest import TRANSPARENT_SEEDS, fast_link_config, traced_peak, transparency_failures
 import imddsim
 from imddsim import channel, frontend, harness, rxdsp, txdsp
 from imddsim.channel import FiberSpec, OpticalAmpSpec
@@ -51,8 +50,9 @@ from imddsim.frontend import AmplifierModel, MzmModel
 from imddsim.sigcore import SampledWaveform
 from imddsim.txdsp import VolterraStructure
 
-#: The stages that transform the complex optical field.
-OPTICAL_TRANSFORM_STAGES = ("propagate", "optical_amplify", "obpf", "photodetect")
+#: The stages that transform the optical field.
+OPTICAL_TRANSFORM_STAGES = ("mzm_modulate", "propagate", "optical_amplify", "obpf",
+                            "photodetect")
 
 
 class TestPresets:
@@ -534,40 +534,35 @@ class TestRunLink:
         # closed-form response, so a run transforms only where a pointwise
         # stage meets a linear one (RRC input, drive peak, MZM drive, fiber
         # input, photocurrent, sync template, correlation, equalizer input).
-        # A round trip between two linear stages would add two. The fiber
-        # reads the real-valued modulator output by one rfft, at any length,
-        # and hands on the field's spectrum, which the ASE and the OBPF act
-        # on; the photodiode forms |E|^2 from it by two irffts before its
-        # bandwidth filter reads the photocurrent by one rfft. Every
-        # transform acts on a real record, so each is a one-sided rfft or
-        # irfft, and the run makes the same 10 whatever its channel.
+        # A round trip between two linear stages would add two. The
+        # modulator reads its filtered drive by one irfft and hands on the
+        # field as the rfft of its real-valued cosine, which the fiber, the
+        # ASE and the OBPF act on with no transform, at any length; the
+        # photodiode forms |E|^2 from it by two irffts before its bandwidth
+        # filter reads the photocurrent by one rfft. Every transform acts on
+        # a real record, so each is a one-sided rfft or irfft, and the run
+        # makes the same 10 whatever its channel.
         channel = ChannelConfig(FiberSpec(length_km), 1310.0, OpticalAmpSpec(0.0, density),
                                 obpf_bandwidth_hz=obpf_hz)
         calls = self._fft_calls(monkeypatch, replace(fast_config, channel=channel))
         optical = [(name, stage) for name, stage in calls if stage is not None]
-        assert optical == [("rfft", "propagate"), ("irfft", "photodetect"),
-                           ("irfft", "photodetect"), ("rfft", "photodetect")], calls
+        assert optical == [("irfft", "mzm_modulate"), ("rfft", "mzm_modulate"),
+                           ("irfft", "photodetect"), ("irfft", "photodetect"),
+                           ("rfft", "photodetect")], calls
         assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
         assert len(calls) == 10, calls
-
-    @staticmethod
-    def _traced_peak(config) -> int:
-        tracemalloc.start()
-        try:
-            run_link(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
     def test_o_band_memory_bound(self):
         # every record dies at its last use: each stage frees the record its
         # caller handed on once it has read it and drops its temporaries, the
         # LO images share one array and the optical responses are built in
-        # blocks, so the run's peak (about 6.2 MB) is set by the second DAC
-        # in stitch_bands, with obpf, photodetect and the amplifiers at
-        # 6.0 MB; with each stage's input and temporaries held to its end,
-        # band_split set it at about 9.6 MB
-        assert self._traced_peak(o_band_216g(7)) < 6.8e6
+        # blocks, so the run's peak (about 6.6 MB) is set by propagate, which
+        # holds the field's spectrum and its loss product, with obpf at
+        # 6.3 MB, the second DAC in stitch_bands at 6.2 MB and photodetect
+        # and the amplifiers at 6.1 MB; with each stage's input and
+        # temporaries held to its end, band_split set it at about 9.6 MB
+        cfg = o_band_216g(7)
+        assert traced_peak(lambda: run_link(cfg)) < 6.8e6
 
     def test_dpd_training_memory_bound(self):
         # the DPD training link hands its records on like the run does, and
@@ -577,7 +572,7 @@ class TestRunLink:
         # and temporaries held to its end
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
-        assert self._traced_peak(cfg) < 8.0e6
+        assert traced_peak(lambda: run_link(cfg)) < 8.0e6
 
     @pytest.mark.parametrize("stage, name", [
         ("frontend", "band_split"),
@@ -595,7 +590,7 @@ class TestRunLink:
         def poisoned(*args, **kwargs):
             out = real(*args, **kwargs)
             wave = out[0] if isinstance(out, tuple) else out
-            (wave.spectrum if wave.holds_spectrum else wave.samples)[3] = np.nan
+            wave.spectrum[3] = np.nan
             return out
 
         monkeypatch.setattr(harness, name, poisoned)
@@ -725,7 +720,7 @@ class TestStagesLeaveHeldInputs:
     ])
     def test_input_unchanged(self, stage):
         w = self.held_inputs()
-        for wave in w.values():  # hold both forms, so either could be changed
+        for wave in w.values():  # compute the samples too, so either could be changed
             wave.samples, wave.spectrum
         before = {k: (v.samples.tobytes(), v.spectrum.tobytes()) for k, v in w.items()}
         plan = txdsp.BandPlan(76e9, 75e9, 72e9)

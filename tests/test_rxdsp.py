@@ -11,6 +11,7 @@ from scipy.stats import norm
 from conftest import traced_peak
 from imddsim import rxdsp
 from imddsim.errors import NoRateError, ParameterError, SyncError
+from imddsim.frontend import ANALOG_BESSEL_ORDER
 from imddsim.rxdsp import (
     CSV_HEADER,
     FFE_RIDGE,
@@ -38,7 +39,13 @@ from imddsim.shaping import (
     maxwell_boltzmann,
     uniform_frame,
 )
-from imddsim.sigcore import SampledWaveform, bin_centered_frequency, nmse_db, tone_amplitude
+from imddsim.sigcore import (
+    SampledWaveform,
+    bessel_response,
+    bin_centered_frequency,
+    nmse_db,
+    tone_amplitude,
+)
 from imddsim.txdsp import rrc_upsample
 
 RATE = 512e9
@@ -77,15 +84,19 @@ class TestPhotodetect:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
     def test_spectrum_held_field_matches_ifft(self, n):
-        # a field that holds only its spectrum S is detected by two irffts of
-        # its Hermitian and anti-Hermitian parts; odd, even and one-bin
-        # records meet the conjugate mirror differently
+        # a field with spectrum S is detected by two irffts of its Hermitian
+        # and anti-Hermitian parts; odd, even and one-bin records meet the
+        # conjugate mirror differently. The whole stage is |ifft(S)|^2
+        # through the PD bandwidth, compared as samples: for even n the
+        # photocurrent drops the imaginary part of the Nyquist bin, which
+        # the raw product has
         rng = np.random.default_rng(n)
         spectrum = rng.normal(size=n) + 1j * rng.normal(size=n)
         fld = SampledWaveform.from_spectrum(RATE, spectrum, n, "optical_field")
-        out = photodetect(fld).real
-        expect = photodetect(SampledWaveform(RATE, np.fft.ifft(spectrum),
-                                             "optical_field")).real
+        out = photodetect(fld, 100e9).real
+        response = bessel_response(np.fft.rfftfreq(n, 1 / RATE), 100e9, ANALOG_BESSEL_ORDER)
+        intensity = np.abs(np.fft.ifft(spectrum)) ** 2
+        expect = np.fft.irfft(response * np.fft.rfft(intensity), n)
         assert np.max(np.abs(out - expect)) <= 1e-12 * np.max(np.abs(expect))
         # the intensity itself, before the photodiode bandwidth
         current = rxdsp._intensity(spectrum)
