@@ -8,11 +8,16 @@ prefixed with the case name.
     python scripts/golden_rows.py            # per-seed dNGMI and dnet
     python scripts/golden_rows.py --exact    # exit 1 on any byte difference
     python scripts/golden_rows.py --write    # record the current rows
+    python scripts/golden_rows.py --repr     # print each full-precision report
 
 Without ``--exact`` the script prints, for each case, the change in NGMI and
 net bitrate next to the NGMI range over the golden seeds of that case (n/a
 for a case with one seed), so a deliberate physics change can be read
-against the seed-to-seed spread.
+against the seed-to-seed spread. ``--repr`` runs the cases and prints one
+line per case, its name, seed and full-precision ``repr(MetricsReport)``,
+and compares nothing: the CSV row rounds, so a byte-identity check between
+two checkouts is one ``cmp`` of this output from each (copy the script into
+the other checkout's ``scripts/`` to run it against that ``src/``).
 Run it from the repository root; ``src/`` is put on the import path.
 """
 
@@ -59,8 +64,14 @@ def main(argv: list[str] | None = None) -> int:
                       help="exit 1 if any row differs from the golden by a byte")
     mode.add_argument("--write", action="store_true",
                       help="overwrite the golden with the current rows")
+    mode.add_argument("--repr", action="store_true",
+                      help="print each case's full-precision report and compare nothing")
     args = parser.parse_args(argv)
 
+    if args.repr:
+        for case, build, seed in CASES:
+            print(f"{case},{seed},{run_link(build(seed))!r}")
+        return 0
     current = {(case, seed): run_link(build(seed)).to_csv_row()
                for case, build, seed in CASES}
     if args.write:

@@ -106,7 +106,7 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
         return np.exp(out, out=out)
 
     out = _times_even(x, n, rate, allpass)
-    return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
+    return SampledWaveform._from_spectrum(rate, out, n, "optical_field")
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
@@ -132,7 +132,7 @@ def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
         out.real += rng.normal(0, sigma, n)
         out.imag += rng.normal(0, sigma, n)
     _require_finite(out, "amplified field spectrum")
-    return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
+    return SampledWaveform._from_spectrum(rate, out, n, "optical_field")
 
 
 def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
@@ -162,7 +162,7 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
         return out
 
     out = _times_even(x, n, rate, response)
-    return SampledWaveform._from_spectrum(rate, out, n, "optical_field", owned=True)
+    return SampledWaveform._from_spectrum(rate, out, n, "optical_field")
 
 
 def _times_even(x: np.ndarray, n: int, rate_hz: float, response) -> np.ndarray:

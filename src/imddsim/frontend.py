@@ -173,20 +173,21 @@ def _convert(wave: SampledWaveform, analog_rate_hz: float, resolution_bits: int 
              response: tuple[np.ndarray, np.ndarray] | None) -> SampledWaveform:
     """:func:`dac` with the converter ``response`` (droop, Bessel) given on
     the analog grid, or exact resampling alone when it is None. The droop
-    and the Bessel filter multiply the resampled spectrum, which the stage
-    made itself, in place."""
+    and the Bessel filter multiply, in place, a spectrum the stage made
+    itself: the resampled one, or a copy of the caller's when the rate does
+    not change."""
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
     up = resample(wave, analog_rate_hz)
     if response is None:
         return up
-    if up is wave:  # no rate change: the spectrum is the caller's
-        return apply_filter(up, *response)
-    del wave  # a caller that handed the record on frees it here
     spectrum = up.spectrum
+    if up is wave:  # no rate change: the spectrum is the caller's
+        spectrum = spectrum.copy()
+    del wave  # a caller that handed the record on frees it here
     for resp in response:
         spectrum *= resp
-    return up
+    return SampledWaveform._from_spectrum(up.sample_rate_hz, spectrum, up.n, up.domain_tag)
 
 
 def mixer_gain(freq_hz: np.ndarray, bandwidth_hz: float) -> np.ndarray:
@@ -223,14 +224,16 @@ def mixer_upconvert(if_wave: SampledWaveform, lo_frequency_hz: float,
     del if_wave  # a caller that handed the IF record on frees it here
     if bandwidth_hz is not None:
         up *= mixer_gain(np.fft.rfftfreq(n, d=1.0 / rate), bandwidth_hz)
-    return SampledWaveform._from_spectrum(rate, up, n, "electrical", owned=True)
+    return SampledWaveform._from_spectrum(rate, up, n, "electrical")
 
 
 def combine(lower: SampledWaveform, upper_rf: SampledWaveform) -> SampledWaveform:
     """Active combiner: a balanced, aligned sum of the two bands' spectra."""
     if lower.sample_rate_hz != upper_rf.sample_rate_hz or lower.n != upper_rf.n:
         raise ParameterError("combiner inputs must share rate and length")
-    return lower._with_own_spectrum(lower.spectrum + upper_rf.spectrum)
+    return SampledWaveform._from_spectrum(lower.sample_rate_hz,
+                                          lower.spectrum + upper_rf.spectrum, lower.n,
+                                          lower.domain_tag)
 
 
 def amplify(wave: SampledWaveform, model: AmplifierModel) -> SampledWaveform:
@@ -282,7 +285,7 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
     spectrum = np.empty(n, dtype=np.complex128)
     spectrum[: half.size] = half
     np.conjugate(half[(n + 1) // 2 - 1: 0: -1], out=spectrum[half.size:])
-    return SampledWaveform._from_spectrum(rate, spectrum, n, "optical_field", owned=True)
+    return SampledWaveform._from_spectrum(rate, spectrum, n, "optical_field")
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +340,7 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     np.subtract(1.0, hpf, out=hpf)
     spectrum *= hpf
     del hpf
-    upper_rf = SampledWaveform._from_spectrum(analog_rate_hz, spectrum, lower.n,
-                                              "electrical", owned=True)
+    upper_rf = SampledWaveform._from_spectrum(analog_rate_hz, spectrum, lower.n, "electrical")
     del spectrum
     if upper_amplifier is not None:
         upper_rf = amplify(upper_rf, upper_amplifier)

@@ -77,7 +77,7 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
                                ANALOG_BESSEL_ORDER)
     np.multiply(spectrum, response, out=response)
     del spectrum
-    return SampledWaveform._from_spectrum(rate, response, n, "photocurrent", owned=True)
+    return SampledWaveform._from_spectrum(rate, response, n, "photocurrent")
 
 
 def _intensity(spectrum: np.ndarray) -> np.ndarray:
@@ -183,7 +183,7 @@ def synchronize(received: SampledWaveform,
     del mag
 
     aligned = x * np.exp(2j * np.pi * np.fft.rfftfreq(n) * delay)
-    return SampledWaveform._from_spectrum(rate, aligned, n, tag, owned=True), delay
+    return SampledWaveform._from_spectrum(rate, aligned, n, tag), delay
 
 
 def _template_spectrum(preamble: np.ndarray, n: int) -> np.ndarray:

@@ -6,16 +6,18 @@ Conventions used throughout the simulator:
 - Records are treated as circular: a linear stage is a response H(f) on the
   record's DFT grid, so zero-phase designs apply with exactly zero
   delay and length is always preserved.
-- A :class:`SampledWaveform` holds its spectrum; the samples are computed
-  once, on first use. Linear stages (filters, pulse shaping, resampling by
-  spectral truncation or zero padding, DAC droop, mixer gain, uncompressed
-  amplifiers, dispersion, the optical filter, DC removal as a zeroed DC
-  bin) multiply or reshape the spectrum, so a chain of them costs no
-  transform. A transform runs only where a pointwise stage meets a linear
-  one: quantizers, tanh amplifier, drive peak and MZM cosine, thermal
-  noise, square-law detection, sync correlation, and the equalizer. The LO
-  sits on the record grid, so the mixer's up-conversion and the band
-  split's down-conversion are one whole-bin spectrum shift, :func:`lo_shift`.
+- A :class:`SampledWaveform` holds one array, its spectrum, and its
+  public constructors copy their input; the samples are the inverse
+  transform, computed on each read. Linear stages (filters, pulse
+  shaping, resampling by spectral truncation or zero padding, DAC droop,
+  mixer gain, uncompressed amplifiers, dispersion, the optical filter, DC
+  removal as a zeroed DC bin) multiply or reshape the spectrum, so a chain
+  of them costs no transform. A transform runs only where a pointwise
+  stage meets a linear one: quantizers, tanh amplifier, drive peak and MZM
+  cosine, thermal noise, square-law detection, sync correlation, and the
+  equalizer. The LO sits on the record grid, so the mixer's up-conversion
+  and the band split's down-conversion are one whole-bin spectrum shift,
+  :func:`lo_shift`.
   The modulator hands on the optical field as its spectrum, and white ASE
   noise is drawn as its DFT, so they cost no transform either.
 - Real signals stay real. Electrical and photocurrent waveforms hold the
@@ -66,105 +68,91 @@ class SampledWaveform:
     sample_rate_hz : float
         Sampling rate, > 0.
     samples : array-like
-        Sample values. Electrical and photocurrent waveforms are real and
-        kept as float64; a complex input must have an imaginary RMS below
-        1e-12 of its total RMS, and its imaginary part is dropped. An optical
-        field is kept as complex128.
+        Finite sample values: real for an electrical or photocurrent
+        waveform (a complex array raises, whatever its imaginary part), real
+        or complex for an optical field.
     domain_tag : str
         One of ``electrical``, ``optical_field``, ``photocurrent``.
 
-    A waveform holds its spectrum; the samples are computed once, on first
-    use. The spectrum has the form that fits the domain: the one-sided
-    ``n // 2 + 1``-bin ``rfft`` of a real waveform, the full n-bin ``fft``
-    of an optical field (unnormalized, ``numpy.fft`` order), with
-    :meth:`freqs` giving its bin frequencies. This constructor takes that
-    transform at once and keeps the samples as their cached view;
-    :meth:`from_spectrum` builds a waveform from its spectrum, with no
-    transform. Stages never modify a waveform; they build a new one.
+    A waveform holds one array, its spectrum, in the form that fits the
+    domain: the one-sided ``n // 2 + 1``-bin ``rfft`` of a real waveform,
+    the full n-bin ``fft`` of an optical field (unnormalized, ``numpy.fft``
+    order), with :meth:`freqs` giving its bin frequencies. This constructor
+    takes that transform at once and keeps nothing else, and
+    :meth:`from_spectrum` builds a waveform from a copy of its spectrum, with
+    no transform, so no caller shares the array a waveform holds.
+    :attr:`samples` is the inverse transform, a new array on every read.
+    Stages never modify a waveform; they build a new one.
     """
 
-    __slots__ = ("sample_rate_hz", "domain_tag", "n", "_samples", "_spectrum")
+    __slots__ = ("sample_rate_hz", "domain_tag", "n", "_spectrum")
 
     def __init__(self, sample_rate_hz: float, samples, domain_tag: str = "electrical"):
         arr = _checked(sample_rate_hz, samples, domain_tag, "samples")
         _require_finite(arr, "samples")
         if domain_tag in _REAL_TAGS:
             if np.iscomplexobj(arr):
-                total = np.sqrt(np.mean(np.abs(arr) ** 2))
-                imag = np.sqrt(np.mean(arr.imag**2))
-                if total > 0 and imag > 1e-12 * total:
-                    raise ParameterError(
-                        f"{domain_tag} waveform has non-negligible imaginary part"
-                    )
-                arr = arr.real.copy()
-            arr = arr.astype(np.float64, copy=False)
-            spectrum = np.fft.rfft(arr)
+                raise ParameterError(f"{domain_tag} samples must be real")
+            spectrum = np.fft.rfft(arr.astype(np.float64, copy=False))
         else:
-            arr = arr.astype(np.complex128, copy=False)
-            spectrum = np.fft.fft(arr)
+            spectrum = np.fft.fft(arr.astype(np.complex128, copy=False))
         self.sample_rate_hz = sample_rate_hz
         self.domain_tag = domain_tag
         self.n = arr.size
-        self._samples = arr
         self._spectrum = spectrum
 
     @classmethod
     def from_spectrum(cls, sample_rate_hz: float, spectrum, n: int,
                       domain_tag: str = "electrical") -> "SampledWaveform":
-        """The n-sample waveform whose spectrum is ``spectrum``: n bins for an
-        optical field, and ``n // 2 + 1`` bins for an electrical or
-        photocurrent waveform, whose samples are the ``irfft``.
+        """The n-sample waveform whose spectrum is a copy of ``spectrum``: n
+        bins for an optical field, and ``n // 2 + 1`` bins for an electrical
+        or photocurrent waveform, whose samples are the ``irfft``.
 
         ``irfft`` ignores the imaginary parts of the DC bin and, for even n,
         the Nyquist bin, so the waveform holds the spectrum with those parts
         zeroed: the ``rfft`` of its samples. Where the record grid later
         changes (resampling, mixing), those bins become interior bins, and
         an imaginary part left there would turn into signal."""
-        _require_finite(_checked(sample_rate_hz, spectrum, domain_tag, "spectrum"),
-                        "spectrum")
-        return cls._from_spectrum(sample_rate_hz, spectrum, n, domain_tag, owned=False)
+        spec = _checked(sample_rate_hz, spectrum, domain_tag, "spectrum")
+        _require_finite(spec, "spectrum")
+        return cls._from_spectrum(sample_rate_hz, spec.astype(np.complex128), n,
+                                  domain_tag)
 
     @classmethod
-    def _from_spectrum(cls, sample_rate_hz: float, spectrum, n: int, domain_tag: str,
-                       owned: bool) -> "SampledWaveform":
-        """:meth:`from_spectrum` of a spectrum a stage computed, without the
-        scan for non-finite values (see ``_require_finite``). With ``owned``
-        the new waveform takes ``spectrum`` over, so the DC and Nyquist
-        imaginary parts are zeroed in it rather than in a copy."""
-        spec = _checked(sample_rate_hz, spectrum, domain_tag, "spectrum")
-        spec = spec.astype(np.complex128, copy=False)
+    def _from_spectrum(cls, sample_rate_hz: float, spectrum: np.ndarray, n: int,
+                       domain_tag: str) -> "SampledWaveform":
+        """The waveform that takes over ``spectrum``, a complex array a stage
+        has just computed and no one else holds, unscanned (see
+        ``_require_finite``); the DC and Nyquist imaginary parts of a real
+        waveform's spectrum are zeroed in it."""
         real = domain_tag in _REAL_TAGS
         bins = n // 2 + 1 if real else n
-        if spec.size != bins:
+        if spectrum.size != bins:
             raise ParameterError(f"a {n}-sample {domain_tag} waveform has {bins} "
-                                 f"spectrum bins, not {spec.size}")
+                                 f"spectrum bins, not {spectrum.size}")
         if real:
             ends = [0, -1] if n % 2 == 0 else [0]
-            if np.any(spec[ends].imag != 0):
-                if not owned:
-                    spec = spec.copy()  # the caller's array stays as it was
-                spec[ends] = spec[ends].real
+            if np.any(spectrum[ends].imag != 0):
+                spectrum[ends] = spectrum[ends].real
         wave = cls.__new__(cls)
         wave.sample_rate_hz = sample_rate_hz
         wave.domain_tag = domain_tag
         wave.n = n
-        wave._samples = None
-        wave._spectrum = spec
+        wave._spectrum = spectrum
         return wave
 
     @property
     def samples(self) -> np.ndarray:
-        if self._samples is None:
-            if self.domain_tag in _REAL_TAGS:
-                self._samples = np.fft.irfft(self._spectrum, self.n)
-            else:
-                self._samples = np.fft.ifft(self._spectrum)
-        return self._samples
+        """The inverse transform of the spectrum, a new array on each read:
+        ``irfft`` for a real waveform, ``ifft`` for an optical field."""
+        if self.domain_tag in _REAL_TAGS:
+            return np.fft.irfft(self._spectrum, self.n)
+        return np.fft.ifft(self._spectrum)
 
     @property
     def spectrum(self) -> np.ndarray:
         """``rfft`` of the samples of a real waveform, ``fft`` of those of an
-        optical field: the waveform's stored form."""
+        optical field: the waveform's stored array."""
         return self._spectrum
 
     @property
@@ -180,19 +168,10 @@ class SampledWaveform:
     def with_samples(self, samples: np.ndarray) -> "SampledWaveform":
         return SampledWaveform(self.sample_rate_hz, samples, self.domain_tag)
 
-    def with_spectrum(self, spectrum: np.ndarray) -> "SampledWaveform":
-        return SampledWaveform.from_spectrum(self.sample_rate_hz, spectrum, self.n,
-                                             self.domain_tag)
-
-    def _with_own_spectrum(self, spectrum: np.ndarray) -> "SampledWaveform":
-        """:meth:`with_spectrum` of an array a stage has just computed, which
-        the new waveform takes over unscanned (see ``_require_finite``)."""
-        return SampledWaveform._from_spectrum(self.sample_rate_hz, spectrum, self.n,
-                                              self.domain_tag, owned=True)
-
     def scaled(self, factor: float) -> "SampledWaveform":
         """The waveform times a constant, formed on the spectrum."""
-        return self._with_own_spectrum(factor * self._spectrum)
+        return SampledWaveform._from_spectrum(self.sample_rate_hz, factor * self._spectrum,
+                                              self.n, self.domain_tag)
 
 
 def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
@@ -211,13 +190,13 @@ def _require_finite(values: np.ndarray, what: str) -> None:
     """Raise unless every value is finite.
 
     This is a pass over the record, so it runs only where outside data
-    enters: the public constructors (``SampledWaveform``,
-    :meth:`~SampledWaveform.from_spectrum`, ``with_samples``,
-    ``with_spectrum``), the raw arrays a public stage takes, and the output
-    of the pointwise stages that can overflow (amplifier gain, the
-    modulator's cosine, optical gain and ASE, square-law detection). A
-    linear stage applies a finite closed-form response to a finite record,
-    so the waveforms the stages build in between go unscanned.
+    enters: the public constructors (``SampledWaveform``, ``with_samples``
+    through it, and :meth:`~SampledWaveform.from_spectrum`), the raw arrays
+    a public stage takes, and the output of the pointwise stages that can
+    overflow (amplifier gain, the modulator's cosine, optical gain and ASE,
+    square-law detection). A linear stage applies a finite closed-form
+    response to a finite record, so the waveforms the stages build in
+    between go unscanned.
     """
     if not np.all(np.isfinite(values)):
         raise ParameterError(f"{what} must be finite")
@@ -311,23 +290,16 @@ def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.nd
     return out
 
 
-def apply_filter(wave: SampledWaveform, response: np.ndarray,
-                 *cascade: np.ndarray) -> SampledWaveform:
-    """Filter a waveform: its spectrum times ``response``, then times each
-    response of ``cascade`` in turn, all given on the waveform's own
-    frequency grid (``wave.freqs()``), so length is preserved. The cascade's
-    products are taken in place, which rounds as new products would, so it
-    costs no further record."""
+def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform:
+    """Filter a waveform: its spectrum times ``response``, given on the
+    waveform's own frequency grid (``wave.freqs()``), so length is
+    preserved."""
     spectrum = wave.spectrum
-    for resp in (response, *cascade):
-        if np.shape(resp) != spectrum.shape:
-            raise ParameterError(f"response of shape {np.shape(resp)} is not on "
-                                 f"the {spectrum.size}-bin grid")
-    out = spectrum * response
-    for resp in cascade:
-        out *= resp
-    return SampledWaveform._from_spectrum(wave.sample_rate_hz, out, wave.n,
-                                          wave.domain_tag, owned=True)
+    if np.shape(response) != spectrum.shape:
+        raise ParameterError(f"response of shape {np.shape(response)} is not on "
+                             f"the {spectrum.size}-bin grid")
+    return SampledWaveform._from_spectrum(wave.sample_rate_hz, spectrum * response, wave.n,
+                                          wave.domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +336,7 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
         # the unpaired bin: its mirror joins it going down, splits off going up
         y[m // 2] *= 2.0 if n_out < n_in else 0.5
     y *= n_out / n_in
-    return SampledWaveform._from_spectrum(target_rate_hz, y, n_out, wave.domain_tag,
-                                          owned=True)
+    return SampledWaveform._from_spectrum(target_rate_hz, y, n_out, wave.domain_tag)
 
 
 def lo_shift(spectrum: np.ndarray, n: int, sample_rate_hz: float,

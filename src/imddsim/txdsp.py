@@ -273,7 +273,7 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
         period[:] = spectrum[: period.size]
     spectrum *= response
     return SampledWaveform._from_spectrum(symbol_rate_hz * samples_per_symbol,
-                                          spectrum, n, "electrical", owned=True)
+                                          spectrum, n, "electrical")
 
 
 def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
@@ -292,7 +292,8 @@ def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
     cap = 10 ** (max_boost_db / 20.0)
     with np.errstate(divide="ignore"):
         boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
-    return wave._with_own_spectrum(spectrum * boost)
+    return SampledWaveform._from_spectrum(wave.sample_rate_hz, spectrum * boost, wave.n,
+                                          wave.domain_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
 
     lp = filter_response(plan.crossover_hz, plan.crossover_transition_hz, n, rate)
     lower_wave = resample(
-        SampledWaveform._from_spectrum(rate, spectrum * lp, n, "electrical", owned=True),
+        SampledWaveform._from_spectrum(rate, spectrum * lp, n, "electrical"),
         plan.awg_rate_hz)
 
     np.subtract(1.0, lp, out=lp)  # the complementary highpass
@@ -373,6 +374,6 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     aa_cutoff = min(plan.awg_bandwidth_hz, 0.49 * plan.awg_rate_hz)
     up *= filter_response(aa_cutoff, IF_TRANSITION_HZ, n, rate)
     upper_wave = resample(
-        SampledWaveform._from_spectrum(rate, up, n, "electrical", owned=True),
+        SampledWaveform._from_spectrum(rate, up, n, "electrical"),
         plan.awg_rate_hz)
     return lower_wave, upper_wave

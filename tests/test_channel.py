@@ -39,6 +39,13 @@ def intensity_width(wave):
     return np.sqrt(2 * var)
 
 
+def random_field(kind, n):
+    """n Gaussian samples of a field, real-valued or complex, seeded by n."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    return x if kind == "real" else x + 1j * rng.normal(size=n)
+
+
 class TestDispersionCoefficient:
     def test_zero_at_lambda0(self):
         assert dispersion_coefficient(1280.0, O_FIBER) == 0.0
@@ -95,13 +102,13 @@ class TestPropagate:
         assert nmse_db(two, one) < -90
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
-    def test_real_field_read_by_rfft(self, n):
-        # a real-valued field (the modulator output) has a Hermitian
-        # spectrum; odd, even and one-bin records meet the mirror of the even
-        # response differently
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n)
-        w = SampledWaveform(RATE, x.astype(complex), "optical_field")
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_closed_form(self, kind, n):
+        # odd, even and one-bin records meet the mirror of the even response
+        # differently; a real-valued field (the modulator output) has a
+        # Hermitian spectrum
+        x = random_field(kind, n)
+        w = SampledWaveform(RATE, x, "optical_field")
         out = propagate(w, O_FIBER, 1330.0).spectrum
         loss = 10 ** (-O_FIBER.attenuation_db_km * O_FIBER.length_km / 20.0)
         phase = dispersion_phase(w.freqs(), O_FIBER, 1330.0, O_FIBER.length_km)
@@ -175,12 +182,13 @@ class TestSpectralAse:
 
 class TestObpf:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
-    def test_real_field_read_by_rfft(self, n):
-        # a real-valued field is filtered on its Hermitian spectrum; odd,
-        # even and one-bin records meet the mirror of the even response
-        # differently
-        x = np.random.default_rng(n).normal(size=n)
-        w = SampledWaveform(RATE, x.astype(complex), "optical_field")
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_closed_form(self, kind, n):
+        # odd, even and one-bin records meet the mirror of the even response
+        # differently; the complex field is what the filter sees after the
+        # ASE
+        x = random_field(kind, n)
+        w = SampledWaveform(RATE, x, "optical_field")
         f = np.abs(np.fft.fftfreq(n, 1 / RATE))
         for trim_km in (2.0, 0.0):  # with no trim, the passband alone
             resp = np.exp(-1j * dispersion_phase(f, O_FIBER, 1310.0, trim_km))

@@ -75,6 +75,20 @@ class TestDac:
         gain = tone_amplitude(out, f) / tone_amplitude(w, f)
         assert gain == pytest.approx(abs(droop[0] * bessel[0]), rel=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096])
+    def test_no_rate_change_filters_a_copy(self, n):
+        # at the DAC rate the converter multiplies a copy of the caller's
+        # spectrum in place, which rounds as one filter after the other does
+        rng = np.random.default_rng(n)
+        w = SampledWaveform(AWG_RATE, rng.normal(size=n))
+        spectrum = w.spectrum.copy()
+        out = dac(w, AWG_RATE, 80e9)
+        droop, bessel = dac_response(w.freqs(), AWG_RATE, 80e9)
+        expect = apply_filter(apply_filter(w, droop), bessel)
+        assert out.spectrum.tobytes() == expect.spectrum.tobytes()
+        assert out.samples.tobytes() == expect.samples.tobytes()
+        assert w.spectrum.tobytes() == spectrum.tobytes()
+
     def test_quantization_noise_floor(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 1 << 16)
