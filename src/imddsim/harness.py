@@ -148,8 +148,9 @@ def _preemphasize(config: LinkConfig, bands: list[SampledWaveform]) -> list[Samp
             linear_preemphasis(bands.pop(), resp_upper / resp_upper.max(), boost)]
 
 
-def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
-    """Symbols to modulated optical field.
+def _transmit(config: LinkConfig, tx_symbols: list[np.ndarray]) -> SampledWaveform:
+    """Symbols, popped from the one-element list ``tx_symbols``, to
+    modulated optical field.
 
     Each record goes straight into the call that reads it, or in a list
     that the call empties, so no stage's input outlives its first use
@@ -157,7 +158,7 @@ def _transmit(config: LinkConfig, tx_symbols: np.ndarray) -> SampledWaveform:
     where the stage drops them)."""
     dsp, tx, plan = config.dsp, config.tx, config.plan
     bands = _preemphasize(config, list(band_split(
-        rrc_upsample(tx_symbols, SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
+        rrc_upsample(tx_symbols.pop(), SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
                      config.symbol_rate_hz),
         plan)))
     held = [stitch_bands(
@@ -188,14 +189,16 @@ def _through_channel(config: LinkConfig, held: list[SampledWaveform],
         chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm, chan.obpf_cd_trim_km)
 
 
-def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndarray,
+def _receive(config: LinkConfig, held: list[SampledWaveform], frame: SymbolFrame,
              seed_thermal) -> tuple[np.ndarray, int]:
     """Field to equalized T-spaced symbols; returns (symbols, train_count).
 
     The field is popped from the one-element list ``held``: the caller
     passes the list, not the field, so no frame of the caller holds it.
     Each stage's output goes straight into the next stage, which frees it
-    once it has read it, so every record dies at its last use.
+    once it has read it, so every record dies at its last use. The
+    reference symbols are formed from ``frame`` where they are read: the
+    preamble for the sync, the whole record only for the FFE.
     """
     rx, dsp = config.rx, config.dsp
     wave, _ = synchronize(
@@ -203,24 +206,29 @@ def _receive(config: LinkConfig, held: list[SampledWaveform], reference: np.ndar
                                       rx.pd_thermal_noise_density, seed_thermal),
                           rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits),
                  SAMPLES_PER_SYMBOL * config.symbol_rate_hz),
-        reference[:PREAMBLE_SYMBOLS])
+        frame.alphabet.levels[frame.indices[:PREAMBLE_SYMBOLS]])
     samples = wave.real
     del wave  # the FFE needs only the samples, not the spectrum
-    eq, state = ffe_train_apply(samples, reference, dsp.ffe_taps, dsp.ffe_train_fraction)
+    eq, state = ffe_train_apply(samples, frame.levels(), dsp.ffe_taps,
+                                dsp.ffe_train_fraction)
     return eq, state.training_symbols
 
 
 def _train_dpd(config: LinkConfig, rngs: dict):
-    """Indirect-learning pre-distorter fitted on an independent seed."""
+    """Indirect-learning pre-distorter fitted on an independent seed.
+
+    The training link holds only its frame, as the main link does, and the
+    fit reads the held-out symbols from it."""
     train_seed = int(rngs["dpd"].integers(0, 2**31 - 1))
     train_cfg = replace(config, seed=train_seed)
     sub = _spawn_rngs(train_cfg)
-    symbols = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"]).levels()
-    held = [_transmit(train_cfg, symbols)]
+    frame = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"])
+    held = [_transmit(train_cfg, [frame.levels()])]
     held.append(_through_channel(train_cfg, held, sub["ase"]))
-    eq, n_train = _receive(train_cfg, held, symbols, sub["thermal"])
-    fit = fit_volterra(symbols[n_train:], eq, config.dsp.volterra)
-    return fit.kernel
+    eq, n_train = _receive(train_cfg, held, frame, sub["thermal"])
+    stimulus = frame.alphabet.levels[frame.indices[n_train:]]
+    del frame
+    return fit_volterra(stimulus, eq, config.dsp.volterra).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +327,23 @@ def run_link(config: LinkConfig) -> MetricsReport:
     _pin_malloc_thresholds()
     config = replace(config, sequence_length_symbols=resolve_sequence_length(config))
     rngs = _spawn_rngs(config)
+    # the pre-distorter is trained before the frame is shaped, so that no
+    # record of the main link is held through the training link; every
+    # stream is its own seed child, so the order changes no draw
+    kernel = (_stage("dpd_training", _train_dpd, config, rngs)
+              if config.dsp.volterra_enabled else None)
 
     frame = _stage("shaping", _build_frame, config, rngs["data_bits"], rngs["sign_bits"])
-    symbols = frame.levels()
-
-    tx_symbols = symbols
-    if config.dsp.volterra_enabled:
-        kernel = _stage("dpd_training", _train_dpd, config, rngs)
-        tx_symbols = _stage("txdsp", apply_volterra, symbols, kernel)
-
-    # the field goes from stage to stage in ``held``, which each stage
-    # empties, so no stage's input outlives its first use
-    held = [_stage("frontend", _transmit, config, tx_symbols)]
-    del tx_symbols
+    # the symbols and then the field go from stage to stage in one
+    # one-element list, which each stage empties, so no stage's input
+    # outlives its first use; only the frame is held through the link, and
+    # the receiver forms its reference symbols from it
+    held = [frame.levels()]
+    if kernel is not None:
+        held.append(_stage("txdsp", apply_volterra, held.pop(), kernel))
+    held.append(_stage("frontend", _transmit, config, held))
     held.append(_stage("channel", _through_channel, config, held, rngs["ase"]))
-    eq, n_train = _stage("rxdsp", _receive, config, held, symbols, rngs["thermal"])
+    eq, n_train = _stage("rxdsp", _receive, config, held, frame, rngs["thermal"])
 
     eval_frame = SymbolFrame(frame.indices[n_train:], frame.alphabet,
                              frame.distribution)

@@ -28,6 +28,7 @@ from .shaping import PamAlphabet, SymbolFrame, entropy_bits
 from .sigcore import (
     SampledWaveform,
     _require_finite,
+    _shift_gram,
     apply_filter,
     bessel_response,
     require_real,
@@ -256,7 +257,9 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     stride 2, so only the first two rows of G are sums over the record; the
     rest follow from the shift recursion of the covariance method of linear
     prediction (Makhoul, "Linear prediction: a tutorial review", Proc. IEEE
-    63(4), 1975), ``G[i+2, j+2] = G[i, j] + xp[2n+i] xp[2n+j] - xp[i] xp[j]``.
+    63(4), 1975), ``G[i+2, j+2] = G[i, j] + xp[2n+i] xp[2n+j] - xp[i] xp[j]``:
+    ``sigcore._shift_gram`` with one family at hop 2, the routine the
+    Volterra fit runs at hop 1 over its shift families.
     The sums are ``einsum`` reductions over the sliding-window view and the
     solve is :func:`_solve_spd`, so no threaded BLAS or LAPACK call touches
     the record and the taps do not depend on the BLAS thread count.
@@ -285,28 +288,12 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
         : SAMPLES_PER_SYMBOL * n_sym: SAMPLES_PER_SYMBOL]
     train, target = windows[:n_train], ref[:n_train]
 
-    gram = _shift_gram(xp, train)
+    gram = _shift_gram([xp], [tap_count], n_train, SAMPLES_PER_SYMBOL)
     gram[np.diag_indices(tap_count)] += FFE_RIDGE * np.trace(gram) / tap_count
     w = _solve_spd(gram, np.einsum("ki,k->i", train, target))
     fitted = np.einsum("ki,i->k", windows, w)
     final_mse = float(np.mean((fitted[:n_train] - target) ** 2))
     return fitted[n_train:], EqualizerState(w, n_train, final_mse)
-
-
-def _shift_gram(xp: np.ndarray, train: np.ndarray) -> np.ndarray:
-    """``train.T @ train`` for windows that are rows of ``xp`` at stride 2:
-    the first two rows by ``einsum``, the rest by the shift recursion."""
-    n, taps = train.shape
-    gram = np.empty((taps, taps))
-    gram[:2] = np.einsum("ki,kj->ij", train[:, :2], train)
-    # mirrored, so that the recursion keeps G exactly symmetric
-    gram[1:2, 0] = gram[0, 1:2]
-    gram[2:, :2] = gram[:2, 2:].T
-    head, tail = xp[:taps], xp[2 * n: 2 * n + taps]
-    step = np.multiply.outer(tail, tail) - np.multiply.outer(head, head)
-    for i in range(taps - 2):
-        gram[i + 2, 2:] = gram[i, :-2] + step[i, :-2]
-    return gram
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Waveform container, filter responses and their application, resampling,
-the LO shift, and signal metrics.
+the LO shift, signal metrics, and the shift-recursion Gram matrix that the
+FFE and the Volterra fit share.
 
 Conventions used throughout the simulator:
 
@@ -228,9 +229,27 @@ def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
     if not transition_width_hz > 0:
         raise ParameterError("transition width must be positive")
     width = min(transition_width_hz, 2 * cutoff_hz, 2 * (nyq - cutoff_hz))
-    f = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
-    phase = np.clip((f - cutoff_hz) / width + 0.5, 0.0, 1.0)
-    return 0.5 * (1.0 + np.cos(np.pi * phase))
+    # the cosine is formed on the transition bins only, their frequencies
+    # as ``rfftfreq`` forms them; lo and hi lie a bin or two outside the
+    # transition, so every bin outside them has a clipped phase of exactly
+    # 0 or 1, that is a response of exactly 1 or 0
+    bins = n // 2 + 1
+    val = 1.0 / (n * (1.0 / sample_rate_hz))
+    lo = min(max(int(np.floor((cutoff_hz - width / 2) / val)) - 1, 0), bins)
+    hi = min(max(int(np.ceil((cutoff_hz + width / 2) / val)) + 2, lo), bins)
+    response = np.empty(bins)
+    response[:lo] = 1.0
+    response[hi:] = 0.0
+    phase = np.arange(lo, hi) * val
+    phase -= cutoff_hz
+    phase /= width
+    phase += 0.5
+    np.clip(phase, 0.0, 1.0, out=phase)
+    phase *= np.pi
+    np.cos(phase, out=phase)
+    phase += 1.0
+    np.multiply(0.5, phase, out=response[lo:hi])
+    return response
 
 
 #: Poles and gain of the analog Bessel lowpass prototypes with their 3-dB
@@ -462,3 +481,59 @@ def bin_centered_frequency(freq_hz: float, n: int, sample_rate_hz: float) -> flo
 
 def rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(np.asarray(x)) ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# normal equations
+# ---------------------------------------------------------------------------
+
+def _shift_gram(bases: list[np.ndarray], widths: list[int], count: int,
+                hop: int) -> np.ndarray:
+    """Gram matrix ``V.T @ V`` of the lag windows of several sequences,
+    without a BLAS call.
+
+    Sequence f (a *family*) gives the ``widths[f]`` columns
+    ``V_f[k, j] = bases[f][hop * k + j]``, k < ``count``, and V holds the
+    families' columns in order. Column j + hop of a family is its column j
+    one row later, so the covariance method's shift recursion (Makhoul,
+    "Linear prediction: a tutorial review", Proc. IEEE 63(4), 1975; for
+    Volterra terms, Lee & Mathews, IEEE Trans. SP 41(3), 1993) gives
+
+        G[(f, j + hop), (g, i + hop)] = G[(f, j), (g, i)]
+            + b_f[hop * count + j] b_g[hop * count + i] - b_f[j] b_g[i],
+
+    and only the first ``hop`` rows and columns of each pair of families are
+    ``einsum`` sums over the windows. A base must hold
+    ``hop * count + width - hop`` samples. The result is exactly symmetric.
+    """
+    windows = [np.lib.stride_tricks.sliding_window_view(b, w)[: hop * count: hop]
+               for b, w in zip(bases, widths)]
+    end = hop * count
+    heads = [b[: max(w - hop, 0)] for b, w in zip(bases, widths)]
+    tails = [b[end: end + max(w - hop, 0)] for b, w in zip(bases, widths)]
+    edges = np.cumsum([0, *widths])
+    gram = np.empty((edges[-1], edges[-1]))
+    for f, wf in enumerate(windows):
+        for g in range(f, len(windows)):
+            wg, lf, lg = windows[g], widths[f], widths[g]
+            block = gram[edges[f]: edges[f + 1], edges[g]: edges[g + 1]]
+            block[:hop] = np.einsum("ki,kj->ij", wf[:, :hop], wg)
+            if g == f:
+                # mirrored, so that the recursion keeps G exactly symmetric
+                for i in range(1, min(hop, lf)):
+                    block[i, :i] = block[:i, i]
+                block[hop:, :hop] = block[:hop, hop:].T
+            else:
+                block[hop:, :hop] = np.einsum("ki,kj->ij", wf[:, hop:], wg[:, :hop])
+            step = (np.multiply.outer(tails[f], tails[g])
+                    - np.multiply.outer(heads[f], heads[g]))
+            # along the shorter side of the block; the entries do not depend on it
+            if lf <= lg:
+                for i in range(lf - hop):
+                    block[i + hop, hop:] = block[i, :-hop] + step[i]
+            else:
+                for i in range(lg - hop):
+                    block[hop:, i + hop] = block[:-hop, i] + step[:, i]
+            if g > f:
+                gram[edges[g]: edges[g + 1], edges[f]: edges[f + 1]] = block.T
+    return gram

@@ -2,6 +2,14 @@
 pre-emphasis, and the digital band split feeding the two-converter
 bandwidth-extension front end.
 
+The Volterra terms split into shift families, one template delayed by
+consecutive shifts, and each family is one base sequence: the product of
+its delayed samples. Fit and apply read every feature as a lag view of a
+base. The fit's Gram matrix is the covariance method's shift recursion
+that the receiver's FFE uses too (``sigcore._shift_gram``), and its moment
+and the series are ``einsum`` sums, so the pre-distorter builds no feature
+matrix and makes no BLAS call over the record.
+
 The band split divides a wideband record into a lower band (lowpass) and an
 upper band that is digitally down-converted to an IF through the analytic
 signal, so each half fits one real DAC channel. Every digital filter here is
@@ -23,6 +31,7 @@ from .errors import NumericalError, ParameterError
 from .sigcore import (
     SampledWaveform,
     _require_finite,
+    _shift_gram,
     filter_response,
     lo_shift,
     nmse_db,
@@ -110,8 +119,8 @@ VOLTERRA_HOLDOUT_FRACTION = 0.3
 #: its square, so it can measure no more than about 1/sqrt(eps) ~ 7e7; 1e7
 #: keeps the limit inside the range where the reading is still accurate.
 VOLTERRA_MAX_CONDITION = 1e7
-#: Samples of the Volterra features ``_feature_blocks`` builds at a time.
-_FIT_BLOCK = 8192
+#: Samples of the Volterra series ``_volterra_series`` sums at a time.
+_SERIES_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -122,44 +131,94 @@ class VolterraFit:
     condition_number: float
 
 
-def _feature_blocks(x: np.ndarray, terms: list[tuple[int, ...]], lo: int, hi: int):
-    """Yield ``(s, phi)`` for consecutive slices ``s`` that tile samples
-    ``lo..hi-1`` in steps of ``_FIT_BLOCK``: ``phi`` holds the Volterra
-    features of ``x`` over ``s``, term-major, so row ``i`` is
-    ``prod_{d in terms[i]} x[n - d]`` with zeros outside the record,
-    multiplied left to right. This is the one evaluator of the series:
-    fitting and applying a kernel both read their features here.
+def _families(terms: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int, list[int]]]:
+    """Split the terms into shift families, in order of first appearance.
 
-    ``phi`` is a view of one buffer that every block reuses, so it is valid
-    until the next block is drawn. Every feature is read from one zero-copy
-    lag view of the zero-padded record, ``lags[guard - d] = x[n - d]``: each
-    row is one copy of its first factor and one in-place multiply per
-    further factor, so building a block allocates nothing.
+    A family is one template, its delays counted from the smallest, delayed
+    by consecutive shifts: the taps, the squares, the adjacent pairs, ...
+    Each family is returned as ``(shape, top, index)``: the template, its
+    largest shift, and the positions in ``terms`` of its terms from that
+    shift down. The terms come in lexicographic order, so within a shape
+    the shifts ascend, and every window and spread gives a shape a
+    consecutive run of them.
     """
-    guard = max(abs(d) for t in terms for d in t)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, t in enumerate(terms):
+        groups.setdefault(tuple(d - t[0] for d in t), []).append(i)
+    return [(shape, terms[index[-1]][0], index[::-1]) for shape, index in groups.items()]
+
+
+def _family_bases(x: np.ndarray, families, guard: int) -> list[np.ndarray]:
+    """The base sequence ``b[m] = prod_{e in shape} x[m - e]`` of each
+    family (zeros outside the record), multiplied left to right, so every
+    feature is bit for bit the product of its delayed samples.
+
+    The bases live on the record zero-padded by ``guard`` on both sides and
+    start ``shape[-1]`` samples in: ``b[m]`` is at index
+    ``m + guard - shape[-1]``. The taps' base is the padded record itself.
+    """
     pad = np.zeros(guard)
-    lags = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([pad, x, pad]), x.size)
-    factors = [[guard - d for d in t] for t in terms]
-    buffer = np.empty(len(terms) * min(_FIT_BLOCK, hi - lo))
-    for a in range(lo, hi, _FIT_BLOCK):
-        b = min(a + _FIT_BLOCK, hi)
-        phi = buffer[: len(terms) * (b - a)].reshape(len(terms), b - a)
-        for row, (first, *rest) in zip(phi, factors):
-            row[:] = lags[first, a:b]
-            for lag in rest:
-                row *= lags[lag, a:b]
-        yield slice(a, b), phi
+    xp = np.concatenate([pad, x, pad])
+    bases = []
+    for shape, _, _ in families:
+        top = shape[-1]
+        first, *rest = [xp[top - e: xp.size - e] for e in shape]
+        if rest:
+            first = first * rest.pop(0)
+            for factor in rest:
+                first *= factor
+        bases.append(first)
+    return bases
 
 
-def _volterra_series(x: np.ndarray, terms: list[tuple[int, ...]], w: np.ndarray,
-                     lo: int, hi: int) -> np.ndarray:
-    """``sum_t w_t * feature_t`` at samples ``lo..hi-1`` of ``x``, zero
-    elsewhere."""
-    y = np.zeros(x.size)
-    for s, phi in _feature_blocks(x, terms, lo, hi):
-        y[s] = w @ phi
+def _lag_start(family, guard: int, a: int) -> int:
+    """Index in a family's base of its first feature's value at sample
+    ``a``: the feature of shift ``top - j`` at sample n is the base at this
+    start plus ``n - a + j``, so the family's features are lag views of
+    the base with positive strides."""
+    shape, top, _ = family
+    return a - top + guard - shape[-1]
+
+
+def _normal_equations(bases, families, guard: int, y: np.ndarray, lo: int,
+                      hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(Phi^T Phi, Phi^T y)`` over samples ``lo..hi-1``, with Phi the
+    features in family order (each family's terms from the largest shift
+    down). The Gram matrix is :func:`_shift_gram` at hop 1 over the
+    families' lag windows; the moment is one ``einsum`` per family."""
+    count = hi - lo
+    starts = [_lag_start(f, guard, lo) for f in families]
+    widths = [len(f[2]) for f in families]
+    gram = _shift_gram([b[a:] for b, a in zip(bases, starts)], widths, count, 1)
+    moment = np.concatenate([
+        np.einsum("jk,k->j", np.lib.stride_tricks.sliding_window_view(
+            b[a: a + count + w - 1], count), y[lo:hi])
+        for b, a, w in zip(bases, starts, widths)])
+    return gram, moment
+
+
+def _volterra_series(bases, families, guard: int, w: np.ndarray, lo: int, hi: int,
+                     n: int) -> np.ndarray:
+    """``sum_t w_t * feature_t`` at samples ``lo..hi-1`` of an n-sample
+    record, zero elsewhere: per block of ``_SERIES_BLOCK`` samples, one
+    ``einsum`` of each family's coefficients with the lag view of its
+    base. ``w`` is in term order."""
+    rows = [np.lib.stride_tricks.sliding_window_view(
+        base[_lag_start(family, guard, lo):][: hi - lo + len(family[2]) - 1], hi - lo)
+        for base, family in zip(bases, families)]
+    coefficients = [w[family[2]] for family in families]
+    y = np.zeros(n)
+    for a in range(0, hi - lo, _SERIES_BLOCK):
+        out = y[lo + a: min(lo + a + _SERIES_BLOCK, hi)]
+        for view, c in zip(rows, coefficients):
+            # in Fortran order the loop runs along the samples, not the
+            # few coefficients
+            out += np.einsum("jn,j->n", view[:, a: a + out.size], c, order="F")
     return y
+
+
+def _guard(terms: list[tuple[int, ...]]) -> int:
+    return max(abs(d) for t in terms for d in t)
 
 
 def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
@@ -168,8 +227,10 @@ def apply_volterra(symbols: np.ndarray, kernel: VolterraKernel) -> np.ndarray:
     x = np.asarray(symbols, dtype=float)
     if kernel.structure.memory_1 > x.size:
         raise ParameterError("kernel memory exceeds sequence length")
-    return _volterra_series(x, kernel.structure.terms(), kernel.coefficients,
-                            0, x.size)
+    terms = kernel.structure.terms()
+    families, guard = _families(terms), _guard(terms)
+    return _volterra_series(_family_bases(x, families, guard), families, guard,
+                            kernel.coefficients, 0, x.size, x.size)
 
 
 def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
@@ -178,12 +239,13 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     of ``observed_response``. The resulting kernel, applied before the same
     device, acts as a pre-distorter (indirect learning).
 
-    The normal equations are accumulated over blocks of ``_FIT_BLOCK``
-    samples and solved by Cholesky, so the full feature matrix is never
-    held. A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out
-    to report a generalization NMSE next to the training NMSE; both come
-    from the residuals of a second blocked pass. Both passes read their
-    features from ``_feature_blocks``, as ``apply_volterra`` does.
+    A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out to
+    report a generalization NMSE next to the training NMSE. No feature
+    matrix is built: the normal equations come from the shift families'
+    base sequences (:func:`_normal_equations`) and are solved by Cholesky,
+    and the residuals of both spans come from :func:`_volterra_series` over
+    the same bases, as ``apply_volterra`` evaluates a kernel. Every sum is
+    an ``einsum`` or the shift recursion, so no threaded BLAS call runs.
     """
     structure = structure or VolterraStructure()
     x = np.asarray(observed_response, dtype=float)
@@ -196,16 +258,13 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
             f"need >= {10 * len(terms)} samples to fit {len(terms)} coefficients"
         )
 
-    guard = max(abs(d) for t in terms for d in t)
+    guard = _guard(terms)
     lo, hi = guard, x.size - guard
     n_train = lo + int((hi - lo) * (1.0 - VOLTERRA_HOLDOUT_FRACTION))
 
-    gram = np.zeros((len(terms), len(terms)))
-    moment = np.zeros(len(terms))
-    for s, phi in _feature_blocks(x, terms, lo, n_train):
-        gram += phi @ phi.T
-        moment += phi @ y[s]
-    del phi  # the last block's buffer goes before _volterra_series makes one
+    families = _families(terms)
+    bases = _family_bases(x, families, guard)
+    gram, moment = _normal_equations(bases, families, guard, y, lo, n_train)
     eig = np.linalg.eigvalsh(gram)
     cond = float(np.sqrt(eig[-1] / eig[0])) if eig[0] > 0 else np.inf
     if cond > VOLTERRA_MAX_CONDITION:
@@ -214,9 +273,12 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
             "reduce the term count or decorrelate the stimulus"
         )
     chol = np.linalg.cholesky(gram)
-    w = np.linalg.solve(chol.T, np.linalg.solve(chol, moment))
+    w = np.empty(len(terms))
+    w[np.concatenate([f[2] for f in families])] = np.linalg.solve(
+        chol.T, np.linalg.solve(chol, moment))
 
-    fitted = _volterra_series(x, terms, w, lo, hi)
+    fitted = _volterra_series(bases, families, guard, w, lo, hi, x.size)
+    del bases
 
     def seg_nmse(a: int, b: int) -> float:
         return float(nmse_db(y[a:b], fitted[a:b]))

@@ -556,23 +556,27 @@ class TestRunLink:
         # every record dies at its last use: each stage frees the record its
         # caller handed on once it has read it and drops its temporaries, the
         # LO images share one array and the optical responses are built in
-        # blocks, so the run's peak (about 6.6 MB) is set by propagate, which
-        # holds the field's spectrum and its loss product, with obpf at
-        # 6.3 MB, the second DAC in stitch_bands at 6.2 MB and photodetect
-        # and the amplifiers at 6.1 MB; with each stage's input and
-        # temporaries held to its end, band_split set it at about 9.6 MB
+        # blocks, and the run holds only the frame, not its symbols, through
+        # the link, so the run's peak (about 6.0 MB) is set by propagate,
+        # which holds the field's spectrum and its loss product, with obpf
+        # at 5.8 MB, the second DAC in stitch_bands at 5.6 MB and the
+        # amplifiers at 5.5 MB; 6.6 MB with the symbols held, and with each
+        # stage's input and temporaries held to its end, band_split set it
+        # at about 9.6 MB
         cfg = o_band_216g(7)
-        assert traced_peak(lambda: run_link(cfg)) < 6.8e6
+        assert traced_peak(lambda: run_link(cfg)) < 6.3e6
 
     def test_dpd_training_memory_bound(self):
-        # the DPD training link hands its records on like the run does, and
-        # the fit frees its last feature block before it forms the fitted
-        # series: the peak is about 7.2 MB, set by fit_volterra, with the
-        # main link's stitch_bands at 6.7 MB; 10.6 MB with each stage's input
-        # and temporaries held to its end
+        # the pre-distorter is trained before the main frame is shaped, both
+        # links hold only their frame and hand their records on, and the fit
+        # builds no feature matrix: the peak is about 6.1 MB, set by the main
+        # link's propagate, with the training link's at 6.07 MB and the fit
+        # below the links' stages; it was 7.2 MB, set by the fit's 63 x 8 192
+        # feature block with the main frame held, and 10.6 MB with each
+        # stage's input and temporaries held to its end
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
-        assert traced_peak(lambda: run_link(cfg)) < 8.0e6
+        assert traced_peak(lambda: run_link(cfg)) < 6.3e6
 
     @pytest.mark.parametrize("stage, name", [
         ("frontend", "band_split"),

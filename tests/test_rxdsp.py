@@ -320,6 +320,21 @@ class TestFfe:
         assert state.taps.size == 31
 
 
+def _ffe_shift_gram(xp, train):
+    """Oracle: the FFE's single-family shift recursion, as the equalizer
+    first wrote it (before the routine was shared with the Volterra fit)."""
+    n, taps = train.shape
+    gram = np.empty((taps, taps))
+    gram[:2] = np.einsum("ki,kj->ij", train[:, :2], train)
+    gram[1:2, 0] = gram[0, 1:2]
+    gram[2:, :2] = gram[:2, 2:].T
+    head, tail = xp[:taps], xp[2 * n: 2 * n + taps]
+    step = np.multiply.outer(tail, tail) - np.multiply.outer(head, head)
+    for i in range(taps - 2):
+        gram[i + 2, 2:] = gram[i, :-2] + step[i, :-2]
+    return gram
+
+
 class TestFfeGram:
     """The normal equations without BLAS: the shift-recursion Gram against
     a direct V^T V, and the blocked solve against one LAPACK solve."""
@@ -343,9 +358,20 @@ class TestFfeGram:
     def test_shift_recursion_matches_direct_gram(self, taps, n_train, seed):
         xp, train = self.windows(taps, n_train, seed)
         direct = np.ascontiguousarray(train).T @ np.ascontiguousarray(train)
-        gram = rxdsp._shift_gram(xp, train)
+        gram = rxdsp._shift_gram([xp], [taps], n_train, 2)
         assert _max_rel(gram, direct) <= 1e-12
         assert np.array_equal(gram, gram.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(taps=st.integers(0, 60).map(lambda k: 2 * k + 1),
+           n_train=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    @example(taps=101, n_train=13122, seed=4)
+    def test_one_family_at_hop_2_is_the_ffe_gram(self, taps, n_train, seed):
+        # the shared routine runs the FFE's own sums in the FFE's own order
+        xp, train = self.windows(taps, n_train, seed)
+        gram = rxdsp._shift_gram([xp], [taps], n_train, 2)
+        assert np.array_equal(gram, _ffe_shift_gram(xp, train))
 
     @pytest.mark.parametrize("size", [1, 95, 96, 97, 101, 193, 250])
     def test_blocked_solve_matches_lapack(self, size):

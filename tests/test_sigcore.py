@@ -183,6 +183,24 @@ class TestApplyFilter:
             with pytest.raises(ParameterError, match="transition width"):
                 filter_response(76e9, width, n, RATE)
 
+    @pytest.mark.parametrize("cutoff, width, n, rate", [
+        (76e9, 4e9, 4096, RATE),
+        (76e9, 2e9, 155520, 432e9),          # a 77 761-bin grid
+        (2e9, 40e9, 4095, 384e9),            # width clipped at DC to 4 GHz
+        (250e9, 40e9, 4096, RATE),           # clipped at Nyquist to 12 GHz
+        (128e9, 1e3, 8192, RATE),            # narrower than a bin, cutoff on one
+        (100e9, 150e9, 1001, 256e9),         # clipped at Nyquist, odd n
+    ])
+    def test_matches_closed_form_on_the_whole_grid(self, cutoff, width, n, rate):
+        # the cosine is formed on the transition bins only; every bin, those
+        # outside it exactly 1 or 0, equals the closed form over the grid
+        f = np.fft.rfftfreq(n, d=1.0 / rate)
+        w = min(width, 2 * cutoff, 2 * (rate / 2 - cutoff))
+        expect = 0.5 * (1.0 + np.cos(np.pi * np.clip((f - cutoff) / w + 0.5, 0.0, 1.0)))
+        h = filter_response(cutoff, width, n, rate)
+        assert h.shape == (n // 2 + 1,) and np.array_equal(h, expect)
+        assert np.all(h[f <= cutoff - w / 2] == 1.0) and np.all(h[f >= cutoff + w / 2] == 0.0)
+
     def test_lowpass_zero_delay(self):
         w = bandlimited_noise(4096, RATE, 100e9, seed=6)
         out = apply_filter(w, lowpass(w, 60e9))

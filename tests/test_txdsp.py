@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from imddsim import txdsp
@@ -18,7 +24,6 @@ from imddsim.txdsp import (
     BandPlan,
     VolterraKernel,
     VolterraStructure,
-    _feature_blocks,
     apply_volterra,
     band_split,
     fit_volterra,
@@ -244,8 +249,9 @@ class TestFitVolterra:
         assert peak < 16e6
 
     def test_apply_memory_bound(self):
-        # one 63 x 8 192 feature block (4.1 MB) fits under the bound; the
-        # full 63 x 65 536 feature matrix (33 MB) does not
+        # the padded record, the five product bases of the default shift
+        # families and the series (3.8 MB) fit under the bound; the full
+        # 63 x 65 536 feature matrix (33 MB) does not
         x = np.random.default_rng(25).normal(size=65536)
         k = VolterraKernel.identity()
         tracemalloc.start()
@@ -271,14 +277,15 @@ def fit_oracle(x, y, st):
 
 
 class TestFitBlocks:
-    """Block edges: the fit over many short blocks equals one ``lstsq``."""
+    """Block edges: a fit whose series is summed over many short blocks
+    equals one ``lstsq``."""
 
     ST = VolterraStructure(memory_1=7, memory_2=5, memory_3=3,
                            max_spread_2=2, max_spread_3=None)
 
     @pytest.fixture(params=[100, 257], ids=["block100", "block257"])
     def block(self, request, monkeypatch):
-        monkeypatch.setattr(txdsp, "_FIT_BLOCK", request.param)
+        monkeypatch.setattr(txdsp, "_SERIES_BLOCK", request.param)
         return request.param
 
     @staticmethod
@@ -300,19 +307,6 @@ class TestFitBlocks:
         assert fit.holdout_nmse_db == pytest.approx(
             nmse_db(y[n_train:hi], phi[n_train:hi] @ w), abs=1e-9)
 
-    def test_block_features_bit_equal_terms(self, block):
-        # the blocks tile [lo, hi) exactly, each one ``block`` long but the last
-        x, _ = self.record()
-        terms = self.ST.terms()
-        phi = np.column_stack([_term(x, t) for t in terms])
-        for lo, hi in ((0, x.size), (3, x.size - 3), (17, 18)):
-            edge = lo
-            for s, rows in _feature_blocks(x, terms, lo, hi):
-                assert s.start == edge and s.stop == min(edge + block, hi)
-                assert np.array_equal(rows, phi[s].T)
-                edge = s.stop
-            assert edge == hi
-
     def test_apply_matches_term_sum_with_cross_terms(self, block):
         # full cross terms; the first and last ``guard`` samples read the
         # zero padding, and the record ends inside a block
@@ -323,6 +317,121 @@ class TestFitBlocks:
         ref = sum(ct * _term(x, t) for t, ct in zip(st.terms(), c))
         y = apply_volterra(x, VolterraKernel(st, c))
         assert np.max(np.abs(y - ref)) < 1e-12
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+class TestShiftFamilies:
+    """The terms as shift families: one base sequence per family, and the
+    normal equations from the shift recursion."""
+
+    def test_default_structure_families(self):
+        terms = VolterraStructure().terms()
+        families = txdsp._families(terms)
+        assert [(shape, len(index)) for shape, _, index in families] == [
+            ((0,), 31), ((0, 0), 7), ((0, 1), 6), ((0, 0, 0), 7), ((0, 0, 1), 6),
+            ((0, 1, 1), 6)]
+        assert sorted(i for *_, index in families for i in index) == list(range(63))
+
+    @pytest.mark.parametrize("st_", [
+        VolterraStructure(memory_1=5, memory_2=5, memory_3=5,
+                          max_spread_2=None, max_spread_3=None),
+        VolterraStructure(memory_1=9, memory_2=0, memory_3=3, max_spread_3=0),
+        VolterraStructure(),
+    ], ids=["full", "memory0", "default"])
+    def test_lag_views_of_bases_bit_equal_terms(self, st_):
+        # a family's terms are its shape at consecutive shifts from the top
+        # down, and each is a lag view of the family's base, bit for bit
+        x = np.random.default_rng(41).normal(size=200)
+        terms = st_.terms()
+        families, guard = txdsp._families(terms), txdsp._guard(terms)
+        bases = txdsp._family_bases(x, families, guard)
+        for base, family in zip(bases, families):
+            shape, top, index = family
+            start = txdsp._lag_start(family, guard, 0)
+            for j, i in enumerate(index):
+                assert terms[i] == tuple(top - j + e for e in shape)
+                assert np.array_equal(base[start + j: start + j + x.size],
+                                      _term(x, terms[i]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(memory=st.tuples(st.sampled_from([1, 3, 5, 7, 9]), st.sampled_from([0, 1, 3, 5]),
+                            st.sampled_from([0, 1, 3, 5])),
+           spread=st.tuples(st.none() | st.integers(0, 4), st.none() | st.integers(0, 4)),
+           n=st.integers(1, 300),
+           window=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(memory=(31, 7, 7), spread=(1, 1), n=700, window=(0.0, 1.0), seed=1)
+    @example(memory=(5, 5, 5), spread=(None, None), n=12, window=(1.0, 1.0), seed=2)
+    @example(memory=(3, 0, 0), spread=(None, None), n=1, window=(0.0, 0.0), seed=3)
+    def test_normal_equations_match_direct_products(self, memory, spread, n, window, seed):
+        # windows anywhere in the record, the ends (which read the zero
+        # padding) included, against Phi^T Phi and Phi^T y in family order
+        st_ = VolterraStructure(*memory, *spread)
+        terms = st_.terms()
+        families, guard = txdsp._families(terms), txdsp._guard(terms)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        lo = min(int(window[0] * n), n - 1)
+        hi = lo + 1 + int(window[1] * (n - 1 - lo))
+        phi = np.column_stack([_term(x, terms[i]) for *_, index in families
+                               for i in index])[lo:hi]
+        gram, moment = txdsp._normal_equations(txdsp._family_bases(x, families, guard),
+                                               families, guard, y, lo, hi)
+        assert _max_rel(gram, phi.T @ phi) <= 1e-12
+        assert _max_rel(moment, phi.T @ y[lo:hi]) <= 1e-12
+        assert np.array_equal(gram, gram.T)
+
+
+#: Fits and applies the default kernel on a 65 610-sample record once the
+#: other threads are idle, and prints the number of threads besides the
+#: main one and the most CPU ticks (utime + stime) any of them spent in the
+#: fit and the apply.
+_WORKER_TICKS = """
+import os
+import time
+import numpy as np
+from imddsim.txdsp import apply_volterra, fit_volterra
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            out[tid] = int(fields[11]) + int(fields[12])
+    return out
+
+rng = np.random.default_rng(7)
+x = rng.normal(size=65610)
+y = x - 0.05 * x**3
+# a new OpenBLAS worker spins for a while before it sleeps: wait for that
+before = ticks()
+for _ in range(50):
+    time.sleep(0.1)
+    now, before = before, ticks()
+    if now == before:
+        break
+apply_volterra(x, fit_volterra(y, x).kernel)
+after = ticks()
+print(len(after), max([after[t] - before.get(t, 0) for t in after], default=0))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_volterra_wakes_no_blas_thread():
+    # at two OpenBLAS threads, a threaded BLAS call wakes the worker, which
+    # then spins; the fit and the apply call none
+    src = str(Path(txdsp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _WORKER_TICKS], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    workers, most = map(int, out.split())
+    if workers == 0:
+        pytest.skip("no BLAS worker thread")
+    assert most <= 1
 
 
 class TestRrcUpsample:
