@@ -148,8 +148,6 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
     if bandwidth_hz is None and trim_km == 0:
         return field
     n, rate = field.n, field.sample_rate_hz
-    x = field.spectrum
-    del field  # a caller that handed the field on frees it here
 
     def response(f):
         if trim_km == 0:
@@ -161,7 +159,7 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
             out[f > bandwidth_hz / 2] = 0.0
         return out
 
-    out = _times_even(x, n, rate, response)
+    out = _times_even(field.spectrum, n, rate, response)
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field")
 
 

@@ -332,16 +332,14 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     # it has read it, and the response goes before the mixer runs
     upper_if = [_convert(upper_awg, analog_rate_hz, dac_resolution_bits, response)]
     del upper_awg, response
-    spectrum = mixer_upconvert(upper_if.pop(), plan.lo_frequency_hz, mixer_bandwidth_hz,
-                               lo_phase_rad).spectrum
+    upper_rf = mixer_upconvert(upper_if.pop(), plan.lo_frequency_hz, mixer_bandwidth_hz,
+                               lo_phase_rad)
     # the HPF multiplies the mixer's product, which no one else holds, in place
     hpf = filter_response(plan.analog_hpf_cutoff_hz, ANALOG_HPF_TRANSITION_HZ,
                           lower.n, analog_rate_hz)
     np.subtract(1.0, hpf, out=hpf)
-    spectrum *= hpf
+    np.multiply(upper_rf.spectrum, hpf, out=upper_rf.spectrum)
     del hpf
-    upper_rf = SampledWaveform._from_spectrum(analog_rate_hz, spectrum, lower.n, "electrical")
-    del spectrum
     if upper_amplifier is not None:
         upper_rf = amplify(upper_rf, upper_amplifier)
     return combine(lower, upper_rf)

@@ -10,6 +10,7 @@ length is 5-smooth apart from primes the rate ratios force.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -148,84 +149,69 @@ def _preemphasize(config: LinkConfig, bands: list[SampledWaveform]) -> list[Samp
             linear_preemphasis(bands.pop(), resp_upper / resp_upper.max(), boost)]
 
 
-def _transmit(config: LinkConfig, tx_symbols: list[np.ndarray]) -> SampledWaveform:
-    """Symbols, popped from the one-element list ``tx_symbols``, to
-    modulated optical field.
+def _link(config: LinkConfig, rngs: dict,
+          kernel=None) -> tuple[SymbolFrame, np.ndarray, int]:
+    """One pass of the chain, shaping to equalizer; returns (frame,
+    equalized symbols, training count). With ``kernel``, a fitted
+    ``VolterraKernel``, the symbols are pre-distorted before the front end.
 
-    Each record goes straight into the call that reads it, or in a list
-    that the call empties, so no stage's input outlives its first use
-    (CPython 3.11 and later hand a call's arguments to the callee's frame,
-    where the stage drops them)."""
-    dsp, tx, plan = config.dsp, config.tx, config.plan
-    bands = _preemphasize(config, list(band_split(
-        rrc_upsample(tx_symbols.pop(), SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
-                     config.symbol_rate_hz),
-        plan)))
-    held = [stitch_bands(
-        bands.pop(0), bands.pop(), plan, tx.analog_rate_hz,
-        mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
-        dac_bandwidth_hz=plan.awg_bandwidth_hz,
-        dac_resolution_bits=tx.awg_resolution_bits,
-        upper_amplifier=tx.upper_path_amplifier,
-    )]
-    for amp in tx.amplifier_chain:
-        held.append(amplify(held.pop(), amp))
-
-    peak = np.max(np.abs(held[0].real))
-    scale = tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / peak
-    return mzm_modulate(held.pop().scaled(scale), tx.laser_power_dbm, tx.mzm)
-
-
-def _through_channel(config: LinkConfig, held: list[SampledWaveform],
-                     seed_ase) -> SampledWaveform:
-    """Field to field through fiber, amplifier and OBPF; pops the input
-    field from ``held`` (see ``_receive``) and hands each stage's output
-    straight to the next, so each field is freed inside the stage that
-    reads it."""
-    chan = config.channel
-    return obpf(
-        optical_amplify(propagate(held.pop(), chan.fiber, chan.wavelength_nm),
-                        chan.amplifier, seed_ase),
-        chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm, chan.obpf_cd_trim_km)
-
-
-def _receive(config: LinkConfig, held: list[SampledWaveform], frame: SymbolFrame,
-             seed_thermal) -> tuple[np.ndarray, int]:
-    """Field to equalized T-spaced symbols; returns (symbols, train_count).
-
-    The field is popped from the one-element list ``held``: the caller
-    passes the list, not the field, so no frame of the caller holds it.
-    Each stage's output goes straight into the next stage, which frees it
-    once it has read it, so every record dies at its last use. The
-    reference symbols are formed from ``frame`` where they are read: the
-    preamble for the sync, the whole record only for the FFE.
+    Each stage is a ``_stage`` block. The symbols and then each record go
+    from call to call through the one-element list ``held``: every call
+    reads its input as ``held.pop()``, so no name here holds a record
+    through the call that frees it (CPython 3.11 and later hand a call's
+    arguments to the callee's frame, where the stage drops them). Only the
+    frame is held through the link; the receiver forms its reference
+    symbols from it, the preamble for the sync and the whole record only
+    for the FFE.
     """
-    rx, dsp = config.rx, config.dsp
-    wave, _ = synchronize(
-        resample(digitize(photodetect(held.pop(), rx.pd_bandwidth_hz,
-                                      rx.pd_thermal_noise_density, seed_thermal),
-                          rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits),
-                 SAMPLES_PER_SYMBOL * config.symbol_rate_hz),
-        frame.alphabet.levels[frame.indices[:PREAMBLE_SYMBOLS]])
-    samples = wave.real
-    del wave  # the FFE needs only the samples, not the spectrum
-    eq, state = ffe_train_apply(samples, frame.levels(), dsp.ffe_taps,
-                                dsp.ffe_train_fraction)
-    return eq, state.training_symbols
+    dsp, tx, plan, chan, rx = config.dsp, config.tx, config.plan, config.channel, config.rx
+    with _stage("shaping"):
+        frame = _build_frame(config, rngs["data_bits"], rngs["sign_bits"])
+    held = [frame.levels()]
+    if kernel is not None:
+        with _stage("txdsp"):
+            held.append(apply_volterra(held.pop(), kernel))
+    with _stage("frontend"):
+        bands = _preemphasize(config, list(band_split(
+            rrc_upsample(held.pop(), SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
+                         config.symbol_rate_hz),
+            plan)))
+        held.append(stitch_bands(
+            bands.pop(0), bands.pop(), plan, tx.analog_rate_hz,
+            mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
+            dac_bandwidth_hz=plan.awg_bandwidth_hz,
+            dac_resolution_bits=tx.awg_resolution_bits,
+            upper_amplifier=tx.upper_path_amplifier,
+        ))
+        for amp in tx.amplifier_chain:
+            held.append(amplify(held.pop(), amp))
+        scale = tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / np.max(np.abs(held[0].real))
+        held.append(mzm_modulate(held.pop().scaled(scale), tx.laser_power_dbm, tx.mzm))
+    with _stage("channel"):
+        held.append(obpf(
+            optical_amplify(propagate(held.pop(), chan.fiber, chan.wavelength_nm),
+                            chan.amplifier, rngs["ase"]),
+            chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm, chan.obpf_cd_trim_km))
+    with _stage("rxdsp"):
+        wave, _ = synchronize(
+            resample(digitize(photodetect(held.pop(), rx.pd_bandwidth_hz,
+                                          rx.pd_thermal_noise_density, rngs["thermal"]),
+                              rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits),
+                     SAMPLES_PER_SYMBOL * config.symbol_rate_hz),
+            frame.alphabet.levels[frame.indices[:PREAMBLE_SYMBOLS]])
+        samples = wave.real
+        del wave  # the FFE needs only the samples, not the spectrum
+        eq, state = ffe_train_apply(samples, frame.levels(), dsp.ffe_taps,
+                                    dsp.ffe_train_fraction)
+    return frame, eq, state.training_symbols
 
 
 def _train_dpd(config: LinkConfig, rngs: dict):
-    """Indirect-learning pre-distorter fitted on an independent seed.
-
-    The training link holds only its frame, as the main link does, and the
-    fit reads the held-out symbols from it."""
-    train_seed = int(rngs["dpd"].integers(0, 2**31 - 1))
-    train_cfg = replace(config, seed=train_seed)
-    sub = _spawn_rngs(train_cfg)
-    frame = _build_frame(train_cfg, sub["data_bits"], sub["sign_bits"])
-    held = [_transmit(train_cfg, [frame.levels()])]
-    held.append(_through_channel(train_cfg, held, sub["ase"]))
-    eq, n_train = _receive(train_cfg, held, frame, sub["thermal"])
+    """Indirect-learning pre-distorter fitted on an independent seed: the
+    training link is ``_link`` itself, and the fit reads the held-out
+    symbols from its frame."""
+    train_cfg = replace(config, seed=int(rngs["dpd"].integers(0, 2**31 - 1)))
+    frame, eq, n_train = _link(train_cfg, _spawn_rngs(train_cfg))
     stimulus = frame.alphabet.levels[frame.indices[n_train:]]
     del frame
     return fit_volterra(stimulus, eq, config.dsp.volterra).kernel
@@ -269,11 +255,17 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _stage(name: str, fn, *args, **kwargs):
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise any exception of the block as ``StageError(name, cause)``.
+
+    A stage nested in this one has already tagged its failure; this name
+    replaces that tag, so every failure of the DPD-training link reads
+    ``dpd_training``."""
     try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
+        yield
+    except StageError as exc:
+        raise StageError(name, exc.cause) from exc.cause
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -330,25 +322,13 @@ def run_link(config: LinkConfig) -> MetricsReport:
     # the pre-distorter is trained before the frame is shaped, so that no
     # record of the main link is held through the training link; every
     # stream is its own seed child, so the order changes no draw
-    kernel = (_stage("dpd_training", _train_dpd, config, rngs)
-              if config.dsp.volterra_enabled else None)
-
-    frame = _stage("shaping", _build_frame, config, rngs["data_bits"], rngs["sign_bits"])
-    # the symbols and then the field go from stage to stage in one
-    # one-element list, which each stage empties, so no stage's input
-    # outlives its first use; only the frame is held through the link, and
-    # the receiver forms its reference symbols from it
-    held = [frame.levels()]
-    if kernel is not None:
-        held.append(_stage("txdsp", apply_volterra, held.pop(), kernel))
-    held.append(_stage("frontend", _transmit, config, held))
-    held.append(_stage("channel", _through_channel, config, held, rngs["ase"]))
-    eq, n_train = _stage("rxdsp", _receive, config, held, frame, rngs["thermal"])
-
-    eval_frame = SymbolFrame(frame.indices[n_train:], frame.alphabet,
-                             frame.distribution)
-    return _stage("metrology", score_symbols, eq, eval_frame, config.rate_table(),
-                  config.symbol_rate_gbd, config.seed)
+    with _stage("dpd_training"):
+        kernel = _train_dpd(config, rngs) if config.dsp.volterra_enabled else None
+    frame, eq, n_train = _link(config, rngs, kernel)
+    with _stage("metrology"):
+        return score_symbols(eq, SymbolFrame(frame.indices[n_train:], frame.alphabet,
+                                             frame.distribution),
+                             config.rate_table(), config.symbol_rate_gbd, config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -417,7 +417,6 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
     spectrum = wave.spectrum
-    del wave  # a caller that handed the record on frees it with ``spectrum``
 
     lp = filter_response(plan.crossover_hz, plan.crossover_transition_hz, n, rate)
     lower_wave = resample(

@@ -552,6 +552,16 @@ class TestRunLink:
         assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
         assert len(calls) == 10, calls
 
+    def test_fft_budget_dpd(self, monkeypatch, fast_config):
+        # the training link and the main link are one chain: the fit and the
+        # pre-distorter transform nothing, so a DPD run makes the link's 10
+        # one-sided transforms twice, at the same optical stages
+        cfg = replace(fast_config, dsp=replace(fast_config.dsp, volterra_enabled=True))
+        calls = self._fft_calls(monkeypatch, cfg)
+        assert {name for name, _ in calls} <= {"rfft", "irfft"}, calls
+        assert len(calls) == 20, calls
+        assert calls[:10] == calls[10:], calls
+
     def test_o_band_memory_bound(self):
         # every record dies at its last use: each stage frees the record its
         # caller handed on once it has read it and drops its temporaries, the
@@ -623,14 +633,19 @@ class TestRunLink:
             3.0 * rep.required_code_rate * 216.0
         )
 
-    def test_stage_error_tagging(self, monkeypatch, fast_config):
+    @pytest.mark.parametrize("dpd, stage", [(False, "shaping"), (True, "dpd_training")],
+                             ids=["no_dpd", "dpd"])
+    def test_stage_error_tagging(self, monkeypatch, fast_config, dpd, stage):
+        # with DPD the frame is first shaped in the training link, whose
+        # failures all read dpd_training, whatever stage of it failed
         def fail(*args, **kwargs):
             raise FloatingPointError("forced")
 
         monkeypatch.setattr(harness, "pas_assemble", fail)
+        cfg = replace(fast_config, dsp=replace(fast_config.dsp, volterra_enabled=dpd))
         with pytest.raises(StageError) as err:
-            run_link(fast_config)
-        assert err.value.stage == "shaping"
+            run_link(cfg)
+        assert err.value.stage == stage
         assert isinstance(err.value.cause, FloatingPointError)
 
     @pytest.mark.parametrize("name, modulation", [
