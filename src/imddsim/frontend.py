@@ -1,6 +1,6 @@
 """Behavioral models of the analog transmitter hardware: DAC, LO/mixer
 up-conversion, active combiner, amplifiers, laser, and Mach-Zehnder
-modulator.
+modulator, and :func:`transmit`, the transmitter that chains them.
 
 The optical carrier is a baseband complex envelope; absolute optical
 frequency only enters through the fiber dispersion parameters. LO tones are
@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +31,10 @@ from .sigcore import (
     require_real,
     resample,
 )
-from .txdsp import BandPlan
+from .txdsp import BandPlan, linear_preemphasis
+
+if TYPE_CHECKING:
+    from .config import TxConfig
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +65,12 @@ class AmplifierModel:
     def __post_init__(self):
         if not np.isfinite(self.gain_db):
             raise ParameterError("must be finite", "gain_db")
-        if self.bandwidth_hz <= 0:
-            raise ParameterError("must be positive", "bandwidth_hz")
-        if self.compression_in_1db is not None and self.compression_in_1db <= 0:
-            raise ParameterError("must be positive (or None for a linear amplifier)",
-                                 "compression_in_1db")
+        if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ParameterError("must be positive and finite", "bandwidth_hz")
+        if self.compression_in_1db is not None and not (
+                np.isfinite(self.compression_in_1db) and self.compression_in_1db > 0):
+            raise ParameterError("must be positive and finite (or None for a linear "
+                                 "amplifier)", "compression_in_1db")
 
     def response(self, freq_hz: np.ndarray) -> np.ndarray:
         """Complex bandwidth response at ``freq_hz``."""
@@ -87,10 +92,10 @@ class MzmModel:
     bandwidth_atten_db: float = 4.5
 
     def __post_init__(self):
-        if self.v_pi_volts <= 0:
-            raise ParameterError("must be positive", "v_pi_volts")
-        if self.bandwidth_hz <= 0:
-            raise ParameterError("must be positive", "bandwidth_hz")
+        if not (np.isfinite(self.v_pi_volts) and self.v_pi_volts > 0):
+            raise ParameterError("must be positive and finite", "v_pi_volts")
+        if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ParameterError("must be positive and finite", "bandwidth_hz")
         if not (np.isfinite(self.bandwidth_atten_db) and self.bandwidth_atten_db > 0):
             raise ParameterError("must be positive and finite", "bandwidth_atten_db")
         if not (np.isfinite(self.cutoff_hz) and self.cutoff_hz > 0):
@@ -145,48 +150,34 @@ def dac_response(freq_hz: np.ndarray, rate_hz: float,
             bessel_response(freq_hz, bandwidth_hz, ANALOG_BESSEL_ORDER))
 
 
-def dac(wave: SampledWaveform, analog_rate_hz: float, bandwidth_hz: float = 80e9,
+def dac(wave: SampledWaveform, analog_rate_hz: float,
+        bandwidth_hz: float | None = 80e9,
         resolution_bits: int | None = None) -> SampledWaveform:
     """Zero-order-hold reconstruction to the analog rate, then the converter's
-    analog bandwidth filter.
+    analog bandwidth filter; with ``bandwidth_hz`` None, the ideal converter
+    (exact resampling alone).
 
     The hold is modeled by the continuous ZOH sinc droop applied after exact
-    rate conversion; the hold's half-sample delay is referenced out (absolute
-    converter timing is owned by the band-alignment step), and hold images
-    above the converter Nyquist are not modeled, matching a converter whose
-    output network removes them.
-    """
-    response = dac_response(_analog_freqs(wave, analog_rate_hz), wave.sample_rate_hz,
-                            bandwidth_hz)
-    return _convert(wave, analog_rate_hz, resolution_bits, response)
-
-
-def _analog_freqs(wave: SampledWaveform, analog_rate_hz: float) -> np.ndarray:
-    """The one-sided grid of ``wave`` resampled to ``analog_rate_hz``."""
+    rate conversion; its half-sample delay is referenced out (the band
+    alignment owns absolute timing), and hold images above the converter
+    Nyquist are not modeled, as for an output network that removes them. So
+    the droop and filter are formed on the record's own bins, ``wave.freqs()``,
+    and multiply in place only those bins of the resampled spectrum."""
     if analog_rate_hz < wave.sample_rate_hz:
         raise ParameterError("analog rate must be at least the DAC rate")
-    n = int(round(wave.n * analog_rate_hz / wave.sample_rate_hz))
-    return np.fft.rfftfreq(n, d=1.0 / analog_rate_hz)
-
-
-def _convert(wave: SampledWaveform, analog_rate_hz: float, resolution_bits: int | None,
-             response: tuple[np.ndarray, np.ndarray] | None) -> SampledWaveform:
-    """:func:`dac` with the converter ``response`` (droop, Bessel) given on
-    the analog grid, or exact resampling alone when it is None. The droop
-    and the Bessel filter multiply, in place, a spectrum the stage made
-    itself: the resampled one, or a copy of the caller's when the rate does
-    not change."""
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
+    if bandwidth_hz is None:
+        return resample(wave, analog_rate_hz)
+    response = dac_response(wave.freqs(), wave.sample_rate_hz, bandwidth_hz)
     up = resample(wave, analog_rate_hz)
-    if response is None:
-        return up
     spectrum = up.spectrum
     if up is wave:  # no rate change: the spectrum is the caller's
         spectrum = spectrum.copy()
     del wave  # a caller that handed the record on frees it here
+    carried = spectrum[: response[0].size]
     for resp in response:
-        spectrum *= resp
+        carried *= resp
     return SampledWaveform._from_spectrum(up.sample_rate_hz, spectrum, up.n, up.domain_tag)
 
 
@@ -289,7 +280,7 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
 
 
 # ---------------------------------------------------------------------------
-# band stitching (the bandwidth-extension front end)
+# band stitching (the bandwidth-extension front end) and the transmitter
 # ---------------------------------------------------------------------------
 
 def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
@@ -300,38 +291,33 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  upper_amplifier: AmplifierModel | None = None) -> SampledWaveform:
     """Reconstruct the wideband signal from the two AWG records.
 
-    The mixer runs at the plan's LO. With the defaults every element is
-    ideal: exact resampling instead of a ZOH DAC, a unity-SSB-gain mixer
-    without roll-off, a zero-phase raised-cosine HPF at the plan's analog
-    cutoff with an ``ANALOG_HPF_TRANSITION_HZ`` transition
+    Each record is converted by :func:`dac`, and the upper one is mixed up at
+    the plan's LO. With the defaults every element is ideal: exact
+    resampling instead of a ZOH DAC (``dac`` with no bandwidth), a
+    unity-SSB-gain mixer without roll-off, a zero-phase raised-cosine HPF at
+    the plan's analog cutoff with an ``ANALOG_HPF_TRANSITION_HZ`` transition
     (``1 - filter_response``, exactly 0 below and 1 above the transition),
-    and no upper-path amplifier. The transmitter runs the same path with its
-    device models.
+    and no upper-path amplifier. :func:`transmit` runs the same path with
+    its device models.
 
     With a DAC bandwidth, the converter's Bessel response delays the IF arm,
     which up-converts into a constant phase offset between the bands; the LO
     phase absorbs it (the lab equivalent is tuning the LO path length).
 
     The two records are the two channels of one AWG, so they must share
-    rate and length; both converters then run on one grid and share one
-    response. Each record is dropped once it is converted.
+    rate and length. Each record is dropped once it is converted.
     """
     if (lower_awg.sample_rate_hz, lower_awg.n) != (upper_awg.sample_rate_hz, upper_awg.n):
         raise ParameterError("the two AWG records must share rate and length")
     lo_phase_rad = 0.0
-    response = None
     if dac_bandwidth_hz is not None:
-        # both converters run on the same grid, so they share one response
-        response = dac_response(_analog_freqs(lower_awg, analog_rate_hz),
-                                lower_awg.sample_rate_hz, dac_bandwidth_hz)
         tau_if = bessel_group_delay_dc(dac_bandwidth_hz)
         lo_phase_rad = -2 * np.pi * plan.lo_frequency_hz * tau_if
-    lower = _convert(lower_awg, analog_rate_hz, dac_resolution_bits, response)
+    lower = dac(lower_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)
     del lower_awg
-    # the IF record goes to the mixer in a list, so the mixer frees it once
-    # it has read it, and the response goes before the mixer runs
-    upper_if = [_convert(upper_awg, analog_rate_hz, dac_resolution_bits, response)]
-    del upper_awg, response
+    # the IF record goes to the mixer in a list, so the mixer frees it on reading
+    upper_if = [dac(upper_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)]
+    del upper_awg
     upper_rf = mixer_upconvert(upper_if.pop(), plan.lo_frequency_hz, mixer_bandwidth_hz,
                                lo_phase_rad)
     # the HPF multiplies the mixer's product, which no one else holds, in place
@@ -343,3 +329,56 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     if upper_amplifier is not None:
         upper_rf = amplify(upper_rf, upper_amplifier)
     return combine(lower, upper_rf)
+
+
+def _chain_magnitudes(awg: SampledWaveform, plan: BandPlan,
+                      tx: TxConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude of the chain from each AWG port to the MZM on the AWG
+    record's m bins, each band over its own maximum: DAC droop and Bessel at
+    IF; for the upper band the mixer and the upper-path amplifier at RF; the
+    amplifier chain and the MZM. No gains, no HPF. The analog grid's first m
+    bins are the AWG grid and the LO shifts by k of them, so each device is
+    evaluated once, on k + m analog bins: the lower band reads [0, m), the
+    upper [k, k + m)."""
+    m, rate = awg.spectrum.size, tx.analog_rate_hz
+    n = int(round(awg.n * rate / awg.sample_rate_hz))
+    k = int(round(plan.lo_frequency_hz * n / rate))  # as lo_shift snaps the LO
+    # the bins as rfftfreq forms them, continued past the analog Nyquist if need be
+    f = np.arange(k + m) * (1.0 / (n * (1.0 / rate)))
+    lower = np.ones(m)
+    upper = mixer_gain(f[k:], tx.mixer_bandwidth_hz)
+    if tx.upper_path_amplifier is not None:
+        upper *= np.abs(tx.upper_path_amplifier.response(f[k:]))
+    for device in (*tx.amplifier_chain, tx.mzm):
+        mag = np.abs(device.response(f))
+        lower *= mag[:m]
+        upper *= mag[k:]
+    droop, bessel = dac_response(f[:m], awg.sample_rate_hz, plan.awg_bandwidth_hz)
+    zoh = np.abs(droop) * np.abs(bessel)
+    for band in (lower, upper):
+        band *= zoh
+        band /= band.max()
+    return lower, upper
+
+
+def transmit(lower_awg: SampledWaveform, upper_awg: SampledWaveform, plan: BandPlan,
+             tx: TxConfig, max_boost_db: float) -> SampledWaveform:
+    """The transmitter, from the two AWG records to the optical field: the
+    pre-emphasis of each band against its modelled chain, :func:`stitch_bands`
+    with the device models, the amplifier chain, the drive scaled to a peak of
+    ``tx.drive_peak_fraction_vpi`` Vpi, and :func:`mzm_modulate`. The records
+    pass from stage to stage in the list ``held``, freed as they are read."""
+    lower_mag, upper_mag = _chain_magnitudes(lower_awg, plan, tx)
+    held = [linear_preemphasis(lower_awg, lower_mag, max_boost_db)]
+    del lower_awg, lower_mag
+    held.append(linear_preemphasis(upper_awg, upper_mag, max_boost_db))
+    del upper_awg, upper_mag
+    held.append(stitch_bands(held.pop(0), held.pop(), plan, tx.analog_rate_hz,
+                             mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
+                             dac_bandwidth_hz=plan.awg_bandwidth_hz,
+                             dac_resolution_bits=tx.awg_resolution_bits,
+                             upper_amplifier=tx.upper_path_amplifier))
+    for amp in tx.amplifier_chain:
+        held.append(amplify(held.pop(), amp))
+    scale = tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / np.max(np.abs(held[0].real))
+    return mzm_modulate(held.pop().scaled(scale), tx.laser_power_dbm, tx.mzm)

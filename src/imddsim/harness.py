@@ -28,13 +28,7 @@ from . import __version__
 from .config import LinkConfig, config_to_dict
 from .channel import obpf, optical_amplify, propagate
 from .errors import ParameterError, StageError
-from .frontend import (
-    amplify,
-    dac_response,
-    mixer_gain,
-    mzm_modulate,
-    stitch_bands,
-)
+from .frontend import transmit
 from .rxdsp import (
     CSV_HEADER,
     PREAMBLE_SYMBOLS,
@@ -56,12 +50,11 @@ from .shaping import (
     pas_assemble,
     uniform_frame,
 )
-from .sigcore import SampledWaveform, resample
+from .sigcore import resample
 from .txdsp import (
     apply_volterra,
     band_split,
     fit_volterra,
-    linear_preemphasis,
     rrc_upsample,
 )
 
@@ -114,41 +107,6 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
     return uniform_frame(PamAlphabet.uniform(config.pam_order), n, rng_data)
 
 
-def _tx_chain_magnitude(config: LinkConfig, rf_freq_hz: np.ndarray,
-                        upper_path: bool) -> np.ndarray:
-    """Magnitude of the device chain from one AWG port to the MZM, used by
-    the pre-emphasis stage. Upper-path frequencies are RF (post-mixer)."""
-    tx = config.tx
-    mag = np.ones_like(rf_freq_hz, dtype=float)
-    devices = [*tx.amplifier_chain, tx.mzm]
-    if upper_path:
-        mag *= mixer_gain(rf_freq_hz, tx.mixer_bandwidth_hz)
-        if tx.upper_path_amplifier is not None:
-            devices.insert(0, tx.upper_path_amplifier)
-    for device in devices:
-        mag *= np.abs(device.response(rf_freq_hz))
-    return mag
-
-
-def _preemphasize(config: LinkConfig, bands: list[SampledWaveform]) -> list[SampledWaveform]:
-    """Pre-emphasize the ``[lower, upper]`` AWG records, popped from
-    ``bands`` so each is freed once its product is formed."""
-    plan = config.plan
-    # both bands share the AWG record grid
-    f = bands[0].freqs()
-    droop, bessel = dac_response(f, plan.awg_rate_hz, plan.awg_bandwidth_hz)
-    zoh_awg = np.abs(droop) * np.abs(bessel)
-    del droop, bessel
-    resp_lower = zoh_awg * _tx_chain_magnitude(config, f, upper_path=False)
-    resp_upper = zoh_awg * _tx_chain_magnitude(
-        config, f + plan.lo_frequency_hz, upper_path=True
-    )
-    del f, zoh_awg
-    boost = config.dsp.preemphasis_max_boost_db
-    return [linear_preemphasis(bands.pop(0), resp_lower / resp_lower.max(), boost),
-            linear_preemphasis(bands.pop(), resp_upper / resp_upper.max(), boost)]
-
-
 def _link(config: LinkConfig, rngs: dict,
           kernel=None) -> tuple[SymbolFrame, np.ndarray, int]:
     """One pass of the chain, shaping to equalizer; returns (frame,
@@ -164,7 +122,7 @@ def _link(config: LinkConfig, rngs: dict,
     symbols from it, the preamble for the sync and the whole record only
     for the FFE.
     """
-    dsp, tx, plan, chan, rx = config.dsp, config.tx, config.plan, config.channel, config.rx
+    dsp, plan, chan, rx = config.dsp, config.plan, config.channel, config.rx
     with _stage("shaping"):
         frame = _build_frame(config, rngs["data_bits"], rngs["sign_bits"])
     held = [frame.levels()]
@@ -172,21 +130,10 @@ def _link(config: LinkConfig, rngs: dict,
         with _stage("txdsp"):
             held.append(apply_volterra(held.pop(), kernel))
     with _stage("frontend"):
-        bands = _preemphasize(config, list(band_split(
-            rrc_upsample(held.pop(), SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
-                         config.symbol_rate_hz),
-            plan)))
-        held.append(stitch_bands(
-            bands.pop(0), bands.pop(), plan, tx.analog_rate_hz,
-            mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
-            dac_bandwidth_hz=plan.awg_bandwidth_hz,
-            dac_resolution_bits=tx.awg_resolution_bits,
-            upper_amplifier=tx.upper_path_amplifier,
-        ))
-        for amp in tx.amplifier_chain:
-            held.append(amplify(held.pop(), amp))
-        scale = tx.drive_peak_fraction_vpi * tx.mzm.v_pi_volts / np.max(np.abs(held[0].real))
-        held.append(mzm_modulate(held.pop().scaled(scale), tx.laser_power_dbm, tx.mzm))
+        bands = list(band_split(rrc_upsample(held.pop(), SAMPLES_PER_SYMBOL, dsp.rrc_rolloff,
+                                             config.symbol_rate_hz), plan))
+        held.append(transmit(bands.pop(0), bands.pop(), plan, config.tx,
+                             dsp.preemphasis_max_boost_db))
     with _stage("channel"):
         held.append(obpf(
             optical_amplify(propagate(held.pop(), chan.fiber, chan.wavelength_nm),

@@ -29,7 +29,6 @@ from .sigcore import (
     SampledWaveform,
     _require_finite,
     _shift_gram,
-    apply_filter,
     bessel_response,
     require_real,
     resample,
@@ -117,11 +116,12 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
              bandwidth_hz: float = 113e9,
              resolution_bits: int | None = None) -> SampledWaveform:
     """Scope front end: bandwidth filter, resample to the ADC rate, optional
-    uniform quantization."""
-    out = apply_filter(wave, bessel_response(wave.freqs(), bandwidth_hz,
-                                             ANALOG_BESSEL_ORDER))
+    uniform quantization. The filter is formed on, and multiplies, only the
+    bins the resample keeps."""
+    kept = min(wave.n, int(round(wave.n * rate_hz / wave.sample_rate_hz))) // 2 + 1
+    out = resample(wave, rate_hz, bessel_response(wave.freqs()[:kept], bandwidth_hz,
+                                                  ANALOG_BESSEL_ORDER))
     del wave  # a caller that handed the record on frees it here
-    out = resample(out, rate_hz)
     if resolution_bits is not None:
         out = out.with_samples(quantize_uniform(out.real, resolution_bits))
     return out

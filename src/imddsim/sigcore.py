@@ -291,8 +291,8 @@ def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.nd
     orders 2 and 4) evaluated with its phase at ``freqs_hz``; closed form, so
     it may roll off beyond Nyquist. The denominator is real, so the response
     at -f is the conjugate of that at f."""
-    if cutoff_hz <= 0:
-        raise ParameterError("Bessel cutoff must be positive")
+    if not (np.isfinite(cutoff_hz) and cutoff_hz > 0):
+        raise ParameterError("Bessel cutoff must be positive and finite")
     gain, den = _bessel_design(cutoff_hz, order)
     f = np.asarray(freqs_hz, dtype=float)
     out = np.empty(f.shape, dtype=np.complex128)
@@ -325,7 +325,8 @@ def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform
 # resampling and the LO shift
 # ---------------------------------------------------------------------------
 
-def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
+def resample(wave: SampledWaveform, target_rate_hz: float,
+             response: np.ndarray | None = None) -> SampledWaveform:
     """FFT-method rate conversion of a real waveform; exact for band-limited
     circular records.
 
@@ -334,12 +335,15 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
     on the way up when that length is even, as ``scipy.signal.resample``
     does for real input. The record duration must map to an integer number
     of output samples (rational ratio precondition).
+
+    A ``response`` on the kept bins, the first ``min(n_in, n_out) // 2 + 1``
+    of ``wave.freqs()``, filters them first: ``apply_filter``, on those alone.
     """
     require_real(wave, "resample input")
     if target_rate_hz <= 0:
         raise ParameterError("target rate must be positive")
     if target_rate_hz == wave.sample_rate_hz:
-        return wave
+        return wave if response is None else apply_filter(wave, response)
     n_out_f = wave.n * target_rate_hz / wave.sample_rate_hz
     n_out = int(round(n_out_f))
     if abs(n_out_f - n_out) > 1e-6 or n_out < 1:
@@ -351,6 +355,13 @@ def resample(wave: SampledWaveform, target_rate_hz: float) -> SampledWaveform:
     m = min(n_in, n_out)
     y = np.zeros(n_out // 2 + 1, dtype=np.complex128)
     y[: m // 2 + 1] = wave.spectrum[: m // 2 + 1]
+    if response is not None:
+        if np.shape(response) != (m // 2 + 1,):
+            raise ParameterError(f"response of shape {np.shape(response)} is not on "
+                                 f"the {m // 2 + 1} kept bins")
+        y[: m // 2 + 1] *= response
+        if m == n_in and m % 2 == 0:  # the input's Nyquist bin, real in a real record
+            y[m // 2] = y[m // 2].real
     if m % 2 == 0 and n_out != n_in:
         # the unpaired bin: its mirror joins it going down, splits off going up
         y[m // 2] *= 2.0 if n_out < n_in else 0.5

@@ -347,6 +347,8 @@ def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
     response. Phase is left untouched; the receiver equalizer owns residual
     phase.
     """
+    if not (np.isfinite(max_boost_db) and max_boost_db >= 0):
+        raise ParameterError("max_boost_db must be non-negative and finite")
     h_mag = np.abs(response)
     spectrum = wave.spectrum
     if h_mag.shape != spectrum.shape:

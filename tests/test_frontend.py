@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import traced_peak
-from imddsim import frontend
 from imddsim.errors import ParameterError
 from imddsim.frontend import (
     AmplifierModel,
@@ -30,10 +29,11 @@ from imddsim.sigcore import (
     filter_response,
     bin_centered_frequency,
     nmse_db,
+    resample,
     spectral_nmse_db,
     tone_amplitude,
 )
-from imddsim.txdsp import BandPlan, band_split
+from imddsim.txdsp import BandPlan, band_split, linear_preemphasis
 
 ANALOG_RATE = 512e9
 AWG_RATE = 256e9
@@ -89,6 +89,26 @@ class TestDac:
         assert out.samples.tobytes() == expect.samples.tobytes()
         assert w.spectrum.tobytes() == spectrum.tobytes()
 
+    @pytest.mark.parametrize("rate", [AWG_RATE, ANALOG_RATE])
+    @pytest.mark.parametrize("n", [4095, 4096])
+    def test_no_bandwidth_is_exact_resampling(self, n, rate):
+        # the ideal converter that stitch_bands' defaults run
+        w = SampledWaveform(AWG_RATE, np.random.default_rng(n).normal(size=n))
+        assert dac(w, rate, None).spectrum.tobytes() == resample(w, rate).spectrum.tobytes()
+
+    @pytest.mark.parametrize("n", [4095, 4096])
+    def test_filters_only_the_bins_it_carries(self, n):
+        # the droop and the Bessel filter are formed on the record's own
+        # bins; above them the resampled spectrum is zero, and the result is
+        # byte-equal to both factors applied on the whole analog grid
+        w = SampledWaveform(AWG_RATE, np.random.default_rng(n).normal(size=n))
+        up = resample(w, ANALOG_RATE)
+        droop, bessel = dac_response(up.freqs(), AWG_RATE, 80e9)
+        expect = apply_filter(apply_filter(up, droop), bessel).spectrum
+        got, m = dac(w, ANALOG_RATE, 80e9).spectrum, w.spectrum.size
+        assert got[:m].tobytes() == expect[:m].tobytes()
+        assert not np.any(got[m:]) and not np.any(expect[m:])
+
     def test_quantization_noise_floor(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 1 << 16)
@@ -100,6 +120,37 @@ class TestDac:
         w = SampledWaveform(AWG_RATE, np.ones(64))
         with pytest.raises(ParameterError):
             dac(w, 0.5 * AWG_RATE)
+
+
+#: Device parameters that the config rejects at its boundary and the device
+#: layer must reject too, each as a call that would take it.
+NON_FINITE_DEVICES = {
+    "bessel_cutoff_nan": lambda: bessel_response(np.ones(4), float("nan"), 4),
+    "bessel_cutoff_inf": lambda: bessel_response(np.ones(4), float("inf"), 2),
+    "amplifier_bandwidth_nan": lambda: AmplifierModel(3.0, float("nan")),
+    "amplifier_bandwidth_inf": lambda: AmplifierModel(3.0, float("inf")),
+    "amplifier_compression_nan": lambda: AmplifierModel(3.0, 100e9, float("nan")),
+    "amplifier_compression_inf": lambda: AmplifierModel(3.0, 100e9, float("inf")),
+    "mzm_v_pi_nan": lambda: MzmModel(float("nan")),
+    "mzm_v_pi_inf": lambda: MzmModel(float("inf")),
+    "mzm_bandwidth_nan": lambda: MzmModel(2.8, bandwidth_hz=float("nan")),
+    "preemphasis_boost_nan": lambda: linear_preemphasis(
+        SampledWaveform(AWG_RATE, np.ones(8)), np.ones(5), float("nan")),
+    "preemphasis_boost_inf": lambda: linear_preemphasis(
+        SampledWaveform(AWG_RATE, np.ones(8)), np.ones(5), float("inf")),
+    "preemphasis_boost_negative": lambda: linear_preemphasis(
+        SampledWaveform(AWG_RATE, np.ones(8)), np.ones(5), -1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_DEVICES.values(), ids=NON_FINITE_DEVICES.keys())
+def test_bad_device_parameter_rejected(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ParameterError) as err:
+            call()
+    # a model names the field at fault, not one that reads it later
+    assert err.value.key in (None, "bandwidth_hz", "compression_in_1db", "v_pi_volts")
 
 
 class TestMixer:
@@ -371,22 +422,16 @@ class TestStitchReconstruction:
         nmse = spectral_nmse_db(w, rec, exclude_bands=[(xo - 2e9, xo + 2e9)])
         assert nmse <= -150.0
 
-    def test_converters_share_one_response(self, monkeypatch):
-        # both AWG records sit on one grid, so the two converters share one
-        # droop and Bessel response; the stitched record is byte-equal to the
-        # public stages run one by one, each converter with its own response
+    def test_converters_are_the_dac_stage(self):
+        # each record is converted by the public dac stage: the stitched
+        # record is byte-equal to the public stages run one by one
         plan = BandPlan(76e9, 75e9, 72e9)
         rng = np.random.default_rng(9)
         lower, upper = (SampledWaveform(AWG_RATE, rng.normal(size=4096)) for _ in range(2))
-        calls = []
-        response = frontend.dac_response
-        monkeypatch.setattr(frontend, "dac_response",
-                            lambda *args: calls.append(args) or response(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the white IF crosses the LO
             out = stitch_bands(lower, upper, plan, ANALOG_RATE, mixer_bandwidth_hz=150e9,
                                dac_bandwidth_hz=80e9)
-            assert len(calls) == 1
             phase = -2 * np.pi * plan.lo_frequency_hz * bessel_group_delay_dc(80e9)
             upper_rf = mixer_upconvert(dac(upper, ANALOG_RATE, 80e9), plan.lo_frequency_hz,
                                        150e9, phase)

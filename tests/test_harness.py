@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from conftest import TRANSPARENT_SEEDS, fast_link_config, traced_peak, transparency_failures
 import imddsim
-from imddsim import channel, frontend, harness, rxdsp, txdsp
+from imddsim import channel, frontend, harness, rxdsp, sigcore, txdsp
 from imddsim.channel import FiberSpec, OpticalAmpSpec
 from imddsim.config import (
     PRESETS,
     ChannelConfig,
     DspConfig,
+    LinkConfig,
+    TxConfig,
     c_band_216g,
     config_from_dict,
     config_to_dict,
@@ -48,7 +50,7 @@ from imddsim.harness import (
 )
 from imddsim.frontend import AmplifierModel, MzmModel
 from imddsim.sigcore import SampledWaveform
-from imddsim.txdsp import VolterraStructure
+from imddsim.txdsp import VolterraKernel, VolterraStructure
 
 #: The stages that transform the optical field.
 OPTICAL_TRANSFORM_STAGES = ("mzm_modulate", "propagate", "optical_amplify", "obpf",
@@ -562,6 +564,47 @@ class TestRunLink:
         assert len(calls) == 20, calls
         assert calls[:10] == calls[10:], calls
 
+    @pytest.mark.parametrize("make, max_calls, max_bins", [
+        (c_band_216g, 11, 650_000),
+        (o_band_216g, 13, 770_000),
+    ], ids=["C-band", "O-band"])
+    def test_bessel_budget(self, monkeypatch, make, max_calls, max_bins):
+        # the pre-emphasis model evaluates each device once, on k + m bins,
+        # the converters filter the AWG record's own bins and the scope the
+        # bins its resample keeps; the amplifier and MZM stages evaluate
+        # their responses again, and the photodiode on the whole analog grid
+        calls = []
+        original = sigcore.bessel_response
+
+        def counted(freqs_hz, cutoff_hz, order):
+            stack = [frame.name for frame in traceback.extract_stack()]
+            calls.append((cutoff_hz, np.size(freqs_hz), "_chain_magnitudes" in stack))
+            return original(freqs_hz, cutoff_hz, order)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("imddsim") and \
+                    getattr(module, "bessel_response", None) is original:
+                monkeypatch.setattr(module, "bessel_response", counted)
+        cfg = make(7)
+        run_link(cfg)
+        tx = cfg.tx
+        devices = [cfg.plan.awg_bandwidth_hz, tx.mzm.cutoff_hz,
+                   *(amp.bandwidth_hz for amp in tx.amplifier_chain)]
+        if tx.upper_path_amplifier is not None:
+            devices.append(tx.upper_path_amplifier.bandwidth_hz)
+        model = sorted(cutoff for cutoff, _, in_model in calls if in_model)
+        assert model == sorted(devices), calls
+        assert len(calls) <= max_calls, calls
+        assert sum(size for _, size, _ in calls) <= max_bins, calls
+
+    def test_analog_rate_at_the_awg_rate(self):
+        # with no upsampling the pre-emphasis grid's k + m bins run past the
+        # analog Nyquist; the closed-form responses are evaluated there too
+        cfg = replace(c_band_216g(3), sequence_length_symbols=4096)
+        cfg = replace(cfg, tx=replace(cfg.tx, analog_rate_hz=cfg.plan.awg_rate_hz))
+        assert cfg.dsp.preemphasis_max_boost_db > 0
+        assert run_link(cfg).ngmi == pytest.approx(0.9864593359552427, abs=1e-9)
+
     def test_o_band_memory_bound(self):
         # every record dies at its last use: each stage frees the record its
         # caller handed on once it has read it and drops its temporaries, the
@@ -569,10 +612,10 @@ class TestRunLink:
         # blocks, and the run holds only the frame, not its symbols, through
         # the link, so the run's peak (about 6.0 MB) is set by propagate,
         # which holds the field's spectrum and its loss product, with obpf
-        # at 5.8 MB, the second DAC in stitch_bands at 5.6 MB and the
-        # amplifiers at 5.5 MB; 6.6 MB with the symbols held, and with each
-        # stage's input and temporaries held to its end, band_split set it
-        # at about 9.6 MB
+        # at 5.8 MB and the front end at 5.5 MB, set by the upper-path
+        # amplifier, since the converters filter only the AWG record's bins;
+        # 6.6 MB with the symbols held, and with each stage's input and
+        # temporaries held to its end, band_split set it at about 9.6 MB
         cfg = o_band_216g(7)
         assert traced_peak(lambda: run_link(cfg)) < 6.3e6
 
@@ -580,10 +623,11 @@ class TestRunLink:
         # the pre-distorter is trained before the main frame is shaped, both
         # links hold only their frame and hand their records on, and the fit
         # builds no feature matrix: the peak is about 6.1 MB, set by the main
-        # link's propagate, with the training link's at 6.07 MB and the fit
-        # below the links' stages; it was 7.2 MB, set by the fit's 63 x 8 192
-        # feature block with the main frame held, and 10.6 MB with each
-        # stage's input and temporaries held to its end
+        # link's propagate, with the training link's at 6.07 MB, each link's
+        # front end at 5.5 MB (its upper-path amplifier) and the fit below
+        # the links' stages; it was 7.2 MB, set by the fit's
+        # 63 x 8 192 feature block with the main frame held, and 10.6 MB with
+        # each stage's input and temporaries held to its end
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
         assert traced_peak(lambda: run_link(cfg)) < 6.3e6
@@ -694,6 +738,54 @@ class TestRunLink:
         assert rep.gmi_bits >= base.gmi_bits - 0.05
 
 
+def _short(make, seed: int) -> LinkConfig:
+    """A preset at the feasible record length nearest 4 096 symbols."""
+    cfg = replace(make(seed), sequence_length_symbols=4096)
+    return replace(cfg, sequence_length_symbols=resolve_sequence_length(cfg))
+
+
+class TestChainRelations:
+    """Relations between two runs of the whole chain: changes of the input
+    that must leave the result where it is, whatever its value."""
+
+    @pytest.mark.parametrize("scale", [0.1, 4.0, 1000.0])
+    @pytest.mark.parametrize("make", [c_band_216g, o_band_216g], ids=["C-band", "O-band"])
+    def test_power_and_noise_scale_together(self, make, scale):
+        # with no thermal noise, scaling the laser power and the ASE density
+        # by one factor scales every detected term (signal, signal x ASE and
+        # ASE x ASE beats) by it, and the receiver is scale-free
+        cfg = _short(make, 7)
+        assert cfg.rx.pd_thermal_noise_density == 0
+        amp = cfg.channel.amplifier
+        scaled = replace(
+            cfg, tx=replace(cfg.tx, laser_power_dbm=cfg.tx.laser_power_dbm
+                            + 10 * np.log10(scale)),
+            channel=replace(cfg.channel, amplifier=replace(
+                amp, noise_spectral_density=amp.noise_spectral_density * scale)))
+        assert abs(run_link(scaled).ngmi - run_link(cfg).ngmi) < 1e-11
+
+    @pytest.mark.parametrize("make", [c_band_216g, o_band_216g], ids=["C-band", "O-band"])
+    def test_identity_predistorter_is_none(self, make):
+        cfg = _short(make, 7)
+        kernel = VolterraKernel.identity(cfg.dsp.volterra)
+        _, eq_identity, _ = harness._link(cfg, harness._spawn_rngs(cfg), kernel)
+        _, eq, _ = harness._link(cfg, harness._spawn_rngs(cfg))
+        assert eq_identity.tobytes() == eq.tobytes()
+
+    @pytest.mark.parametrize("factor", [1e-6, 10.0])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_electrical_gains_are_common_factors(self, index, factor):
+        # no amplifier compresses, and the drive is scaled to its peak, so an
+        # amplifier's gain cancels
+        cfg = _short(c_band_216g, 3)
+        chain = list(cfg.tx.amplifier_chain)
+        assert all(amp.compression_in_1db is None for amp in chain)
+        chain[index] = replace(chain[index],
+                               gain_db=chain[index].gain_db + 20 * np.log10(factor))
+        changed = replace(cfg, tx=replace(cfg.tx, amplifier_chain=tuple(chain)))
+        assert abs(run_link(changed).ngmi - run_link(cfg).ngmi) < 1e-11
+
+
 #: Prints the repr of the C-band (seed 7), O-band (seed 11) and O-band+DPD
 #: (seed 7) reports, one a line.
 _PRESET_REPORTS = """
@@ -731,7 +823,7 @@ class TestStagesLeaveHeldInputs:
 
     @pytest.mark.filterwarnings("ignore:.*above the LO")
     @pytest.mark.parametrize("stage", [
-        "band_split", "stitch_bands", "dac", "mixer_upconvert", "amplify",
+        "band_split", "stitch_bands", "transmit", "dac", "mixer_upconvert", "amplify",
         "mzm_modulate", "propagate", "optical_amplify", "obpf", "obpf_passband",
         "photodetect", "digitize", "synchronize",
     ])
@@ -747,6 +839,10 @@ class TestStagesLeaveHeldInputs:
             "stitch_bands": lambda: frontend.stitch_bands(
                 w["awg"], w["awg2"], plan, 512e9, 150e9, 80e9,
                 upper_amplifier=AmplifierModel(7.0, 130e9)),
+            "transmit": lambda: frontend.transmit(
+                w["awg"], w["awg2"], plan, TxConfig(
+                    MzmModel(2.8), upper_path_amplifier=AmplifierModel(7.0, 130e9),
+                    amplifier_chain=(AmplifierModel(16.0, 100e9),)), 12.0),
             "dac": lambda: frontend.dac(w["awg"], 512e9, 80e9),
             "mixer_upconvert": lambda: frontend.mixer_upconvert(w["analog"], 72e9, 150e9, 0.3),
             "amplify": lambda: frontend.amplify(w["analog"], AmplifierModel(7.0, 130e9)),

@@ -41,9 +41,11 @@ from imddsim.shaping import (
 )
 from imddsim.sigcore import (
     SampledWaveform,
+    apply_filter,
     bessel_response,
     bin_centered_frequency,
     nmse_db,
+    resample,
     tone_amplitude,
 )
 from imddsim.txdsp import rrc_upsample
@@ -147,6 +149,14 @@ class TestDigitize:
         out = digitize(w, rate_hz=256e9, bandwidth_hz=1e15)
         back = digitize(out, rate_hz=RATE, bandwidth_hz=1e15)
         assert nmse_db(w, back) < -40
+
+    @pytest.mark.parametrize("n", [8192, 8190])
+    def test_filter_precedes_the_resample(self, n):
+        # the scope filter is formed on the bins the resample keeps, and
+        # multiplies them before the resample folds the output Nyquist bin
+        w = SampledWaveform(RATE, np.random.default_rng(n).normal(size=n))
+        expect = resample(apply_filter(w, bessel_response(w.freqs(), 100e9, 4)), 256e9)
+        assert digitize(w, 256e9, 100e9).spectrum.tobytes() == expect.spectrum.tobytes()
 
     def test_8bit_sine_sndr(self):
         n = 65536

@@ -305,6 +305,23 @@ class TestResample:
         with pytest.raises(ParameterError):
             resample(w, 2e9)  # 7 * 2/3 is not an integer
 
+    @pytest.mark.parametrize("n, rate", [(4096, 256e9), (4094, 256e9), (3072, 384e9),
+                                         (4096, RATE), (2048, 2 * RATE), (2047, 2 * RATE)])
+    def test_response_on_kept_bins_is_filter_then_resample(self, n, rate):
+        # the response multiplies the kept bins before the unpaired bin
+        # folds, so the result is byte-equal to filtering the whole record
+        w = bandlimited_noise(n, RATE, 250e9, seed=n)
+        full = bessel_response(w.freqs(), 100e9, 4)
+        kept = min(n, int(round(n * rate / RATE))) // 2 + 1
+        got = resample(w, rate, full[:kept])
+        expect = resample(apply_filter(w, full), rate)
+        assert got.spectrum.tobytes() == expect.spectrum.tobytes()
+
+    def test_response_off_the_kept_bins_rejected(self):
+        w = SampledWaveform(RATE, np.ones(64))
+        with pytest.raises(ParameterError, match="kept bins"):
+            resample(w, RATE / 2, np.ones(33))
+
 
 class TestNmse:
     def test_identity_hits_floor(self):
