@@ -9,22 +9,33 @@ prefixed with the case name.
     python scripts/golden_rows.py --exact    # exit 1 on any byte difference
     python scripts/golden_rows.py --write    # record the current rows
     python scripts/golden_rows.py --repr     # print each full-precision report
+    python scripts/golden_rows.py --repr --against REV  # compare with git REV
 
 Without ``--exact`` the script prints, for each case, the change in NGMI and
 net bitrate next to the NGMI range over the golden seeds of that case (n/a
 for a case with one seed), so a deliberate physics change can be read
 against the seed-to-seed spread. ``--repr`` runs the cases and prints one
 line per case, its name, seed and full-precision ``repr(MetricsReport)``,
-and compares nothing: the CSV row rounds, so a byte-identity check between
-two checkouts is one ``cmp`` of this output from each (copy the script into
-the other checkout's ``scripts/`` to run it against that ``src/``).
+and compares nothing: the CSV row rounds. ``--against REV`` makes it the
+byte-identity check of a change: it exports ``src/imddsim`` at the git
+revision REV with ``git archive`` into a temporary directory, runs the cases
+on that tree and on this one, each in a subprocess on one OpenBLAS thread,
+and prints per case ``same`` or each changed field as old -> new; it exits
+1 unless every case is the same.
 Run it from the repository root; ``src/`` is put on the import path.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import os
+import re
+import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,6 +68,60 @@ def read_golden() -> dict[tuple[str, int], str]:
     return rows
 
 
+def repr_lines(script: Path) -> dict[str, str]:
+    """The reports ``script --repr`` prints, keyed by case name and seed, run
+    in a subprocess on one OpenBLAS thread; the script imports the library
+    from the ``src/`` beside its own directory."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, str(script), "--repr"], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    lines = {}
+    for line in out.splitlines():
+        case, seed, report = line.split(",", 2)
+        lines[f"{case} {seed}"] = report
+    return lines
+
+
+#: A ``name=value`` field of a ``MetricsReport`` repr.
+_FIELD = re.compile(r"(\w+)=([^,)]+)")
+
+
+def _change(name: str, old: str | None, new: str | None) -> str:
+    """``name old -> new``, with the difference when both are numbers."""
+    try:
+        delta = f" ({float(new) - float(old):+.2g})"
+    except (TypeError, ValueError):
+        delta = ""
+    return f"{name} {old} -> {new}{delta}"
+
+
+def compare_against(rev: str) -> int:
+    """Run the cases on ``src/imddsim`` at git revision ``rev`` and on this
+    tree, print per case ``same`` or each changed field as old -> new, and
+    return the number of cases that differ."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src/imddsim"],
+                             cwd=HERE.parent, check=True, stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory(prefix="golden-rows-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        script = Path(tmp) / "scripts" / Path(__file__).name
+        script.parent.mkdir()
+        shutil.copyfile(__file__, script)  # this script's cases, on that tree
+        old = repr_lines(script)
+    new = repr_lines(Path(__file__).resolve())
+    differ = 0
+    for key, report in new.items():
+        if old[key] == report:
+            print(f"{key:<20} same")
+            continue
+        differ += 1
+        a, b = (dict(_FIELD.findall(x)) for x in (old[key], report))
+        print(f"{key:<20} " + "; ".join(_change(name, a.get(name), b.get(name))
+                                         for name in {**a, **b} if a.get(name) != b.get(name)))
+    print(f"{differ} of {len(new)} cases differ from {rev}")
+    return differ
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -66,8 +131,15 @@ def main(argv: list[str] | None = None) -> int:
                       help="overwrite the golden with the current rows")
     mode.add_argument("--repr", action="store_true",
                       help="print each case's full-precision report and compare nothing")
+    parser.add_argument("--against", metavar="REV",
+                        help="with --repr: compare the reports with those of git REV "
+                             "and exit 1 unless every case is the same")
     args = parser.parse_args(argv)
 
+    if args.against:
+        if not args.repr:
+            parser.error("--against needs --repr")
+        return 1 if compare_against(args.against) else 0
     if args.repr:
         for case, build, seed in CASES:
             print(f"{case},{seed},{run_link(build(seed))!r}")

@@ -142,12 +142,13 @@ def quantize_uniform(x: np.ndarray, bits: int, full_scale: float | None = None) 
     return np.clip(q, -fs + step / 2, fs - step / 2)
 
 
-def dac_response(freq_hz: np.ndarray, rate_hz: float,
-                 bandwidth_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """The converter's response at ``freq_hz``, as its two factors: the
-    zero-order-hold droop sinc(f / rate) and the analog Bessel filter."""
-    return (np.sinc(freq_hz / rate_hz),
-            bessel_response(freq_hz, bandwidth_hz, ANALOG_BESSEL_ORDER))
+def dac_response(freq_hz: np.ndarray, rate_hz: float, bandwidth_hz: float) -> np.ndarray:
+    """The converter's complex response at ``freq_hz``: the zero-order-hold
+    droop sinc(f / rate) times the analog Bessel filter."""
+    droop = np.sinc(freq_hz / rate_hz)  # its temporaries go before the response is held
+    response = bessel_response(freq_hz, bandwidth_hz, ANALOG_BESSEL_ORDER)
+    response *= droop
+    return response
 
 
 def dac(wave: SampledWaveform, analog_rate_hz: float,
@@ -161,24 +162,15 @@ def dac(wave: SampledWaveform, analog_rate_hz: float,
     rate conversion; its half-sample delay is referenced out (the band
     alignment owns absolute timing), and hold images above the converter
     Nyquist are not modeled, as for an output network that removes them. So
-    the droop and filter are formed on the record's own bins, ``wave.freqs()``,
-    and multiply in place only those bins of the resampled spectrum."""
+    :func:`dac_response` is formed on the record's own bins, ``wave.freqs()``,
+    the bins :func:`resample` keeps and filters."""
     if analog_rate_hz < wave.sample_rate_hz:
         raise ParameterError("analog rate must be at least the DAC rate")
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
-    if bandwidth_hz is None:
-        return resample(wave, analog_rate_hz)
-    response = dac_response(wave.freqs(), wave.sample_rate_hz, bandwidth_hz)
-    up = resample(wave, analog_rate_hz)
-    spectrum = up.spectrum
-    if up is wave:  # no rate change: the spectrum is the caller's
-        spectrum = spectrum.copy()
-    del wave  # a caller that handed the record on frees it here
-    carried = spectrum[: response[0].size]
-    for resp in response:
-        carried *= resp
-    return SampledWaveform._from_spectrum(up.sample_rate_hz, spectrum, up.n, up.domain_tag)
+    response = (None if bandwidth_hz is None
+                else dac_response(wave.freqs(), wave.sample_rate_hz, bandwidth_hz))
+    return resample(wave, analog_rate_hz, response)
 
 
 def mixer_gain(freq_hz: np.ndarray, bandwidth_hz: float) -> np.ndarray:
@@ -353,8 +345,7 @@ def _chain_magnitudes(awg: SampledWaveform, plan: BandPlan,
         mag = np.abs(device.response(f))
         lower *= mag[:m]
         upper *= mag[k:]
-    droop, bessel = dac_response(f[:m], awg.sample_rate_hz, plan.awg_bandwidth_hz)
-    zoh = np.abs(droop) * np.abs(bessel)
+    zoh = np.abs(dac_response(f[:m], awg.sample_rate_hz, plan.awg_bandwidth_hz))
     for band in (lower, upper):
         band *= zoh
         band /= band.max()

@@ -29,6 +29,7 @@ from .sigcore import (
     SampledWaveform,
     _require_finite,
     _shift_gram,
+    _solve_spd,
     bessel_response,
     require_real,
     resample,
@@ -213,30 +214,6 @@ class EqualizerState:
 #: seeds 7 and 11, ridges from 1e-9 to 1e-6 agree within 0.001 NGMI, while
 #: 1e-3 costs 0.0035 on O-band.
 FFE_RIDGE = 1e-6
-#: Largest block that ``_solve_spd`` hands to ``np.linalg.solve``. OpenBLAS
-#: factors small systems on one thread; with numpy 2.4.6 a solve gives the
-#: same bytes on one and two threads up to 96 unknowns, but not at 101.
-_SOLVE_BLOCK = 96
-
-
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the symmetric positive definite system ``a x = b`` by block
-    elimination whose LAPACK calls stay at or below ``_SOLVE_BLOCK``.
-
-    With a = [[A11, A12], [A21, A22]] and A11 the leading ``_SOLVE_BLOCK``
-    rows, x2 solves the Schur complement A22 - A21 A11^-1 A12 (positive
-    definite again, so this recurses) and x1 = A11^-1 (b1 - A12 x2). The
-    Schur products are elementwise sums, not BLAS calls.
-    """
-    p = _SOLVE_BLOCK
-    if a.shape[0] <= p:
-        return np.linalg.solve(a, b)
-    inv_a11 = np.linalg.solve(a[:p, :p], np.column_stack([a[:p, p:], b[:p]]))
-    x12, x1 = inv_a11[:, :-1], inv_a11[:, -1]
-    a21 = a[p:, :p]
-    schur = a[p:, p:] - (a21[:, :, None] * x12[None]).sum(axis=1)
-    x2 = _solve_spd(schur, b[p:] - (a21 * x1).sum(axis=1))
-    return np.concatenate([x1 - (x12 * x2).sum(axis=1), x2])
 
 
 def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
@@ -261,8 +238,8 @@ def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
     ``sigcore._shift_gram`` with one family at hop 2, the routine the
     Volterra fit runs at hop 1 over its shift families.
     The sums are ``einsum`` reductions over the sliding-window view and the
-    solve is :func:`_solve_spd`, so no threaded BLAS or LAPACK call touches
-    the record and the taps do not depend on the BLAS thread count.
+    solve is ``sigcore._solve_spd``, so no threaded BLAS or LAPACK call
+    touches the record and the taps do not depend on the BLAS thread count.
     ``train_passes`` is accepted for callers that bind it and must be 1.
     """
     if tap_count % 2 == 0:
@@ -450,6 +427,8 @@ class RateTable:
 def required_code_rate(ngmi: float, table: RateTable) -> float:
     """Code rate predicted to decode error-free at the measured NGMI,
     interpolated between rows (puncturing gives fine rate granularity)."""
+    if not np.isfinite(ngmi):
+        raise ParameterError("NGMI must be finite")
     t = table.ngmi_thresholds
     r = table.rates
     if ngmi < t[0]:

@@ -148,8 +148,9 @@ class SymbolDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if np.any(p < 0):
-            raise ParameterError("probabilities must be non-negative")
+        if p.ndim != 1 or not np.all(p >= 0):  # NaN fails p >= 0
+            raise ParameterError("probabilities must be a 1-D sequence of "
+                                 "non-negative numbers")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ParameterError("probabilities must sum to 1")
         object.__setattr__(self, "probabilities", p)
@@ -212,11 +213,9 @@ class SymbolFrame:
     distribution: SymbolDistribution
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
+        idx = _integers_below(self.indices, self.alphabet.size, ParameterError, "indices")
+        if idx.size == 0:
             raise ParameterError("indices must be a non-empty 1-D sequence")
-        if idx.min() < 0 or idx.max() >= self.alphabet.size:
-            raise ParameterError("index out of alphabet range")
         if self.distribution.probabilities.size != self.alphabet.size:
             raise ParameterError("distribution does not match alphabet size")
         object.__setattr__(self, "indices", idx)
@@ -239,8 +238,8 @@ class SymbolFrame:
 
 def maxwell_boltzmann(nu: float, alphabet: PamAlphabet) -> SymbolDistribution:
     """P(a) proportional to exp(-nu * a^2); symmetric and normalized."""
-    if nu < 0:
-        raise ParameterError("nu must be non-negative")
+    if not (np.isfinite(nu) and nu >= 0):
+        raise ParameterError("nu must be non-negative and finite")
     expo = -nu * alphabet.levels**2
     expo -= expo.max()  # stabilize: largest weight is exactly 1
     w = np.exp(expo)

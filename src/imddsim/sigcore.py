@@ -1,6 +1,6 @@
 """Waveform container, filter responses and their application, resampling,
-the LO shift, signal metrics, and the shift-recursion Gram matrix that the
-FFE and the Volterra fit share.
+the LO shift, signal metrics, and the normal equations that the FFE and the
+Volterra fit share: the shift-recursion Gram matrix and its blocked solve.
 
 Conventions used throughout the simulator:
 
@@ -177,8 +177,8 @@ class SampledWaveform:
 
 def _checked(sample_rate_hz: float, values, domain_tag: str, what: str) -> np.ndarray:
     """``values`` as an array, after the checks that need no pass over it."""
-    if sample_rate_hz <= 0:
-        raise ParameterError("sample_rate_hz must be positive")
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ParameterError("sample_rate_hz must be positive and finite")
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ParameterError(f"{what} must be a non-empty 1-D sequence")
@@ -548,3 +548,29 @@ def _shift_gram(bases: list[np.ndarray], widths: list[int], count: int,
             if g > f:
                 gram[edges[g]: edges[g + 1], edges[f]: edges[f + 1]] = block.T
     return gram
+
+
+#: Largest block that ``_solve_spd`` hands to ``np.linalg.solve``. OpenBLAS
+#: factors small systems on one thread; with numpy 2.4.6 a solve gives the
+#: same bytes on one and two threads up to 96 unknowns, but not at 101.
+_SOLVE_BLOCK = 96
+
+
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite system ``a x = b`` by block
+    elimination whose LAPACK calls stay at or below ``_SOLVE_BLOCK``.
+
+    With a = [[A11, A12], [A21, A22]] and A11 the leading ``_SOLVE_BLOCK``
+    rows, x2 solves the Schur complement A22 - A21 A11^-1 A12 (positive
+    definite again, so this recurses) and x1 = A11^-1 (b1 - A12 x2). The
+    Schur products are elementwise sums, not BLAS calls.
+    """
+    p = _SOLVE_BLOCK
+    if a.shape[0] <= p:
+        return np.linalg.solve(a, b)
+    inv_a11 = np.linalg.solve(a[:p, :p], np.column_stack([a[:p, p:], b[:p]]))
+    x12, x1 = inv_a11[:, :-1], inv_a11[:, -1]
+    a21 = a[p:, :p]
+    schur = a[p:, p:] - (a21[:, :, None] * x12[None]).sum(axis=1)
+    x2 = _solve_spd(schur, b[p:] - (a21 * x1).sum(axis=1))
+    return np.concatenate([x1 - (x12 * x2).sum(axis=1), x2])

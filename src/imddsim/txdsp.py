@@ -30,8 +30,11 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .sigcore import (
     SampledWaveform,
+    _checked,
     _require_finite,
     _shift_gram,
+    _solve_spd,
+    apply_filter,
     filter_response,
     lo_shift,
     nmse_db,
@@ -242,10 +245,14 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
     A trailing ``VOLTERRA_HOLDOUT_FRACTION`` of the record is held out to
     report a generalization NMSE next to the training NMSE. No feature
     matrix is built: the normal equations come from the shift families'
-    base sequences (:func:`_normal_equations`) and are solved by Cholesky,
-    and the residuals of both spans come from :func:`_volterra_series` over
-    the same bases, as ``apply_volterra`` evaluates a kernel. Every sum is
-    an ``einsum`` or the shift recursion, so no threaded BLAS call runs.
+    base sequences (:func:`_normal_equations`) and solved by the FFE's
+    ``_solve_spd``, and the residuals of both spans come from
+    :func:`_volterra_series` over the same bases, as ``apply_volterra``
+    evaluates a kernel. Every sum is an ``einsum`` or the shift recursion and
+    every solve at most 96 unknowns wide, so the kernel does not depend on
+    the BLAS thread count; only the condition gate's ``eigvalsh`` is one
+    LAPACK call on the whole Gram matrix, which OpenBLAS threads above about
+    64 coefficients (the default structure has 63).
     """
     structure = structure or VolterraStructure()
     x = np.asarray(observed_response, dtype=float)
@@ -272,10 +279,8 @@ def fit_volterra(stimulus: np.ndarray, observed_response: np.ndarray,
             f"normal equations ill-conditioned (cond={cond:.3g}); "
             "reduce the term count or decorrelate the stimulus"
         )
-    chol = np.linalg.cholesky(gram)
     w = np.empty(len(terms))
-    w[np.concatenate([f[2] for f in families])] = np.linalg.solve(
-        chol.T, np.linalg.solve(chol, moment))
+    w[np.concatenate([f[2] for f in families])] = _solve_spd(gram, moment)
 
     fitted = _volterra_series(bases, families, guard, w, lo, hi, x.size)
     del bases
@@ -304,7 +309,10 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
     """
     if not 0.0 <= rolloff <= 1.0:
         raise ParameterError("rolloff must lie in [0, 1]")
-    s = np.asarray(symbols, dtype=float)
+    if not isinstance(samples_per_symbol, (int, np.integer)) or samples_per_symbol < 1:
+        raise ParameterError("samples_per_symbol must be an integer >= 1")
+    rate = symbol_rate_hz * samples_per_symbol
+    s = _checked(rate, symbols, "electrical", "symbols").astype(float, copy=False)
     _require_finite(s, "symbols")
     n = s.size * samples_per_symbol
     # f / R from whole bin indices, so R/2 lands on exactly 1/2; the clipped
@@ -334,8 +342,7 @@ def rrc_upsample(symbols: np.ndarray, samples_per_symbol: int, rolloff: float,
         period = spectrum[start: start + s.size]
         period[:] = spectrum[: period.size]
     spectrum *= response
-    return SampledWaveform._from_spectrum(symbol_rate_hz * samples_per_symbol,
-                                          spectrum, n, "electrical")
+    return SampledWaveform._from_spectrum(rate, spectrum, n, "electrical")
 
 
 def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
@@ -350,14 +357,10 @@ def linear_preemphasis(wave: SampledWaveform, response: np.ndarray,
     if not (np.isfinite(max_boost_db) and max_boost_db >= 0):
         raise ParameterError("max_boost_db must be non-negative and finite")
     h_mag = np.abs(response)
-    spectrum = wave.spectrum
-    if h_mag.shape != spectrum.shape:
-        raise ParameterError(f"response is not on the {spectrum.size}-bin grid")
     cap = 10 ** (max_boost_db / 20.0)
     with np.errstate(divide="ignore"):
         boost = np.where(h_mag > 0, np.minimum(1.0 / h_mag, cap), cap)
-    return SampledWaveform._from_spectrum(wave.sample_rate_hz, spectrum * boost, wave.n,
-                                          wave.domain_tag)
+    return apply_filter(wave, boost)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +422,7 @@ def band_split(wave: SampledWaveform, plan: BandPlan) -> tuple[SampledWaveform, 
     require_real(wave, "band_split input")
     n, rate = wave.n, wave.sample_rate_hz
     spectrum = wave.spectrum
+    del wave  # a caller that handed the record on frees it once the spectrum goes
 
     lp = filter_response(plan.crossover_hz, plan.crossover_transition_hz, n, rate)
     lower_wave = resample(

@@ -785,6 +785,24 @@ class TestChainRelations:
         changed = replace(cfg, tx=replace(cfg.tx, amplifier_chain=tuple(chain)))
         assert abs(run_link(changed).ngmi - run_link(cfg).ngmi) < 1e-11
 
+    @pytest.mark.parametrize("zero_nm, slope", [(1500.0, 0.06), (1541.7, 0.09),
+                                                (1280.0, 0.092), (1560.0, 0.03)])
+    @pytest.mark.parametrize("make", [c_band_216g, o_band_216g], ids=["C-band", "O-band"])
+    def test_cd_trim_cancels_the_fiber_dispersion(self, make, zero_nm, slope):
+        # with the trim as long as the fiber, the OBPF undoes its dispersion,
+        # whatever the dispersion is; with the ASE on it would not, as the
+        # trim disperses the noise added before it into a new realization
+        cfg = _short(make, 7)
+        chan = replace(cfg.channel, obpf_cd_trim_km=cfg.channel.fiber.length_km,
+                       amplifier=replace(cfg.channel.amplifier, noise_spectral_density=0.0))
+        cfg = replace(cfg, channel=chan)
+        changed = replace(cfg, channel=replace(chan, fiber=replace(
+            chan.fiber, zero_dispersion_wavelength_nm=zero_nm,
+            dispersion_slope_ps_nm2_km=slope)))
+        _, eq, _ = harness._link(cfg, harness._spawn_rngs(cfg))
+        _, eq_changed, _ = harness._link(changed, harness._spawn_rngs(changed))
+        assert np.max(np.abs(eq_changed - eq)) <= 1e-9 * np.max(np.abs(eq))
+
 
 #: Prints the repr of the C-band (seed 7), O-band (seed 11) and O-band+DPD
 #: (seed 7) reports, one a line.

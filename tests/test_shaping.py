@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -13,10 +14,12 @@ from imddsim import shaping
 from imddsim.config import c_band_216g
 from imddsim.errors import DecodeError, ParameterError
 from imddsim.harness import _build_frame, _spawn_rngs
+from imddsim.rxdsp import RateTable, required_code_rate
 from imddsim.shaping import (
     Composition,
     PamAlphabet,
     SymbolDistribution,
+    SymbolFrame,
     ccdm_decode,
     ccdm_encode,
     ccdm_input_bits,
@@ -29,6 +32,8 @@ from imddsim.shaping import (
     pas_assemble,
     uniform_frame,
 )
+from imddsim.sigcore import SampledWaveform
+from imddsim.txdsp import rrc_upsample
 
 
 def lex_permutations(composition):
@@ -421,3 +426,29 @@ class TestPasAssemble:
         frame = uniform_frame(PamAlphabet.uniform(8), 4096, rng)
         assert frame.n == 4096
         assert frame.bits().shape == (4096, 3)
+
+
+#: Inputs that gave a silently wrong object, each as the call that takes it.
+MALFORMED_INPUTS = {
+    "distribution_nan": lambda: SymbolDistribution([float("nan"), 0.5, 0.5]),
+    "distribution_2d": lambda: SymbolDistribution([[0.5, 0.5]]),
+    "maxwell_boltzmann_nan": lambda: maxwell_boltzmann(float("nan"), PamAlphabet.uniform(4)),
+    "maxwell_boltzmann_inf": lambda: maxwell_boltzmann(float("inf"), PamAlphabet.uniform(4)),
+    "frame_fractional_indices": lambda: SymbolFrame(
+        np.array([0.5, 1.7, 2.2, 3.9]), PamAlphabet.uniform(4), SymbolDistribution.uniform(4)),
+    "code_rate_nan": lambda: required_code_rate(float("nan"), RateTable.default()),
+    "rrc_zero_samples_per_symbol": lambda: rrc_upsample(np.ones(8), 0, 0.1, 1e9),
+    "rrc_fractional_samples_per_symbol": lambda: rrc_upsample(np.ones(8), 2.5, 0.1, 1e9),
+    "rrc_zero_symbol_rate": lambda: rrc_upsample(np.ones(8), 2, 0.1, 0.0),
+    "rrc_empty_symbols": lambda: rrc_upsample(np.ones(0), 2, 0.1, 1e9),
+    "rrc_2d_symbols": lambda: rrc_upsample(np.ones((4, 4)), 2, 0.1, 1e9),
+    "waveform_nan_rate": lambda: SampledWaveform(float("nan"), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_raises_parameter_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ParameterError):
+            call()
