@@ -100,9 +100,14 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
         nu = nu_for_entropy(config.target_entropy_bits, alphabet)
         dist = maxwell_boltzmann(nu, alphabet)
         comp = composition_from_distribution(magnitude_distribution(dist, alphabet), n)
+        # shuffled as int64, which numpy swaps 1.5x faster than int8, and
+        # signed by an int64 draw, since a narrow one changes the stream;
+        # each is narrowed to one byte at once, so the stage peaks at one
+        # int64 record
         classes = np.repeat(np.arange(alphabet.size // 2), comp.counts)
         rng_data.shuffle(classes)
-        signs = rng_signs.integers(0, 2, size=n)
+        classes = classes.astype(np.int8)
+        signs = rng_signs.integers(0, 2, size=n).astype(bool)
         return pas_assemble(classes, signs, alphabet, dist)
     return uniform_frame(PamAlphabet.uniform(config.pam_order), n, rng_data)
 
@@ -178,6 +183,16 @@ _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
 
 
+def _glibc():
+    """The process's C library as a ``ctypes.CDLL`` when it is glibc, else
+    None."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return ctypes.CDLL(None) if (libc or "").startswith("glibc") else None
+
+
 @functools.cache
 def _pin_malloc_thresholds() -> None:
     """Pin glibc's mmap and trim thresholds, once per process.
@@ -189,13 +204,7 @@ def _pin_malloc_thresholds() -> None:
     32 MiB or more are still mmapped and returned at once. Elsewhere
     (musl, macOS, Windows) this does nothing. Results do not depend on it.
     """
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        return
-    if not (libc or "").startswith("glibc"):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    mallopt = getattr(_glibc(), "mallopt", None)
     if mallopt is None:
         return
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)

@@ -449,6 +449,8 @@ def net_bitrate_ps(h_bits: float, code_rate: float, symbol_rate_gbd: float,
     """
     if not 0 < code_rate <= 1:
         raise ParameterError("code rate must lie in (0, 1]")
+    if not (np.isfinite(h_bits) and np.isfinite(symbol_rate_gbd)):
+        raise ParameterError("entropy and symbol rate must be finite")
     value = (h_bits - (1.0 - code_rate) * label_bits) * symbol_rate_gbd
     if value < 0:
         warnings.warn("parity overhead exceeds the shaped entropy; clamping to 0",

@@ -107,11 +107,19 @@ class PamAlphabet:
             raise ParameterError("magnitude classes require a symmetric alphabet")
         return self.levels[self.size // 2:]
 
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest integer type that holds every level index: uint8 up
+        to 256 levels."""
+        return np.min_scalar_type(self.size - 1)
+
     def level_index(self, magnitude_class, negative) -> np.ndarray:
         """Index into ``levels`` of the level in magnitude class
-        ``magnitude_class`` with the given sign, elementwise."""
+        ``magnitude_class`` (integers in [0, M/2)) with the given sign,
+        elementwise, as :attr:`index_dtype`."""
         half = self.size // 2
-        return np.where(negative, half - 1 - magnitude_class, half + magnitude_class)
+        classes = np.asarray(magnitude_class).astype(self.index_dtype, copy=False)
+        return np.where(negative, half - 1 - classes, half + classes)
 
     @classmethod
     def uniform(cls, size: int, normalize: bool = True, name: str = "") -> "PamAlphabet":
@@ -206,7 +214,12 @@ class Composition:
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """Transmitted PAM symbols: level indices, alphabet, and design prior."""
+    """Transmitted PAM symbols: level indices, alphabet, and design prior.
+
+    ``indices`` are kept as the alphabet's :attr:`~PamAlphabet.index_dtype`,
+    one byte per symbol up to 256 levels; input of another integer type is
+    converted once, here.
+    """
 
     indices: np.ndarray
     alphabet: PamAlphabet
@@ -218,7 +231,7 @@ class SymbolFrame:
             raise ParameterError("indices must be a non-empty 1-D sequence")
         if self.distribution.probabilities.size != self.alphabet.size:
             raise ParameterError("distribution does not match alphabet size")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(self.alphabet.index_dtype, copy=False))
 
     @property
     def n(self) -> int:
@@ -311,10 +324,10 @@ def composition_from_distribution(class_probabilities: Sequence[float],
                                   n: int) -> Composition:
     """Largest-remainder rounding of n*P onto integer counts summing to n."""
     p = np.asarray(class_probabilities, dtype=float)
-    if n < 1:
-        raise ParameterError("block length must be >= 1")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-        raise ParameterError("class probabilities must be a distribution")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError("block length must be an integer >= 1")
+    if p.ndim != 1 or not (abs(p.sum() - 1.0) <= 1e-9 and np.all(p >= 0)):  # NaN fails both
+        raise ParameterError("class probabilities must be a 1-D distribution")
     scaled = p * n
     counts = np.floor(scaled).astype(int)
     short = n - counts.sum()
@@ -349,8 +362,11 @@ def ccdm_rate_bits_per_symbol(composition: Composition) -> float:
 
 def _integers_below(values: Sequence[int], upper: int, error: type[Exception],
                     what: str) -> np.ndarray:
-    """``values`` as int64, or ``error`` unless they form a 1-D sequence of
-    integer-valued numbers in [0, upper)."""
+    """``values`` as an integer array, or ``error`` unless they form a 1-D
+    sequence of integer-valued numbers in [0, upper).
+
+    Bool and integer input that int64 holds exactly keeps its type, so a
+    one-byte frame stays one byte; floats and uint64 become int64."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -359,7 +375,7 @@ def _integers_below(values: Sequence[int], upper: int, error: type[Exception],
             or arr.size and not 0 <= arr.min() <= arr.max() < upper
             or arr.dtype.kind == "f" and not np.all(arr == np.floor(arr))):
         raise error(f"{what} must be a 1-D sequence of integers in [0, {upper})")
-    return arr.astype(np.int64, copy=False)
+    return arr if np.can_cast(arr.dtype, np.int64) else arr.astype(np.int64)
 
 
 def ccdm_encode(data_bits: Sequence[int], composition: Composition) -> np.ndarray:

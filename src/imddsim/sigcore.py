@@ -340,12 +340,12 @@ def resample(wave: SampledWaveform, target_rate_hz: float,
     of ``wave.freqs()``, filters them first: ``apply_filter``, on those alone.
     """
     require_real(wave, "resample input")
-    if target_rate_hz <= 0:
-        raise ParameterError("target rate must be positive")
+    if not (np.isfinite(target_rate_hz) and target_rate_hz > 0):
+        raise ParameterError("target rate must be positive and finite")
     if target_rate_hz == wave.sample_rate_hz:
         return wave if response is None else apply_filter(wave, response)
     n_out_f = wave.n * target_rate_hz / wave.sample_rate_hz
-    n_out = int(round(n_out_f))
+    n_out = int(round(n_out_f)) if np.isfinite(n_out_f) else 0
     if abs(n_out_f - n_out) > 1e-6 or n_out < 1:
         raise ParameterError(
             f"rate ratio {target_rate_hz}/{wave.sample_rate_hz} does not yield an "

@@ -606,31 +606,25 @@ class TestRunLink:
         assert run_link(cfg).ngmi == pytest.approx(0.9864593359552427, abs=1e-9)
 
     def test_o_band_memory_bound(self):
-        # every record dies at its last use: each stage frees the record its
-        # caller handed on once it has read it and drops its temporaries, the
-        # LO images share one array and the optical responses are built in
-        # blocks, and the run holds only the frame, not its symbols, through
-        # the link, so the run's peak (about 6.0 MB) is set by propagate,
-        # which holds the field's spectrum and its loss product, with obpf
-        # at 5.8 MB and the front end at 5.5 MB, set by the upper-path
-        # amplifier, since the converters filter only the AWG record's bins;
-        # 6.6 MB with the symbols held, and with each stage's input and
-        # temporaries held to its end, band_split set it at about 9.6 MB
+        # every record dies at its last use and the run holds only the frame,
+        # one byte per symbol, through the link: the peak, about 5.6 MB, is
+        # set by propagate, which holds the field's spectrum and its loss
+        # product, with obpf at 5.35 MB and the front end at 5.1 MB (its
+        # upper-path amplifier); with the frame's int64 indices, 0.46 MB
+        # more, each of these was 0.46 MB higher and the peak 6.04 MB
         cfg = o_band_216g(7)
-        assert traced_peak(lambda: run_link(cfg)) < 6.3e6
+        assert traced_peak(lambda: run_link(cfg)) < 5.8e6
 
     def test_dpd_training_memory_bound(self):
         # the pre-distorter is trained before the main frame is shaped, both
-        # links hold only their frame and hand their records on, and the fit
-        # builds no feature matrix: the peak is about 6.1 MB, set by the main
-        # link's propagate, with the training link's at 6.07 MB, each link's
-        # front end at 5.5 MB (its upper-path amplifier) and the fit below
-        # the links' stages; it was 7.2 MB, set by the fit's
-        # 63 x 8 192 feature block with the main frame held, and 10.6 MB with
-        # each stage's input and temporaries held to its end
+        # links hold only their one-byte frame and hand their records on, and
+        # the fit builds no feature matrix: the peak is about 5.6 MB, set by
+        # the main link's propagate, with the training link's at 5.58 MB,
+        # each link's front end at 5.1 MB and the fit at 4.0 MB; with int64
+        # frame indices it was 6.05 MB
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
-        assert traced_peak(lambda: run_link(cfg)) < 6.3e6
+        assert traced_peak(lambda: run_link(cfg)) < 5.8e6
 
     @pytest.mark.parametrize("stage, name", [
         ("frontend", "band_split"),

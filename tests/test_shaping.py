@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from imddsim import shaping
-from imddsim.config import c_band_216g
+from imddsim.config import c_band_216g, o_band_216g
 from imddsim.errors import DecodeError, ParameterError
-from imddsim.harness import _build_frame, _spawn_rngs
-from imddsim.rxdsp import RateTable, required_code_rate
+from imddsim.harness import _build_frame, _spawn_rngs, resolve_sequence_length
+from imddsim.rxdsp import RateTable, net_bitrate_ps, required_code_rate
 from imddsim.shaping import (
     Composition,
     PamAlphabet,
@@ -32,7 +33,7 @@ from imddsim.shaping import (
     pas_assemble,
     uniform_frame,
 )
-from imddsim.sigcore import SampledWaveform
+from imddsim.sigcore import SampledWaveform, resample
 from imddsim.txdsp import rrc_upsample
 
 
@@ -428,6 +429,63 @@ class TestPasAssemble:
         assert frame.bits().shape == (4096, 3)
 
 
+class TestIndexLayout:
+    """A frame holds one byte per symbol up to 256 levels, at every stage
+    that builds one."""
+
+    @staticmethod
+    def preset_frame(make, n=None):
+        cfg = make(7)
+        cfg = replace(cfg, sequence_length_symbols=n or resolve_sequence_length(cfg))
+        rngs = _spawn_rngs(cfg)
+        return _build_frame(cfg, rngs["data_bits"], rngs["sign_bits"])
+
+    @pytest.mark.parametrize("build", [
+        lambda: TestIndexLayout.preset_frame(c_band_216g, 4096),
+        lambda: TestIndexLayout.preset_frame(o_band_216g, 4096),
+        lambda: uniform_frame(PamAlphabet.uniform(8), 4096, np.random.default_rng(1)),
+        lambda: pas_assemble(np.arange(6).repeat(10), np.tile([0, 1], 30), PamAlphabet.pam12()),
+        lambda: pas_assemble([0, 5, 3], [True, False, True], PamAlphabet.pam12()),
+    ], ids=["build_frame_c_band", "build_frame_o_band", "uniform_frame", "pas_assemble",
+            "pas_assemble_bool_signs"])
+    def test_one_byte_per_symbol(self, build):
+        frame = build()
+        assert frame.indices.itemsize == 1
+        assert frame.indices.dtype == frame.alphabet.index_dtype == np.uint8
+
+    def test_wide_alphabet_keeps_every_index(self):
+        alphabet = PamAlphabet.uniform(300)
+        frame = SymbolFrame([0, 298, 299], alphabet, SymbolDistribution.uniform(300))
+        assert frame.indices.dtype == np.uint16
+        assert frame.indices.tolist() == [0, 298, 299]
+        assert frame.levels()[-1] == alphabet.levels[299]
+
+    @pytest.mark.parametrize("alphabet", [PamAlphabet.pam12(), PamAlphabet.uniform(300)],
+                             ids=["PAM12", "PAM300"])
+    @pytest.mark.parametrize("narrow", [True, False], ids=["narrow-classes", "int64-classes"])
+    def test_level_index_matches_int64(self, alphabet, narrow):
+        # every (class, sign) pair, classes in their narrowest type or int64:
+        # the index is the int64 formula's, in the alphabet's index type
+        half = alphabet.size // 2
+        classes = np.repeat(np.arange(half), 2)
+        negative = np.tile([False, True], half)
+        reference = np.where(negative, half - 1 - classes, half + classes)
+        if narrow:
+            classes = classes.astype(np.min_scalar_type(half - 1))
+        index = alphabet.level_index(classes, negative)
+        assert index.dtype == alphabet.index_dtype
+        assert np.array_equal(index.astype(np.int64), reference)
+        assert sorted(index.tolist()) == list(range(alphabet.size))
+
+    def test_shaped_frame_peak(self):
+        # int8 classes, bool signs and uint8 indices: the largest array is
+        # one int64 record, the shuffle's and then the sign draw's, each
+        # narrowed at once; with int64 classes, signs and indices the peak
+        # was 2.69 MB
+        peak = traced_peak(lambda: self.preset_frame(c_band_216g))
+        assert peak < 1.0e6
+
+
 #: Inputs that gave a silently wrong object, each as the call that takes it.
 MALFORMED_INPUTS = {
     "distribution_nan": lambda: SymbolDistribution([float("nan"), 0.5, 0.5]),
@@ -443,6 +501,14 @@ MALFORMED_INPUTS = {
     "rrc_empty_symbols": lambda: rrc_upsample(np.ones(0), 2, 0.1, 1e9),
     "rrc_2d_symbols": lambda: rrc_upsample(np.ones((4, 4)), 2, 0.1, 1e9),
     "waveform_nan_rate": lambda: SampledWaveform(float("nan"), np.ones(4)),
+    "resample_nan_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), float("nan")),
+    "resample_inf_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), float("inf")),
+    "resample_overflowing_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), 1e308),
+    "composition_2d": lambda: composition_from_distribution([[0.5, 0.5]], 10),
+    "composition_nan": lambda: composition_from_distribution([float("nan"), 0.5], 10),
+    "composition_fractional_length": lambda: composition_from_distribution([0.5, 0.5], 10.5),
+    "net_bitrate_nan_entropy": lambda: net_bitrate_ps(float("nan"), 0.9, 216.0),
+    "net_bitrate_nan_symbol_rate": lambda: net_bitrate_ps(3.0, 0.9, float("nan")),
 }
 
 
