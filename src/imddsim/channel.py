@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .sigcore import _RESPONSE_BLOCK, SampledWaveform, _require_finite
+from .sigcore import _RESPONSE_BLOCK, SampledWaveform, _bin_spacing, _require_finite
 
 #: Speed of light in vacuum (m/s), exact by the SI definition of the metre.
 _C_M_S = 299_792_458.0
@@ -180,7 +180,7 @@ def _times_even(x: np.ndarray, n: int, rate_hz: float, response) -> np.ndarray:
     out = np.empty(n, dtype=np.complex128)
     h = n // 2 + 1
     top = (n + 1) // 2  # bins 1..top - 1 have their mirror at n - j
-    step = 1.0 / (n * (1.0 / rate_hz))
+    step = _bin_spacing(n, rate_hz)
     for a in range(0, h, _RESPONSE_BLOCK):
         b = min(a + _RESPONSE_BLOCK, h)
         resp = response(np.arange(a, b) * step)

@@ -13,18 +13,17 @@ import sys
 from pathlib import Path
 
 from .config import PRESETS, load_config
-from .errors import StageError
+from .errors import ParameterError, StageError
 from .harness import (
-    SweepResult,
-    SweepRow,
     build_manifest,
     emit_outputs,
+    rerender_plot,
     run_link,
     sweep_cores,
     sweep_entropy,
     sweep_symbol_rate,
 )
-from .rxdsp import CSV_HEADER, MetricsReport
+from .rxdsp import CSV_HEADER
 
 
 def _float_list(text: str) -> list[float]:
@@ -66,39 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rerender(directory: str) -> int:
-    from .harness import _svg_plot
-
-    csv_path = Path(directory) / "sweep.csv"
-    if not csv_path.exists():
-        print(f"error [report]: {csv_path} not found", file=sys.stderr)
-        return 1
-    lines = csv_path.read_text().strip().splitlines()
-    param_name = lines[0].split(",")[0]
-    rows = []
-    try:
-        for line in lines[1:]:
-            param, rest = line.split(",", 1)
-            metrics, error = rest.rsplit(",", 1)
-            report = MetricsReport.from_csv_row(metrics) if metrics.strip(",") else None
-            rows.append(SweepRow(float(param), report, error))
-    except ValueError as exc:
-        print(f"error [report]: {csv_path} is not a sweep table: {exc}", file=sys.stderr)
-        return 1
-    result = SweepResult(param_name, tuple(rows))
-    if not result.reports():
-        print("error [report]: no successful rows to plot", file=sys.stderr)
-        return 1
-    (Path(directory) / "plot.svg").write_text(_svg_plot(result))
-    print(f"wrote {Path(directory) / 'plot.svg'}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "report":
-        return _rerender(args.directory)
+        try:
+            svg_path = rerender_plot(args.directory)
+        except (ParameterError, OSError) as exc:
+            print(f"error [report]: {exc}", file=sys.stderr)
+            return 1
+        print(f"wrote {svg_path}")
+        return 0
 
     try:
         config = load_config(args.config)

@@ -22,7 +22,10 @@ from .errors import ParameterError
 from .sigcore import (
     SampledWaveform,
     _bessel_design,
+    _bin_spacing,
+    _lo_bin,
     _require_finite,
+    _resampled_length,
     apply_filter,
     band_energy_fraction,
     bessel_response,
@@ -130,11 +133,12 @@ class MzmModel:
 # operations
 # ---------------------------------------------------------------------------
 
-def quantize_uniform(x: np.ndarray, bits: int, full_scale: float | None = None) -> np.ndarray:
-    """Mid-rise uniform quantizer over [-FS, FS] (FS defaults to the peak)."""
+def quantize_uniform(x: np.ndarray, bits: int) -> np.ndarray:
+    """Mid-rise uniform quantizer over [-FS, FS], the full scale FS the
+    record's peak, as both converters scale it."""
     if bits < 1:
         raise ParameterError("resolution must be >= 1 bit")
-    fs = float(np.max(np.abs(x))) if full_scale is None else float(full_scale)
+    fs = float(np.max(np.abs(x)))
     if fs == 0:
         return x.copy()
     step = 2.0 * fs / (2**bits)
@@ -328,15 +332,16 @@ def _chain_magnitudes(awg: SampledWaveform, plan: BandPlan,
     """Magnitude of the chain from each AWG port to the MZM on the AWG
     record's m bins, each band over its own maximum: DAC droop and Bessel at
     IF; for the upper band the mixer and the upper-path amplifier at RF; the
-    amplifier chain and the MZM. No gains, no HPF. The analog grid's first m
-    bins are the AWG grid and the LO shifts by k of them, so each device is
-    evaluated once, on k + m analog bins: the lower band reads [0, m), the
-    upper [k, k + m)."""
+    amplifier chain and the MZM. No gains, no HPF. The analog record's
+    length and the LO's bin k are those :func:`resample` and :func:`lo_shift`
+    derive, and the analog grid's first m bins are the AWG grid, so each
+    device is evaluated once, on k + m analog bins: the lower band reads
+    [0, m), the upper [k, k + m), continued past the analog Nyquist if need
+    be."""
     m, rate = awg.spectrum.size, tx.analog_rate_hz
-    n = int(round(awg.n * rate / awg.sample_rate_hz))
-    k = int(round(plan.lo_frequency_hz * n / rate))  # as lo_shift snaps the LO
-    # the bins as rfftfreq forms them, continued past the analog Nyquist if need be
-    f = np.arange(k + m) * (1.0 / (n * (1.0 / rate)))
+    n = _resampled_length(awg.n, awg.sample_rate_hz, rate)
+    k = _lo_bin(plan.lo_frequency_hz, n, rate)
+    f = np.arange(k + m) * _bin_spacing(n, rate)
     lower = np.ones(m)
     upper = mixer_gain(f[k:], tx.mixer_bandwidth_hz)
     if tx.upper_path_amplifier is not None:

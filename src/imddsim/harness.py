@@ -365,6 +365,8 @@ def sweep_cores(base: LinkConfig, n_cores: int) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 def sweep_to_csv(result: SweepResult) -> str:
+    """The sweep table: one row per sweep point, its report's columns blank
+    and its error filled in where the point failed."""
     lines = [f"{result.parameter_name},{CSV_HEADER},error"]
     for row in result.rows:
         if row.report is not None:
@@ -376,8 +378,38 @@ def sweep_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_plot(result: SweepResult) -> str:
-    """Small deterministic SVG line/scatter plot of the sweep bitrates."""
+def _sweep_from_csv(csv_path: Path) -> SweepResult:
+    """The sweep that :func:`sweep_to_csv` wrote to ``csv_path``, or a
+    ``ParameterError`` naming the file unless it holds a sweep table."""
+    header, _, body = csv_path.read_text().strip().partition("\n")
+    rows = []
+    try:
+        for line in body.splitlines():
+            param, rest = line.split(",", 1)
+            metrics, error = rest.rsplit(",", 1)
+            report = MetricsReport.from_csv_row(metrics) if metrics.strip(",") else None
+            rows.append(SweepRow(float(param), report, error))
+    except ValueError as exc:
+        raise ParameterError(f"{csv_path} is not a sweep table: {exc}") from exc
+    return SweepResult(header.split(",")[0], tuple(rows))
+
+
+def rerender_plot(directory: str | Path) -> Path:
+    """Redraw ``plot.svg`` from the ``sweep.csv`` in ``directory`` and return
+    its path: the ``imddsim report`` command. A missing or malformed table,
+    or one with no successful row, is a ``ParameterError``."""
+    csv_path = Path(directory) / "sweep.csv"
+    if not csv_path.exists():
+        raise ParameterError(f"{csv_path} not found")
+    result = _sweep_from_csv(csv_path)
+    if not result.reports():
+        raise ParameterError("no successful rows to plot")
+    return _write_plot(result, csv_path.parent)
+
+
+def _write_plot(result: SweepResult, out: Path) -> Path:
+    """Write ``plot.svg`` into ``out``, a small deterministic SVG line/scatter
+    plot of the bitrates of the sweep's successful rows; returns its path."""
     rows = [r for r in result.rows if r.report is not None]
     xs = [r.parameter for r in rows]
     series = {
@@ -433,7 +465,9 @@ def _svg_plot(result: SweepResult) -> str:
     parts.append(f'<text x="{width - margin}" y="{margin + 6}" font-size="12" '
                  f'text-anchor="end" fill="#d62728">net</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    svg_path = out / "plot.svg"
+    svg_path.write_text("\n".join(parts) + "\n")
+    return svg_path
 
 
 @dataclass(frozen=True)
@@ -480,9 +514,7 @@ def emit_outputs(result: SweepResult, out_dir: str | Path,
     written.append(csv_path)
 
     if result.reports():
-        svg_path = out / "plot.svg"
-        svg_path.write_text(_svg_plot(result))
-        written.append(svg_path)
+        written.append(_write_plot(result, out))
 
     if config is not None:
         manifest = build_manifest(config, tuple(p.name for p in written))

@@ -28,6 +28,7 @@ from .shaping import PamAlphabet, SymbolFrame, entropy_bits
 from .sigcore import (
     SampledWaveform,
     _require_finite,
+    _resampled_length,
     _shift_gram,
     _solve_spd,
     bessel_response,
@@ -50,7 +51,8 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
                 thermal_noise_density: float = 0.0,
                 seed: int | None = None) -> SampledWaveform:
     """Square-law detection at unit responsivity, i = |E|^2, then seeded
-    thermal noise and the PD bandwidth.
+    thermal noise and the PD bandwidth; the photocurrent is an electrical
+    waveform.
 
     ``thermal_noise_density`` is the input-referred current noise PSD
     (A^2/Hz); per-sample variance is density times the simulation rate.
@@ -78,7 +80,7 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
                                ANALOG_BESSEL_ORDER)
     np.multiply(spectrum, response, out=response)
     del spectrum
-    return SampledWaveform._from_spectrum(rate, response, n, "photocurrent")
+    return SampledWaveform._from_spectrum(rate, response, n, "electrical")
 
 
 def _intensity(spectrum: np.ndarray) -> np.ndarray:
@@ -119,7 +121,7 @@ def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
     """Scope front end: bandwidth filter, resample to the ADC rate, optional
     uniform quantization. The filter is formed on, and multiplies, only the
     bins the resample keeps."""
-    kept = min(wave.n, int(round(wave.n * rate_hz / wave.sample_rate_hz))) // 2 + 1
+    kept = min(wave.n, _resampled_length(wave.n, wave.sample_rate_hz, rate_hz)) // 2 + 1
     out = resample(wave, rate_hz, bessel_response(wave.freqs()[:kept], bandwidth_hz,
                                                   ANALOG_BESSEL_ORDER))
     del wave  # a caller that handed the record on frees it here

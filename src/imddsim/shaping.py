@@ -70,7 +70,6 @@ class PamAlphabet:
 
     levels: np.ndarray
     labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=float)
@@ -101,12 +100,6 @@ class PamAlphabet:
     def is_symmetric(self) -> bool:
         return self.size % 2 == 0 and np.allclose(self.levels, -self.levels[::-1])
 
-    def magnitudes(self) -> np.ndarray:
-        """Distinct magnitudes, ascending (the CCDM amplitude classes)."""
-        if not self.is_symmetric:
-            raise ParameterError("magnitude classes require a symmetric alphabet")
-        return self.levels[self.size // 2:]
-
     @property
     def index_dtype(self) -> np.dtype:
         """The smallest integer type that holds every level index: uint8 up
@@ -122,14 +115,14 @@ class PamAlphabet:
         return np.where(negative, half - 1 - classes, half + classes)
 
     @classmethod
-    def uniform(cls, size: int, normalize: bool = True, name: str = "") -> "PamAlphabet":
+    def uniform(cls, size: int, normalize: bool = True) -> "PamAlphabet":
         """Equally spaced PAM-``size`` with reflected Gray labels."""
         raw = np.arange(-(size - 1), size, 2, dtype=float)
         if normalize:
             raw = raw / np.sqrt(np.mean(raw**2))
         m = max(1, int(np.ceil(np.log2(size))))
         labels = np.array([_bits_of(_gray(i), m) for i in range(size)])
-        return cls(raw, labels, name or f"PAM{size}")
+        return cls(raw, labels)
 
     @classmethod
     def pam12(cls) -> "PamAlphabet":
@@ -145,7 +138,7 @@ class PamAlphabet:
             mag_idx = 5 - i if i < 6 else i - 6
             labels[i, 0] = 1 if i < 6 else 0
             labels[i, 1:] = _bits_of(_gray(mag_idx), 3)
-        return cls(raw, labels, "PS-PAM12")
+        return cls(raw, labels)
 
 
 @dataclass(frozen=True)
@@ -265,8 +258,14 @@ def entropy_bits(dist: SymbolDistribution) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
+#: Entropy tolerance (bits) of :func:`check_entropy_target` and
+#: :func:`nu_for_entropy`: the bisection's stopping width, and how close to
+#: log2 M or to the Maxwell-Boltzmann floor a target counts as that limit.
+ENTROPY_TOL_BITS = 1e-6
+
+
 def check_entropy_target(target_bits: float, alphabet: PamAlphabet,
-                         tol_bits: float = 1e-6, key: str | None = None) -> None:
+                         key: str | None = None) -> None:
     """Raise a ``ParameterError`` (naming ``key``) unless ``target_bits`` is
     a Maxwell-Boltzmann entropy of ``alphabet``.
 
@@ -274,44 +273,44 @@ def check_entropy_target(target_bits: float, alphabet: PamAlphabet,
     the limiting distribution on the minimum-|a| levels (1 bit for a
     symmetric alphabet). Targets within 1e-3 bit above log2 M are accepted
     as the uniform limit (conventional roundings such as 3.585 for PAM12),
-    and targets within ``tol_bits`` of H_min as the floor.
+    and targets within ``ENTROPY_TOL_BITS`` of H_min as the floor.
     """
     h_max = np.log2(alphabet.size)
     if not 0 < target_bits <= h_max + 1e-3:
         raise ParameterError(f"target entropy must lie in (0, {h_max:.6f}]", key)
     min_sq = np.min(alphabet.levels**2)
     h_min = np.log2(np.sum(np.isclose(alphabet.levels**2, min_sq)))
-    if target_bits < h_min - tol_bits:
+    if target_bits < h_min - ENTROPY_TOL_BITS:
         raise ParameterError(
             f"entropy {target_bits} unattainable; Maxwell-Boltzmann floor is "
             f"{h_min:.6f} bits for this alphabet", key
         )
 
 
-def nu_for_entropy(target_bits: float, alphabet: PamAlphabet,
-                   tol_bits: float = 1e-6) -> float:
-    """Invert H(nu) by bisection; H is strictly decreasing in nu.
+def nu_for_entropy(target_bits: float, alphabet: PamAlphabet) -> float:
+    """Invert H(nu) by bisection, to within ``ENTROPY_TOL_BITS``; H is
+    strictly decreasing in nu.
 
     The target must pass :func:`check_entropy_target`; targets within
-    ``tol_bits`` of log2 M clamp to the uniform limit, nu = 0.
+    ``ENTROPY_TOL_BITS`` of log2 M clamp to the uniform limit, nu = 0.
     """
-    check_entropy_target(target_bits, alphabet, tol_bits)
+    check_entropy_target(target_bits, alphabet)
     h_max = np.log2(alphabet.size)
-    if target_bits >= h_max - tol_bits:
+    if target_bits >= h_max - ENTROPY_TOL_BITS:
         return 0.0
 
     def h(nu: float) -> float:
         return entropy_bits(maxwell_boltzmann(nu, alphabet))
 
     lo, hi = 0.0, 1.0 / np.mean(alphabet.levels**2)
-    while h(hi) > target_bits + tol_bits:
+    while h(hi) > target_bits + ENTROPY_TOL_BITS:
         hi *= 2.0
         if hi > 1e9:
             break
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         h_mid = h(mid)
-        if abs(h_mid - target_bits) <= tol_bits:
+        if abs(h_mid - target_bits) <= ENTROPY_TOL_BITS:
             return mid
         if h_mid > target_bits:
             lo = mid
@@ -354,10 +353,6 @@ def magnitude_distribution(dist: SymbolDistribution,
 def ccdm_input_bits(composition: Composition) -> int:
     """Data bits consumed per block: floor(log2 multinomial(n; counts))."""
     return composition.permutation_count().bit_length() - 1
-
-
-def ccdm_rate_bits_per_symbol(composition: Composition) -> float:
-    return ccdm_input_bits(composition) / composition.n
 
 
 def _integers_below(values: Sequence[int], upper: int, error: type[Exception],

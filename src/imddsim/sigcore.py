@@ -21,15 +21,15 @@ Conventions used throughout the simulator:
   :func:`lo_shift`.
   The modulator hands on the optical field as its spectrum, and white ASE
   noise is drawn as its DFT, so they cost no transform either.
-- Real signals stay real. Electrical and photocurrent waveforms hold the
-  one-sided ``n // 2 + 1``-bin spectrum (``rfft``/``irfft``) and float64
-  samples; only the optical field between the MZM and the photodiode holds
-  the full n-bin spectrum, and complex samples. No real waveform holds the
-  redundant negative-frequency half of its spectrum. Even the field is
-  transformed by real transforms: the modulator takes the ``rfft`` of its
-  real-valued cosine and writes the negative half as the conjugate mirror,
-  and the photodiode forms |E|^2 from the field's spectrum by two
-  ``irfft``s.
+- Real signals stay real. Electrical waveforms, the photocurrent among
+  them, hold the one-sided ``n // 2 + 1``-bin spectrum (``rfft``/``irfft``)
+  and float64 samples; only the optical field between the MZM and the
+  photodiode holds the full n-bin spectrum, and complex samples. No real
+  waveform holds the redundant negative-frequency half of its spectrum.
+  Even the field is transformed by real transforms: the modulator takes the
+  ``rfft`` of its real-valued cosine and writes the negative half as the
+  conjugate mirror, and the photodiode forms |E|^2 from the field's
+  spectrum by two ``irfft``s.
 - A filter is a response array on the waveform's own frequency grid
   (``wave.freqs()``), written in closed form, and :func:`apply_filter`
   multiplies it onto the spectrum.
@@ -57,8 +57,10 @@ from .errors import ParameterError
 #: dB floor used wherever a log of a vanishing error is reported.
 NMSE_FLOOR_DB = -200.0
 
-_DOMAIN_TAGS = ("electrical", "optical_field", "photocurrent")
-_REAL_TAGS = ("electrical", "photocurrent")
+_DOMAIN_TAGS = ("electrical", "optical_field")
+#: The longest record whose n-bin complex spectrum numpy can size: its
+#: bytes must fit in ``intp``.
+_MAX_RECORD = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 
 class SampledWaveform:
@@ -69,11 +71,11 @@ class SampledWaveform:
     sample_rate_hz : float
         Sampling rate, > 0.
     samples : array-like
-        Finite sample values: real for an electrical or photocurrent
-        waveform (a complex array raises, whatever its imaginary part), real
-        or complex for an optical field.
+        Finite sample values: real for an electrical waveform (a complex
+        array raises, whatever its imaginary part), real or complex for an
+        optical field.
     domain_tag : str
-        One of ``electrical``, ``optical_field``, ``photocurrent``.
+        ``electrical`` or ``optical_field``.
 
     A waveform holds one array, its spectrum, in the form that fits the
     domain: the one-sided ``n // 2 + 1``-bin ``rfft`` of a real waveform,
@@ -91,7 +93,7 @@ class SampledWaveform:
     def __init__(self, sample_rate_hz: float, samples, domain_tag: str = "electrical"):
         arr = _checked(sample_rate_hz, samples, domain_tag, "samples")
         _require_finite(arr, "samples")
-        if domain_tag in _REAL_TAGS:
+        if domain_tag == "electrical":
             if np.iscomplexobj(arr):
                 raise ParameterError(f"{domain_tag} samples must be real")
             spectrum = np.fft.rfft(arr.astype(np.float64, copy=False))
@@ -107,7 +109,7 @@ class SampledWaveform:
                       domain_tag: str = "electrical") -> "SampledWaveform":
         """The n-sample waveform whose spectrum is a copy of ``spectrum``: n
         bins for an optical field, and ``n // 2 + 1`` bins for an electrical
-        or photocurrent waveform, whose samples are the ``irfft``.
+        waveform, whose samples are the ``irfft``.
 
         ``irfft`` ignores the imaginary parts of the DC bin and, for even n,
         the Nyquist bin, so the waveform holds the spectrum with those parts
@@ -126,7 +128,7 @@ class SampledWaveform:
         has just computed and no one else holds, unscanned (see
         ``_require_finite``); the DC and Nyquist imaginary parts of a real
         waveform's spectrum are zeroed in it."""
-        real = domain_tag in _REAL_TAGS
+        real = domain_tag == "electrical"
         bins = n // 2 + 1 if real else n
         if spectrum.size != bins:
             raise ParameterError(f"a {n}-sample {domain_tag} waveform has {bins} "
@@ -146,7 +148,7 @@ class SampledWaveform:
     def samples(self) -> np.ndarray:
         """The inverse transform of the spectrum, a new array on each read:
         ``irfft`` for a real waveform, ``ifft`` for an optical field."""
-        if self.domain_tag in _REAL_TAGS:
+        if self.domain_tag == "electrical":
             return np.fft.irfft(self._spectrum, self.n)
         return np.fft.ifft(self._spectrum)
 
@@ -163,7 +165,7 @@ class SampledWaveform:
     def freqs(self) -> np.ndarray:
         """Frequency of each spectrum bin (Hz): ``rfftfreq`` for a real
         waveform, ``fftfreq`` for an optical field."""
-        grid = np.fft.rfftfreq if self.domain_tag in _REAL_TAGS else np.fft.fftfreq
+        grid = np.fft.rfftfreq if self.domain_tag == "electrical" else np.fft.fftfreq
         return grid(self.n, d=1.0 / self.sample_rate_hz)
 
     def with_samples(self, samples: np.ndarray) -> "SampledWaveform":
@@ -204,9 +206,46 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def require_real(wave: SampledWaveform, what: str) -> None:
-    """Raise unless ``wave`` is an electrical or photocurrent waveform."""
-    if wave.domain_tag not in _REAL_TAGS:
+    """Raise unless ``wave`` is an electrical waveform."""
+    if wave.domain_tag != "electrical":
         raise ParameterError(f"{what} must be real, not an {wave.domain_tag}")
+
+
+# ---------------------------------------------------------------------------
+# the record grid
+# ---------------------------------------------------------------------------
+
+def _bin_spacing(n: int, sample_rate_hz: float) -> float:
+    """DFT bin spacing (Hz) of an n-sample record, as ``rfftfreq`` forms it."""
+    return 1.0 / (n * (1.0 / sample_rate_hz))
+
+
+def _resampled_length(n: int, sample_rate_hz: float, target_rate_hz: float) -> int:
+    """Samples of an n-sample record at ``sample_rate_hz`` once resampled to
+    ``target_rate_hz``: a ``ParameterError`` unless the target rate is
+    positive and finite and the record duration maps to a whole number of
+    samples that numpy can size."""
+    if not (np.isfinite(target_rate_hz) and target_rate_hz > 0):
+        raise ParameterError("target rate must be positive and finite")
+    n_out_f = n * target_rate_hz / sample_rate_hz
+    n_out = int(round(n_out_f)) if np.isfinite(n_out_f) else 0
+    if abs(n_out_f - n_out) > 1e-6 or not 1 <= n_out <= _MAX_RECORD:
+        raise ParameterError(
+            f"rate ratio {target_rate_hz}/{sample_rate_hz} does not yield an "
+            f"integer record length from {n} samples that numpy can size"
+        )
+    return n_out
+
+
+def _lo_bin(lo_frequency_hz: float, n: int, sample_rate_hz: float) -> int:
+    """The bin of an n-sample record's grid that an LO at
+    ``lo_frequency_hz`` snaps to, between DC and Nyquist, else a
+    ``ParameterError``."""
+    k = int(round(lo_frequency_hz * n / sample_rate_hz))
+    if not 0 <= k <= n // 2:
+        raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
+                             f"[0, Nyquist {sample_rate_hz / 2:.4g} Hz]")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +273,7 @@ def filter_response(cutoff_hz: float, transition_width_hz: float, n: int,
     # transition, so every bin outside them has a clipped phase of exactly
     # 0 or 1, that is a response of exactly 1 or 0
     bins = n // 2 + 1
-    val = 1.0 / (n * (1.0 / sample_rate_hz))
+    val = _bin_spacing(n, sample_rate_hz)
     lo = min(max(int(np.floor((cutoff_hz - width / 2) / val)) - 1, 0), bins)
     hi = min(max(int(np.ceil((cutoff_hz + width / 2) / val)) + 2, lo), bins)
     response = np.empty(bins)
@@ -340,17 +379,9 @@ def resample(wave: SampledWaveform, target_rate_hz: float,
     of ``wave.freqs()``, filters them first: ``apply_filter``, on those alone.
     """
     require_real(wave, "resample input")
-    if not (np.isfinite(target_rate_hz) and target_rate_hz > 0):
-        raise ParameterError("target rate must be positive and finite")
+    n_out = _resampled_length(wave.n, wave.sample_rate_hz, target_rate_hz)
     if target_rate_hz == wave.sample_rate_hz:
         return wave if response is None else apply_filter(wave, response)
-    n_out_f = wave.n * target_rate_hz / wave.sample_rate_hz
-    n_out = int(round(n_out_f)) if np.isfinite(n_out_f) else 0
-    if abs(n_out_f - n_out) > 1e-6 or n_out < 1:
-        raise ParameterError(
-            f"rate ratio {target_rate_hz}/{wave.sample_rate_hz} does not yield an "
-            f"integer record length from {wave.n} samples"
-        )
     n_in = wave.n
     m = min(n_in, n_out)
     y = np.zeros(n_out // 2 + 1, dtype=np.complex128)
@@ -378,10 +409,7 @@ def lo_shift(spectrum: np.ndarray, n: int, sample_rate_hz: float,
     past Nyquist wrap in, as conjugates. The second image is added into the
     first in blocks, so no second record is held; each product keeps the
     phasor first, as numpy rounds a complex product by operand order."""
-    k = int(round(lo_frequency_hz * n / sample_rate_hz))
-    if not 0 <= k <= n // 2:
-        raise ParameterError(f"LO {lo_frequency_hz:.4g} Hz lies outside "
-                             f"[0, Nyquist {sample_rate_hz / 2:.4g} Hz]")
+    k = _lo_bin(lo_frequency_hz, n, sample_rate_hz)
     bins = spectrum.size
     out = np.empty(bins, dtype=np.complex128)  # X[f - f_LO]
     np.conjugate(spectrum[k:0:-1], out=out[:k])
@@ -425,7 +453,7 @@ def _energy(wave: SampledWaveform, spectrum: np.ndarray) -> np.ndarray:
     waveform, DC and (for even n) the Nyquist bin once and every other bin
     twice."""
     energy = np.abs(spectrum) ** 2
-    if wave.domain_tag in _REAL_TAGS:
+    if wave.domain_tag == "electrical":
         energy[1: (wave.n + 1) // 2] *= 2.0
     return energy
 
@@ -450,18 +478,6 @@ def spectral_nmse_db(reference: SampledWaveform, test: SampledWaveform,
     return max(10.0 * np.log10(err / denom), NMSE_FLOOR_DB)
 
 
-def tone_amplitude(wave: SampledWaveform, freq_hz: float) -> float:
-    """Amplitude of the tone nearest freq_hz via single-bin DFT (real
-    signals): 2|X[k]|/n, or |X[k]|/n at DC and at the Nyquist bin of an even
-    n, the bins a real tone does not share with its mirror image. Above
-    Nyquist, a real waveform's one-sided spectrum gives |X[k]| = |X[n - k]|."""
-    n = wave.n
-    k = int(round(freq_hz * n / wave.sample_rate_hz)) % n
-    spectrum = wave.spectrum
-    value = spectrum[k] if k < spectrum.size else spectrum[n - k]
-    return (1.0 if k == 0 or 2 * k == n else 2.0) * np.abs(value) / n
-
-
 def band_energy_fraction(wave: SampledWaveform, f_lo_hz: float, f_hi_hz: float) -> float:
     """Fraction of total energy with |f| in [f_lo, f_hi]."""
     energy = _energy(wave, wave.spectrum)
@@ -471,23 +487,6 @@ def band_energy_fraction(wave: SampledWaveform, f_lo_hz: float, f_hi_hz: float) 
         return 0.0
     sel = (freqs >= f_lo_hz) & (freqs <= f_hi_hz)
     return float(np.sum(energy[sel]) / total)
-
-
-def occupied_bandwidth(wave: SampledWaveform, fraction: float = 0.999) -> float:
-    """Smallest f such that |f'| <= f holds `fraction` of the energy."""
-    freqs = np.abs(wave.freqs())
-    order = np.argsort(freqs)
-    cum = np.cumsum(_energy(wave, wave.spectrum)[order])
-    total = cum[-1]
-    if total == 0:
-        return 0.0
-    idx = int(np.searchsorted(cum, fraction * total))
-    return float(freqs[order][min(idx, freqs.size - 1)])
-
-
-def bin_centered_frequency(freq_hz: float, n: int, sample_rate_hz: float) -> float:
-    """Snap a frequency to the nearest n-point FFT bin at the given rate."""
-    return round(freq_hz * n / sample_rate_hz) * sample_rate_hz / n
 
 
 def rms(x: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from imddsim.config import (
     TxConfig,
 )
 from imddsim.frontend import MzmModel
+from imddsim.sigcore import _energy
 from imddsim.txdsp import BandPlan
 
 # rate table extended to 1.0 so a transparent link reports net = gross
@@ -77,6 +78,35 @@ def transparency_failures(report) -> list[str]:
 @pytest.fixture
 def fast_config():
     return fast_link_config()
+
+
+def bin_centered_frequency(freq_hz: float, n: int, sample_rate_hz: float) -> float:
+    """Snap a frequency to the nearest n-point FFT bin at the given rate."""
+    return round(freq_hz * n / sample_rate_hz) * sample_rate_hz / n
+
+
+def tone_amplitude(wave, freq_hz: float) -> float:
+    """Amplitude of the tone nearest freq_hz via single-bin DFT (real
+    signals): 2|X[k]|/n, or |X[k]|/n at DC and at the Nyquist bin of an even
+    n, the bins a real tone does not share with its mirror image. Above
+    Nyquist, a real waveform's one-sided spectrum gives |X[k]| = |X[n - k]|."""
+    n = wave.n
+    k = int(round(freq_hz * n / wave.sample_rate_hz)) % n
+    spectrum = wave.spectrum
+    value = spectrum[k] if k < spectrum.size else spectrum[n - k]
+    return (1.0 if k == 0 or 2 * k == n else 2.0) * np.abs(value) / n
+
+
+def occupied_bandwidth(wave, fraction: float) -> float:
+    """Smallest f such that |f'| <= f holds `fraction` of the energy."""
+    freqs = np.abs(wave.freqs())
+    order = np.argsort(freqs)
+    cum = np.cumsum(_energy(wave, wave.spectrum)[order])
+    total = cum[-1]
+    if total == 0:
+        return 0.0
+    idx = int(np.searchsorted(cum, fraction * total))
+    return float(freqs[order][min(idx, freqs.size - 1)])
 
 
 def traced_peak(call) -> int:

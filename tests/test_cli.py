@@ -147,6 +147,16 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == 1
         assert "not a sweep table" in capsys.readouterr().err
 
+    def test_empty_csv(self, tmp_path, capsys):
+        (tmp_path / "sweep.csv").write_text("")
+        assert main(["report", str(tmp_path)]) == 1
+        assert "no successful rows to plot" in capsys.readouterr().err
+
+    def test_unreadable_csv(self, tmp_path, capsys):
+        (tmp_path / "sweep.csv").mkdir()
+        assert main(["report", str(tmp_path)]) == 1
+        assert "error [report]:" in capsys.readouterr().err
+
     def test_missing_csv(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path)])
         assert rc == 1

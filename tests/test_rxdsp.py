@@ -8,7 +8,7 @@ from scipy import signal as sps
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from conftest import traced_peak
+from conftest import bin_centered_frequency, tone_amplitude, traced_peak
 from imddsim import rxdsp
 from imddsim.errors import NoRateError, ParameterError, SyncError
 from imddsim.frontend import ANALOG_BESSEL_ORDER
@@ -43,10 +43,8 @@ from imddsim.sigcore import (
     SampledWaveform,
     apply_filter,
     bessel_response,
-    bin_centered_frequency,
     nmse_db,
     resample,
-    tone_amplitude,
 )
 from imddsim.txdsp import rrc_upsample
 
@@ -59,7 +57,7 @@ class TestPhotodetect:
         fld = SampledWaveform(RATE, np.full(256, np.sqrt(p)), "optical_field")
         out = photodetect(fld, bandwidth_hz=1e15)
         assert np.allclose(out.real, p, rtol=1e-9)
-        assert out.domain_tag == "photocurrent"
+        assert out.domain_tag == "electrical"
 
     def test_two_tone_beat(self):
         n = 16384
@@ -432,7 +430,7 @@ class TestSymbolMetric:
 
 class TestNearestLevelVariance:
     @pytest.mark.parametrize("alpha", [PamAlphabet.uniform(2), PamAlphabet.uniform(8),
-                                       PamAlphabet.pam12()], ids=lambda a: a.name)
+                                       PamAlphabet.pam12()], ids=["PAM2", "PAM8", "PS-PAM12"])
     def test_equals_minimum_over_all_levels(self, alpha):
         # oracle: the smallest squared distance over every level, samples
         # beyond both outer levels and on every midpoint included

@@ -15,7 +15,7 @@ from imddsim import shaping
 from imddsim.config import c_band_216g, o_band_216g
 from imddsim.errors import DecodeError, ParameterError
 from imddsim.harness import _build_frame, _spawn_rngs, resolve_sequence_length
-from imddsim.rxdsp import RateTable, net_bitrate_ps, required_code_rate
+from imddsim.rxdsp import RateTable, digitize, net_bitrate_ps, required_code_rate
 from imddsim.shaping import (
     Composition,
     PamAlphabet,
@@ -24,7 +24,6 @@ from imddsim.shaping import (
     ccdm_decode,
     ccdm_encode,
     ccdm_input_bits,
-    ccdm_rate_bits_per_symbol,
     composition_from_distribution,
     entropy_bits,
     magnitude_distribution,
@@ -335,9 +334,9 @@ class TestCcdm:
             ccdm_decode(list(perms[5]), comp)
 
     def test_rates(self):
-        assert ccdm_rate_bits_per_symbol(Composition((2, 2))) == 0.5
-        assert ccdm_rate_bits_per_symbol(Composition((6,))) == 0.0
-        assert ccdm_rate_bits_per_symbol(Composition((2, 1, 1))) == 0.75
+        for counts, rate in (((2, 2), 0.5), ((6,), 0.0), ((2, 1, 1), 0.75)):
+            comp = Composition(counts)
+            assert ccdm_input_bits(comp) / comp.n == rate
 
     def test_rate_loss_nonnegative_exhaustive(self):
         # all compositions with n <= 8 and up to 3 classes
@@ -348,7 +347,7 @@ class TestCcdm:
                     comp = Composition((c1, c2, c3))
                     p = np.array([c1, c2, c3]) / n
                     h = -np.sum(p[p > 0] * np.log2(p[p > 0]))
-                    assert ccdm_rate_bits_per_symbol(comp) <= h + 1e-12
+                    assert ccdm_input_bits(comp) / n <= h + 1e-12
 
 
 class TestComposition:
@@ -380,9 +379,9 @@ class TestPasAssemble:
     def test_sign_convention(self):
         a = PamAlphabet.pam12()
         frame = pas_assemble([0, 0], [0, 1], a)
-        mags = a.magnitudes()
-        assert frame.levels()[0] == pytest.approx(mags[0])
-        assert frame.levels()[1] == pytest.approx(-mags[0])
+        smallest = a.levels[a.size // 2]  # the least positive level
+        assert frame.levels()[0] == pytest.approx(smallest)
+        assert frame.levels()[1] == pytest.approx(-smallest)
 
     def test_all_zero_signs_nonnegative(self):
         a = PamAlphabet.pam12()
@@ -504,6 +503,8 @@ MALFORMED_INPUTS = {
     "resample_nan_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), float("nan")),
     "resample_inf_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), float("inf")),
     "resample_overflowing_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), 1e308),
+    "resample_unsizable_length": lambda: resample(SampledWaveform(1e9, np.ones(4)), 1e300),
+    "digitize_nan_rate": lambda: digitize(SampledWaveform(1e9, np.ones(4)), float("nan")),
     "composition_2d": lambda: composition_from_distribution([[0.5, 0.5]], 10),
     "composition_nan": lambda: composition_from_distribution([float("nan"), 0.5], 10),
     "composition_fractional_length": lambda: composition_from_distribution([0.5, 0.5], 10.5),

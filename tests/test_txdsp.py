@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import bin_centered_frequency, occupied_bandwidth, tone_amplitude, traced_peak
 from imddsim import txdsp
 from imddsim.errors import NumericalError, ParameterError
 from imddsim.sigcore import (
@@ -17,8 +17,6 @@ from imddsim.sigcore import (
     apply_filter,
     filter_response,
     nmse_db,
-    occupied_bandwidth,
-    tone_amplitude,
 )
 from imddsim.txdsp import (
     BandPlan,
@@ -554,8 +552,6 @@ class TestBandPlan:
 
 class TestBandSplit:
     def make_tone(self, freq, n=65536, rate=512e9):
-        from imddsim.sigcore import bin_centered_frequency
-
         f = bin_centered_frequency(freq, n, rate)
         t = np.arange(n) / rate
         return SampledWaveform(rate, np.cos(2 * np.pi * f * t)), f
