@@ -141,7 +141,9 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
     brick-wall passband ``bandwidth_hz`` wide centred on the carrier (None
     passes every bin) times the all-pass that undoes the dispersion of
     ``trim_km`` of ``fiber``. Both depend on |f| only, so the response is
-    even in f. With neither, the field passes unchanged.
+    even in f. The all-pass is evaluated on the passband only; every bin
+    above ``bandwidth_hz / 2`` is exactly 0. With neither, the field passes
+    unchanged.
     """
     if field.domain_tag != "optical_field":
         raise ParameterError("obpf expects an optical field envelope")
@@ -150,13 +152,20 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
     n, rate = field.n, field.sample_rate_hz
 
     def response(f):
+        # f rises, so the passband is the block's first bins; the trim is
+        # evaluated on those alone
+        passband = f.size if bandwidth_hz is None else np.count_nonzero(
+            f <= bandwidth_hz / 2)
         if trim_km == 0:
             out = np.ones(f.size)
-        else:
-            out = -1j * dispersion_phase(f, fiber, wavelength_nm, trim_km)
-            np.exp(out, out=out)
-        if bandwidth_hz is not None:
-            out[f > bandwidth_hz / 2] = 0.0
+            out[passband:] = 0.0
+            return out
+        # -1j * phase is exactly (+0, -phase), so the exponent is written
+        # into the zeros as its imaginary part, with no complex temporary
+        out = np.zeros(f.size, dtype=np.complex128)
+        np.negative(dispersion_phase(f[:passband], fiber, wavelength_nm, trim_km),
+                    out=out.imag[:passband])
+        np.exp(out[:passband], out=out[:passband])
         return out
 
     out = _times_even(field.spectrum, n, rate, response)

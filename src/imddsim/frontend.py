@@ -155,25 +155,25 @@ def dac_response(freq_hz: np.ndarray, rate_hz: float, bandwidth_hz: float) -> np
     return response
 
 
-def dac(wave: SampledWaveform, analog_rate_hz: float,
-        bandwidth_hz: float | None = 80e9,
+def dac(wave: SampledWaveform, analog_rate_hz: float, response: np.ndarray | None,
         resolution_bits: int | None = None) -> SampledWaveform:
     """Zero-order-hold reconstruction to the analog rate, then the converter's
-    analog bandwidth filter; with ``bandwidth_hz`` None, the ideal converter
-    (exact resampling alone).
+    analog bandwidth filter: ``response``, the :func:`dac_response` on the
+    record's own bins, ``wave.freqs()``; with ``response`` None, the ideal
+    converter (exact resampling alone).
 
     The hold is modeled by the continuous ZOH sinc droop applied after exact
     rate conversion; its half-sample delay is referenced out (the band
     alignment owns absolute timing), and hold images above the converter
     Nyquist are not modeled, as for an output network that removes them. So
-    :func:`dac_response` is formed on the record's own bins, ``wave.freqs()``,
-    the bins :func:`resample` keeps and filters."""
+    the response is given on the bins :func:`resample` keeps and filters, and
+    the two channels of one AWG, which share a grid, share one response."""
     if analog_rate_hz < wave.sample_rate_hz:
         raise ParameterError("analog rate must be at least the DAC rate")
     if resolution_bits is not None:
         wave = wave.with_samples(quantize_uniform(wave.real, resolution_bits))
-    response = (None if bandwidth_hz is None
-                else dac_response(wave.freqs(), wave.sample_rate_hz, bandwidth_hz))
+    if response is None:
+        return resample(wave, analog_rate_hz)
     return resample(wave, analog_rate_hz, response)
 
 
@@ -282,38 +282,41 @@ def mzm_modulate(drive: SampledWaveform, laser_power_dbm: float,
 def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
                  plan: BandPlan, analog_rate_hz: float,
                  mixer_bandwidth_hz: float | None = None,
-                 dac_bandwidth_hz: float | None = None,
+                 dac_response: np.ndarray | None = None,
                  dac_resolution_bits: int | None = None,
                  upper_amplifier: AmplifierModel | None = None) -> SampledWaveform:
     """Reconstruct the wideband signal from the two AWG records.
 
-    Each record is converted by :func:`dac`, and the upper one is mixed up at
-    the plan's LO. With the defaults every element is ideal: exact
-    resampling instead of a ZOH DAC (``dac`` with no bandwidth), a
+    Each record is converted by :func:`dac` with ``dac_response``, the
+    response of the plan's converters on the records' bins (the
+    :func:`dac_response` of ``plan.awg_bandwidth_hz``), and the upper one is
+    mixed up at the plan's LO. With the defaults every element is ideal:
+    exact resampling instead of a ZOH DAC (``dac`` with no response), a
     unity-SSB-gain mixer without roll-off, a zero-phase raised-cosine HPF at
     the plan's analog cutoff with an ``ANALOG_HPF_TRANSITION_HZ`` transition
     (``1 - filter_response``, exactly 0 below and 1 above the transition),
     and no upper-path amplifier. :func:`transmit` runs the same path with
     its device models.
 
-    With a DAC bandwidth, the converter's Bessel response delays the IF arm,
+    With a DAC response, the converter's Bessel response delays the IF arm,
     which up-converts into a constant phase offset between the bands; the LO
     phase absorbs it (the lab equivalent is tuning the LO path length).
 
     The two records are the two channels of one AWG, so they must share
-    rate and length. Each record is dropped once it is converted.
+    rate and length, and both converters apply the one response. Each record
+    is dropped once it is converted, and the response once both are.
     """
     if (lower_awg.sample_rate_hz, lower_awg.n) != (upper_awg.sample_rate_hz, upper_awg.n):
         raise ParameterError("the two AWG records must share rate and length")
     lo_phase_rad = 0.0
-    if dac_bandwidth_hz is not None:
-        tau_if = bessel_group_delay_dc(dac_bandwidth_hz)
+    if dac_response is not None:
+        tau_if = bessel_group_delay_dc(plan.awg_bandwidth_hz)
         lo_phase_rad = -2 * np.pi * plan.lo_frequency_hz * tau_if
-    lower = dac(lower_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)
+    lower = dac(lower_awg, analog_rate_hz, dac_response, dac_resolution_bits)
     del lower_awg
     # the IF record goes to the mixer in a list, so the mixer frees it on reading
-    upper_if = [dac(upper_awg, analog_rate_hz, dac_bandwidth_hz, dac_resolution_bits)]
-    del upper_awg
+    upper_if = [dac(upper_awg, analog_rate_hz, dac_response, dac_resolution_bits)]
+    del upper_awg, dac_response  # a caller that handed the response on frees it here
     upper_rf = mixer_upconvert(upper_if.pop(), plan.lo_frequency_hz, mixer_bandwidth_hz,
                                lo_phase_rad)
     # the HPF multiplies the mixer's product, which no one else holds, in place
@@ -327,17 +330,17 @@ def stitch_bands(lower_awg: SampledWaveform, upper_awg: SampledWaveform,
     return combine(lower, upper_rf)
 
 
-def _chain_magnitudes(awg: SampledWaveform, plan: BandPlan,
-                      tx: TxConfig) -> tuple[np.ndarray, np.ndarray]:
+def _chain_magnitudes(awg: SampledWaveform, plan: BandPlan, tx: TxConfig,
+                      converter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude of the chain from each AWG port to the MZM on the AWG
-    record's m bins, each band over its own maximum: DAC droop and Bessel at
-    IF; for the upper band the mixer and the upper-path amplifier at RF; the
-    amplifier chain and the MZM. No gains, no HPF. The analog record's
-    length and the LO's bin k are those :func:`resample` and :func:`lo_shift`
-    derive, and the analog grid's first m bins are the AWG grid, so each
-    device is evaluated once, on k + m analog bins: the lower band reads
-    [0, m), the upper [k, k + m), continued past the analog Nyquist if need
-    be."""
+    record's m bins, each band over its own maximum: the converter's
+    response ``converter`` at IF; for the upper band the mixer and the
+    upper-path amplifier at RF; the amplifier chain and the MZM. No gains,
+    no HPF. The analog record's length and the LO's bin k are those
+    :func:`resample` and :func:`lo_shift` derive, and the analog grid's
+    first m bins are the AWG grid, so each device is evaluated once, on
+    k + m analog bins: the lower band reads [0, m), the upper [k, k + m),
+    continued past the analog Nyquist if need be."""
     m, rate = awg.spectrum.size, tx.analog_rate_hz
     n = _resampled_length(awg.n, awg.sample_rate_hz, rate)
     k = _lo_bin(plan.lo_frequency_hz, n, rate)
@@ -350,7 +353,7 @@ def _chain_magnitudes(awg: SampledWaveform, plan: BandPlan,
         mag = np.abs(device.response(f))
         lower *= mag[:m]
         upper *= mag[k:]
-    zoh = np.abs(dac_response(f[:m], awg.sample_rate_hz, plan.awg_bandwidth_hz))
+    zoh = np.abs(converter)
     for band in (lower, upper):
         band *= zoh
         band /= band.max()
@@ -362,16 +365,21 @@ def transmit(lower_awg: SampledWaveform, upper_awg: SampledWaveform, plan: BandP
     """The transmitter, from the two AWG records to the optical field: the
     pre-emphasis of each band against its modelled chain, :func:`stitch_bands`
     with the device models, the amplifier chain, the drive scaled to a peak of
-    ``tx.drive_peak_fraction_vpi`` Vpi, and :func:`mzm_modulate`. The records
-    pass from stage to stage in the list ``held``, freed as they are read."""
-    lower_mag, upper_mag = _chain_magnitudes(lower_awg, plan, tx)
-    held = [linear_preemphasis(lower_awg, lower_mag, max_boost_db)]
+    ``tx.drive_peak_fraction_vpi`` Vpi, and :func:`mzm_modulate`. The
+    converters' :func:`dac_response` is formed once, on the AWG records'
+    bins: the model reads its magnitude, and both converters apply it. The
+    response and the records pass from stage to stage in the list ``held``,
+    freed as they are read: the response after the second converter."""
+    held = [dac_response(lower_awg.freqs(), lower_awg.sample_rate_hz, plan.awg_bandwidth_hz)]
+    lower_mag, upper_mag = _chain_magnitudes(lower_awg, plan, tx, held[0])
+    held.append(linear_preemphasis(lower_awg, lower_mag, max_boost_db))
     del lower_awg, lower_mag
     held.append(linear_preemphasis(upper_awg, upper_mag, max_boost_db))
     del upper_awg, upper_mag
-    held.append(stitch_bands(held.pop(0), held.pop(), plan, tx.analog_rate_hz,
+    # held is [response, lower, upper]: the records go first, the response last
+    held.append(stitch_bands(held.pop(1), held.pop(), plan, tx.analog_rate_hz,
                              mixer_bandwidth_hz=tx.mixer_bandwidth_hz,
-                             dac_bandwidth_hz=plan.awg_bandwidth_hz,
+                             dac_response=held.pop(),
                              dac_resolution_bits=tx.awg_resolution_bits,
                              upper_amplifier=tx.upper_path_amplifier))
     for amp in tx.amplifier_chain:

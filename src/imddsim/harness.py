@@ -146,9 +146,10 @@ def _link(config: LinkConfig, rngs: dict,
             chan.obpf_bandwidth_hz, chan.fiber, chan.wavelength_nm, chan.obpf_cd_trim_km))
     with _stage("rxdsp"):
         wave, _ = synchronize(
-            resample(digitize(photodetect(held.pop(), rx.pd_bandwidth_hz,
-                                          rx.pd_thermal_noise_density, rngs["thermal"]),
-                              rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits),
+            resample(digitize(photodetect(held.pop(), rx.pd_thermal_noise_density,
+                                          rngs["thermal"]),
+                              rx.dso_rate_hz, rx.dso_bandwidth_hz, rx.dso_resolution_bits,
+                              rx.pd_bandwidth_hz),
                      SAMPLES_PER_SYMBOL * config.symbol_rate_hz),
             frame.alphabet.levels[frame.indices[:PREAMBLE_SYMBOLS]])
         samples = wave.real

@@ -27,6 +27,7 @@ from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
 from .shaping import PamAlphabet, SymbolFrame, entropy_bits
 from .sigcore import (
     SampledWaveform,
+    _bin_spacing,
     _require_finite,
     _resampled_length,
     _shift_gram,
@@ -47,12 +48,11 @@ _METRIC_FLOOR = -700.0
 # opto-electronic front end
 # ---------------------------------------------------------------------------
 
-def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
-                thermal_noise_density: float = 0.0,
+def photodetect(fld: SampledWaveform, thermal_noise_density: float = 0.0,
                 seed: int | None = None) -> SampledWaveform:
-    """Square-law detection at unit responsivity, i = |E|^2, then seeded
-    thermal noise and the PD bandwidth; the photocurrent is an electrical
-    waveform.
+    """Square-law detection at unit responsivity, i = |E|^2, plus seeded
+    thermal noise; the photocurrent is an electrical waveform. The PD
+    bandwidth filters it in :func:`digitize`, on the bins the scope keeps.
 
     ``thermal_noise_density`` is the input-referred current noise PSD
     (A^2/Hz); per-sample variance is density times the simulation rate.
@@ -72,15 +72,7 @@ def photodetect(fld: SampledWaveform, bandwidth_hz: float = 100e9,
         sigma = np.sqrt(thermal_noise_density * rate)
         current += rng.normal(0, sigma, n)
     _require_finite(current, "photocurrent")
-    # the PD filter reads the photocurrent's spectrum, so its samples go
-    # before the product is formed
-    spectrum = np.fft.rfft(current)
-    del current
-    response = bessel_response(np.fft.rfftfreq(n, d=1.0 / rate), bandwidth_hz,
-                               ANALOG_BESSEL_ORDER)
-    np.multiply(spectrum, response, out=response)
-    del spectrum
-    return SampledWaveform._from_spectrum(rate, response, n, "electrical")
+    return SampledWaveform._from_spectrum(rate, np.fft.rfft(current), n, "electrical")
 
 
 def _intensity(spectrum: np.ndarray) -> np.ndarray:
@@ -115,15 +107,21 @@ def _intensity(spectrum: np.ndarray) -> np.ndarray:
     return a
 
 
-def digitize(wave: SampledWaveform, rate_hz: float = 256e9,
-             bandwidth_hz: float = 113e9,
-             resolution_bits: int | None = None) -> SampledWaveform:
-    """Scope front end: bandwidth filter, resample to the ADC rate, optional
-    uniform quantization. The filter is formed on, and multiplies, only the
-    bins the resample keeps."""
-    kept = min(wave.n, _resampled_length(wave.n, wave.sample_rate_hz, rate_hz)) // 2 + 1
-    out = resample(wave, rate_hz, bessel_response(wave.freqs()[:kept], bandwidth_hz,
-                                                  ANALOG_BESSEL_ORDER))
+def digitize(wave: SampledWaveform, rate_hz: float, bandwidth_hz: float,
+             resolution_bits: int | None = None,
+             pd_bandwidth_hz: float | None = None) -> SampledWaveform:
+    """Receiver front end: the photodiode's bandwidth filter (none when
+    ``pd_bandwidth_hz`` is None), the scope's bandwidth filter, resample to
+    the ADC rate, optional uniform quantization. Both filters are formed on,
+    and multiply in that order, only the bins the resample keeps, so the
+    result is byte-equal to filtering the whole record first."""
+    n, rate = wave.n, wave.sample_rate_hz
+    kept = min(n, _resampled_length(n, rate, rate_hz)) // 2 + 1
+    freqs = np.arange(kept) * _bin_spacing(n, rate)  # wave.freqs()[:kept]
+    cutoffs = (bandwidth_hz,) if pd_bandwidth_hz is None else (pd_bandwidth_hz, bandwidth_hz)
+    responses = [bessel_response(freqs, cutoff, ANALOG_BESSEL_ORDER) for cutoff in cutoffs]
+    del freqs
+    out = resample(wave, rate_hz, *responses)
     del wave  # a caller that handed the record on frees it here
     if resolution_bits is not None:
         out = out.with_samples(quantize_uniform(out.real, resolution_bits))
@@ -219,7 +217,7 @@ FFE_RIDGE = 1e-6
 
 
 def ffe_train_apply(received: np.ndarray, reference_symbols: np.ndarray,
-                    tap_count: int = 101, train_fraction: float = 0.2,
+                    tap_count: int, train_fraction: float,
                     train_passes: int = 1) -> tuple[np.ndarray, EqualizerState]:
     """Data-aided T/2-spaced least-squares feed-forward equalizer.
 
@@ -338,7 +336,10 @@ def decide_and_ber(metric: np.ndarray, frame: SymbolFrame) -> tuple[float, np.nd
     # bit errors of each (sent, decided) pair: the same integer count as
     # comparing the (n, m) label arrays, without building them
     hamming = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=2)
-    errors = int(hamming[frame.indices, hard].sum())
+    # one flat gather at sent * M + decided, in intp so that the one-byte
+    # indices do not wrap, is faster than the two-index fancy gather
+    flat = frame.indices * np.intp(frame.alphabet.size) + hard
+    errors = int(np.take(hamming, flat).sum())
     return errors / (frame.n * frame.alphabet.label_bits), hard
 
 

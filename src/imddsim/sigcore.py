@@ -365,7 +365,7 @@ def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform
 # ---------------------------------------------------------------------------
 
 def resample(wave: SampledWaveform, target_rate_hz: float,
-             response: np.ndarray | None = None) -> SampledWaveform:
+             *responses: np.ndarray) -> SampledWaveform:
     """FFT-method rate conversion of a real waveform; exact for band-limited
     circular records.
 
@@ -375,18 +375,22 @@ def resample(wave: SampledWaveform, target_rate_hz: float,
     does for real input. The record duration must map to an integer number
     of output samples (rational ratio precondition).
 
-    A ``response`` on the kept bins, the first ``min(n_in, n_out) // 2 + 1``
-    of ``wave.freqs()``, filters them first: ``apply_filter``, on those alone.
+    ``responses`` on the kept bins, the first ``min(n_in, n_out) // 2 + 1``
+    of ``wave.freqs()``, filter them first, one after the other: each is
+    ``apply_filter`` on those bins alone, so a cascade of filters is byte-equal
+    to the same ``apply_filter`` calls on the whole record before the resample.
     """
     require_real(wave, "resample input")
     n_out = _resampled_length(wave.n, wave.sample_rate_hz, target_rate_hz)
     if target_rate_hz == wave.sample_rate_hz:
-        return wave if response is None else apply_filter(wave, response)
+        for response in responses:
+            wave = apply_filter(wave, response)
+        return wave
     n_in = wave.n
     m = min(n_in, n_out)
     y = np.zeros(n_out // 2 + 1, dtype=np.complex128)
     y[: m // 2 + 1] = wave.spectrum[: m // 2 + 1]
-    if response is not None:
+    for response in responses:
         if np.shape(response) != (m // 2 + 1,):
             raise ParameterError(f"response of shape {np.shape(response)} is not on "
                                  f"the {m // 2 + 1} kept bins")

@@ -51,13 +51,13 @@ def analog_tone(freq, n=16384, amp=1.0):
 class TestDac:
     def test_dc_preserved(self):
         w = SampledWaveform(AWG_RATE, np.full(1024, 0.8))
-        out = dac(w, ANALOG_RATE, bandwidth_hz=80e9)
+        out = dac(w, ANALOG_RATE, dac_response(w.freqs(), AWG_RATE, 80e9))
         assert out.sample_rate_hz == ANALOG_RATE
         assert np.allclose(out.real, 0.8, atol=1e-6)
 
     def test_zoh_droop_at_64ghz(self):
         w, f = awg_tone(64e9)
-        out = dac(w, ANALOG_RATE, bandwidth_hz=1e15)
+        out = dac(w, ANALOG_RATE, dac_response(w.freqs(), AWG_RATE, 1e15))
         droop_db = 20 * np.log10(tone_amplitude(out, f) / tone_amplitude(w, f))
         expect = 20 * np.log10(np.sinc(64.0 / 256.0))
         assert abs(droop_db - expect) < 0.1
@@ -67,7 +67,7 @@ class TestDac:
         # the pre-emphasis is designed on dac_response, so the stage must
         # apply exactly that magnitude
         w, f = awg_tone(40e9)
-        out = dac(w, ANALOG_RATE, bandwidth_hz=80e9)
+        out = dac(w, ANALOG_RATE, dac_response(w.freqs(), AWG_RATE, 80e9))
         response = dac_response(np.array([f]), AWG_RATE, 80e9)
         gain = tone_amplitude(out, f) / tone_amplitude(w, f)
         assert gain == pytest.approx(abs(response[0]), rel=1e-6)
@@ -75,15 +75,18 @@ class TestDac:
     @pytest.mark.parametrize("n", [1, 2, 4095, 4096])
     def test_no_rate_change_filters_a_copy(self, n):
         # at the DAC rate the converter is apply_filter with its one response,
-        # which leaves the caller's spectrum as it was
+        # which leaves the caller's spectrum and response as they were
         rng = np.random.default_rng(n)
         w = SampledWaveform(AWG_RATE, rng.normal(size=n))
         spectrum = w.spectrum.copy()
-        out = dac(w, AWG_RATE, 80e9)
-        expect = apply_filter(w, dac_response(w.freqs(), AWG_RATE, 80e9))
+        response = dac_response(w.freqs(), AWG_RATE, 80e9)
+        held = response.tobytes()
+        out = dac(w, AWG_RATE, response)
+        expect = apply_filter(w, response)
         assert out.spectrum.tobytes() == expect.spectrum.tobytes()
         assert out.samples.tobytes() == expect.samples.tobytes()
         assert w.spectrum.tobytes() == spectrum.tobytes()
+        assert response.tobytes() == held
 
     @pytest.mark.parametrize("rate", [AWG_RATE, ANALOG_RATE])
     @pytest.mark.parametrize("n", [4095, 4096])
@@ -101,7 +104,8 @@ class TestDac:
         w = SampledWaveform(AWG_RATE, np.random.default_rng(n).normal(size=n))
         up = resample(w, ANALOG_RATE)
         expect = apply_filter(up, dac_response(up.freqs(), AWG_RATE, 80e9)).spectrum
-        got, m = dac(w, ANALOG_RATE, 80e9).spectrum, w.spectrum.size
+        got = dac(w, ANALOG_RATE, dac_response(w.freqs(), AWG_RATE, 80e9)).spectrum
+        m = w.spectrum.size
         if n % 2 == 0:
             assert expect[m - 1].imag != 0 and got[m - 1] == expect[m - 1].real
             expect[m - 1] = got[m - 1]
@@ -118,7 +122,7 @@ class TestDac:
     def test_downward_rate_rejected(self):
         w = SampledWaveform(AWG_RATE, np.ones(64))
         with pytest.raises(ParameterError):
-            dac(w, 0.5 * AWG_RATE)
+            dac(w, 0.5 * AWG_RATE, None)
 
 
 #: Device parameters that the config rejects at its boundary and the device
@@ -422,21 +426,26 @@ class TestStitchReconstruction:
         assert nmse <= -150.0
 
     def test_converters_are_the_dac_stage(self):
-        # each record is converted by the public dac stage: the stitched
-        # record is byte-equal to the public stages run one by one
-        plan = BandPlan(76e9, 75e9, 72e9)
+        # each record is converted by the public dac stage with the one
+        # response: the stitched record is byte-equal to the public stages
+        # run one by one, the LO phase set by the plan's converter bandwidth,
+        # and the shared response is left as it was
+        plan = BandPlan(76e9, 75e9, 72e9, awg_bandwidth_hz=90e9)
         rng = np.random.default_rng(9)
         lower, upper = (SampledWaveform(AWG_RATE, rng.normal(size=4096)) for _ in range(2))
+        response = dac_response(lower.freqs(), AWG_RATE, 90e9)
+        held = response.tobytes()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the white IF crosses the LO
             out = stitch_bands(lower, upper, plan, ANALOG_RATE, mixer_bandwidth_hz=150e9,
-                               dac_bandwidth_hz=80e9)
-            phase = -2 * np.pi * plan.lo_frequency_hz * bessel_group_delay_dc(80e9)
-            upper_rf = mixer_upconvert(dac(upper, ANALOG_RATE, 80e9), plan.lo_frequency_hz,
+                               dac_response=response)
+            phase = -2 * np.pi * plan.lo_frequency_hz * bessel_group_delay_dc(90e9)
+            upper_rf = mixer_upconvert(dac(upper, ANALOG_RATE, response), plan.lo_frequency_hz,
                                        150e9, phase)
         hpf = 1.0 - filter_response(plan.analog_hpf_cutoff_hz, 2e9, upper_rf.n, ANALOG_RATE)
-        expect = combine(dac(lower, ANALOG_RATE, 80e9), apply_filter(upper_rf, hpf))
+        expect = combine(dac(lower, ANALOG_RATE, response), apply_filter(upper_rf, hpf))
         assert out.spectrum.tobytes() == expect.spectrum.tobytes()
+        assert response.tobytes() == held
 
     def test_awg_records_must_share_grid(self):
         plan = BandPlan(76e9, 75e9, 72e9)

@@ -462,6 +462,11 @@ class TestResolveLength:
             assert abs(below * step - requested) >= err
 
 
+def _o_band_dpd(seed: int) -> LinkConfig:
+    cfg = o_band_216g(seed)
+    return replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
+
+
 class TestRunLink:
     def test_ideal_link_is_transparent(self, fast_config):
         failures = [msg for seed in TRANSPARENT_SEEDS
@@ -564,36 +569,46 @@ class TestRunLink:
         assert len(calls) == 20, calls
         assert calls[:10] == calls[10:], calls
 
-    @pytest.mark.parametrize("make, max_calls, max_bins", [
-        (c_band_216g, 11, 650_000),
-        (o_band_216g, 13, 770_000),
-    ], ids=["C-band", "O-band"])
-    def test_bessel_budget(self, monkeypatch, make, max_calls, max_bins):
-        # the pre-emphasis model evaluates each device once, on k + m bins,
-        # the converters filter the AWG record's own bins and the scope the
-        # bins its resample keeps; the amplifier and MZM stages evaluate
-        # their responses again, and the photodiode on the whole analog grid
-        calls = []
+    @pytest.mark.parametrize("make, max_calls, max_bins, chains", [
+        (c_band_216g, 9, 532_179, 1),
+        (o_band_216g, 11, 652_466, 1),
+        (_o_band_dpd, 22, 2 * 652_466, 2),
+    ], ids=["C-band", "O-band", "O-band+dpd"])
+    def test_bessel_budget(self, monkeypatch, make, max_calls, max_bins, chains):
+        # each chain forms its converters' response once, on the AWG
+        # record's bins, for the pre-emphasis model and both converters; the
+        # model evaluates each other device once, on k + m bins; the amplifier
+        # and MZM stages evaluate their responses again, and the photodiode
+        # and the scope filter the bins the scope's resample keeps. The DPD's
+        # training link is a second chain with the same budget
+        calls, converters = [], []
         original = sigcore.bessel_response
+        original_dac = frontend.dac_response
 
         def counted(freqs_hz, cutoff_hz, order):
             stack = [frame.name for frame in traceback.extract_stack()]
             calls.append((cutoff_hz, np.size(freqs_hz), "_chain_magnitudes" in stack))
             return original(freqs_hz, cutoff_hz, order)
 
+        def counted_dac(freq_hz, rate_hz, bandwidth_hz):
+            converters.append((bandwidth_hz, np.size(freq_hz)))
+            return original_dac(freq_hz, rate_hz, bandwidth_hz)
+
         for module in list(sys.modules.values()):
             if module.__name__.startswith("imddsim") and \
                     getattr(module, "bessel_response", None) is original:
                 monkeypatch.setattr(module, "bessel_response", counted)
+        monkeypatch.setattr(frontend, "dac_response", counted_dac)
         cfg = make(7)
         run_link(cfg)
         tx = cfg.tx
-        devices = [cfg.plan.awg_bandwidth_hz, tx.mzm.cutoff_hz,
-                   *(amp.bandwidth_hz for amp in tx.amplifier_chain)]
+        # the m = 38 881 one-sided bins of the 77 760-sample AWG records
+        assert converters == [(cfg.plan.awg_bandwidth_hz, 38_881)] * chains
+        devices = [tx.mzm.cutoff_hz, *(amp.bandwidth_hz for amp in tx.amplifier_chain)]
         if tx.upper_path_amplifier is not None:
             devices.append(tx.upper_path_amplifier.bandwidth_hz)
         model = sorted(cutoff for cutoff, _, in_model in calls if in_model)
-        assert model == sorted(devices), calls
+        assert model == sorted(devices * chains), calls
         assert len(calls) <= max_calls, calls
         assert sum(size for _, size, _ in calls) <= max_bins, calls
 
@@ -604,6 +619,13 @@ class TestRunLink:
         cfg = replace(cfg, tx=replace(cfg.tx, analog_rate_hz=cfg.plan.awg_rate_hz))
         assert cfg.dsp.preemphasis_max_boost_db > 0
         assert run_link(cfg).ngmi == pytest.approx(0.9864593359552427, abs=1e-9)
+
+    def test_c_band_memory_bound(self):
+        # the C-band front end holds the converters' one response, 0.62 MB,
+        # from the pre-emphasis model to the second converter, and its obpf
+        # trims the dispersion; the peak, about 5.58 MB, is set by propagate
+        cfg = c_band_216g(7)
+        assert traced_peak(lambda: run_link(cfg)) < 5.8e6
 
     def test_o_band_memory_bound(self):
         # every record dies at its last use and the run holds only the frame,
@@ -849,13 +871,16 @@ class TestStagesLeaveHeldInputs:
         calls = {
             "band_split": lambda: txdsp.band_split(w["wide"], plan),
             "stitch_bands": lambda: frontend.stitch_bands(
-                w["awg"], w["awg2"], plan, 512e9, 150e9, 80e9,
+                w["awg"], w["awg2"], plan, 512e9, 150e9,
+                frontend.dac_response(w["awg"].freqs(), w["awg"].sample_rate_hz, 80e9),
                 upper_amplifier=AmplifierModel(7.0, 130e9)),
             "transmit": lambda: frontend.transmit(
                 w["awg"], w["awg2"], plan, TxConfig(
                     MzmModel(2.8), upper_path_amplifier=AmplifierModel(7.0, 130e9),
                     amplifier_chain=(AmplifierModel(16.0, 100e9),)), 12.0),
-            "dac": lambda: frontend.dac(w["awg"], 512e9, 80e9),
+            "dac": lambda: frontend.dac(
+                w["awg"], 512e9,
+                frontend.dac_response(w["awg"].freqs(), w["awg"].sample_rate_hz, 80e9)),
             "mixer_upconvert": lambda: frontend.mixer_upconvert(w["analog"], 72e9, 150e9, 0.3),
             "amplify": lambda: frontend.amplify(w["analog"], AmplifierModel(7.0, 130e9)),
             "mzm_modulate": lambda: frontend.mzm_modulate(w["analog"], 10.0, MzmModel(2.8)),
@@ -864,8 +889,9 @@ class TestStagesLeaveHeldInputs:
                 w["field"], OpticalAmpSpec(3.0, 2e-17), seed=1),
             "obpf": lambda: channel.obpf(w["field"], 300e9, fiber, 1310.0, 2.0),
             "obpf_passband": lambda: channel.obpf(w["field"], 300e9, fiber, 1310.0),
-            "photodetect": lambda: rxdsp.photodetect(w["field"], 100e9, 1e-22, seed=2),
-            "digitize": lambda: rxdsp.digitize(w["analog"], 256e9, 100e9),
+            "photodetect": lambda: rxdsp.photodetect(w["field"], 1e-22, seed=2),
+            "digitize": lambda: rxdsp.digitize(w["analog"], 256e9, 100e9,
+                                               pd_bandwidth_hz=90e9),
             "synchronize": lambda: rxdsp.synchronize(w["wide"], w["wide"].real[:1024:2]),
         }
         calls[stage]()

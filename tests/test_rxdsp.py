@@ -55,7 +55,7 @@ class TestPhotodetect:
     def test_square_law_constant(self):
         p = 4.0
         fld = SampledWaveform(RATE, np.full(256, np.sqrt(p)), "optical_field")
-        out = photodetect(fld, bandwidth_hz=1e15)
+        out = photodetect(fld)
         assert np.allclose(out.real, p, rtol=1e-9)
         assert out.domain_tag == "electrical"
 
@@ -69,7 +69,7 @@ class TestPhotodetect:
             RATE, a * np.exp(2j * np.pi * f1 * t) + a * np.exp(2j * np.pi * f2 * t),
             "optical_field",
         )
-        out = photodetect(fld, bandwidth_hz=1e15)
+        out = photodetect(fld)
         # |E|^2 = 2a^2 + 2a^2 cos(2 pi (f2-f1) t)
         assert abs(tone_amplitude(out, f2 - f1) - 2 * a**2) < 1e-6
         assert abs(np.mean(out.real) - 2 * a**2) < 1e-9
@@ -79,41 +79,35 @@ class TestPhotodetect:
         fld = SampledWaveform(
             RATE, rng.normal(size=512) + 1j * rng.normal(size=512), "optical_field"
         )
-        out = photodetect(fld, bandwidth_hz=1e15)
+        out = photodetect(fld)
         assert np.min(out.real) > -1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
     def test_spectrum_held_field_matches_ifft(self, n):
         # a field with spectrum S is detected by two irffts of its Hermitian
         # and anti-Hermitian parts; odd, even and one-bin records meet the
-        # conjugate mirror differently. The whole stage is |ifft(S)|^2
-        # through the PD bandwidth, compared as samples: for even n the
-        # photocurrent drops the imaginary part of the Nyquist bin, which
-        # the raw product has
+        # conjugate mirror differently. The whole stage is |ifft(S)|^2,
+        # compared as samples, and its spectrum is their rfft
         rng = np.random.default_rng(n)
         spectrum = rng.normal(size=n) + 1j * rng.normal(size=n)
         fld = SampledWaveform.from_spectrum(RATE, spectrum, n, "optical_field")
-        out = photodetect(fld, 100e9).real
-        response = bessel_response(np.fft.rfftfreq(n, 1 / RATE), 100e9, ANALOG_BESSEL_ORDER)
-        intensity = np.abs(np.fft.ifft(spectrum)) ** 2
-        expect = np.fft.irfft(response * np.fft.rfft(intensity), n)
-        assert np.max(np.abs(out - expect)) <= 1e-12 * np.max(np.abs(expect))
-        # the intensity itself, before the photodiode bandwidth
-        current = rxdsp._intensity(spectrum)
         reference = np.abs(np.fft.ifft(spectrum)) ** 2
+        current = rxdsp._intensity(spectrum)
         assert np.max(np.abs(current - reference)) <= 1e-12 * np.max(reference)
+        out = photodetect(fld)
+        assert out.spectrum.tobytes() == np.fft.rfft(current).tobytes()
+        assert np.max(np.abs(out.real - reference)) <= 1e-12 * np.max(reference)
 
     def test_frees_the_field_it_is_handed(self):
         # the field is built inside the call, so its spectrum goes once its
-        # Hermitian parts are formed, and the photocurrent's samples go once
-        # their spectrum is: 2.00 records of the field at the peak, 3.03 with
-        # the field held through the PD filter
+        # Hermitian parts are formed: 2.00 records of the field at the peak,
+        # with the noise draw or the photocurrent's spectrum beside the samples
         n = 1 << 16
         rng = np.random.default_rng(10)
         peak = traced_peak(lambda: photodetect(
             SampledWaveform.from_spectrum(RATE, rng.normal(size=2 * n).view(complex), n,
                                           "optical_field"),
-            100e9, 1e-22, seed=4))
+            1e-22, seed=4))
         assert peak < 2.5 * 16 * n
 
     def test_seeded_noise_deterministic(self):
@@ -147,6 +141,27 @@ class TestDigitize:
         out = digitize(w, rate_hz=256e9, bandwidth_hz=1e15)
         back = digitize(out, rate_hz=RATE, bandwidth_hz=1e15)
         assert nmse_db(w, back) < -40
+
+    @pytest.mark.parametrize("n, rate", [
+        (8192, RATE / 2), (8190, RATE / 2), (6141, RATE * 2 / 3),
+        (4095, RATE), (4096, RATE), (4096, 2 * RATE), (4095, 2 * RATE),
+    ])
+    def test_kept_bins_equal_the_full_grid_photodiode(self, n, rate):
+        # the photodiode and scope filters multiply only the bins the
+        # resample keeps, byte-equal to the photodiode filtering the whole
+        # photocurrent's spectrum first, out of place into its response, and
+        # the scope then filtering its kept bins: odd and even records, with
+        # the scope below, at and above the analog rate
+        rng = np.random.default_rng(n)
+        fld = SampledWaveform.from_spectrum(
+            RATE, rng.normal(size=n) + 1j * rng.normal(size=n), n, "optical_field")
+        current = photodetect(fld, 1e-22, seed=3)
+        pd = bessel_response(np.fft.rfftfreq(n, 1 / RATE), 100e9, ANALOG_BESSEL_ORDER)
+        np.multiply(current.spectrum, pd, out=pd)
+        expect = digitize(SampledWaveform.from_spectrum(RATE, pd, n), rate, 113e9)
+        got = digitize(current, rate, 113e9, pd_bandwidth_hz=100e9)
+        assert got.n == expect.n
+        assert got.spectrum.tobytes() == expect.spectrum.tobytes()
 
     @pytest.mark.parametrize("n", [8192, 8190])
     def test_filter_precedes_the_resample(self, n):
@@ -270,7 +285,7 @@ class TestFfe:
         levels = np.arange(-3, 4, 2) / np.sqrt(5)
         sym = levels[rng.integers(0, 4, 1 << 14)]
         x = self.make_2sps(sym, channel=[1.0, 0.5], snr_db=25.0, seed=6)
-        eq, state = ffe_train_apply(x, sym, tap_count=31)
+        eq, state = ffe_train_apply(x, sym, tap_count=31, train_fraction=0.2)
         k = np.arange(state.training_symbols, sym.size)
         ref = sym[k]
         mse_eq = np.mean((eq - ref) ** 2)
@@ -282,13 +297,14 @@ class TestFfe:
 
     def test_even_taps_rejected(self):
         with pytest.raises(ParameterError):
-            ffe_train_apply(np.zeros(4096), np.zeros(2048), tap_count=30)
+            ffe_train_apply(np.zeros(4096), np.zeros(2048), tap_count=30,
+                            train_fraction=0.2)
 
     @pytest.mark.parametrize("passes", [0, 2, 4])
     def test_train_passes_other_than_one_rejected(self, passes):
         with pytest.raises(ParameterError, match="train_passes"):
             ffe_train_apply(np.ones(4096), np.ones(2048), tap_count=31,
-                            train_passes=passes)
+                            train_fraction=0.2, train_passes=passes)
 
     def test_training_span_shorter_than_taps_rejected(self):
         with pytest.raises(ParameterError, match="training symbols"):
@@ -323,7 +339,7 @@ class TestFfe:
         rng = np.random.default_rng(18)
         sym = rng.normal(size=1 << 12)
         x = self.make_2sps(sym)
-        _, state = ffe_train_apply(x, sym, tap_count=31)
+        _, state = ffe_train_apply(x, sym, tap_count=31, train_fraction=0.2)
         assert np.isfinite(state.final_mse)
         assert state.taps.size == 31
 
@@ -395,7 +411,7 @@ class TestFfeGram:
         x, sym = rng.normal(size=131220), rng.normal(size=65610)
         tracemalloc.start()
         try:
-            ffe_train_apply(x, sym, 101)
+            ffe_train_apply(x, sym, 101, 0.2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

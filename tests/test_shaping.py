@@ -504,7 +504,8 @@ MALFORMED_INPUTS = {
     "resample_inf_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), float("inf")),
     "resample_overflowing_rate": lambda: resample(SampledWaveform(1e9, np.ones(4)), 1e308),
     "resample_unsizable_length": lambda: resample(SampledWaveform(1e9, np.ones(4)), 1e300),
-    "digitize_nan_rate": lambda: digitize(SampledWaveform(1e9, np.ones(4)), float("nan")),
+    "digitize_nan_rate": lambda: digitize(SampledWaveform(1e9, np.ones(4)), float("nan"),
+                                          113e9),
     "composition_2d": lambda: composition_from_distribution([[0.5, 0.5]], 10),
     "composition_nan": lambda: composition_from_distribution([float("nan"), 0.5], 10),
     "composition_fractional_length": lambda: composition_from_distribution([0.5, 0.5], 10.5),

@@ -484,18 +484,19 @@ class TestRealForm:
             SampledWaveform.from_spectrum(RATE, spec, n + 2)
 
     def test_stage_outputs_are_real_and_one_sided(self):
-        from imddsim.frontend import dac
+        from imddsim.frontend import dac, dac_response
         from imddsim.rxdsp import digitize, photodetect
 
         rng = np.random.default_rng(3)
         wide = rrc_upsample(rng.choice([-1.0, 1.0], 512), 2, 0.1, 128e9)
         field = SampledWaveform(256e9, 1 + 0.1 * wide.real, "optical_field")
-        current = photodetect(field, 100e9)
+        current = photodetect(field)
         outputs = {
             "rrc_upsample": wide,
-            "dac": dac(wide, 512e9, 80e9),
+            "dac": dac(wide, 512e9, dac_response(wide.freqs(), wide.sample_rate_hz, 80e9)),
             "photodetect": current,
-            "digitize": digitize(current, 128e9, 50e9, resolution_bits=6),
+            "digitize": digitize(current, 128e9, 50e9, resolution_bits=6,
+                                 pd_bandwidth_hz=100e9),
         }
         for name, out in outputs.items():
             assert out.samples.dtype == np.float64, name
