@@ -91,6 +91,19 @@ def dispersion_phase(freq_hz: np.ndarray, spec: FiberSpec, lambda_nm: float,
     return np.pi * lam_m**2 * d_si * length_m * freq_hz**2 / _C_M_S
 
 
+def _allpass(f: np.ndarray, fiber: FiberSpec, wavelength_nm: float, length_km: float,
+             out: np.ndarray) -> np.ndarray:
+    """exp(+j phase), phase the ``dispersion_phase`` of ``length_km`` of
+    ``fiber`` at ``f``, formed in ``out`` (complex zeros of ``f``'s size) and
+    returned; a negative length negates the phase bit for bit and undoes the
+    dispersion. The phase goes into the zeros as the exponent's imaginary
+    part, so no complex temporary is formed: the bits of
+    ``np.exp(+-1j * phase)``, but for 1 - j0 at a phase of -0 (D < 0 at
+    f = 0), where ``1j * phase`` drops the zero's sign."""
+    out.imag = dispersion_phase(f, fiber, wavelength_nm, length_km)
+    return np.exp(out, out=out)
+
+
 def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> SampledWaveform:
     """Chromatic dispersion (all-pass) plus scalar attenuation, on the
     field's spectrum."""
@@ -100,19 +113,15 @@ def propagate(field: SampledWaveform, spec: FiberSpec, lambda_nm: float) -> Samp
     n, rate = field.n, field.sample_rate_hz
     x = loss * field.spectrum
     del field  # a caller that handed the field on frees it here
-
-    def allpass(f):
-        out = 1j * dispersion_phase(f, spec, lambda_nm, spec.length_km)
-        return np.exp(out, out=out)
-
-    out = _times_even(x, n, rate, allpass)
+    out = _times_even(x, n, rate, lambda f: _allpass(
+        f, spec, lambda_nm, spec.length_km, np.zeros(f.size, dtype=np.complex128)))
     return SampledWaveform._from_spectrum(rate, out, n, "optical_field")
 
 
 def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
-                    seed: int | None = None) -> SampledWaveform:
-    """Amplitude gain plus seeded ASE noise over the simulation bandwidth,
-    on the field's spectrum.
+                    rng: np.random.Generator) -> SampledWaveform:
+    """Amplitude gain plus ASE noise drawn from ``rng`` over the simulation
+    bandwidth, on the field's spectrum.
 
     The noise is drawn as its DFT, so the stage costs no transform on a
     field that holds its spectrum (as ``propagate`` hands it on). Complex
@@ -126,7 +135,6 @@ def optical_amplify(field: SampledWaveform, spec: OpticalAmpSpec,
     out = gain * field.spectrum
     del field  # a caller that handed the field on frees it here
     if spec.noise_spectral_density > 0:
-        rng = np.random.default_rng(seed)
         sigma = np.sqrt(spec.noise_spectral_density * rate / 2.0) * np.sqrt(n)
         # real then imaginary part, each added in place to spare a record
         out.real += rng.normal(0, sigma, n)
@@ -160,12 +168,8 @@ def obpf(field: SampledWaveform, bandwidth_hz: float | None, fiber: FiberSpec,
             out = np.ones(f.size)
             out[passband:] = 0.0
             return out
-        # -1j * phase is exactly (+0, -phase), so the exponent is written
-        # into the zeros as its imaginary part, with no complex temporary
         out = np.zeros(f.size, dtype=np.complex128)
-        np.negative(dispersion_phase(f[:passband], fiber, wavelength_nm, trim_km),
-                    out=out.imag[:passband])
-        np.exp(out[:passband], out=out[:passband])
+        _allpass(f[:passband], fiber, wavelength_nm, -trim_km, out[:passband])
         return out
 
     out = _times_even(field.spectrum, n, rate, response)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .sigcore import (
+    ANALOG_BESSEL_ORDER,
     SampledWaveform,
     _bessel_design,
     _bin_spacing,
@@ -31,6 +32,7 @@ from .sigcore import (
     bessel_response,
     filter_response,
     lo_shift,
+    quantize_uniform,
     require_real,
     resample,
 )
@@ -44,9 +46,6 @@ if TYPE_CHECKING:
 # device models
 # ---------------------------------------------------------------------------
 
-#: Poles of the Bessel bandwidth of the converters (AWG, DAC, scope), the
-#: amplifiers and the photodiode.
-ANALOG_BESSEL_ORDER = 4
 #: Poles of the Bessel electro-optic bandwidth of the MZM.
 MZM_BESSEL_ORDER = 2
 #: Transition width of the analog HPF that removes the mixer's lower image.
@@ -132,19 +131,6 @@ class MzmModel:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def quantize_uniform(x: np.ndarray, bits: int) -> np.ndarray:
-    """Mid-rise uniform quantizer over [-FS, FS], the full scale FS the
-    record's peak, as both converters scale it."""
-    if bits < 1:
-        raise ParameterError("resolution must be >= 1 bit")
-    fs = float(np.max(np.abs(x)))
-    if fs == 0:
-        return x.copy()
-    step = 2.0 * fs / (2**bits)
-    q = step * (np.floor(x / step) + 0.5)
-    return np.clip(q, -fs + step / 2, fs - step / 2)
-
 
 def dac_response(freq_hz: np.ndarray, rate_hz: float, bandwidth_hz: float) -> np.ndarray:
     """The converter's complex response at ``freq_hz``: the zero-order-hold

@@ -113,10 +113,11 @@ def _build_frame(config: LinkConfig, rng_data, rng_signs) -> SymbolFrame:
 
 
 def _link(config: LinkConfig, rngs: dict,
-          kernel=None) -> tuple[SymbolFrame, np.ndarray, int]:
-    """One pass of the chain, shaping to equalizer; returns (frame,
-    equalized symbols, training count). With ``kernel``, a fitted
-    ``VolterraKernel``, the symbols are pre-distorted before the front end.
+          kernel=None) -> tuple[SymbolFrame, np.ndarray]:
+    """One pass of the chain, shaping to equalizer; returns the held-out
+    frame (the symbols after the equalizer's training span) and its
+    equalized symbols. With ``kernel``, a fitted ``VolterraKernel``, the
+    symbols are pre-distorted before the front end.
 
     Each stage is a ``_stage`` block. The symbols and then each record go
     from call to call through the one-element list ``held``: every call
@@ -156,7 +157,8 @@ def _link(config: LinkConfig, rngs: dict,
         del wave  # the FFE needs only the samples, not the spectrum
         eq, state = ffe_train_apply(samples, frame.levels(), dsp.ffe_taps,
                                     dsp.ffe_train_fraction)
-    return frame, eq, state.training_symbols
+    return SymbolFrame(frame.indices[state.training_symbols:], frame.alphabet,
+                       frame.distribution), eq
 
 
 def _train_dpd(config: LinkConfig, rngs: dict):
@@ -164,10 +166,8 @@ def _train_dpd(config: LinkConfig, rngs: dict):
     training link is ``_link`` itself, and the fit reads the held-out
     symbols from its frame."""
     train_cfg = replace(config, seed=int(rngs["dpd"].integers(0, 2**31 - 1)))
-    frame, eq, n_train = _link(train_cfg, _spawn_rngs(train_cfg))
-    stimulus = frame.alphabet.levels[frame.indices[n_train:]]
-    del frame
-    return fit_volterra(stimulus, eq, config.dsp.volterra).kernel
+    frame, eq = _link(train_cfg, _spawn_rngs(train_cfg))
+    return fit_volterra(frame.levels(), eq, config.dsp.volterra).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +281,10 @@ def run_link(config: LinkConfig) -> MetricsReport:
     # stream is its own seed child, so the order changes no draw
     with _stage("dpd_training"):
         kernel = _train_dpd(config, rngs) if config.dsp.volterra_enabled else None
-    frame, eq, n_train = _link(config, rngs, kernel)
+    frame, eq = _link(config, rngs, kernel)
     with _stage("metrology"):
-        return score_symbols(eq, SymbolFrame(frame.indices[n_train:], frame.alphabet,
-                                             frame.distribution),
-                             config.rate_table(), config.symbol_rate_gbd, config.seed)
+        return score_symbols(eq, frame, config.rate_table(), config.symbol_rate_gbd,
+                             config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +500,11 @@ def build_manifest(config: LinkConfig, outputs: tuple[str, ...]) -> RunManifest:
 
 
 def emit_outputs(result: SweepResult, out_dir: str | Path,
-                 config: LinkConfig | None = None) -> list[Path]:
+                 config: LinkConfig) -> list[Path]:
     """Write sweep.csv (stable formatting), plot.svg (when there is data),
-    and manifest.json; returns the written paths. The manifest names its
-    outputs relative to ``out_dir``, so it reads the same wherever the
-    directory lives."""
+    and manifest.json, the record of ``config``; returns the written paths.
+    The manifest names its outputs relative to ``out_dir``, so it reads the
+    same wherever the directory lives."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -517,9 +516,8 @@ def emit_outputs(result: SweepResult, out_dir: str | Path,
     if result.reports():
         written.append(_write_plot(result, out))
 
-    if config is not None:
-        manifest = build_manifest(config, tuple(p.name for p in written))
-        man_path = out / "manifest.json"
-        man_path.write_text(manifest.to_json())
-        written.append(man_path)
+    manifest = build_manifest(config, tuple(p.name for p in written))
+    man_path = out / "manifest.json"
+    man_path.write_text(manifest.to_json())
+    written.append(man_path)
     return written

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRateError, ParameterError, SyncError
-from .frontend import ANALOG_BESSEL_ORDER, quantize_uniform
 from .shaping import PamAlphabet, SymbolFrame, entropy_bits
 from .sigcore import (
+    ANALOG_BESSEL_ORDER,
     SampledWaveform,
     _bin_spacing,
     _require_finite,
@@ -33,6 +33,7 @@ from .sigcore import (
     _shift_gram,
     _solve_spd,
     bessel_response,
+    quantize_uniform,
     require_real,
     resample,
     rms,
@@ -48,11 +49,12 @@ _METRIC_FLOOR = -700.0
 # opto-electronic front end
 # ---------------------------------------------------------------------------
 
-def photodetect(fld: SampledWaveform, thermal_noise_density: float = 0.0,
-                seed: int | None = None) -> SampledWaveform:
-    """Square-law detection at unit responsivity, i = |E|^2, plus seeded
-    thermal noise; the photocurrent is an electrical waveform. The PD
-    bandwidth filters it in :func:`digitize`, on the bins the scope keeps.
+def photodetect(fld: SampledWaveform, thermal_noise_density: float,
+                rng: np.random.Generator) -> SampledWaveform:
+    """Square-law detection at unit responsivity, i = |E|^2, plus thermal
+    noise drawn from ``rng``; the photocurrent is an electrical waveform.
+    The PD bandwidth filters it in :func:`digitize`, on the bins the scope
+    keeps.
 
     ``thermal_noise_density`` is the input-referred current noise PSD
     (A^2/Hz); per-sample variance is density times the simulation rate.
@@ -68,7 +70,6 @@ def photodetect(fld: SampledWaveform, thermal_noise_density: float = 0.0,
     del fld
     current = _intensity(spectrum.pop())
     if thermal_noise_density > 0:
-        rng = np.random.default_rng(seed)
         sigma = np.sqrt(thermal_noise_density * rate)
         current += rng.normal(0, sigma, n)
     _require_finite(current, "photocurrent")
@@ -297,20 +298,17 @@ def nearest_level_variance(soft_symbols: np.ndarray, alphabet: PamAlphabet) -> f
 
 
 def symbol_metric(soft_symbols: np.ndarray, frame: SymbolFrame,
-                  noise_variance: float | None = None) -> np.ndarray:
+                  noise_variance: float) -> np.ndarray:
     """Prior-weighted symbol metric ``log p(a) - (y - a)^2 / 2 sigma^2`` as
     an (n, M) array, each row shifted so that its maximum is 0. The array is
     the transpose of a C-ordered (M, n) one.
 
-    If the variance is not given, it is :func:`nearest_level_variance` of
-    the samples. Decisions and LLRs both reduce this metric, so a run
-    decides and weighs its bits with one variance.
+    Decisions and LLRs both reduce this metric, so a run decides and weighs
+    its bits with one variance, its :func:`nearest_level_variance`.
     """
     y = np.asarray(soft_symbols, dtype=float)
     if y.size != frame.n:
         raise ParameterError("soft symbols and frame must have equal length")
-    if noise_variance is None:
-        noise_variance = nearest_level_variance(y, frame.alphabet)
     if noise_variance <= 0:
         raise ParameterError("noise variance must be positive")
     # built as (M, n), so that every step, the maximum over the M levels

@@ -1,6 +1,6 @@
-"""Waveform container, filter responses and their application, resampling,
-the LO shift, signal metrics, and the normal equations that the FFE and the
-Volterra fit share: the shift-recursion Gram matrix and its blocked solve.
+"""Waveform container, filter responses and their application, the converters'
+quantizer, resampling, the LO shift, signal metrics, and the normal equations
+of the FFE and the Volterra fit: a shift-recursion Gram matrix, blocked solve.
 
 Conventions used throughout the simulator:
 
@@ -348,6 +348,23 @@ def bessel_response(freqs_hz: np.ndarray, cutoff_hz: float, order: int) -> np.nd
     return out
 
 
+#: Poles of the Bessel bandwidths of the converters, amplifiers and photodiode.
+ANALOG_BESSEL_ORDER = 4
+
+
+def quantize_uniform(x: np.ndarray, bits: int) -> np.ndarray:
+    """Mid-rise uniform quantizer over [-FS, FS], the full scale FS the
+    record's peak, as both converters (AWG and scope) scale it."""
+    if bits < 1:
+        raise ParameterError("resolution must be >= 1 bit")
+    fs = float(np.max(np.abs(x)))
+    if fs == 0:
+        return x.copy()
+    step = 2.0 * fs / (2**bits)
+    q = step * (np.floor(x / step) + 0.5)
+    return np.clip(q, -fs + step / 2, fs - step / 2)
+
+
 def apply_filter(wave: SampledWaveform, response: np.ndarray) -> SampledWaveform:
     """Filter a waveform: its spectrum times ``response``, given on the
     waveform's own frequency grid (``wave.freqs()``), so length is
@@ -382,10 +399,6 @@ def resample(wave: SampledWaveform, target_rate_hz: float,
     """
     require_real(wave, "resample input")
     n_out = _resampled_length(wave.n, wave.sample_rate_hz, target_rate_hz)
-    if target_rate_hz == wave.sample_rate_hz:
-        for response in responses:
-            wave = apply_filter(wave, response)
-        return wave
     n_in = wave.n
     m = min(n_in, n_out)
     y = np.zeros(n_out // 2 + 1, dtype=np.complex128)

@@ -15,6 +15,7 @@ from imddsim.rxdsp import (
     ffe_train_apply,
     gmi_ngmi,
     llr_compute,
+    nearest_level_variance,
     net_bitrate_ps,
     symbol_metric,
 )
@@ -231,7 +232,8 @@ def test_criterion_07_equalizer_efficacy():
 
     eval_frame = SymbolFrame(frame.indices[state.training_symbols:], alphabet,
                              frame.distribution)
-    ber, _ = decide_and_ber(symbol_metric(eq, eval_frame), eval_frame)
+    metric = symbol_metric(eq, eval_frame, nearest_level_variance(eq, alphabet))
+    ber, _ = decide_and_ber(metric, eval_frame)
     ok = improvement >= 10.0 and ber < 1e-4
     _report(f"07 equalizer-efficacy ({improvement:.1f} dB, BER {ber:.1e})", ok)
 

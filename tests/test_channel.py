@@ -8,6 +8,7 @@ from conftest import traced_peak
 from imddsim.channel import (
     FiberSpec,
     OpticalAmpSpec,
+    _allpass,
     dispersion_coefficient,
     dispersion_phase,
     obpf,
@@ -60,6 +61,38 @@ class TestDispersionCoefficient:
         ds = [dispersion_coefficient(lam, O_FIBER)
               for lam in (1290, 1310, 1330, 1350, 1370)]
         assert all(b > a for a, b in zip(ds, ds[1:]))
+
+
+class TestAllpass:
+    """``propagate`` and the OBPF's CD trim form their all-pass by one
+    function, with the bits of the complex exponentials they replace."""
+
+    @pytest.mark.parametrize("lam, length_km", [
+        (1330.0, 11.0),  # D > 0: phases from 0 up
+        (1260.0, 11.0),  # D < 0: negative phases
+        (1280.0, 2.0),  # at the zero-dispersion wavelength: every phase 0
+        (1550.0, 1e4),  # phases far beyond 2 pi
+    ])
+    def test_bit_equal_to_complex_exponent(self, lam, length_km):
+        f = np.concatenate([np.linspace(-3e12, 3e12, 4001), [0.0, -0.0, 1e15, -1e15]])
+        phase = dispersion_phase(f, O_FIBER, lam, length_km)
+        for sign in (1.0, -1.0):
+            expect = np.exp(sign * 1j * phase)
+            if sign > 0:
+                # 1j * -0.0 is (-0, +0): the product drops the sign of a
+                # zero phase (D < 0 at f = 0), which the all-pass keeps
+                expect[np.signbit(phase) & (phase == 0)] = complex(1.0, -0.0)
+            # written into a view, as the trim writes the passband's bins,
+            # and leaving the bins past it zero
+            held = np.zeros(f.size + 3, dtype=np.complex128)
+            out = _allpass(f, O_FIBER, lam, sign * length_km, held[:f.size])
+            assert out.tobytes() == expect.tobytes(), sign
+            assert held[:f.size].tobytes() == out.tobytes()
+            assert not held[f.size:].any()
+        if lam == 1260.0:
+            assert phase.max() == 0.0 > phase.min()
+        elif lam == 1550.0:
+            assert phase.max() > 1e6
 
 
 class TestPropagate:
@@ -124,22 +157,22 @@ class TestPropagate:
 class TestOpticalAmplify:
     def test_pure_scaling_without_noise(self):
         w = gaussian_pulse(5e-12)
-        out = optical_amplify(w, OpticalAmpSpec(gain_db=6.0), seed=0)
+        out = optical_amplify(w, OpticalAmpSpec(gain_db=6.0), np.random.default_rng(0))
         assert np.allclose(out.samples, 10 ** (6.0 / 20.0) * w.samples)
 
     def test_noise_variance_matches_density(self):
         n = 1 << 20
         w = SampledWaveform(RATE, np.zeros(n, dtype=complex), "optical_field")
         density = 1e-25
-        out = optical_amplify(w, OpticalAmpSpec(0.0, density), seed=1)
+        out = optical_amplify(w, OpticalAmpSpec(0.0, density), np.random.default_rng(1))
         var = np.mean(np.abs(out.samples) ** 2)
         assert var == pytest.approx(density * RATE, rel=0.05, abs=0)
 
     def test_seed_determinism(self):
         w = gaussian_pulse(5e-12)
         spec = OpticalAmpSpec(3.0, 1e-26)
-        a = optical_amplify(w, spec, seed=42)
-        b = optical_amplify(w, spec, seed=42)
+        a = optical_amplify(w, spec, np.random.default_rng(42))
+        b = optical_amplify(w, spec, np.random.default_rng(42))
         assert np.array_equal(a.samples, b.samples)
 
 
@@ -153,7 +186,7 @@ class TestSpectralAse:
     def spectral_noise(self, seed):
         w = SampledWaveform.from_spectrum(RATE, np.zeros(self.N, dtype=complex),
                                           self.N, "optical_field")
-        return optical_amplify(w, OpticalAmpSpec(0.0, self.DENSITY), seed=seed)
+        return optical_amplify(w, OpticalAmpSpec(0.0, self.DENSITY), np.random.default_rng(seed))
 
     def test_noise_variance_matches_density(self):
         out = self.spectral_noise(1)
@@ -173,11 +206,11 @@ class TestSpectralAse:
     def test_seed_determinism(self):
         w = propagate(gaussian_pulse(5e-12), O_FIBER, 1330.0)
         spec = OpticalAmpSpec(3.0, 1e-26)
-        a = optical_amplify(w, spec, seed=42)
-        b = optical_amplify(w, spec, seed=42)
+        a = optical_amplify(w, spec, np.random.default_rng(42))
+        b = optical_amplify(w, spec, np.random.default_rng(42))
         assert np.array_equal(a.spectrum, b.spectrum)
         assert not np.array_equal(a.spectrum,
-                                  optical_amplify(w, spec, seed=43).spectrum)
+                                  optical_amplify(w, spec, np.random.default_rng(43)).spectrum)
 
 
 class TestObpf:
@@ -250,14 +283,15 @@ class TestChannelMemory:
                 assert np.array_equal(out, w.spectrum * resp), (n, trim_km)
 
     @pytest.mark.parametrize("stage, records", [
-        # 2.50 complex records: the loss product and the output, with the
-        # all-pass built in place on the half grid
-        (lambda w: propagate(w, O_FIBER, 1330.0), 3.0),
-        # 1.56 complex records on the half grid; 2.13 on the full grid, and
-        # 2.56 out of place
+        # 2.44 complex records: the loss product and the output, with the
+        # all-pass built in place on the half grid; 2.50 with the complex
+        # temporary of 1j * phase
+        (lambda w: propagate(w, O_FIBER, 1330.0), 2.47),
+        # 1.31 complex records with the trim on the passband bins; 1.56 on
+        # every half-grid bin, 2.13 on the full grid, and 2.56 out of place
         (lambda w: obpf(w, 100e9, O_FIBER, 1310.0, trim_km=2.0), 2.35),
         # 2.03 complex records from two irffts; 3.50 from the complex ifft
-        (photodetect, 2.5),
+        (lambda w: photodetect(w, 0.0, np.random.default_rng(0)), 2.5),
     ], ids=["propagate", "obpf", "photodetect"])
     def test_peak_memory(self, stage, records):
         rng = np.random.default_rng(6)
@@ -304,5 +338,5 @@ class TestHandOff:
         peak = traced_peak(lambda: optical_amplify(
             SampledWaveform.from_spectrum(RATE, rng.normal(size=2 * self.N).view(complex),
                                           self.N, "optical_field"),
-            OpticalAmpSpec(3.0, 2e-17), seed=5))
+            OpticalAmpSpec(3.0, 2e-17), np.random.default_rng(5)))
         assert peak < 2.25 * 16 * self.N

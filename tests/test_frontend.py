@@ -18,7 +18,6 @@ from imddsim.frontend import (
     dac_response,
     mixer_upconvert,
     mzm_modulate,
-    quantize_uniform,
     stitch_bands,
 )
 from imddsim.sigcore import (
@@ -27,6 +26,7 @@ from imddsim.sigcore import (
     apply_filter,
     bessel_response,
     filter_response,
+    quantize_uniform,
     resample,
     spectral_nmse_db,
 )

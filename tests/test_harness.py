@@ -623,27 +623,30 @@ class TestRunLink:
     def test_c_band_memory_bound(self):
         # the C-band front end holds the converters' one response, 0.62 MB,
         # from the pre-emphasis model to the second converter, and its obpf
-        # trims the dispersion; the peak, about 5.58 MB, is set by propagate
+        # trims the dispersion; the peak, about 5.51 MB, is set by obpf and
+        # propagate within 2 kB of each other, each holding two field records
+        # and one block's all-pass, built in place by the one _allpass
+        # (propagate's complex temporary of 1j * phase made it 5.58 MB)
         cfg = c_band_216g(7)
         assert traced_peak(lambda: run_link(cfg)) < 5.8e6
 
     def test_o_band_memory_bound(self):
         # every record dies at its last use and the run holds only the frame,
-        # one byte per symbol, through the link: the peak, about 5.6 MB, is
-        # set by propagate, which holds the field's spectrum and its loss
-        # product, with obpf at 5.35 MB and the front end at 5.1 MB (its
-        # upper-path amplifier); with the frame's int64 indices, 0.46 MB
-        # more, each of these was 0.46 MB higher and the peak 6.04 MB
+        # one byte per symbol, through the link: the peak, about 5.51 MB, is
+        # set by propagate, which holds the field's spectrum, its loss
+        # product and one block's all-pass, with obpf at 5.31 MB and the
+        # front end at 5.05 MB (its upper-path amplifier); with the frame's
+        # int64 indices, 0.46 MB more, each of these was 0.46 MB higher
         cfg = o_band_216g(7)
         assert traced_peak(lambda: run_link(cfg)) < 5.8e6
 
     def test_dpd_training_memory_bound(self):
         # the pre-distorter is trained before the main frame is shaped, both
         # links hold only their one-byte frame and hand their records on, and
-        # the fit builds no feature matrix: the peak is about 5.6 MB, set by
-        # the main link's propagate, with the training link's at 5.58 MB,
-        # each link's front end at 5.1 MB and the fit at 4.0 MB; with int64
-        # frame indices it was 6.05 MB
+        # the fit builds no feature matrix: the peak is about 5.52 MB, set by
+        # the main link's propagate, with the training link's at 5.51 MB,
+        # each link's obpf at 5.33 MB and front end at 5.07 MB, and the fit
+        # at 4.1 MB; with int64 frame indices it was 6.05 MB
         cfg = o_band_216g(7)
         cfg = replace(cfg, dsp=replace(cfg.dsp, volterra_enabled=True))
         assert traced_peak(lambda: run_link(cfg)) < 5.8e6
@@ -784,8 +787,8 @@ class TestChainRelations:
     def test_identity_predistorter_is_none(self, make):
         cfg = _short(make, 7)
         kernel = VolterraKernel.identity(cfg.dsp.volterra)
-        _, eq_identity, _ = harness._link(cfg, harness._spawn_rngs(cfg), kernel)
-        _, eq, _ = harness._link(cfg, harness._spawn_rngs(cfg))
+        _, eq_identity = harness._link(cfg, harness._spawn_rngs(cfg), kernel)
+        _, eq = harness._link(cfg, harness._spawn_rngs(cfg))
         assert eq_identity.tobytes() == eq.tobytes()
 
     @pytest.mark.parametrize("factor", [1e-6, 10.0])
@@ -815,8 +818,8 @@ class TestChainRelations:
         changed = replace(cfg, channel=replace(chan, fiber=replace(
             chan.fiber, zero_dispersion_wavelength_nm=zero_nm,
             dispersion_slope_ps_nm2_km=slope)))
-        _, eq, _ = harness._link(cfg, harness._spawn_rngs(cfg))
-        _, eq_changed, _ = harness._link(changed, harness._spawn_rngs(changed))
+        _, eq = harness._link(cfg, harness._spawn_rngs(cfg))
+        _, eq_changed = harness._link(changed, harness._spawn_rngs(changed))
         assert np.max(np.abs(eq_changed - eq)) <= 1e-9 * np.max(np.abs(eq))
 
 
@@ -886,10 +889,11 @@ class TestStagesLeaveHeldInputs:
             "mzm_modulate": lambda: frontend.mzm_modulate(w["analog"], 10.0, MzmModel(2.8)),
             "propagate": lambda: channel.propagate(w["field"], fiber, 1310.0),
             "optical_amplify": lambda: channel.optical_amplify(
-                w["field"], OpticalAmpSpec(3.0, 2e-17), seed=1),
+                w["field"], OpticalAmpSpec(3.0, 2e-17), np.random.default_rng(1)),
             "obpf": lambda: channel.obpf(w["field"], 300e9, fiber, 1310.0, 2.0),
             "obpf_passband": lambda: channel.obpf(w["field"], 300e9, fiber, 1310.0),
-            "photodetect": lambda: rxdsp.photodetect(w["field"], 1e-22, seed=2),
+            "photodetect": lambda: rxdsp.photodetect(w["field"], 1e-22,
+                                                     np.random.default_rng(2)),
             "digitize": lambda: rxdsp.digitize(w["analog"], 256e9, 100e9,
                                                pd_bandwidth_hz=90e9),
             "synchronize": lambda: rxdsp.synchronize(w["wide"], w["wide"].real[:1024:2]),

@@ -11,7 +11,6 @@ from scipy.stats import norm
 from conftest import bin_centered_frequency, tone_amplitude, traced_peak
 from imddsim import rxdsp
 from imddsim.errors import NoRateError, ParameterError, SyncError
-from imddsim.frontend import ANALOG_BESSEL_ORDER
 from imddsim.rxdsp import (
     CSV_HEADER,
     FFE_RIDGE,
@@ -40,6 +39,7 @@ from imddsim.shaping import (
     uniform_frame,
 )
 from imddsim.sigcore import (
+    ANALOG_BESSEL_ORDER,
     SampledWaveform,
     apply_filter,
     bessel_response,
@@ -55,7 +55,7 @@ class TestPhotodetect:
     def test_square_law_constant(self):
         p = 4.0
         fld = SampledWaveform(RATE, np.full(256, np.sqrt(p)), "optical_field")
-        out = photodetect(fld)
+        out = photodetect(fld, 0.0, np.random.default_rng(0))
         assert np.allclose(out.real, p, rtol=1e-9)
         assert out.domain_tag == "electrical"
 
@@ -69,7 +69,7 @@ class TestPhotodetect:
             RATE, a * np.exp(2j * np.pi * f1 * t) + a * np.exp(2j * np.pi * f2 * t),
             "optical_field",
         )
-        out = photodetect(fld)
+        out = photodetect(fld, 0.0, np.random.default_rng(0))
         # |E|^2 = 2a^2 + 2a^2 cos(2 pi (f2-f1) t)
         assert abs(tone_amplitude(out, f2 - f1) - 2 * a**2) < 1e-6
         assert abs(np.mean(out.real) - 2 * a**2) < 1e-9
@@ -79,7 +79,7 @@ class TestPhotodetect:
         fld = SampledWaveform(
             RATE, rng.normal(size=512) + 1j * rng.normal(size=512), "optical_field"
         )
-        out = photodetect(fld)
+        out = photodetect(fld, 0.0, np.random.default_rng(0))
         assert np.min(out.real) > -1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1 << 12, (1 << 12) + 1])
@@ -94,7 +94,7 @@ class TestPhotodetect:
         reference = np.abs(np.fft.ifft(spectrum)) ** 2
         current = rxdsp._intensity(spectrum)
         assert np.max(np.abs(current - reference)) <= 1e-12 * np.max(reference)
-        out = photodetect(fld)
+        out = photodetect(fld, 0.0, np.random.default_rng(0))
         assert out.spectrum.tobytes() == np.fft.rfft(current).tobytes()
         assert np.max(np.abs(out.real - reference)) <= 1e-12 * np.max(reference)
 
@@ -107,13 +107,13 @@ class TestPhotodetect:
         peak = traced_peak(lambda: photodetect(
             SampledWaveform.from_spectrum(RATE, rng.normal(size=2 * n).view(complex), n,
                                           "optical_field"),
-            1e-22, seed=4))
+            1e-22, np.random.default_rng(4)))
         assert peak < 2.5 * 16 * n
 
     def test_seeded_noise_deterministic(self):
         fld = SampledWaveform(RATE, np.ones(512), "optical_field")
-        a = photodetect(fld, thermal_noise_density=1e-22, seed=5)
-        b = photodetect(fld, thermal_noise_density=1e-22, seed=5)
+        a = photodetect(fld, 1e-22, np.random.default_rng(5))
+        b = photodetect(fld, 1e-22, np.random.default_rng(5))
         assert np.array_equal(a.samples, b.samples)
 
 
@@ -155,7 +155,7 @@ class TestDigitize:
         rng = np.random.default_rng(n)
         fld = SampledWaveform.from_spectrum(
             RATE, rng.normal(size=n) + 1j * rng.normal(size=n), n, "optical_field")
-        current = photodetect(fld, 1e-22, seed=3)
+        current = photodetect(fld, 1e-22, np.random.default_rng(3))
         pd = bessel_response(np.fft.rfftfreq(n, 1 / RATE), 100e9, ANALOG_BESSEL_ORDER)
         np.multiply(current.spectrum, pd, out=pd)
         expect = digitize(SampledWaveform.from_spectrum(RATE, pd, n), rate, 113e9)
@@ -424,13 +424,14 @@ class TestSymbolMetric:
         rng = np.random.default_rng(18)
         frame = uniform_frame(PamAlphabet.pam12(), 64, rng)
         with pytest.raises(ParameterError, match="equal length"):
-            symbol_metric(frame.levels()[:10], frame)
+            symbol_metric(frame.levels()[:10], frame, 0.1)
 
     def test_rows_peak_at_zero(self):
         rng = np.random.default_rng(19)
         alpha = PamAlphabet.pam12()
         frame = SymbolFrame(rng.integers(0, 12, 256), alpha, maxwell_boltzmann(1.0, alpha))
-        metric = symbol_metric(frame.levels() + rng.normal(0, 0.1, 256), frame)
+        y = frame.levels() + rng.normal(0, 0.1, 256)
+        metric = symbol_metric(y, frame, nearest_level_variance(y, alpha))
         assert metric.shape == (256, 12)
         assert np.array_equal(metric.max(axis=1), np.zeros(256))
 
@@ -460,18 +461,33 @@ class TestNearestLevelVariance:
         alpha = PamAlphabet.uniform(4)
         assert nearest_level_variance(alpha.levels, alpha) == 1e-30
 
+    def test_llrs_track_the_true_variance(self):
+        rng = np.random.default_rng(17)
+        frame = uniform_frame(PamAlphabet.uniform(4), 1 << 14, rng)
+        sigma2 = 0.02
+        y = frame.levels() + rng.normal(0, np.sqrt(sigma2), frame.n)
+        estimated = nearest_level_variance(y, frame.alphabet)
+        llr = llr_compute(symbol_metric(y, frame, estimated), frame)
+        true = llr_compute(symbol_metric(y, frame, sigma2), frame)
+        # the decision-directed estimate lands near the truth, so the LLRs
+        # track closely
+        assert np.allclose(llr, true, rtol=0.1, atol=0.5)
+
 
 class TestDecide:
     def test_noiseless_zero_ber(self):
         rng = np.random.default_rng(8)
         frame = uniform_frame(PamAlphabet.uniform(8), 4096, rng)
-        ber, hard = decide_and_ber(symbol_metric(frame.levels(), frame), frame)
+        y = frame.levels()
+        ber, hard = decide_and_ber(
+            symbol_metric(y, frame, nearest_level_variance(y, frame.alphabet)), frame)
         assert ber == 0.0
         assert np.array_equal(hard, frame.indices)
 
     def test_hamming_count_equals_label_comparison(self):
         for y, frame in _frames(5000, 41):
-            ber, hard = decide_and_ber(symbol_metric(y, frame), frame)
+            ber, hard = decide_and_ber(
+                symbol_metric(y, frame, nearest_level_variance(y, frame.alphabet)), frame)
             expect = float(np.mean(frame.bits() != frame.alphabet.labels[hard]))
             assert 0 < ber == expect
 
@@ -547,16 +563,6 @@ class TestLlr:
         frame = uniform_frame(PamAlphabet.uniform(4), 16, rng)
         with pytest.raises(ParameterError):
             symbol_metric(frame.levels(), frame, 0.0)
-
-    def test_variance_estimated_when_omitted(self):
-        rng = np.random.default_rng(17)
-        frame = uniform_frame(PamAlphabet.uniform(4), 1 << 14, rng)
-        sigma2 = 0.02
-        y = frame.levels() + rng.normal(0, np.sqrt(sigma2), frame.n)
-        auto = llr_compute(symbol_metric(y, frame), frame)
-        explicit = llr_compute(symbol_metric(y, frame, sigma2), frame)
-        # decision-directed estimate lands near truth, so LLRs track closely
-        assert np.allclose(auto, explicit, rtol=0.1, atol=0.5)
 
 
 def reference_llr(y, frame, noise_variance):
@@ -634,7 +640,7 @@ class TestLlrFloor:
         step = alpha.levels[1] - alpha.levels[0]
         y = frame.levels() + rng.normal(0, step / spacing_sigma, frame.n)
         y[:50] = rng.uniform(alpha.levels[0] - step, alpha.levels[-1] + step, 50)
-        metric = symbol_metric(y, frame)
+        metric = symbol_metric(y, frame, nearest_level_variance(y, alpha))
         with np.errstate(under="ignore"):
             prob = np.exp(metric)
         assert np.any((prob > 0) & (prob < np.finfo(float).tiny))
@@ -740,7 +746,7 @@ class TestScoreBlocks:
     def test_matches_one_block(self, block):
         y, frame = self.record(3001)
         rep = score_symbols(y, frame, RateTable.default(), 216.0, 7)
-        metric = symbol_metric(y, frame)
+        metric = symbol_metric(y, frame, nearest_level_variance(y, frame.alphabet))
         ber, _ = decide_and_ber(metric, frame)
         gmi, ngmi = gmi_ngmi(llr_compute(metric, frame), frame.bits(),
                              entropy_bits(frame.distribution), 4)

@@ -490,7 +490,7 @@ class TestRealForm:
         rng = np.random.default_rng(3)
         wide = rrc_upsample(rng.choice([-1.0, 1.0], 512), 2, 0.1, 128e9)
         field = SampledWaveform(256e9, 1 + 0.1 * wide.real, "optical_field")
-        current = photodetect(field)
+        current = photodetect(field, 0.0, np.random.default_rng(0))
         outputs = {
             "rrc_upsample": wide,
             "dac": dac(wide, 512e9, dac_response(wide.freqs(), wide.sample_rate_hz, 80e9)),
